@@ -5,8 +5,9 @@ geodesics and intersect each Hecke translate with the winding geodesic
 (the image of the imaginary axis in Y0(p)), using two algorithms that
 share nothing but the exact arithmetic layer:
 
-  cycle  - walk the reduction cycle of the form class and count
-           straddling forms, transported by powers of the automorph;
+  cycle  - walk the river of the form's Conway topograph for one
+           automorph period and count the straddling forms (a*c < 0)
+           that lie in the Gamma0(p)-class;
   enum   - follow the Farey cutting sequence of the geodesic between a
            base point and its automorph image.
 """

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exact import QuadIrr
+from .exact import QuadIrr, is_prime
 from .field import (
     all_characters,
     build_field,
@@ -171,7 +171,7 @@ def _character(G, args):
 def _require_p(args):
     if args.p is None:
         raise DomainFailure("this subcommand needs --p")
-    if args.p < 3 or args.p % 2 == 0:
+    if args.p % 2 == 0 or not is_prime(args.p):
         raise DomainFailure("p must be an odd prime")
     return args.p
 
@@ -471,8 +471,6 @@ def build_parser():
                         default="json")
         sp.add_argument("--no-cache", action="store_true")
         sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are identical)")
     return ap
 
 

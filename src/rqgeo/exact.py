@@ -20,9 +20,13 @@ __all__ = [
     "conjugate",
     "mobius",
     "squarefree_part",
+    "is_prime",
 ]
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+def is_prime(n):
+    """Primality by trial division (levels are small)."""
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def squarefree_part(n):

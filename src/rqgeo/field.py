@@ -186,20 +186,6 @@ def pell_plus(D):
     return t, u
 
 
-def _pell_any(D):
-    """Smallest (t, u, norm) with t^2 - D u^2 = +-4, t, u > 0."""
-    u = 1
-    while True:
-        for sgn in (-1, 1):
-            t2 = D * u * u + 4 * sgn
-            if t2 <= 0:
-                continue
-            t = math.isqrt(t2)
-            if t * t == t2:
-                return t, u, sgn
-        u += 1
-
-
 def automorph(f):
     """Generator of the proper automorphism group of f (trace > 2)."""
     fp, _ = f.primitive()
@@ -231,10 +217,15 @@ def build_field(D):
         raise ValueError("D must be squarefree")
     d_F = D if D % 4 == 1 else 4 * D
     lam = QuadIrr(d_F, 1, 2, d_F)
-    t, u, nrm = _pell_any(d_F)
+    # eps_plus = (t + u sqrt(d_F))/2 is eps**2 when the fundamental unit
+    # eps = (s + v sqrt(d_F))/2 has norm -1, and then t = s^2 + 2, u = s v
+    t, u = pell_plus(d_F)
+    s = math.isqrt(t - 2)
+    if s * s == t - 2 and u % s == 0 and s * s - d_F * (u // s) ** 2 == -4:
+        eps = QuadIrr(s, u // s, 2, d_F)
+        return FieldData(D, d_F, lam, eps, eps * eps, -1)
     eps = QuadIrr(t, u, 2, d_F)
-    eps_plus = eps if nrm == 1 else eps * eps
-    return FieldData(D, d_F, lam, eps, eps_plus, nrm)
+    return FieldData(D, d_F, lam, eps, eps, 1)
 
 
 def _reduced_forms(D):
@@ -335,7 +326,9 @@ class NarrowClassGroup:
         self.class_reps = reps
         self.group_table = table
         self.class_of_principal_sqrt_dF = sqrt_class
-        self._canon = {canonical_rep(r): i for i, r in enumerate(reps)}
+        # the reduced forms of a class make up its one rho cycle
+        self._class_of = {g: i for i, r in enumerate(reps)
+                          for g in form_cycle(r)}
 
     @property
     def h(self):
@@ -345,8 +338,7 @@ class NarrowClassGroup:
         if form.disc() != self.field.d_F:
             raise ValueError("discriminant mismatch")
         fp, _ = form.primitive()
-        key = canonical_rep(fp)
-        return self._canon[key]
+        return self._class_of[reduce_form(fp)[0]]
 
     def compose(self, i, j):
         return self.group_table[i][j]
@@ -375,28 +367,23 @@ class NarrowClassGroup:
 def narrow_class_group(F):
     d = F.d_F
     forms = _reduced_forms(d)
-    classes = []
+    cycles = []
     seen = set()
     for f in forms:
         if f in seen:
             continue
         cyc = form_cycle(f)
         seen.update(cyc)
-        classes.append(min(cyc))
-    classes.sort()
-    # put the principal class first
+        cycles.append(cyc)
+    # the principal class first, the others by their least reduced form
     b0 = d % 2
-    principal = canonical_rep(QuadForm(1, b0, (b0 * b0 - d) // 4))
-    classes.sort(key=lambda g: (g != principal, g))
-    idx = {g: i for i, g in enumerate(classes)}
-    h = len(classes)
-    table = [[None] * h for _ in range(h)]
-    for i in range(h):
-        fi = _positive_of(classes[i])
-        for j in range(h):
-            fj = _positive_of(classes[j])
-            table[i][j] = idx[canonical_rep(gauss_compose(fi, fj))]
-    G = NarrowClassGroup(F, classes, table, None)
+    principal, _ = reduce_form(QuadForm(1, b0, (b0 * b0 - d) // 4))
+    cycles.sort(key=lambda cyc: (principal not in cyc, min(cyc)))
+    classes = [min(cyc) for cyc in cycles]
+    G = NarrowClassGroup(F, classes, None, None)
+    positive = [_positive_of(g) for g in classes]
+    G.group_table = [[G.classify(gauss_compose(fi, fj)) for fj in positive]
+                     for fi in positive]
     G.class_of_principal_sqrt_dF = _sqrt_class(F, G)
     return G
 

@@ -4,7 +4,12 @@ Two independent algorithms compute the intersection number of a closed
 geodesic on Y0(p) with the winding geodesic from 0 to infinity:
 
 * intersect_winding_cycle sums sgn(a) over the forms in the proper
-  Gamma0(p)-class of Q whose root geodesic separates 0 from infinity;
+  Gamma0(p)-class of Q whose root geodesic separates 0 from infinity
+  (those with a*c < 0).  It finds them in one walk along the river of
+  the Conway topograph of Q.form, one automorph period long, carrying
+  only the transition matrix mod p; an edge counts when a column of
+  that matrix lies in the orbit of infinity in P^1(F_p) under the
+  automorph;
 * intersect_winding_enum walks the Farey tessellation along one period
   of the closed geodesic and adds up signed crossings with translates
   of the imaginary axis.
@@ -18,8 +23,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import INF, Mat2, QuadIrr, mobius
-from .field import QuadForm, automorph, canonical_rep, reduce_form, _rho
+from .exact import INF, Mat2, QuadIrr, is_prime, mobius
+from .field import QuadForm, automorph, reduce_form, sl2_equivalence
 
 __all__ = [
     "Geodesic",
@@ -191,8 +196,8 @@ def choose_r(F, p):
     Raises InertPrime when d_F is not a square mod p.
     """
     d = F.d_F
-    if p == 2 or p % 2 == 0:
-        raise ValueError("p must be odd")
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
     if d % p == 0:
         raise ValueError("p ramifies in F")
     if pow(d, (p - 1) // 2, p) != 1:
@@ -302,105 +307,85 @@ def twisted_cycle(F, G, psi, p, rc):
 
 
 # ---------------------------------------------------------------------------
-# algorithm 1: the form-cycle method
+# algorithm 1: one walk along the river of the Conway topograph
+#
+# Let f = Q.form.  The forms with a*c < 0 in the proper SL2(Z)-class of f
+# are the edges of the river of f's topograph: the edge between the
+# faces e1 (value a > 0) and e2 (value c < 0) stands for the two forms
+# [a, b, c] = f.apply(m), m = (e1 | e2), and [c, -b, a] = f.apply(m S),
+# S = (0, -1; 1, 0).  The automorph of f shifts the river by one period,
+# so one period meets every such form exactly once.  A form f.apply(m)
+# lies in the Gamma0(p)-class of f exactly when some automorph power
+# times m lies in Gamma0(p), that is when the first column of m, as a
+# point of P^1(F_p), lies in the orbit of infinity = (1 : 0) under the
+# automorph.
 
 
 @lru_cache(maxsize=None)
-def _straddle_forms(disc):
-    """Primitive forms [a,b,c] of given disc with a*c < 0, keyed by the
-    canonical representative of their proper class."""
-    out = {}
-    s = math.isqrt(disc)
-    for b in range(-s, s + 1):
-        if (b - disc) % 2:
-            continue
-        m = (b * b - disc) // 4    # negative: a*c < 0 automatic
-        for a in _signed_divisors(m):
-            c = m // a
-            f = QuadForm(a, b, c)
-            if f.content() != 1:
-                continue
-            out.setdefault(canonical_rep(f), []).append(f)
-    return out
+def _inverses(p):
+    return [0] + [pow(i, -1, p) for i in range(1, p)]
 
 
-@lru_cache(maxsize=None)
-def _cycle_data(key):
-    """For a canonical reduced form, the full rho cycle together with the
-    transition matrix from key to each member."""
-    mats = {key: Mat2.identity()}
-    order = [key]
-    cur, acc = key, Mat2.identity()
+def _p1_key(x, y, p, inv):
+    """Index in 0..p of the point (x : y) of P^1(F_p); p is infinity."""
+    return p if y % p == 0 else x * inv[y % p] % p
+
+
+def _cusp_orbit(A, p):
+    """Membership table, indexed by _p1_key, of the orbit of infinity
+    under A acting on P^1(F_p)."""
+    inv = _inverses(p)
+    a, b, c, d = A.mod(p)
+    hit = bytearray(p + 1)
+    x, y = 1, 0
     while True:
-        cur, step = _rho(cur)
-        acc = acc * step
-        if cur == key:
-            break
-        if cur not in mats:
-            mats[cur] = acc
-            order.append(cur)
-    return mats
-
-
-def _gamma0_powers(form, p):
-    """Automorph powers of `form` reduced mod p, one full period."""
-    A = automorph(form)
-    Ap = A.mod(p)
-    out = [(1 % p, 0, 0, 1 % p)]
-    cur = Ap
-    for _ in range(3 * (p + 2)):
-        if cur in (out[0], tuple((-x) % p for x in out[0])):
-            return out
-        out.append(cur)
-        cur = ((cur[0] * Ap[0] + cur[1] * Ap[2]) % p,
-               (cur[0] * Ap[1] + cur[1] * Ap[3]) % p,
-               (cur[2] * Ap[0] + cur[3] * Ap[2]) % p,
-               (cur[2] * Ap[1] + cur[3] * Ap[3]) % p)
-    raise RuntimeError("automorph period mod p not found")
+        k = _p1_key(x, y, p, inv)
+        if hit[k]:
+            # A permutes P^1(F_p), so the first repeat closes the orbit
+            return hit
+        hit[k] = 1
+        x, y = (a * x + b * y) % p, (c * x + d * y) % p
 
 
 def gamma0_equivalent(f, g, p):
     """Whether f and g are properly equivalent under Gamma0(p)."""
     if f.disc() != g.disc():
         return False
-    rf, mf = reduce_form(f)
-    key = canonical_rep(f)
-    if key != canonical_rep(g):
+    m = sl2_equivalence(f, g)
+    if m is None:
         return False
-    cyc = _cycle_data(key)
-    rg, mg = reduce_form(g)
-    m = mf * cyc[rf].adjugate() * cyc[rg] * mg.adjugate()
-    assert f.apply(m) == g
-    mc = m.mod(p)
-    for (pa, pb, pc, pd) in _gamma0_powers(f, p):
-        if (pc * mc[0] + pd * mc[2]) % p == 0:
-            return True
-    return False
+    hit = _cusp_orbit(automorph(f), p)
+    return bool(hit[_p1_key(m.a, m.c, p, _inverses(p))])
 
 
 def intersect_winding_cycle(Q):
-    """Winding intersection number by the form-cycle method."""
-    disc = Q.form.disc()
-    buckets = _straddle_forms(disc)
-    key = canonical_rep(Q.form)
-    total = 0
-    cands = buckets.get(key, ())
-    if not cands:
-        return 0
-    rf, mf = reduce_form(Q.form)
-    cyc = _cycle_data(key)
-    base = mf * cyc[rf].adjugate()      # Q.form.apply(base) = key-member path
-    powers = _gamma0_powers(Q.form, Q.p)
+    """Winding intersection number by one walk along the river: the sum
+    of sgn(a) over the forms [a, b, c] with a*c < 0 in the Gamma0(p)-class
+    of Q.form, times the orientation of Q."""
     p = Q.p
-    for g in cands:
-        rg, mg = reduce_form(g)
-        m = base * cyc[rg] * mg.adjugate()
-        mc = m.mod(p)
-        for (pa, pb, pc, pd) in powers:
-            if (pc * mc[0] + pd * mc[2]) % p == 0:
-                total += 1 if g.a > 0 else -1
-                break
-    return Q.orientation * total
+    inv = _inverses(p)
+    hit = _cusp_orbit(automorph(Q.form), p)
+    (a, b, c), m = reduce_form(Q.form)     # reduced, so a*c < 0
+    # the transition matrix from Q.form, mod p, by columns (x0, y0), (x1, y1)
+    x0, x1, y0, y1 = m.mod(p)
+    if a < 0:
+        a, b, c = c, -b, a
+        x0, x1, y0, y1 = x1, -x0 % p, y1, -y0 % p
+    start = (a, b, c)
+    total = 0
+    while True:
+        # [a, b, c] counts +1 and [c, -b, a] counts -1 (_p1_key inlined)
+        total += (hit[x0 * inv[y0] % p if y0 else p]
+                  - hit[x1 * inv[y1] % p if y1 else p])
+        s = a + b + c               # value on e1 + e2, never 0
+        if s > 0:
+            a, b = s, b + 2 * c     # e1 <- e1 + e2
+            x0, y0 = (x0 + x1) % p, (y0 + y1) % p
+        else:
+            b, c = b + 2 * a, s     # e2 <- e1 + e2
+            x1, y1 = (x0 + x1) % p, (y0 + y1) % p
+        if (a, b, c) == start:
+            return Q.orientation * total
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 Coset representatives for the determinant-n Hecke operator on Gamma0(p),
 their partition into double cosets under the stabilizer of a closed
 geodesic, and the pairing of a Hecke translate against a twisted cycle.
+
+The representatives come in closed form, column-Hermite matrices times
+representatives of SL2(Z)/Gamma0(p).  Each coset y Gamma0(p) carries a
+label, the Hermite forms of the lattices y Z^2 and y (Z + pZ), so the
+stabilizer's permutation of the cosets is read off a dictionary.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import math
 from functools import lru_cache
 
 from .exact import Mat2, mobius
+from .field import _xgcd
 from .geodesic import ClosedGeodesic, intersect_winding_cycle
 
 __all__ = [
@@ -37,12 +43,21 @@ def _sl2_mod_gamma0(p):
     return reps
 
 
-def _same_right_coset(y, z, n, p):
-    """Whether y Gamma0(p) = z Gamma0(p) for determinant-n matrices."""
-    m = y.adjugate() * z
-    if any(e % n for e in m.entries()):
-        return False
-    return (m.c // n) % p == 0
+def _hermite(a, b, c, d, n):
+    """Column-Hermite label (D, B) of the lattice spanned by the columns
+    of (a, b; c, d), of determinant n > 0: the lattice has the basis
+    (n/D, 0), (B, D) with D > 0 and 0 <= B < n/D."""
+    g, u, v = _xgcd(c, d)
+    return g, (u * a + v * b) % (n // g)
+
+
+def _coset_label(y, n, p):
+    """Label of the coset y Gamma0(p) of a determinant-n matrix: the
+    Hermite forms of the lattices y Z^2 and y (Z + pZ).  Two cosets are
+    equal exactly when their labels are, since the matrices of SL2(Z)
+    that preserve Z + pZ form Gamma0(p)."""
+    return (_hermite(y.a, y.b, y.c, y.d, n)
+            + _hermite(y.a, p * y.b, y.c, p * y.d, n * p))
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +65,12 @@ def right_cosets(n, p):
     """Representatives of the right Gamma0(p)-cosets of determinant-n
     matrices with lower-left divisible by p and upper-left prime to p.
 
-    There are sigma1(n) of them when gcd(n, p) = 1; for p | n the
-    membership constraints force p | d in every representative.
+    Every determinant-n matrix lies in h SL2(Z) for exactly one column-
+    Hermite h = (a, b; 0, d), 0 <= b < a, and SL2(Z) is the disjoint
+    union of the cosets s Gamma0(p) over s in _sl2_mod_gamma0(p); the
+    set is closed under right multiplication by Gamma0(p), so the
+    products h s that lie in it are one representative per coset.
+    There are sigma1(n) of them when gcd(n, p) = 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -61,36 +80,42 @@ def right_cosets(n, p):
         if n % a:
             continue
         d = n // a
-        # b runs mod n, not mod d: Gamma0(p)-cosets are finer than the
-        # SL2 column-Hermite classes; duplicates are filtered below
-        for b in range(n):
+        for b in range(a):
             h = Mat2(a, b, 0, d)
             for s in sl2:
-                y = h * s
-                if y.c % p or math.gcd(y.a, p) != 1:
+                if d * s.c % p:     # the lower-left entry of h s
                     continue
-                if not any(_same_right_coset(y, z, n, p) for z in reps):
+                y = h * s
+                if math.gcd(y.a, p) == 1:
                     reps.append(y)
     return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def _coset_index(n, p):
+    """Map from coset label to position in right_cosets(n, p)."""
+    reps = right_cosets(n, p)
+    index = {_coset_label(y, n, p): i for i, y in enumerate(reps)}
+    if len(index) != len(reps):
+        raise RuntimeError("right coset representatives are not distinct")
+    return index
 
 
 def double_cosets(Q, n):
     """One coset representative per orbit of the stabilizer of Q acting
     on the right cosets by left multiplication."""
-    reps = right_cosets(n, Q.p)
-    k = len(reps)
-    perm = [None] * k
-    for i, y in enumerate(reps):
-        gy = Q.gamma * y
-        for j, z in enumerate(reps):
-            if _same_right_coset(gy, z, n, Q.p):
-                perm[i] = j
-                break
-        else:
+    p = Q.p
+    reps = right_cosets(n, p)
+    index = _coset_index(n, p)
+    perm = []
+    for y in reps:
+        j = index.get(_coset_label(Q.gamma * y, n, p))
+        if j is None:
             raise RuntimeError("stabilizer does not permute the cosets")
-    seen = [False] * k
+        perm.append(j)
+    seen = [False] * len(reps)
     out = []
-    for i in range(k):
+    for i in range(len(reps)):
         if seen[i]:
             continue
         j = i

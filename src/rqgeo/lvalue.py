@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy.functions.combinatorial.numbers import kronecker_symbol
-
 from .field import class_of_ideal
 
 __all__ = [
@@ -27,6 +25,7 @@ __all__ = [
     "euler_factor",
     "constant_term",
     "zeta_F_0_numeric",
+    "kronecker",
 ]
 
 
@@ -119,6 +118,33 @@ def _squarefree(n):
     return n != 0
 
 
+def kronecker(a, b):
+    """The Kronecker symbol (a/b) (Cohen, GTM 138, Algorithm 1.4.10)."""
+    if b == 0:
+        return 1 if abs(a) == 1 else 0
+    if a % 2 == 0 and b % 2 == 0:
+        return 0
+    k = 1
+    while b % 2 == 0:
+        b //= 2
+        if a % 8 in (3, 5):
+            k = -k
+    if b < 0:
+        b = -b
+        if a < 0:
+            k = -k
+    # b is odd and positive: reciprocity until a vanishes
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if b % 8 in (3, 5):
+                k = -k
+        if a % 4 == 3 and b % 4 == 3:
+            k = -k
+        a, b = b % abs(a), abs(a)
+    return k if b == 1 else 0
+
+
 def dirichlet_L0(d):
     """L(chi_d, 0) for a fundamental discriminant d, as an exact rational.
 
@@ -129,7 +155,7 @@ def dirichlet_L0(d):
     if d > 0:
         return Fraction(0)
     m = abs(d)
-    return Fraction(-sum(int(kronecker_symbol(d, a)) * a for a in range(1, m)), m)
+    return Fraction(-sum(kronecker(d, a) * a for a in range(1, m)), m)
 
 
 def L_value_genus_oracle(F, G, psi):
@@ -186,7 +212,7 @@ def zeta_F_0_numeric(d):
 
     L = mpmath.mpf(0)
     for a in range(1, d):
-        ch = int(kronecker_symbol(d, a))
+        ch = kronecker(d, a)
         if ch:
             L += ch * mpmath.zeta(0, mpmath.mpf(a) / d)
     return float(mpmath.zeta(0) * L)

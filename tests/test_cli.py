@@ -165,6 +165,16 @@ class TestExitCodes:
                               "--no-cache")
         assert code == EXIT_DOMAIN
 
+    def test_composite_p_rejected(self):
+        # rejected before the residue test, which would call 28 a square
+        # mod 9 and report p = 25 as inert
+        for p in ("9", "25"):
+            for cmd in ("series", "verify"):
+                code, out, err = invoke(cmd, "--D", "7", "--p", p,
+                                        "--N", "4", "--no-cache")
+                assert code == EXIT_DOMAIN and "odd prime" in err
+                assert out == ""
+
     def test_no_admissible_character(self):
         code, _, err = invoke("series", "--D", "5", "--p", "11", "--no-cache")
         assert code == EXIT_DOMAIN and "no admissible character" in err

@@ -64,6 +64,37 @@ class TestBuildField:
             assert e > 1
 
 
+def _brute_unit(d):
+    """Smallest (t, u, norm) with t^2 - d u^2 = norm * 4, norm = +-1."""
+    u = 1
+    while True:
+        for sgn in (-1, 1):
+            t2 = d * u * u + 4 * sgn
+            if t2 > 0 and math.isqrt(t2) ** 2 == t2:
+                return math.isqrt(t2), u, sgn
+        u += 1
+
+
+class TestFundamentalUnit:
+    def test_matches_brute_force(self):
+        for D in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23,
+                  26, 29, 30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43):
+            F = build_field(D)
+            t, u, sgn = _brute_unit(F.d_F)
+            assert F.eps == QuadIrr(t, u, 2, F.d_F)
+            assert F.unit_norm == sgn
+
+    @pytest.mark.parametrize("D", (139, 151, 163, 166, 199, 211, 214))
+    def test_large_regulator(self, D):
+        # the brute-force search over u stalled on these fields
+        F = build_field(D)
+        t, u = pell_plus(F.d_F)
+        assert F.eps.norm() == F.unit_norm
+        assert F.eps.trace().denominator == 1 and F.eps > 1
+        assert F.eps_plus == QuadIrr(t, u, 2, F.d_F)
+        assert F.eps_plus == (F.eps if F.unit_norm == 1 else F.eps * F.eps)
+
+
 class TestPell:
     def test_small(self):
         assert pell_plus(12) == (4, 1)

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqgeo.exact import INF, Mat2, QuadIrr
 from rqgeo.field import QuadForm, build_field, narrow_class_group, odd_characters
@@ -22,6 +25,7 @@ from rqgeo.geodesic import (
     straddle,
     twisted_cycle,
 )
+from rqgeo.hecke import hecke_translate
 
 CONFIGS = ((3, 11), (3, 13), (6, 5), (7, 3))
 
@@ -61,6 +65,12 @@ class TestChooseR:
     def test_ramified_rejected(self):
         with pytest.raises(ValueError):
             choose_r(build_field(3), 3)
+
+    def test_composite_rejected(self):
+        # rejected before the residue test (which 28 passes mod 9)
+        for p in (9, 25):
+            with pytest.raises(ValueError, match="odd prime"):
+                choose_r(build_field(7), p)
 
 
 class TestStraddle:
@@ -211,6 +221,28 @@ class TestIntersection:
         ref = intersect_winding_enum(Q)
         for shift in (Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(-5, 7)):
             assert intersect_winding_enum(Q, basepoint_shift=shift) == ref
+
+
+@lru_cache(maxsize=None)
+def _cycle_terms(D, p):
+    F, G, psi, rc = _setup(D, p)
+    return twisted_cycle(F, G, psi, p, rc).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.sampled_from(CONFIGS + ((15, 7), (21, 5), (33, 17), (7, 19))),
+       n=st.integers(1, 12), pick=st.integers(0, 10 ** 6),
+       j=st.integers(-3, 3), k=st.integers(-2, 2))
+def test_river_walk_equals_farey_walk(config, n, pick, j, k):
+    # a random translate of a random term, moved by a random Gamma0(p)
+    # element: the river walk and the Farey walk must agree
+    D, p = config
+    terms = _cycle_terms(D, p)
+    _, Q = terms[pick % len(terms)]
+    translates = hecke_translate(Q, n, check_stabilizer=False)
+    t = translates[(pick // len(terms)) % len(translates)]
+    t = t.translate(Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
+    assert intersect_winding_cycle(t) == intersect_winding_enum(t)
 
 
 class TestTwistedCycle:

@@ -13,6 +13,8 @@ from rqgeo.geodesic import (
     twisted_cycle,
 )
 from rqgeo.hecke import (
+    _coset_label,
+    _sl2_mod_gamma0,
     double_cosets,
     hecke_translate,
     pair_with_twisted_cycle,
@@ -28,6 +30,30 @@ def _in_delta0(m, p):
 def _same_coset(y, z, n, p):
     m = y.adjugate() * z
     return not any(e % n for e in m.entries()) and (m.c // n) % p == 0
+
+
+def _brute_right_cosets(n, p):
+    """Small-n oracle: every h s with h upper triangular, b running mod n,
+    deduplicated by pairwise coset comparison."""
+    reps = []
+    for a in range(1, n + 1):
+        if n % a:
+            continue
+        for b in range(n):
+            h = Mat2(a, b, 0, n // a)
+            for s in _sl2_mod_gamma0(p):
+                y = h * s
+                if not _in_delta0(y, p):
+                    continue
+                if not any(_same_coset(y, z, n, p) for z in reps):
+                    reps.append(y)
+    return reps
+
+
+def _random_gamma0(rng, p):
+    return (Mat2(1, rng.randrange(-3, 4), 0, 1)
+            * Mat2(1, 0, p * rng.randrange(-2, 3), 1)
+            * Mat2(1, rng.randrange(-3, 4), 0, 1))
 
 
 class TestSigma1:
@@ -88,6 +114,27 @@ class TestRightCosets:
                         assert len(hits) == 1
                         found += 1
         assert found > 0
+
+    def test_closed_form_matches_brute_force(self):
+        for p in (3, 5, 7, 11, 13):
+            for n in range(1, 31):
+                brute = _brute_right_cosets(n, p)
+                closed = right_cosets(n, p)
+                assert len(closed) == len(brute)
+                assert ({_coset_label(y, n, p) for y in closed}
+                        == {_coset_label(y, n, p) for y in brute})
+
+    def test_label_equality_is_coset_equality(self):
+        rng = random.Random(23)
+        for n, p in ((6, 5), (12, 7), (9, 3), (10, 11), (13, 13)):
+            reps = right_cosets(n, p)
+            for _ in range(60):
+                y = rng.choice(reps) * _random_gamma0(rng, p)
+                z = rng.choice(reps) * _random_gamma0(rng, p)
+                if rng.random() < 0.3:
+                    z = y * _random_gamma0(rng, p)
+                assert ((_coset_label(y, n, p) == _coset_label(z, n, p))
+                        == _same_coset(y, z, n, p))
 
     def test_delta0_right_gamma0_invariant(self):
         rng = random.Random(5)

@@ -12,6 +12,7 @@ from rqgeo.lvalue import (
     constant_term,
     dirichlet_L0,
     euler_factor,
+    kronecker,
     minus_cf_cycle,
     partial_zeta_values,
     zeta_F_0_numeric,
@@ -83,6 +84,31 @@ class TestPartialZetas:
                     assert abs(acc - G.h * complex(zetas[i])) < 1e-12
                 else:
                     assert acc == G.h * zetas[i]
+
+
+class TestKronecker:
+    def test_euler_criterion_at_odd_primes(self):
+        for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            for a in range(-2 * q, 2 * q + 1):
+                e = pow(a, (q - 1) // 2, q)
+                assert kronecker(a, q) == (e if e <= 1 else -1)
+
+    def test_at_two(self):
+        for d in range(-40, 41):
+            want = 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+            assert kronecker(d, 2) == want
+
+    def test_multiplicative_in_the_bottom(self):
+        for a in range(-30, 31):
+            for b in range(1, 25):
+                for c in range(1, 25):
+                    assert (kronecker(a, b * c)
+                            == kronecker(a, b) * kronecker(a, c))
+
+    def test_small_cases(self):
+        assert kronecker(5, 0) == 0 and kronecker(-1, 0) == 1
+        assert kronecker(3, -1) == 1 and kronecker(-3, -1) == -1
+        assert kronecker(-4, 3) == -1 and kronecker(12, 5) == -1
 
 
 class TestDirichletL0:
