@@ -32,18 +32,19 @@ print("d_F = %d, p = %d, chosen square root r = %d (r^2 = d_F mod 4p)"
       % (F.d_F, p, rc.r))
 
 cyc = twisted_cycle(F, G, psi, p, rc)
-print("\ntwisted cycle: %d closed geodesics (one +r and one -r per class)"
+print("\ntwisted cycle: %d closed geodesics (one +r and one -r per class);"
       % len(cyc.terms))
+print("each is a signed primitive form, oriented from its plus root to its"
+      " minus root")
 for coeff, Q in cyc.terms:
-    print("  coeff %+d   form %s   orientation %+d"
-          % (coeff, tuple(Q.form), Q.orientation))
+    print("  coeff %+d   form %s" % (coeff, tuple(Q.form)))
 
 print("\nper-translate intersection numbers, both algorithms:")
 for n in (1, 2, 3, 4):
     total = 0
     rows = []
     for coeff, Q in cyc.terms:
-        for t in hecke_translate(Q, n, check_stabilizer=False):
+        for t in hecke_translate(Q, n):
             a = intersect_winding_cycle(t)
             b = intersect_winding_enum(t)
             assert a == b

@@ -15,7 +15,7 @@ from rqgeo import (
     modularity_check,
     narrow_class_group,
     odd_characters,
-    sigma1_p,
+    sigma1,
 )
 
 for D, p in ((3, 11), (3, 13), (6, 5), (7, 3)):
@@ -32,7 +32,7 @@ for D, p in ((3, 11), (3, 13), (6, 5), (7, 3)):
                                             rep.mode))
     if not S.is_zero() and p != 11:
         ratio = S.coeffs[1]
-        assert all(S.coeffs[n] == ratio * sigma1_p(n, p) for n in S.coeffs)
+        assert all(S.coeffs[n] == ratio * sigma1(n, p) for n in S.coeffs)
         print("  a_n = %d * sigma1^(%d)(n) for all n" % (ratio, p))
     lv = constant_term(F, G, psi, p, S.metadata["r"]) if S.metadata["r"] else None
     if lv is not None:

@@ -53,7 +53,6 @@ from .series import (
     diagonal_restriction,
     eta_product_coeffs,
     modularity_check,
-    sigma1_p,
 )
 
 __all__ = [
@@ -100,7 +99,6 @@ __all__ = [
     "diagonal_restriction",
     "eta_product_coeffs",
     "modularity_check",
-    "sigma1_p",
 ]
 
 __version__ = "0.1.0"

@@ -239,7 +239,7 @@ def cmd_rmpoints(args):
     p = _require_p(args)
     G = narrow_class_group(F)
     try:
-        rc = _resolve_rc(F, p, args.r)
+        rc = choose_r(F, p, args.r)
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
@@ -257,24 +257,13 @@ def cmd_rmpoints(args):
     return _base_report(args, d_F=F.d_F, p=p, inert=False, rmpoints=data)
 
 
-def _resolve_rc(F, p, r):
-    rc = choose_r(F, p)
-    if r is None:
-        return rc
-    d = F.d_F
-    if (r * r - d) % (4 * p) or r * r <= d:
-        raise DomainFailure("invalid square root r = %d of d_F mod 4p" % r)
-    from .geodesic import RChoice
-    return RChoice(r, QuadIrr(-r, 1, 2, d), (r * r - d) // 2)
-
-
 def cmd_intersect(args):
     F = _field(args)
     p = _require_p(args)
     G = narrow_class_group(F)
     psi = _character(G, args)
     try:
-        rc = _resolve_rc(F, p, args.r)
+        rc = choose_r(F, p, args.r)
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
@@ -282,7 +271,7 @@ def cmd_intersect(args):
     n = args.n
     per_translate = []
     for coeff, Q in cyc.terms:
-        for t in hecke_translate(Q, n, check_stabilizer=False):
+        for t in hecke_translate(Q, n):
             val = intersect_winding_cycle(t)
             if args.algorithm in ("enum", "both"):
                 other = intersect_winding_enum(t)

@@ -381,20 +381,11 @@ def narrow_class_group(F):
     cycles.sort(key=lambda cyc: (principal not in cyc, min(cyc)))
     classes = [min(cyc) for cyc in cycles]
     G = NarrowClassGroup(F, classes, None, None)
-    positive = [_positive_of(g) for g in classes]
+    positive = [G.positive_rep(i) for i in range(G.h)]
     G.group_table = [[G.classify(gauss_compose(fi, fj)) for fj in positive]
                      for fi in positive]
     G.class_of_principal_sqrt_dF = _sqrt_class(F, G)
     return G
-
-
-def _positive_of(f):
-    if f.a > 0:
-        return f
-    for g in form_cycle(f):
-        if g.a > 0:
-            return g
-    raise RuntimeError("no positive representative")
 
 
 def _sqrt_class(F, G):

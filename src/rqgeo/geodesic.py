@@ -1,5 +1,11 @@
 """Oriented geodesics, RM points and winding intersection numbers.
 
+An oriented closed geodesic on Y0(p) is a primitive indefinite form f
+taken with its sign: it runs from the plus root of f to the minus root,
+so -f is the reversed geodesic.  Its stabilizer in Gamma0(p) is the
+automorph A of f raised to the length of the orbit of infinity under A
+in P^1(F_p); everything else is derived from f on demand.
+
 Two independent algorithms compute the intersection number of a closed
 geodesic on Y0(p) with the winding geodesic from 0 to infinity:
 
@@ -23,8 +29,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import INF, Mat2, QuadIrr, is_prime, mobius
-from .field import QuadForm, automorph, reduce_form, sl2_equivalence
+from .exact import INF, Mat2, is_prime, mobius
+from .field import QuadForm, _divisors, automorph, reduce_form, sl2_equivalence
 
 __all__ = [
     "Geodesic",
@@ -104,96 +110,74 @@ def straddle(g):
     return 0
 
 
-def gamma0_automorph(form, p):
-    """Minimal power of the totally positive automorph lying in Gamma0(p)."""
-    A = automorph(form)
-    M = A
-    for _ in range(3 * (p + 2)):
-        if M.c % p == 0:
-            return M
-        M = M * A
-    raise RuntimeError("automorph has no power in Gamma0(p)")
-
-
 class ClosedGeodesic:
-    """Closed geodesic on Y0(p) attached to an RM point.
+    """Oriented closed geodesic on Y0(p): a primitive form whose sign is
+    the orientation, which runs from the plus root w to the minus root
+    wsig.  Negating the form reverses the geodesic."""
 
-    w and wsig are the two roots of `form`; gamma generates the proper
-    stabilizer of the geodesic inside Gamma0(p).  The orientation runs
-    from w to wsig.
-    """
+    __slots__ = ("form", "p")
 
-    __slots__ = ("w", "wsig", "form", "gamma", "p")
-
-    def __init__(self, form, p, gamma=None, reverse=False):
-        fp, content = form.primitive()
-        if content != 1:
-            form = fp
+    def __init__(self, form, p):
+        form, _ = form.primitive()
         if form.disc() <= 0 or math.isqrt(form.disc()) ** 2 == form.disc():
             raise ValueError("form must have positive nonsquare discriminant")
-        plus, minus = form.plus_root(), form.minus_root()
-        if gamma is None:
-            gamma = gamma0_automorph(form, p)
-        if reverse:
-            plus, minus = minus, plus
-            gamma = gamma.adjugate()
-        object.__setattr__(self, "w", plus)
-        object.__setattr__(self, "wsig", minus)
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "p", p)
-        assert gamma.det == 1 and gamma.c % p == 0
-        assert mobius(gamma, self.w) == self.w
-        assert mobius(gamma, self.wsig) == self.wsig
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
     @property
-    def orientation(self):
-        """+1 when w is the plus root of form, -1 otherwise."""
-        return 1 if self.w == self.form.plus_root() else -1
+    def w(self):
+        return self.form.plus_root()
+
+    @property
+    def wsig(self):
+        return self.form.minus_root()
+
+    @property
+    def gamma(self):
+        """Generator of the proper stabilizer of the geodesic in Gamma0(p)."""
+        gamma = gamma0_automorph(self.form, self.p)
+        w, wsig = self.w, self.wsig
+        assert gamma.det == 1 and gamma.c % self.p == 0
+        assert mobius(gamma, w) == w and mobius(gamma, wsig) == wsig
+        return gamma
 
     def reversed(self):
-        return ClosedGeodesic(self.form, self.p,
-                              gamma=self.gamma.adjugate(),
-                              reverse=(self.orientation == 1))
+        a, b, c = self.form
+        return ClosedGeodesic(QuadForm(-a, -b, -c), self.p)
 
     def translate(self, g):
         """The geodesic g^{-1} . Q for g in Gamma0(p) (det 1)."""
         assert g.det == 1 and g.c % self.p == 0
-        newform = self.form.apply(g)
-        return ClosedGeodesic(newform, self.p,
-                              reverse=(self.orientation == -1))
+        return ClosedGeodesic(self.form.apply(g), self.p)
 
     def __repr__(self):
-        return "ClosedGeodesic(form=%r, p=%d, orient=%+d)" % (
-            self.form, self.p, self.orientation)
+        return "ClosedGeodesic(form=%r, p=%d)" % (self.form, self.p)
 
 
 class RChoice(tuple):
-    """Output of choose_r: (r, eps_r, N0)."""
+    """Output of choose_r: (r, N0)."""
 
-    def __new__(cls, r, eps_r, N0):
-        return tuple.__new__(cls, (r, eps_r, N0))
+    def __new__(cls, r, N0):
+        return tuple.__new__(cls, (r, N0))
 
     @property
     def r(self):
         return self[0]
 
     @property
-    def eps_r(self):
+    def N0(self):
         return self[1]
 
-    @property
-    def N0(self):
-        return self[2]
 
+def choose_r(F, p, r=None):
+    """A square root r of d_F mod 4p with r^2 > d_F: the given one, which
+    is checked, or else the smallest positive one.
 
-def choose_r(F, p):
-    """Smallest positive r with r^2 = d_F mod 4p and r^2 > d_F.
-
-    Raises InertPrime when d_F is not a square mod p.
+    Raises ValueError when p is not an odd prime unramified in F or r is
+    not such a root, and InertPrime when d_F is not a square mod p.
     """
     d = F.d_F
     if p % 2 == 0 or not is_prime(p):
@@ -202,13 +186,13 @@ def choose_r(F, p):
         raise ValueError("p ramifies in F")
     if pow(d, (p - 1) // 2, p) != 1:
         raise InertPrime("d_F = %d is a nonresidue mod %d" % (d, p))
-    r = 1
-    while True:
-        if (r * r - d) % (4 * p) == 0 and r * r > d:
-            N0 = (r * r - d) // 2
-            eps_r = QuadIrr(-r, 1, 2, d)
-            return RChoice(r, eps_r, N0)
-        r += 1
+    if r is None:
+        r = 1
+        while (r * r - d) % (4 * p) or r * r <= d:
+            r += 1
+    elif (r * r - d) % (4 * p) or r * r <= d:
+        raise ValueError("invalid square root r = %d of d_F mod 4p" % r)
+    return RChoice(r, (r * r - d) // 2)
 
 
 def base_form(F, rc, sign=1):
@@ -229,15 +213,13 @@ def rm_point(F, G, cls, p, rc, sign=1):
         if m == 0:
             continue
         assert (b * b - d) % 4 == 0 and m % p == 0
-        for a in _signed_divisors(m):
-            if a % p:
+        for e in _divisors(abs(m)):
+            if e % p:
                 continue
-            c = m // a
-            f = QuadForm(a, b, c)
-            if f.content() != 1:
-                continue
-            if G.classify(f) == cls:
-                return ClosedGeodesic(f, p)
+            for a in (e, -e):
+                f = QuadForm(a, b, m // a)
+                if f.content() == 1 and G.classify(f) == cls:
+                    return ClosedGeodesic(f, p)
     raise RuntimeError("unreachable")
 
 
@@ -249,22 +231,6 @@ def _spiral():
         yield -k
         k += 1
     raise RuntimeError("rm point search exhausted")
-
-
-def _signed_divisors(m):
-    n = abs(m)
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.append(i)
-            if i * i != n:
-                ds.append(n // i)
-        i += 1
-    ds.sort()
-    for a in ds:
-        yield a
-        yield -a
 
 
 class RmPointPair(tuple):
@@ -347,6 +313,15 @@ def _cusp_orbit(A, p):
         x, y = (a * x + b * y) % p, (c * x + d * y) % p
 
 
+def gamma0_automorph(form, p):
+    """Generator of the stabilizer of form in Gamma0(p): the least power
+    of the totally positive automorph A that lies in Gamma0(p).  A^k is
+    in Gamma0(p) exactly when it fixes infinity in P^1(F_p), so k is the
+    length of the orbit of infinity under A."""
+    A = automorph(form)
+    return A ** sum(_cusp_orbit(A, p))
+
+
 def gamma0_equivalent(f, g, p):
     """Whether f and g are properly equivalent under Gamma0(p)."""
     if f.disc() != g.disc():
@@ -361,7 +336,8 @@ def gamma0_equivalent(f, g, p):
 def intersect_winding_cycle(Q):
     """Winding intersection number by one walk along the river: the sum
     of sgn(a) over the forms [a, b, c] with a*c < 0 in the Gamma0(p)-class
-    of Q.form, times the orientation of Q."""
+    of Q.form.  The class of -f holds the negatives of the forms in the
+    class of f, so reversing Q negates the sum."""
     p = Q.p
     inv = _inverses(p)
     hit = _cusp_orbit(automorph(Q.form), p)
@@ -385,7 +361,7 @@ def intersect_winding_cycle(Q):
             b, c = b + 2 * a, s     # e2 <- e1 + e2
             x1, y1 = (x0 + x1) % p, (y0 + y1) % p
         if (a, b, c) == start:
-            return Q.orientation * total
+            return total
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +417,10 @@ def _proj_eq(a, b):
     return a[0] * b[1] - a[1] * b[0] == 0
 
 
-def _edge_sign(edge, Q, p):
-    """straddle of the pull-back of Q through the edge's coset rep, or 0
-    when the edge is not a Gamma0(p) translate of the imaginary axis."""
+def _edge_sign(edge, w, wsig, p):
+    """straddle of the pull-back of the geodesic from w to wsig through
+    the edge's coset rep, or 0 when the edge is not a Gamma0(p) translate
+    of the imaginary axis."""
     (un, ud), (vn, vd) = edge
     up, vp = ud % p == 0, vd % p == 0
     if up == vp:
@@ -456,7 +433,7 @@ def _edge_sign(edge, Q, p):
     delta = Mat2(un, vn, ud, vd)
     assert delta.det == 1 and delta.c % p == 0
     inv = delta.adjugate()
-    return straddle(Geodesic(mobius(inv, Q.w), mobius(inv, Q.wsig)))
+    return straddle(Geodesic(mobius(inv, w), mobius(inv, wsig)))
 
 
 def intersect_winding_enum(Q, basepoint_shift=None):
@@ -471,7 +448,8 @@ def intersect_winding_enum(Q, basepoint_shift=None):
     disc = f.disc()
     m1 = Fraction(-b, 2 * a)
     rho2 = Fraction(disc, 4 * a * a)
-    w_lo, w_hi = (Q.w, Q.wsig) if Q.w < Q.wsig else (Q.wsig, Q.w)
+    w, wsig, gamma, p = Q.w, Q.wsig, Q.gamma, Q.p
+    w_lo, w_hi = (w, wsig) if w < wsig else (wsig, w)
     # base point on the geodesic: apex by default, shifted for testing
     if basepoint_shift is None:
         x0, y0sq = m1, rho2
@@ -479,7 +457,7 @@ def intersect_winding_enum(Q, basepoint_shift=None):
         x0 = m1 + basepoint_shift
         y0sq = rho2 - basepoint_shift * basepoint_shift
         assert y0sq > 0, "base point off the geodesic"
-    x1, _ = _apply_to_circle_point(Q.gamma, x0, y0sq)
+    x1, _ = _apply_to_circle_point(gamma, x0, y0sq)
     if x0 == x1:
         raise RuntimeError("degenerate fundamental arc")
     # the base-point end of the arc is included, the translated end not
@@ -487,7 +465,7 @@ def intersect_winding_enum(Q, basepoint_shift=None):
         lo, hi, lo_inc, hi_inc = x0, x1, True, False
     else:
         lo, hi, lo_inc, hi_inc = x1, x0, False, True
-    edge, tprev = _start_edge(Q, w_lo, w_hi, m1, rho2, hi)
+    edge, tprev = _start_edge(w_lo, w_hi, m1, rho2, hi)
     total = 0
     for _ in range(10 ** 8):
         # step across the current edge into the next Farey triangle
@@ -505,7 +483,7 @@ def intersect_winding_enum(Q, basepoint_shift=None):
             return total
         if (lo < xstar < hi) or (xstar == lo and lo_inc) \
                 or (xstar == hi and hi_inc):
-            total += _edge_sign(edge, Q, Q.p)
+            total += _edge_sign(edge, w, wsig, p)
     raise RuntimeError("walk did not terminate")
 
 
@@ -530,7 +508,7 @@ def _apply_to_circle_point(g, x, ysq):
     return xp, ypsq
 
 
-def _start_edge(Q, w_lo, w_hi, m1, rho2, hi):
+def _start_edge(w_lo, w_hi, m1, rho2, hi):
     """A Farey edge crossing the geodesic strictly to the right of the
     arc window, with the walk oriented toward decreasing x.
 

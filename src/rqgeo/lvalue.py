@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exact import squarefree_part
 from .field import class_of_ideal
 
 __all__ = [
@@ -101,21 +102,11 @@ def _is_fundamental(d):
     if d == 1:
         return True
     if d % 4 == 1:
-        return _squarefree(d)
+        return squarefree_part(abs(d))[1] == 1
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (2, 3) and _squarefree(m)
+        return m % 4 in (2, 3) and squarefree_part(abs(m))[1] == 1
     return False
-
-
-def _squarefree(n):
-    n = abs(n)
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return n != 0
 
 
 def kronecker(a, b):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import QuadIrr
-from .geodesic import InertPrime, RChoice, choose_r, twisted_cycle
+from .geodesic import InertPrime, choose_r, twisted_cycle
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
 from .hecke import pair_with_twisted_cycle, sigma1
 
@@ -21,7 +20,6 @@ __all__ = [
     "QSeries",
     "AlgorithmMismatch",
     "GENUS_ZERO_LEVELS",
-    "sigma1_p",
     "diagonal_restriction",
     "eta_product_coeffs",
     "modularity_check",
@@ -73,20 +71,6 @@ class QSeries:
             self.constant, head, self.metadata.get("p"))
 
 
-def sigma1_p(n, p):
-    """Sum of divisors of n coprime to p."""
-    return sigma1(n, p)
-
-
-def _resolve_r(F, p, r):
-    if r is None:
-        return choose_r(F, p)
-    d = F.d_F
-    if (r * r - d) % (4 * p) or r * r <= d:
-        raise ValueError("invalid square root r = %d of d_F mod 4p" % r)
-    return RChoice(r, QuadIrr(-r, 1, 2, d), (r * r - d) // 2)
-
-
 def _coefficient(pairing):
     if isinstance(pairing, complex):
         return PAIRING_FACTOR * (pairing / 2)
@@ -110,7 +94,7 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     meta = {"d_F": F.d_F, "p": p, "r": None, "psi": psi.exponents,
             "kappa": 2, "pairing_factor": PAIRING_FACTOR}
     try:
-        rc = _resolve_r(F, p, r)
+        rc = choose_r(F, p, r)
     except InertPrime:
         return QSeries(0, {n: 0 for n in range(1, N + 1)}, meta, inert=True)
     meta["r"] = rc.r
@@ -167,7 +151,7 @@ def modularity_check(S):
     """Verify that S lies in M_2(Gamma0(p)).
 
     Genus-zero p: the space is spanned by the Eisenstein series with
-    constant term (p-1)/24 and coefficients sigma1_p(n), so the whole
+    constant term (p-1)/24 and coefficients sigma1(n, p), so the whole
     series must be proportional to it.  p = 11: solve for the Eisenstein
     and eta-product components from (constant, a_1) and check the rest.
     """
@@ -181,7 +165,7 @@ def modularity_check(S):
             return ModularityReport(False, "genus0", 0,
                                     "constant term out of proportion")
         for n in range(1, N + 1):
-            if S.coeffs[n] != a1 * sigma1_p(n, p):
+            if S.coeffs[n] != a1 * sigma1(n, p):
                 return ModularityReport(False, "genus0", n,
                                         "coefficient %d out of proportion" % n)
         return ModularityReport(True, "genus0")
@@ -192,7 +176,7 @@ def modularity_check(S):
         alpha = S.constant * Fraction(24, 10)
         beta = S.coeffs[1] - alpha
         for n in range(2, N + 1):
-            if S.coeffs[n] != alpha * sigma1_p(n, 11) + beta * eta[n]:
+            if S.coeffs[n] != alpha * sigma1(n, 11) + beta * eta[n]:
                 return ModularityReport(False, "dim2", n,
                                         "coefficient %d off the 2-dim space" % n)
         return ModularityReport(True, "dim2")

@@ -165,6 +165,14 @@ class TestExitCodes:
                               "--no-cache")
         assert code == EXIT_DOMAIN
 
+    def test_ramified_p_with_r_override(self):
+        # 6^2 = d_F = 24 mod 12, but p = 3 ramifies in Q(sqrt(6))
+        for cmd in ("series", "verify"):
+            code, out, err = invoke(cmd, "--D", "6", "--p", "3", "--r", "6",
+                                    "--N", "4", "--no-cache")
+            assert code == EXIT_DOMAIN and "ramifies" in err
+            assert out == ""
+
     def test_composite_p_rejected(self):
         # rejected before the residue test, which would call 28 a square
         # mod 9 and report p = 25 as inert

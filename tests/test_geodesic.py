@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqgeo.exact import INF, Mat2, QuadIrr
-from rqgeo.field import QuadForm, build_field, narrow_class_group, odd_characters
+from rqgeo.field import QuadForm, automorph, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
     ClosedGeodesic,
     Geodesic,
@@ -38,6 +39,29 @@ def _setup(D, p):
     return F, G, psi, rc
 
 
+def _capped_power_search(form, p):
+    """The least power of the automorph in Gamma0(p), found by trying
+    A, A^2, ... up to 3(p+2) (the orbit of infinity has at most p+1
+    points, so the cap is never reached)."""
+    A = automorph(form)
+    M = A
+    for _ in range(3 * (p + 2)):
+        if M.c % p == 0:
+            return M
+        M = M * A
+    raise AssertionError("automorph has no power in Gamma0(p)")
+
+
+def _random_form(rng):
+    """A random primitive form of positive nonsquare discriminant."""
+    while True:
+        f = QuadForm(rng.randrange(-30, 31), rng.randrange(-30, 31),
+                     rng.randrange(-30, 31))
+        disc = f.disc()
+        if disc > 0 and math.isqrt(disc) ** 2 != disc and f.content() == 1:
+            return f
+
+
 class TestChooseR:
     def test_values(self):
         assert choose_r(build_field(3), 11).r == 10
@@ -54,9 +78,9 @@ class TestChooseR:
             assert rc.r * rc.r > d
             for s in range(1, rc.r):
                 assert (s * s - d) % (4 * p) != 0 or s * s <= d
-            # N0 = 2 N(eps_r) with eps_r = (-r + sqrt(d))/2
-            assert rc.N0 == 2 * rc.eps_r.norm() == Fraction(rc.r ** 2 - d, 2)
-            assert rc.eps_r == QuadIrr(-rc.r, 1, 2, d)
+            # N0 = 2 N(x) with x = (-r + sqrt(d))/2
+            x = QuadIrr(-rc.r, 1, 2, d)
+            assert rc.N0 == 2 * x.norm() == Fraction(rc.r ** 2 - d, 2)
 
     def test_inert(self):
         with pytest.raises(InertPrime):
@@ -65,6 +89,20 @@ class TestChooseR:
     def test_ramified_rejected(self):
         with pytest.raises(ValueError):
             choose_r(build_field(3), 3)
+        # also with a root that is valid mod 4p: 6^2 = 24 mod 12
+        with pytest.raises(ValueError, match="ramifies"):
+            choose_r(build_field(6), 3, r=6)
+
+    def test_explicit_r(self):
+        F = build_field(6)
+        assert choose_r(F, 5, r=8) == RChoice(8, 20)
+        assert choose_r(F, 5, r=-8) == RChoice(-8, 20)
+        assert choose_r(F, 5, r=18) == RChoice(18, 150)
+        for r in (7, 2, -2):
+            with pytest.raises(ValueError, match="invalid square root"):
+                choose_r(F, 5, r=r)
+        with pytest.raises(InertPrime):
+            choose_r(build_field(3), 5, r=8)
 
     def test_composite_rejected(self):
         # rejected before the residue test (which 28 passes mod 9)
@@ -122,7 +160,8 @@ class TestRmPoint:
         d = F.d_F
         r = 18
         assert (r * r - d) % (4 * 13) == 0
-        rc = RChoice(r, QuadIrr(-r, 1, 2, d), (r * r - d) // 2)
+        rc = choose_r(F, 13, r=r)
+        assert rc == RChoice(r, (r * r - d) // 2)
         target = QuadForm(78, -18, 1)
         cls = G.classify(target)
         Q = rm_point(F, G, cls, 13, rc, 1)
@@ -150,13 +189,27 @@ class TestClosedGeodesic:
         assert m.c % 5 == 0
         assert f.apply(m) == f
 
+    def test_gamma0_automorph_equals_power_search(self):
+        rng = random.Random(7)
+        for p in (3, 5, 7, 11, 13):
+            for _ in range(40):
+                f = _random_form(rng)
+                assert gamma0_automorph(f, p) == _capped_power_search(f, p)
+
     def test_orientation_reversal(self):
-        F, G, psi, rc = _setup(6, 5)
-        Q = rm_point(F, G, 0, 5, rc)
-        R = Q.reversed()
-        assert R.w == Q.wsig and R.wsig == Q.w
-        assert R.orientation == -Q.orientation
-        assert R.reversed().orientation == Q.orientation
+        for D, p in CONFIGS:
+            F, G, psi, rc = _setup(D, p)
+            Q = rm_point(F, G, 0, p, rc)
+            R = Q.reversed()
+            assert R.form == QuadForm(*(-e for e in Q.form))
+            assert R.w == Q.wsig and R.wsig == Q.w
+            assert R.gamma * Q.gamma == Mat2.identity()
+            assert R.reversed().form == Q.form
+
+    def test_slots(self):
+        assert ClosedGeodesic.__slots__ == ("form", "p")
+        Q = ClosedGeodesic(QuadForm(20, -16, 2), 5)
+        assert Q.form == QuadForm(10, -8, 1)
 
     def test_square_disc_rejected(self):
         with pytest.raises(ValueError):
@@ -239,7 +292,7 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
     D, p = config
     terms = _cycle_terms(D, p)
     _, Q = terms[pick % len(terms)]
-    translates = hecke_translate(Q, n, check_stabilizer=False)
+    translates = hecke_translate(Q, n)
     t = translates[(pick // len(terms)) % len(translates)]
     t = t.translate(Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
     assert intersect_winding_cycle(t) == intersect_winding_enum(t)

@@ -14,6 +14,7 @@ from rqgeo.geodesic import (
 )
 from rqgeo.hecke import (
     _coset_label,
+    _dual_stabilizer,
     _sl2_mod_gamma0,
     double_cosets,
     hecke_translate,
@@ -201,12 +202,16 @@ class TestHeckeTranslate:
             assert math.isqrt(disc) ** 2 != disc
 
     def test_dual_stabilizer_asserted(self):
-        # hecke_translate computes the stabilizer two ways and asserts
-        # agreement internally; exercise the checked path
+        # the stabilizer of each translate, from the automorph of its
+        # form, equals Q's stabilizer conjugated through the coset rep
         for D, p in ((6, 5), (3, 11)):
             Q = _base_geodesic(D, p)
             for n in (2, 3, 6):
-                hecke_translate(Q, n, check_stabilizer=True)
+                deltas = double_cosets(Q, n)
+                translates = hecke_translate(Q, n)
+                assert len(deltas) == len(translates)
+                for delta, t in zip(deltas, translates):
+                    assert _dual_stabilizer(Q, delta, n) == t.gamma
 
 
 class TestPairing:
@@ -252,9 +257,8 @@ class TestPairing:
                 for delta in double_cosets(Q, n):
                     g = Mat2(1, rng.randrange(-2, 3), 0, 1) * Mat2(1, 0, 3 * rng.randrange(-2, 3), 1)
                     delta2 = delta * g
-                    f2, _ = Q.form.apply(delta2).primitive()
-                    w2 = mobius(delta2.adjugate(), Q.w)
-                    t = ClosedGeodesic(f2, 3, reverse=(w2 != f2.plus_root()))
+                    t = ClosedGeodesic(Q.form.apply(delta2), 3)
+                    assert t.w == mobius(delta2.adjugate(), Q.w)
                     s += intersect_winding_cycle(t)
                 total += coeff * s
             assert total == ref

@@ -8,8 +8,8 @@ from rqgeo.series import (
     diagonal_restriction,
     eta_product_coeffs,
     modularity_check,
-    sigma1_p,
 )
+from rqgeo.hecke import sigma1
 
 
 def _setup(D):
@@ -20,10 +20,10 @@ def _setup(D):
 
 class TestSigma1P:
     def test_examples(self):
-        assert sigma1_p(1, 5) == 1
-        assert sigma1_p(6, 5) == 12
-        assert sigma1_p(5, 5) == 1
-        assert sigma1_p(22, 11) == 3
+        assert sigma1(1, 5) == 1
+        assert sigma1(6, 5) == 12
+        assert sigma1(5, 5) == 1
+        assert sigma1(22, 11) == 3
 
 
 class TestEtaProduct:
@@ -47,14 +47,14 @@ class TestDiagonalRestriction:
         S = diagonal_restriction(F, G, psi, 5, N=12)
         assert S.constant == Fraction(4, 3)
         for n in range(1, 13):
-            assert S.coeffs[n] == 8 * sigma1_p(n, 5)
+            assert S.coeffs[n] == 8 * sigma1(n, 5)
 
     def test_d28_p3(self):
         F, G, psi = _setup(7)
         S = diagonal_restriction(F, G, psi, 3, N=10)
         assert S.constant == 2
         for n in range(1, 11):
-            assert S.coeffs[n] == 24 * sigma1_p(n, 3)
+            assert S.coeffs[n] == 24 * sigma1(n, 3)
 
     def test_d12_p13_zero(self):
         F, G, psi = _setup(3)
