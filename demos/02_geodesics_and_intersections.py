@@ -8,8 +8,9 @@ share nothing but the exact arithmetic layer:
   cycle  - walk the river of the form's Conway topograph for one
            automorph period and count the straddling forms (a*c < 0)
            that lie in the Gamma0(p)-class;
-  enum   - follow the Farey cutting sequence of the geodesic between a
-           base point and its automorph image.
+  enum   - follow the Farey cutting sequence of the geodesic from one
+           crossed edge to its image under the Gamma0(p) stabilizer,
+           telling the sides of each vertex by the sign of the form.
 """
 
 from rqgeo import (

@@ -2,8 +2,11 @@
 
 Subcommands: field, classgroup, chars, rmpoints, intersect, series,
 verify, verify-analytic.  Exit codes: 0 success (including inert primes,
-which yield a structured zero series), 2 verification mismatch, 3 domain
-errors.
+which yield a structured zero series), 2 verification mismatch (a failed
+check, or the two intersection algorithms disagreeing on a translate),
+3 domain errors (bad input, or a character this version cannot handle
+exactly), 4 internal error (a broken invariant: AssertionError or
+RuntimeError).
 """
 
 from __future__ import annotations
@@ -26,14 +29,19 @@ from .field import (
 )
 from .geodesic import (
     InertPrime,
+    TwistedCycle,
     choose_r,
     intersect_winding_cycle,
-    intersect_winding_enum,
     rm_point_pair,
     twisted_cycle,
 )
 from .hecke import hecke_translate, pair_with_twisted_cycle, right_cosets, sigma1
-from .series import AlgorithmMismatch, diagonal_restriction, modularity_check
+from .series import (
+    AlgorithmMismatch,
+    diagonal_restriction,
+    intersection_algorithm,
+    modularity_check,
+)
 
 __all__ = ["main", "run"]
 
@@ -43,6 +51,7 @@ CACHE_ENV = "RQGEO_CACHE_DIR"
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 class DomainFailure(Exception):
@@ -165,6 +174,10 @@ def _character(G, args):
     if not 0 <= idx < len(odd):
         raise DomainFailure("char-index %d out of range (have %d odd "
                             "characters)" % (idx, len(odd)))
+    if odd[idx].order > 2:
+        raise DomainFailure(
+            "characters of order %d are not supported yet: their values "
+            "are not exact (ROADMAP item 3)" % odd[idx].order)
     return odd[idx]
 
 
@@ -269,24 +282,15 @@ def cmd_intersect(args):
                             message=str(exc))
     cyc = twisted_cycle(F, G, psi, p, rc)
     n = args.n
-    per_translate = []
+    intersect = intersection_algorithm(args.algorithm)
+    translates = total = 0
     for coeff, Q in cyc.terms:
-        for t in hecke_translate(Q, n):
-            val = intersect_winding_cycle(t)
-            if args.algorithm in ("enum", "both"):
-                other = intersect_winding_enum(t)
-                if args.algorithm == "both" and other != val:
-                    raise VerificationFailure(
-                        "algorithms disagree on a translate: %r vs %r"
-                        % (val, other))
-                if args.algorithm == "enum":
-                    val = other
-            per_translate.append({"class_form": list(Q.form),
-                                  "coeff": coeff, "pairing": val})
-    total = sum(t["coeff"] * t["pairing"] for t in per_translate)
+        ts = hecke_translate(Q, n)
+        translates += len(ts)
+        total += coeff * sum(intersect(t) for t in ts)
     return _base_report(args, d_F=F.d_F, p=p, r=rc.r, n=n,
                         algorithm=args.algorithm,
-                        translates=len(per_translate),
+                        translates=translates,
                         right_cosets=len(right_cosets(n, p)),
                         pairing=total)
 
@@ -346,8 +350,16 @@ def cmd_verify(args):
     rc = choose_r(F, p)
     shifted = diagonal_restriction(F, G, psi, p, N=args.N, r=rc.r + 2 * p)
     record("r_plus_2p", shifted == S)
-    swapped = diagonal_restriction(F, G, psi, p, N=args.N, r=-rc.r)
-    record("r_pair_swap", swapped == S)
+    # the terms of the twisted cycle alternate between the RM points of
+    # +r and -r; the halving in series._coefficient assumes that the two
+    # halves pair equally
+    cyc = twisted_cycle(F, G, psi, p, choose_r(F, p, args.r))
+    plus, minus = TwistedCycle(cyc[0::2]), TwistedCycle(cyc[1::2])
+    record("pm_halves",
+           all(pair_with_twisted_cycle(plus, n, intersect_winding_cycle)
+               == pair_with_twisted_cycle(minus, n, intersect_winding_cycle)
+               for n in range(1, args.N + 1)),
+           "+r and -r halves pair equally for n=1..%d" % args.N)
     inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r)
     record("psi_inverse", inv == S)
 
@@ -475,12 +487,15 @@ def run(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
     except VerificationFailure as exc:
-        payload = exc.args[0]
-        if isinstance(payload, dict):
-            emit(payload, args.format)
-        else:
-            print("mismatch: %s" % payload, file=sys.stderr)
+        emit(exc.args[0], args.format)
         return EXIT_MISMATCH
+    except AlgorithmMismatch as exc:
+        print("mismatch: %s" % exc, file=sys.stderr)
+        return EXIT_MISMATCH
+    except (AssertionError, RuntimeError) as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
     emit(report, args.format)
     return EXIT_OK
 

@@ -17,8 +17,11 @@ geodesic on Y0(p) with the winding geodesic from 0 to infinity:
   that matrix lies in the orbit of infinity in P^1(F_p) under the
   automorph;
 * intersect_winding_enum walks the Farey tessellation along one period
-  of the closed geodesic and adds up signed crossings with translates
-  of the imaginary axis.
+  of the closed geodesic, in the original coordinates and without
+  reducing the form, and adds up signed crossings with translates of the
+  imaginary axis.  A Farey vertex (x, y) lies between the roots exactly
+  when f(x, y) * a < 0, and the period ends at the stabilizer's image of
+  the first crossed edge, so the walk is integer arithmetic throughout.
 
 Everything is exact; there is no floating point in any sign decision.
 """
@@ -370,51 +373,13 @@ def intersect_winding_cycle(Q):
 # Translates of the imaginary axis by Gamma0(p) are exactly the Farey
 # edges (u, v) (|cross(u, v)| = 1) for which exactly one endpoint has
 # denominator divisible by p (infinity = 1/0 counts as divisible).  The
-# walk visits, in order, every Farey edge crossed by the geodesic and
-# keeps those whose crossing lies on the fundamental arc from the apex
-# tau0 (inclusive) to gamma.tau0 (exclusive).
-
-
-def _cmp_frac_quad(pn, pd, q):
-    """sign(pn/pd - q) for pd > 0 and q a QuadIrr."""
-    X = pn * q.w - pd * q.u
-    Y = pd * q.v
-    # sign of X - Y*sqrt(D)
-    if Y == 0:
-        return (X > 0) - (X < 0)
-    if X <= 0 and Y >= 0:
-        return -1
-    if X >= 0 and Y <= 0:
-        return 1
-    d = X * X - Y * Y * q.D
-    s = (d > 0) - (d < 0)
-    return s if X > 0 else -s
-
-
-def _inside(pt, lo, hi):
-    """Whether the boundary point pt = (num, den) lies in (lo, hi)."""
-    pn, pd = pt
-    if pd == 0:
-        return False
-    return _cmp_frac_quad(pn, pd, lo) > 0 and _cmp_frac_quad(pn, pd, hi) < 0
-
-
-def _crossing_x(edge, m1, rho2):
-    """x-coordinate of the crossing of a Farey edge with the circle of
-    center m1 and squared radius rho2 (both Fractions)."""
-    (un, ud), (vn, vd) = edge
-    if ud == 0 or vd == 0:
-        n, d = (vn, vd) if ud == 0 else (un, ud)
-        return Fraction(n, d)
-    u = Fraction(un, ud)
-    v = Fraction(vn, vd)
-    m2 = (u + v) / 2
-    r2 = ((u - v) / 2) ** 2
-    return (rho2 - r2 + m2 * m2 - m1 * m1) / (2 * (m2 - m1))
-
-
-def _proj_eq(a, b):
-    return a[0] * b[1] - a[1] * b[0] == 0
+# geodesic of f = [a, b, c] crosses the Farey edge (u, v) exactly when
+# one end lies between the roots and the other does not, and the point
+# (x, y) lies between the roots exactly when f(x, y) * a < 0.  The
+# crossed edges, in order along the geodesic, form a sequence that the
+# stabilizer gamma shifts by one period; so the walk starts at a crossed
+# edge E0, counts it, and steps from triangle to triangle until the
+# edge it reaches is gamma E0 or gamma^-1 E0, whichever lies ahead.
 
 
 def _edge_sign(edge, w, wsig, p):
@@ -436,107 +401,60 @@ def _edge_sign(edge, w, wsig, p):
     return straddle(Geodesic(mobius(inv, w), mobius(inv, wsig)))
 
 
-def intersect_winding_enum(Q, basepoint_shift=None):
-    """Winding intersection number by direct enumeration of crossings.
-
-    basepoint_shift, if given, is a Fraction added to the x-coordinate
-    of the default base point (the apex); the result must not depend on
-    it, which the tests exercise.
-    """
-    f = Q.form
-    a, b, c = f
-    disc = f.disc()
-    m1 = Fraction(-b, 2 * a)
-    rho2 = Fraction(disc, 4 * a * a)
-    w, wsig, gamma, p = Q.w, Q.wsig, Q.gamma, Q.p
-    w_lo, w_hi = (w, wsig) if w < wsig else (wsig, w)
-    # base point on the geodesic: apex by default, shifted for testing
-    if basepoint_shift is None:
-        x0, y0sq = m1, rho2
-    else:
-        x0 = m1 + basepoint_shift
-        y0sq = rho2 - basepoint_shift * basepoint_shift
-        assert y0sq > 0, "base point off the geodesic"
-    x1, _ = _apply_to_circle_point(gamma, x0, y0sq)
-    if x0 == x1:
-        raise RuntimeError("degenerate fundamental arc")
-    # the base-point end of the arc is included, the translated end not
-    if x0 < x1:
-        lo, hi, lo_inc, hi_inc = x0, x1, True, False
-    else:
-        lo, hi, lo_inc, hi_inc = x1, x0, False, True
-    edge, tprev = _start_edge(w_lo, w_hi, m1, rho2, hi)
-    total = 0
-    for _ in range(10 ** 8):
-        # step across the current edge into the next Farey triangle
-        u, v = edge
-        t = (u[0] + v[0], u[1] + v[1])
-        if _proj_eq(t, tprev):
-            t = (u[0] - v[0], u[1] - v[1])
-        t = _norm_pt(t)
-        e1, e2 = (u, t), (t, v)
-        nxt = e1 if _inside(u, w_lo, w_hi) != _inside(t, w_lo, w_hi) else e2
-        tprev = v if nxt is e1 else u
-        edge = nxt
-        xstar = _crossing_x(edge, m1, rho2)
-        if xstar < lo or (xstar == lo and not lo_inc):
-            return total
-        if (lo < xstar < hi) or (xstar == lo and lo_inc) \
-                or (xstar == hi and hi_inc):
-            total += _edge_sign(edge, w, wsig, p)
-    raise RuntimeError("walk did not terminate")
-
-
 def _norm_pt(t):
+    """The boundary point t = (num, den) in lowest terms with den >= 0,
+    and infinity as (1, 0)."""
     n, d = t
-    g = math.gcd(abs(n), abs(d))
-    if g:
-        n, d = n // g, d // g
-    if d < 0:
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if d < 0 or (d == 0 and n < 0):
         n, d = -n, -d
     return (n, d)
 
 
-def _apply_to_circle_point(g, x, ysq):
-    """Image of the hyperbolic point (x, y) with y^2 = ysq under g,
-    returned as (x', y'^2); everything stays rational."""
-    A, B, C, D = g.a, g.b, g.c, g.d
-    N = (C * x + D) ** 2 + C * C * ysq
-    assert N != 0
-    xp = ((A * x + B) * (C * x + D) + A * C * ysq) / N
-    ypsq = ysq * g.det ** 2 / N ** 2
-    return xp, ypsq
-
-
-def _start_edge(w_lo, w_hi, m1, rho2, hi):
-    """A Farey edge crossing the geodesic strictly to the right of the
-    arc window, with the walk oriented toward decreasing x.
-
-    Returns (edge, previous_third) priming the triangle walk.
-    """
-    # continued fraction convergents of w_hi straddle it, so consecutive
-    # convergents eventually give crossing edges arbitrarily close to it
-    x = w_hi
-    h0, k0 = 1, 0
-    a0 = x.floor()
-    h1, k1 = a0, 1
-    x = 1 / (x - a0)
-    while True:
-        u, v = _norm_pt((h0, k0)), _norm_pt((h1, k1))
-        if _inside(u, w_lo, w_hi) != _inside(v, w_lo, w_hi):
-            xs0 = _crossing_x((u, v), m1, rho2)
-            if xs0 > hi:
-                break
+def _start_edge(w, inside):
+    """The first pair of consecutive continued-fraction convergents of w,
+    starting from 0/1 and 1/0, that lie on opposite sides of the
+    geodesic.  Convergents close in on the endpoint w from alternate
+    sides, so such a pair exists."""
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    x = w
+    while inside((h0, k0)) == inside((h1, k1)):
         an = x.floor()
         h0, k0, h1, k1 = h1, k1, an * h1 + h0, an * k1 + k0
         x = 1 / (x - an)
-    # choose the previous-third vertex so the first step decreases x
-    edge = (u, v)
-    thirds = ((u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1]))
-    for i, tcand in enumerate(thirds):
-        t = _norm_pt(tcand)
-        nxt = (u, t) if _inside(u, w_lo, w_hi) != _inside(t, w_lo, w_hi) \
-            else (t, v)
-        if _crossing_x(nxt, m1, rho2) < xs0:
-            return edge, _norm_pt(thirds[1 - i])
-    raise RuntimeError("could not orient the walk")
+    return _norm_pt((h0, k0)), _norm_pt((h1, k1))
+
+
+def intersect_winding_enum(Q):
+    """Winding intersection number by direct enumeration of crossings:
+    the sum of _edge_sign over the Farey edges that one period of the
+    geodesic crosses."""
+    f = Q.form
+    a = f.a
+    w, wsig, gamma, p = Q.w, Q.wsig, Q.gamma, Q.p
+
+    def inside(t):
+        return f.value(*t) * a < 0
+
+    edge = _start_edge(w, inside)
+    stops = []
+    for m in (gamma, gamma.adjugate()):     # gamma and gamma^-1 (det 1)
+        s, t = (_norm_pt((m.a * x + m.b * y, m.c * x + m.d * y))
+                for x, y in edge)
+        stops += [(s, t), (t, s)]
+    u, v = edge
+    tprev = _norm_pt((u[0] - v[0], u[1] - v[1]))
+    total = 0
+    while edge not in stops:
+        total += _edge_sign(edge, w, wsig, p)
+        # step across the current edge into the next Farey triangle
+        u, v = edge
+        t = _norm_pt((u[0] + v[0], u[1] + v[1]))
+        if t == tprev:
+            t = _norm_pt((u[0] - v[0], u[1] - v[1]))
+        if inside(t) != inside(u):
+            edge, tprev = (u, t), v
+        else:
+            edge, tprev = (t, v), u
+    return total

@@ -21,6 +21,7 @@ __all__ = [
     "AlgorithmMismatch",
     "GENUS_ZERO_LEVELS",
     "diagonal_restriction",
+    "intersection_algorithm",
     "eta_product_coeffs",
     "modularity_check",
 ]
@@ -36,6 +37,30 @@ PAIRING_FACTOR = -4
 
 class AlgorithmMismatch(Exception):
     """The two intersection algorithms disagreed (should never happen)."""
+
+
+def intersection_algorithm(name):
+    """The function of one Hecke translate that gives its winding
+    intersection number by the named algorithm: "cycle", "enum", or
+    "both", which runs the two on the translate and raises
+    AlgorithmMismatch, naming its form, when they disagree.  The
+    algorithms are looked up when this is called, so wrapping the module
+    attributes wraps them."""
+    if name == "cycle":
+        return intersect_winding_cycle
+    if name == "enum":
+        return intersect_winding_enum
+    if name == "both":
+        return _intersect_both
+    raise ValueError("unknown algorithm %r" % (name,))
+
+
+def _intersect_both(t):
+    val, other = intersect_winding_cycle(t), intersect_winding_enum(t)
+    if val != other:
+        raise AlgorithmMismatch("translate %r: cycle=%r enum=%r"
+                                % (t.form, val, other))
+    return val
 
 
 class QSeries:
@@ -83,12 +108,12 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     """q-expansion of the diagonal restriction of the p-stabilized
     Eisenstein series attached to psi, truncated at q^N.
 
-    algorithm is "cycle", "enum" or "both"; "both" recomputes each
-    pairing with the independent enumeration and raises
-    AlgorithmMismatch on any disagreement.
+    algorithm is "cycle", "enum" or "both"; "both" checks every Hecke
+    translate with both and raises AlgorithmMismatch on any disagreement.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    intersect = intersection_algorithm(algorithm)
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
     meta = {"d_F": F.d_F, "p": p, "r": None, "psi": psi.exponents,
@@ -103,14 +128,7 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     cycle = twisted_cycle(F, G, psi, p, rc)
     coeffs = {}
     for n in range(1, N + 1):
-        if algorithm in ("cycle", "both"):
-            pairing = pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle)
-        else:
-            pairing = pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_enum)
-        if algorithm == "both":
-            other = pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_enum)
-            if other != pairing:
-                raise AlgorithmMismatch("n=%d: cycle=%r enum=%r" % (n, pairing, other))
+        pairing = pair_with_twisted_cycle(cycle, n, algorithm=intersect)
         coeffs[n] = _coefficient(pairing)
     return QSeries(lv.value, coeffs, meta)
 

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from rqgeo.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, run
+import rqgeo.cli
+import rqgeo.series
+from rqgeo.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, run
 
 
 def invoke(*argv):
@@ -66,6 +68,7 @@ class TestVerify:
         assert rep["passed"]
         names = [c["name"] for c in rep["checks"]]
         assert "dual_algorithm" in names and "modularity" in names
+        assert "pm_halves" in names
 
     def test_inert_passes(self):
         code, rep, _ = invoke_json("verify", "--D", "3", "--p", "5",
@@ -191,3 +194,47 @@ class TestExitCodes:
         code, _, err = invoke("series", "--D", "6", "--p", "5",
                               "--char-index", "5", "--no-cache")
         assert code == EXIT_DOMAIN
+
+    def test_order_4_character(self):
+        # exact values for characters of order > 2 are not implemented
+        for cmd in ("series", "verify"):
+            code, out, err = invoke(cmd, "--D", "34", "--p", "3", "--N", "4",
+                                    "--no-cache")
+            assert code == EXIT_DOMAIN and "ROADMAP item 3" in err
+            assert out == ""
+
+    def test_algorithm_mismatch(self, monkeypatch):
+        enum = rqgeo.series.intersect_winding_enum
+        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
+                            lambda t: enum(t) + 1)
+        for argv in (("series", "--N", "2"), ("intersect", "--n", "2")):
+            code, out, err = invoke(*argv, "--D", "6", "--p", "5",
+                                    "--algorithm", "both", "--no-cache")
+            assert code == EXIT_MISMATCH and "mismatch: translate" in err
+            assert out == ""
+
+    def test_internal_error(self, monkeypatch):
+        for exc in (AssertionError("pairing is odd"), RuntimeError("stuck")):
+            def broken(*args, **kwargs):
+                raise exc
+            monkeypatch.setattr(rqgeo.cli, "diagonal_restriction", broken)
+            code, out, err = invoke("series", "--D", "6", "--p", "5",
+                                    "--N", "2", "--no-cache")
+            assert code == EXIT_INTERNAL and "internal error" in err
+            assert out == ""
+
+    def test_pm_halves_can_fail(self, monkeypatch):
+        # negate the coefficients of the -r terms: the two halves then
+        # pair to opposite values and verify reports the failed check
+        twisted_cycle = rqgeo.cli.twisted_cycle
+
+        def skewed(*args):
+            cyc = twisted_cycle(*args)
+            return type(cyc)((c if i % 2 == 0 else -c, Q)
+                             for i, (c, Q) in enumerate(cyc))
+        monkeypatch.setattr(rqgeo.cli, "twisted_cycle", skewed)
+        code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
+                                   "--N", "4", "--no-cache")
+        assert code == EXIT_MISMATCH and not rep["passed"]
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert failed == ["pm_halves"]

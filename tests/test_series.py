@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from rqgeo.field import all_characters, build_field, narrow_class_group, odd_characters
+import rqgeo.series
 from rqgeo.series import (
+    AlgorithmMismatch,
     QSeries,
     diagonal_restriction,
     eta_product_coeffs,
@@ -127,6 +129,22 @@ class TestInvariance:
         b = diagonal_restriction(F, G, psi, 5, N=8, algorithm="enum")
         c = diagonal_restriction(F, G, psi, 5, N=8, algorithm="both")
         assert a == b == c
+
+    def test_both_checks_each_translate(self, monkeypatch):
+        # an enum that is off by one on every translate: the psi-weighted
+        # pairings of the two algorithms still agree at (6, 5), because
+        # the +1s cancel, so only a per-translate check sees it
+        F, G, psi = _setup(6)
+        enum = rqgeo.series.intersect_winding_enum
+        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
+                            lambda t: enum(t) + 1)
+        with pytest.raises(AlgorithmMismatch, match="translate"):
+            diagonal_restriction(F, G, psi, 5, N=2, algorithm="both")
+
+    def test_unknown_algorithm(self):
+        F, G, psi = _setup(6)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            diagonal_restriction(F, G, psi, 5, N=2, algorithm="foo")
 
 
 class TestModularityCheck:
