@@ -1,12 +1,18 @@
 """Command-line interface: JSON/CSV reports, caching, batch verification.
 
 Subcommands: field, classgroup, chars, rmpoints, intersect, series,
-verify, verify-analytic.  Exit codes: 0 success (including inert primes,
-which yield a structured zero series), 2 verification mismatch (a failed
-check, or the two intersection algorithms disagreeing on a translate),
-3 domain errors (bad input, or a character this version cannot handle
-exactly), 4 internal error (a broken invariant: AssertionError or
-RuntimeError).
+verify, verify-analytic; each takes only the options it reads.  Exit
+codes: 0 success (including inert primes, which yield a structured zero
+series), 2 verification mismatch (a failed check, or the two
+intersection algorithms disagreeing on a translate), 3 domain errors
+(bad input, a malformed command line included, or a character this
+version cannot handle exactly), 4 internal error (a broken invariant:
+AssertionError or RuntimeError).
+
+verify walks the Hecke translates twice: once with both intersection
+algorithms for the report series, whose pairing table the pm_halves and
+psi_inverse checks read back, and once with the cycle algorithm for the
+series at r + 2p.
 """
 
 from __future__ import annotations
@@ -27,20 +33,14 @@ from .field import (
     odd_characters,
     pell_plus,
 )
-from .geodesic import (
-    InertPrime,
-    TwistedCycle,
-    choose_r,
-    intersect_winding_cycle,
-    rm_point_pair,
-    twisted_cycle,
-)
-from .hecke import hecke_translate, pair_with_twisted_cycle, right_cosets, sigma1
+from .geodesic import InertPrime, choose_r, rm_point_pair, twisted_cycle
+from .hecke import hecke_translate, right_cosets, sigma1
 from .series import (
     AlgorithmMismatch,
     diagonal_restriction,
     intersection_algorithm,
     modularity_check,
+    pairing_table,
 )
 
 __all__ = ["main", "run"]
@@ -182,8 +182,6 @@ def _character(G, args):
 
 
 def _require_p(args):
-    if args.p is None:
-        raise DomainFailure("this subcommand needs --p")
     if args.p % 2 == 0 or not is_prime(args.p):
         raise DomainFailure("p must be an odd prime")
     return args.p
@@ -295,9 +293,9 @@ def cmd_intersect(args):
                         pairing=total)
 
 
-def _series_report(args, F, G, psi, p):
+def _series_report(args, F, G, psi, p, algorithm):
     S = diagonal_restriction(F, G, psi, p, N=args.N, r=args.r,
-                             algorithm=args.algorithm)
+                             algorithm=algorithm)
     rep = _base_report(
         args, d_F=F.d_F, p=p, r=S.metadata["r"], kappa=2,
         convention_sign=S.metadata["pairing_factor"],
@@ -313,7 +311,7 @@ def cmd_series(args):
     p = _require_p(args)
     G = narrow_class_group(F)
     psi = _character(G, args)
-    rep, _ = _series_report(args, F, G, psi, p)
+    rep, _ = _series_report(args, F, G, psi, p, args.algorithm)
     return rep
 
 
@@ -327,40 +325,46 @@ def cmd_verify(args):
     def record(name, ok, detail=""):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
-    rep, S = _series_report(args, F, G, psi, p)
+    # the report series itself checks cycle == enum on every translate;
+    # after a mismatch it is computed again with the cycle algorithm
+    algorithm = "both"
+    try:
+        rep, S = _series_report(args, F, G, psi, p, algorithm)
+        dual = (True, "cycle==enum for n=1..%d" % args.N)
+    except AlgorithmMismatch as exc:
+        algorithm = "cycle"
+        rep, S = _series_report(args, F, G, psi, p, algorithm)
+        dual = (False, str(exc))
     if S.inert:
         record("inert", True, "p is inert: zero series")
         rep["checks"] = checks
         rep["passed"] = True
         return rep
-
-    # dual-algorithm agreement over all translates
-    try:
-        other = diagonal_restriction(F, G, psi, p, N=args.N, r=args.r,
-                                     algorithm="both")
-        record("dual_algorithm", other == S,
-               "cycle==enum for n=1..%d" % args.N)
-    except AlgorithmMismatch as exc:
-        record("dual_algorithm", False, str(exc))
+    record("dual_algorithm", *dual)
 
     mod = modularity_check(S)
     record("modularity", mod.passed,
            mod.message or ("mode=%s" % mod.mode))
 
+    # the RM points of r + 2p are other forms: a second table
     rc = choose_r(F, p)
     shifted = diagonal_restriction(F, G, psi, p, N=args.N, r=rc.r + 2 * p)
     record("r_plus_2p", shifted == S)
-    # the terms of the twisted cycle alternate between the RM points of
-    # +r and -r; the halving in series._coefficient assumes that the two
-    # halves pair equally
-    cyc = twisted_cycle(F, G, psi, p, choose_r(F, p, args.r))
-    plus, minus = TwistedCycle(cyc[0::2]), TwistedCycle(cyc[1::2])
-    record("pm_halves",
-           all(pair_with_twisted_cycle(plus, n, intersect_winding_cycle)
-               == pair_with_twisted_cycle(minus, n, intersect_winding_cycle)
-               for n in range(1, args.N + 1)),
+    # each class has an RM point of +r and one of -r; the halving in
+    # series._coefficient assumes that the two halves pair equally.  The
+    # rows are those of the report series, read back from its table.
+    table = pairing_table(F, G, p, S.metadata["r"], args.N, algorithm)
+    weights = [psi(cls) for cls in range(G.h)]
+
+    def half(k):
+        return [sum(w * rows[k][i] for w, rows in zip(weights, table))
+                for i in range(args.N)]
+    record("pm_halves", half(0) == half(1),
            "+r and -r halves pair equally for n=1..%d" % args.N)
-    inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r)
+    # psi^-1 reuses the report's table; it can differ from psi only for
+    # characters of order > 2
+    inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r,
+                               algorithm=algorithm)
     record("psi_inverse", inv == S)
 
     counts = all(len(right_cosets(n, p)) == sigma1(n, None)
@@ -433,41 +437,54 @@ def cmd_verify_analytic(args):
 # driver
 
 
+# the options of each subcommand beyond --format and the cache; None
+# means no field either
 COMMANDS = {
-    "field": (cmd_field, True),
-    "classgroup": (cmd_classgroup, True),
-    "chars": (cmd_chars, True),
-    "rmpoints": (cmd_rmpoints, True),
-    "intersect": (cmd_intersect, True),
-    "series": (cmd_series, True),
-    "verify": (cmd_verify, True),
-    "verify-analytic": (cmd_verify_analytic, False),
+    "field": (cmd_field, ()),
+    "classgroup": (cmd_classgroup, ()),
+    "chars": (cmd_chars, ()),
+    "rmpoints": (cmd_rmpoints, ("p", "r")),
+    "intersect": (cmd_intersect, ("p", "r", "char-index", "n", "algorithm")),
+    "series": (cmd_series, ("p", "r", "char-index", "N", "algorithm")),
+    "verify": (cmd_verify, ("p", "r", "char-index", "N")),
+    "verify-analytic": (cmd_verify_analytic, None),
+}
+
+OPTIONS = {
+    "p": dict(type=int, required=True, help="odd prime level"),
+    "r": dict(type=int, default=None,
+              help="override the square root of d_F mod 4p"),
+    "char-index": dict(type=int, default=0,
+                       help="index into the totally odd characters"),
+    "N": dict(type=int, default=30, help="q-expansion truncation"),
+    "n": dict(type=int, default=1, help="Hecke operator index"),
+    "algorithm": dict(choices=("cycle", "enum", "both"), default="cycle"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad command-line input is a domain error: usage and message on
+    stderr, exit code 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DOMAIN, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rqgeo",
         description="Diagonal restrictions of p-stabilized Eisenstein "
                     "series over real quadratic fields, from geodesic "
                     "intersection numbers.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, needs_field) in COMMANDS.items():
+    for name, (_, options) in COMMANDS.items():
         sp = sub.add_parser(name)
-        if needs_field:
-            sp.add_argument("--D", type=int, required=(name != "verify-analytic"),
+        if options is not None:
+            sp.add_argument("--D", type=int, required=True,
                             help="squarefree integer defining F = Q(sqrt(D))")
-            sp.add_argument("--p", type=int, default=None, help="odd prime level")
-            sp.add_argument("--r", type=int, default=None,
-                            help="override the square root of d_F mod 4p")
-            sp.add_argument("--char-index", type=int, default=0,
-                            help="index into the totally odd characters")
-            sp.add_argument("--N", type=int, default=30,
-                            help="q-expansion truncation")
-            sp.add_argument("--n", type=int, default=1,
-                            help="Hecke operator index (intersect)")
-            sp.add_argument("--algorithm", choices=("cycle", "enum", "both"),
-                            default="cycle")
+            for opt in options:
+                sp.add_argument("--" + opt, **OPTIONS[opt])
         sp.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
         sp.add_argument("--no-cache", action="store_true")
@@ -476,7 +493,10 @@ def build_parser():
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # --help (0) or bad usage (EXIT_DOMAIN)
+        return exc.code
     fn = COMMANDS[args.command][0]
     try:
         report = fn(args)

@@ -11,8 +11,9 @@ is spanned by an eta product.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .geodesic import InertPrime, choose_r, twisted_cycle
+from .geodesic import InertPrime, TwistedCycle, choose_r, rm_point_pair
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
 from .hecke import pair_with_twisted_cycle, sigma1
 
@@ -21,6 +22,7 @@ __all__ = [
     "AlgorithmMismatch",
     "GENUS_ZERO_LEVELS",
     "diagonal_restriction",
+    "pairing_table",
     "intersection_algorithm",
     "eta_product_coeffs",
     "modularity_check",
@@ -104,16 +106,43 @@ def _coefficient(pairing):
     return PAIRING_FACTOR * half
 
 
+@lru_cache(maxsize=16)
+def pairing_table(F, G, p, r, N, algorithm):
+    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points of every narrow
+    class: one (plus_row, minus_row) per class, the rows of its +r and -r
+    points, each a tuple indexed by n - 1.
+
+    The pairing is linear in the twisted cycle, so the series of every
+    character psi is a psi-weighted sum of these rows.  The table is kept
+    for the last few (F, G, p, r, N, algorithm); F and G are keyed by
+    identity, so a freshly built field gets a fresh table, and a run that
+    raises (an AlgorithmMismatch under "both") leaves nothing behind.
+    """
+    intersect = intersection_algorithm(algorithm)
+    rc = choose_r(F, p, r)
+    table = []
+    for cls in range(G.h):
+        pair = rm_point_pair(F, G, cls, p, rc)
+        table.append(tuple(
+            tuple(pair_with_twisted_cycle(TwistedCycle([(1, Q)]), n,
+                                          algorithm=intersect)
+                  for n in range(1, N + 1))
+            for Q in (pair.point_plus, pair.point_minus)))
+    return tuple(table)
+
+
 def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     """q-expansion of the diagonal restriction of the p-stabilized
     Eisenstein series attached to psi, truncated at q^N.
 
     algorithm is "cycle", "enum" or "both"; "both" checks every Hecke
     translate with both and raises AlgorithmMismatch on any disagreement.
+    The pairings come from pairing_table, so characters of one field
+    share them.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    intersect = intersection_algorithm(algorithm)
+    intersection_algorithm(algorithm)   # reject an unknown name up front
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
     meta = {"d_F": F.d_F, "p": p, "r": None, "psi": psi.exponents,
@@ -125,10 +154,17 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     meta["r"] = rc.r
     from .lvalue import constant_term
     lv = constant_term(F, G, psi, p, rc.r)
-    cycle = twisted_cycle(F, G, psi, p, rc)
+    table = pairing_table(F, G, p, rc.r, N, algorithm)
+    weights = [psi(cls) for cls in range(G.h)]
     coeffs = {}
     for n in range(1, N + 1):
-        pairing = pair_with_twisted_cycle(cycle, n, algorithm=intersect)
+        # summed in the order of the twisted cycle's terms (+r, then -r
+        # point of each class), so complex character values round as
+        # they did when the cycle was paired whole
+        pairing = 0
+        for coeff, (plus, minus) in zip(weights, table):
+            pairing += coeff * plus[n - 1]
+            pairing += coeff * minus[n - 1]
         coeffs[n] = _coefficient(pairing)
     return QSeries(lv.value, coeffs, meta)
 

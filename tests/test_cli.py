@@ -6,8 +6,11 @@ import os
 import pytest
 
 import rqgeo.cli
+import rqgeo.hecke
 import rqgeo.series
 from rqgeo.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, run
+from rqgeo.field import build_field, narrow_class_group
+from rqgeo.geodesic import choose_r, rm_point_pair
 
 
 def invoke(*argv):
@@ -62,13 +65,45 @@ class TestSeries:
 class TestVerify:
     def test_both_algorithms_pass(self):
         code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
-                                   "--algorithm", "both", "--N", "8",
-                                   "--no-cache")
+                                   "--N", "8", "--no-cache")
         assert code == EXIT_OK
         assert rep["passed"]
         names = [c["name"] for c in rep["checks"]]
-        assert "dual_algorithm" in names and "modularity" in names
-        assert "pm_halves" in names
+        assert names == ["dual_algorithm", "modularity", "r_plus_2p",
+                         "pm_halves", "psi_inverse", "coset_counts"]
+
+    def test_two_hecke_passes(self, monkeypatch):
+        # one pass with both algorithms for the report series (which the
+        # pm_halves and psi_inverse checks read back) and one cycle pass
+        # for the RM points of r + 2p
+        calls = {"translate": 0, "enum": 0}
+        translate = rqgeo.hecke.hecke_translate
+        enum = rqgeo.series.intersect_winding_enum
+
+        def counted_translate(Q, n):
+            calls["translate"] += 1
+            return translate(Q, n)
+
+        def counted_enum(t):
+            calls["enum"] += 1
+            return enum(t)
+        monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted_translate)
+        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
+                            counted_enum)
+        N = 6
+        code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
+                                   "--N", str(N), "--no-cache")
+        assert code == EXIT_OK and rep["passed"]
+        F = build_field(6)
+        G = narrow_class_group(F)
+        rc = choose_r(F, 5)
+        pairs = [rm_point_pair(F, G, cls, 5, rc) for cls in range(G.h)]
+        points = [Q for pair in pairs
+                  for Q in (pair.point_plus, pair.point_minus)]
+        assert len(points) == 2 * G.h
+        assert calls["translate"] == 2 * len(points) * N
+        assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
+                                    for n in range(1, N + 1))
 
     def test_inert_passes(self):
         code, rep, _ = invoke_json("verify", "--D", "3", "--p", "5",
@@ -223,18 +258,66 @@ class TestExitCodes:
             assert code == EXIT_INTERNAL and "internal error" in err
             assert out == ""
 
-    def test_pm_halves_can_fail(self, monkeypatch):
-        # negate the coefficients of the -r terms: the two halves then
-        # pair to opposite values and verify reports the failed check
-        twisted_cycle = rqgeo.cli.twisted_cycle
-
-        def skewed(*args):
-            cyc = twisted_cycle(*args)
-            return type(cyc)((c if i % 2 == 0 else -c, Q)
-                             for i, (c, Q) in enumerate(cyc))
-        monkeypatch.setattr(rqgeo.cli, "twisted_cycle", skewed)
+    def _failed_checks(self):
         code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
                                    "--N", "4", "--no-cache")
         assert code == EXIT_MISMATCH and not rep["passed"]
-        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        return [c["name"] for c in rep["checks"] if not c["passed"]], rep
+
+    def test_pm_halves_can_fail(self, monkeypatch):
+        # negate the -r rows of the table the check reads: the two halves
+        # then pair to opposite values.  The report series has its own
+        # reference to the table, so only this check sees the skew.
+        pairing_table = rqgeo.cli.pairing_table
+
+        def skewed(*args):
+            return tuple((plus, tuple(-v for v in minus))
+                         for plus, minus in pairing_table(*args))
+        monkeypatch.setattr(rqgeo.cli, "pairing_table", skewed)
+        failed, _ = self._failed_checks()
         assert failed == ["pm_halves"]
+
+    def test_dual_algorithm_can_fail(self, monkeypatch):
+        # the report series falls back to the cycle algorithm, so the
+        # coefficients and every other check are unchanged
+        enum = rqgeo.series.intersect_winding_enum
+        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
+                            lambda t: enum(t) + 1)
+        failed, rep = self._failed_checks()
+        assert failed == ["dual_algorithm"]
+        assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
+
+    def test_r_plus_2p_can_fail(self, monkeypatch):
+        # reverse the RM points of every r but the default one: the series
+        # at r + 2p then comes out negated
+        default_r = choose_r(build_field(6), 5).r
+
+        def skewed(F, G, cls, p, rc):
+            pair = rm_point_pair(F, G, cls, p, rc)
+            if rc.r == default_r:
+                return pair
+            return type(pair)(cls, rc.r, pair.point_plus.reversed(),
+                              pair.point_minus.reversed())
+        monkeypatch.setattr(rqgeo.series, "rm_point_pair", skewed)
+        failed, _ = self._failed_checks()
+        assert failed == ["r_plus_2p"]
+
+    def test_usage_errors_are_domain_errors(self):
+        for argv in (("series", "--D", "x", "--p", "5"),
+                     ("series", "--p", "5"),
+                     ("rmpoints", "--D", "6"),
+                     ("field", "--D", "6", "--p", "4", "--n", "7",
+                      "--algorithm", "enum"),
+                     ("verify", "--D", "6", "--p", "5", "--algorithm", "both"),
+                     ("series", "--D", "6", "--p", "5", "--n", "2"),
+                     ()):
+            code, out, err = invoke(*argv)
+            assert code == EXIT_DOMAIN, argv
+            assert err.startswith("usage: rqgeo") and "error:" in err
+            assert out == ""
+
+    def test_help_exits_zero(self):
+        for argv in (("--help",), ("series", "--help")):
+            code, out, err = invoke(*argv)
+            assert code == EXIT_OK
+            assert out.startswith("usage: rqgeo") and err == ""

@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 
 from rqgeo.field import all_characters, build_field, narrow_class_group, odd_characters
+from rqgeo.geodesic import choose_r, twisted_cycle
+import rqgeo.hecke
 import rqgeo.series
 from rqgeo.series import (
     AlgorithmMismatch,
     QSeries,
+    _coefficient,
     diagonal_restriction,
     eta_product_coeffs,
     modularity_check,
 )
-from rqgeo.hecke import sigma1
+from rqgeo.hecke import pair_with_twisted_cycle, sigma1
 
 
 def _setup(D):
@@ -145,6 +148,75 @@ class TestInvariance:
         F, G, psi = _setup(6)
         with pytest.raises(ValueError, match="unknown algorithm"):
             diagonal_restriction(F, G, psi, 5, N=2, algorithm="foo")
+
+
+class TestPairingTable:
+    # h+ = 2, 4 and 8, every p in {3, 5, 7, 11, 13}, fields with one,
+    # two and four odd characters of order 2
+    CASES = ((6, 5), (7, 3), (91, 3), (174, 5), (95, 7), (115, 11),
+             (42, 13), (210, 11), (219, 7))
+
+    @staticmethod
+    def _count_translates(monkeypatch):
+        calls = []
+        translate = rqgeo.hecke.hecke_translate
+
+        def counted(Q, n):
+            calls.append(n)
+            return translate(Q, n)
+        monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted)
+        return calls
+
+    def test_equals_twisted_cycle_pairing(self):
+        N = 4
+        for D, p in self.CASES:
+            F = build_field(D)
+            G = narrow_class_group(F)
+            rc = choose_r(F, p)
+            chars = [psi for psi in odd_characters(G) if psi.order == 2]
+            assert chars, D
+            for psi in chars:
+                S = diagonal_restriction(F, G, psi, p, N=N)
+                cyc = twisted_cycle(F, G, psi, p, rc)
+                assert S.coeffs == {
+                    n: _coefficient(pair_with_twisted_cycle(cyc, n))
+                    for n in range(1, N + 1)}, (D, p, psi.exponents)
+
+    def test_characters_share_the_table(self, monkeypatch):
+        F = build_field(210)
+        G = narrow_class_group(F)
+        first, *others = odd_characters(G)
+        assert len(others) == 3
+        calls = self._count_translates(monkeypatch)
+        diagonal_restriction(F, G, first, 11, N=3)
+        assert len(calls) == 2 * G.h * 3
+        del calls[:]
+        for psi in others:
+            diagonal_restriction(F, G, psi, 11, N=3)
+            diagonal_restriction(F, G, psi.inverse(), 11, N=3)
+        assert calls == []
+
+    def test_fresh_field_recomputes(self, monkeypatch):
+        calls = self._count_translates(monkeypatch)
+        results = []
+        for _ in range(2):
+            F, G, psi = _setup(6)
+            results.append(diagonal_restriction(F, G, psi, 5, N=3))
+        assert len(calls) == 2 * (2 * 2 * 3)
+        assert results[0] == results[1]
+
+    def test_mismatch_is_not_cached(self, monkeypatch):
+        F, G, psi = _setup(6)
+        with monkeypatch.context() as m:
+            enum = rqgeo.series.intersect_winding_enum
+            m.setattr(rqgeo.series, "intersect_winding_enum",
+                      lambda t: enum(t) + 1)
+            with pytest.raises(AlgorithmMismatch):
+                diagonal_restriction(F, G, psi, 5, N=3, algorithm="both")
+        calls = self._count_translates(monkeypatch)
+        S = diagonal_restriction(F, G, psi, 5, N=3, algorithm="both")
+        assert len(calls) == 2 * 2 * 3
+        assert S == diagonal_restriction(F, G, psi, 5, N=3)
 
 
 class TestModularityCheck:
