@@ -34,17 +34,17 @@ print("d_F = %d, p = %d, chosen square root r = %d (r^2 = d_F mod 4p)"
 
 cyc = twisted_cycle(F, G, psi, p, rc)
 print("\ntwisted cycle: %d closed geodesics (one +r and one -r per class);"
-      % len(cyc.terms))
+      % len(cyc))
 print("each is a signed primitive form, oriented from its plus root to its"
       " minus root")
-for coeff, Q in cyc.terms:
+for coeff, Q in cyc:
     print("  coeff %+d   form %s" % (coeff, tuple(Q.form)))
 
 print("\nper-translate intersection numbers, both algorithms:")
 for n in (1, 2, 3, 4):
     total = 0
     rows = []
-    for coeff, Q in cyc.terms:
+    for coeff, Q in cyc:
         for t in hecke_translate(Q, n):
             a = intersect_winding_cycle(t)
             b = intersect_winding_enum(t)

@@ -21,9 +21,7 @@ from .field import (
 from .geodesic import (
     ClosedGeodesic,
     InertPrime,
-    NonTransverse,
     RChoice,
-    TwistedCycle,
     choose_r,
     intersect_winding_cycle,
     intersect_winding_enum,
@@ -73,9 +71,7 @@ __all__ = [
     "class_of_ideal",
     "ClosedGeodesic",
     "InertPrime",
-    "NonTransverse",
     "RChoice",
-    "TwistedCycle",
     "choose_r",
     "intersect_winding_cycle",
     "intersect_winding_enum",

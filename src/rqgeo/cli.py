@@ -1,4 +1,4 @@
-"""Command-line interface: JSON/CSV reports, caching, batch verification.
+"""Command-line interface: JSON/CSV reports and batch verification.
 
 Subcommands: field, classgroup, chars, rmpoints, intersect, series,
 verify, verify-analytic; each takes only the options it reads.  Exit
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -46,7 +45,6 @@ from .series import (
 __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
-CACHE_ENV = "RQGEO_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -112,48 +110,6 @@ def emit(report, fmt, stream=None):
 
 
 # ---------------------------------------------------------------------------
-# cache
-
-
-def cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get(
-        CACHE_ENV, os.path.join(os.path.expanduser("~"), ".rqgeo"))
-
-
-def _cache_load(args, key):
-    if args.no_cache:
-        return None
-    path = os.path.join(cache_dir(args), key + ".json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            blob = json.load(fh)
-        if blob.get("version") != SCHEMA_VERSION:
-            return None
-        return blob["data"]
-    except (ValueError, KeyError, OSError) as exc:
-        # corruption is never fatal: warn and recompute
-        print("warning: ignoring corrupt cache file %s (%s)" % (path, exc),
-              file=sys.stderr)
-        return None
-
-
-def _cache_store(args, key, data):
-    if args.no_cache:
-        return
-    d = cache_dir(args)
-    try:
-        os.makedirs(d, exist_ok=True)
-        with open(os.path.join(d, key + ".json"), "w") as fh:
-            json.dump({"version": SCHEMA_VERSION, "data": _jsonable(data)}, fh)
-    except OSError as exc:
-        print("warning: cache write failed (%s)" % exc, file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
 # shared setup
 
 
@@ -177,7 +133,7 @@ def _character(G, args):
     if odd[idx].order > 2:
         raise DomainFailure(
             "characters of order %d are not supported yet: their values "
-            "are not exact (ROADMAP item 3)" % odd[idx].order)
+            "are not exact" % odd[idx].order)
     return odd[idx]
 
 
@@ -207,25 +163,16 @@ def cmd_field(args):
         pell_plus={"t": t, "u": u})
 
 
-def _classgroup_data(args, F):
-    key = "field_%d" % F.d_F
-    data = _cache_load(args, key)
-    if data is None:
-        G = narrow_class_group(F)
-        t, u = pell_plus(F.d_F)
-        data = {"h": G.h,
-                "reps": [list(G.positive_rep(i)) for i in range(G.h)],
-                "table": [[G.compose(i, j) for j in range(G.h)]
-                          for i in range(G.h)],
-                "sqrt_class": G.class_of_principal_sqrt_dF,
-                "pell_plus": {"t": t, "u": u}}
-        _cache_store(args, key, data)
-    return data
-
-
 def cmd_classgroup(args):
     F = _field(args)
-    data = _classgroup_data(args, F)
+    G = narrow_class_group(F)
+    t, u = pell_plus(F.d_F)
+    data = {"h": G.h,
+            "reps": [list(G.positive_rep(i)) for i in range(G.h)],
+            "table": [[G.compose(i, j) for j in range(G.h)]
+                      for i in range(G.h)],
+            "sqrt_class": G.class_of_principal_sqrt_dF,
+            "pell_plus": {"t": t, "u": u}}
     return _base_report(args, d_F=F.d_F, classgroup=data)
 
 
@@ -254,17 +201,12 @@ def cmd_rmpoints(args):
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
-    key = "rm_%d_%d_%d" % (F.d_F, p, rc.r)
-    data = _cache_load(args, key)
-    if data is None:
-        data = {"r": rc.r, "N0": rc.N0, "classes": []}
-        for cls in range(G.h):
-            pair = rm_point_pair(F, G, cls, p, rc)
-            data["classes"].append({
-                "class_index": cls,
-                "form_plus": list(pair.point_plus.form),
-                "form_minus": list(pair.point_minus.form)})
-        _cache_store(args, key, data)
+    data = {"r": rc.r, "N0": rc.N0, "classes": []}
+    for cls in range(G.h):
+        plus, minus = rm_point_pair(F, G, cls, p, rc)
+        data["classes"].append({"class_index": cls,
+                                "form_plus": list(plus.form),
+                                "form_minus": list(minus.form)})
     return _base_report(args, d_F=F.d_F, p=p, inert=False, rmpoints=data)
 
 
@@ -278,11 +220,10 @@ def cmd_intersect(args):
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
-    cyc = twisted_cycle(F, G, psi, p, rc)
     n = args.n
     intersect = intersection_algorithm(args.algorithm)
     translates = total = 0
-    for coeff, Q in cyc.terms:
+    for coeff, Q in twisted_cycle(F, G, psi, p, rc):
         ts = hecke_translate(Q, n)
         translates += len(ts)
         total += coeff * sum(intersect(t) for t in ts)
@@ -437,8 +378,8 @@ def cmd_verify_analytic(args):
 # driver
 
 
-# the options of each subcommand beyond --format and the cache; None
-# means no field either
+# the options of each subcommand beyond --format; None means no field
+# either
 COMMANDS = {
     "field": (cmd_field, ()),
     "classgroup": (cmd_classgroup, ()),
@@ -446,7 +387,7 @@ COMMANDS = {
     "rmpoints": (cmd_rmpoints, ("p", "r")),
     "intersect": (cmd_intersect, ("p", "r", "char-index", "n", "algorithm")),
     "series": (cmd_series, ("p", "r", "char-index", "N", "algorithm")),
-    "verify": (cmd_verify, ("p", "r", "char-index", "N")),
+    "verify": (cmd_verify, ("p", "r", "char-index", "N", "no-cache")),
     "verify-analytic": (cmd_verify_analytic, None),
 }
 
@@ -459,6 +400,8 @@ OPTIONS = {
     "N": dict(type=int, default=30, help="q-expansion truncation"),
     "n": dict(type=int, default=1, help="Hecke operator index"),
     "algorithm": dict(choices=("cycle", "enum", "both"), default="cycle"),
+    # does nothing; accepted because benchmarks/worker.py passes it
+    "no-cache": dict(action="store_true", help=argparse.SUPPRESS),
 }
 
 
@@ -487,8 +430,6 @@ def build_parser():
                 sp.add_argument("--" + opt, **OPTIONS[opt])
         sp.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-        sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument("--cache-dir", default=None)
     return ap
 
 

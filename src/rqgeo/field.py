@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Mat2, QuadIrr, squarefree_part
@@ -26,13 +25,10 @@ __all__ = [
     "odd_characters",
     "class_of_ideal",
     "ideal_to_form",
-    "multiply_ideals",
     "pell_plus",
     "automorph",
     "reduce_form",
     "form_cycle",
-    "canonical_rep",
-    "sl2_equivalence",
 ]
 
 
@@ -134,30 +130,6 @@ def form_cycle(f):
         cyc.append(h)
         h, _ = _rho(h)
     return cyc
-
-
-def canonical_rep(f):
-    """Deterministic representative of the proper equivalence class of f."""
-    return min(form_cycle(f))
-
-
-def sl2_equivalence(f, g):
-    """A matrix m with f.apply(m) == g, or None if inequivalent."""
-    if f.disc() != g.disc():
-        raise ValueError("discriminant mismatch")
-    rf, mf = reduce_form(f)
-    rg, mg = reduce_form(g)
-    cur, walk = rf, Mat2.identity()
-    for _ in range(10000):
-        if cur == rg:
-            m = mf * walk * mg.adjugate()
-            assert f.apply(m) == g
-            return m
-        cur, step = _rho(cur)
-        walk = walk * step
-        if cur == rf:
-            return None
-    raise RuntimeError("cycle walk did not close")
 
 
 @lru_cache(maxsize=None)
@@ -424,69 +396,8 @@ def ideal_to_form(d, w1, w2):
     return f
 
 
-def multiply_ideals(d, basis1, basis2):
-    """Z-module product of two ideals given by (w1, w2) bases; HNF basis out.
-
-    Returns a pair (w1, w2) generating the product module over Z.  Used as
-    the brute-force oracle for Gauss composition.
-    """
-    lam = QuadIrr(d, 1, 2, d)
-    prods = [x * y for x in basis1 for y in basis2]
-    # write each product as (p + q*lam)/den over a common denominator
-    rows = []
-    den = 1
-    for z in prods:
-        # z = (u + v sqrt(D'))/w with D' the squarefree core; convert to d
-        q = Fraction(2 * z.v * _core_scale(z, d), z.w)
-        p = Fraction(z.u, z.w) - q * Fraction(d, 2)
-        rows.append((p, q))
-        den = _lcm(den, _lcm(p.denominator, q.denominator))
-    mat = [(int(p * den), int(q * den)) for p, q in rows]
-    h = _hnf2(mat)
-    (e, f), (g, k) = h
-    w1 = (QuadIrr(e, 0, 1, d) + lam * f) / den
-    w2 = (QuadIrr(g, 0, 1, d) + lam * k) / den
-    return w1, w2
-
-
-def _core_scale(z, d):
-    # scale factor between sqrt(core) stored in z and sqrt(d)
-    if z.v == 0:
-        return 0
-    core, f = squarefree_part(d)
-    assert z.D == core
-    return Fraction(1, f)
-
-
 def _lcm(a, b):
     return a * b // math.gcd(a, b)
-
-
-def _hnf2(rows):
-    """Hermite normal form of an integer matrix with 2 columns, full rank."""
-    rows = [list(r) for r in rows if r != (0, 0)]
-    # clear the second column down to one pivot
-    while True:
-        nz = [r for r in rows if r[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[1]))
-        piv = nz[0]
-        for r in nz[1:]:
-            qt = r[1] // piv[1]
-            r[0] -= qt * piv[0]
-            r[1] -= qt * piv[1]
-    piv2 = next(r for r in rows if r[1] != 0)
-    rest = [r for r in rows if r is not piv2]
-    g = 0
-    for r in rest:
-        assert r[1] == 0
-        g = math.gcd(g, abs(r[0]))
-    assert g > 0
-    if piv2[1] < 0:
-        piv2 = [-piv2[0], -piv2[1]]
-    piv2[0] %= g
-    return (g, 0), (piv2[0], piv2[1])
 
 
 def class_of_ideal(G, spec):

@@ -1,10 +1,12 @@
-"""Oriented geodesics, RM points and winding intersection numbers.
+"""Closed geodesics, RM points and winding intersection numbers.
 
 An oriented closed geodesic on Y0(p) is a primitive indefinite form f
 taken with its sign: it runs from the plus root of f to the minus root,
 so -f is the reversed geodesic.  Its stabilizer in Gamma0(p) is the
 automorph A of f raised to the length of the orbit of infinity under A
-in P^1(F_p); everything else is derived from f on demand.
+in P^1(F_p); everything else is derived from f on demand.  Each narrow
+class has an RM point for +r and one for -r (rm_point_pair), and the
+psi-twisted cycle is the tuple of (psi(class), RM point) pairs.
 
 Two independent algorithms compute the intersection number of a closed
 geodesic on Y0(p) with the winding geodesic from 0 to infinity:
@@ -29,88 +31,27 @@ Everything is exact; there is no floating point in any sign decision.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import INF, Mat2, is_prime, mobius
-from .field import QuadForm, _divisors, automorph, reduce_form, sl2_equivalence
+from .exact import Mat2, is_prime, mobius
+from .field import QuadForm, _divisors, automorph, reduce_form
 
 __all__ = [
-    "Geodesic",
     "ClosedGeodesic",
-    "RmPointPair",
-    "TwistedCycle",
     "InertPrime",
-    "NonTransverse",
+    "RChoice",
     "choose_r",
     "rm_point",
     "rm_point_pair",
-    "straddle",
-    "intersect_winding_cycle",
-    "intersect_winding_enum",
     "twisted_cycle",
     "gamma0_automorph",
-    "gamma0_equivalent",
+    "intersect_winding_cycle",
+    "intersect_winding_enum",
 ]
 
 
 class InertPrime(Exception):
     """The rational prime is inert in F; the whole series vanishes."""
-
-
-class NonTransverse(Exception):
-    """A geodesic endpoint sits exactly on the winding geodesic."""
-
-
-class Geodesic:
-    """Oriented geodesic from alpha to beta (boundary points)."""
-
-    __slots__ = ("alpha", "beta")
-
-    def __init__(self, alpha, beta):
-        if alpha == beta:
-            raise ValueError("degenerate geodesic")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def reversed(self):
-        return Geodesic(self.beta, self.alpha)
-
-    def __repr__(self):
-        return "Geodesic(%r, %r)" % (self.alpha, self.beta)
-
-
-def _boundary_sign(x):
-    if x is INF:
-        return None
-    if isinstance(x, int):
-        s = (x > 0) - (x < 0)
-    elif isinstance(x, Fraction):
-        s = (x > 0) - (x < 0)
-    else:
-        s = x.sign()
-    if s == 0:
-        raise NonTransverse("geodesic endpoint at 0")
-    return s
-
-
-def straddle(g):
-    """Intersection of g with the winding geodesic from 0 to infinity.
-
-    +1 if beta < 0 < alpha, -1 if alpha < 0 < beta, 0 otherwise.
-    """
-    sa = _boundary_sign(g.alpha)
-    sb = _boundary_sign(g.beta)
-    if sa is None or sb is None:
-        return 0
-    if sb < 0 < sa:
-        return 1
-    if sa < 0 < sb:
-        return -1
-    return 0
 
 
 class ClosedGeodesic:
@@ -198,12 +139,6 @@ def choose_r(F, p, r=None):
     return RChoice(r, (r * r - d) // 2)
 
 
-def base_form(F, rc, sign=1):
-    """The distinguished level-p form with root (r + sqrt(d_F))/N0."""
-    r = sign * rc.r
-    return QuadForm(rc.N0 // 2, -r, 1)
-
-
 def rm_point(F, G, cls, p, rc, sign=1):
     """RM point of the given narrow class: a ClosedGeodesic whose form
     satisfies p | a and b = -r (mod 2p), with deterministic search order.
@@ -236,43 +171,18 @@ def _spiral():
     raise RuntimeError("rm point search exhausted")
 
 
-class RmPointPair(tuple):
-    def __new__(cls, class_index, r, point_plus, point_minus):
-        return tuple.__new__(cls, (class_index, r, point_plus, point_minus))
-
-    class_index = property(lambda s: s[0])
-    r = property(lambda s: s[1])
-    point_plus = property(lambda s: s[2])
-    point_minus = property(lambda s: s[3])
-
-
 def rm_point_pair(F, G, cls, p, rc):
-    return RmPointPair(cls, rc.r,
-                       rm_point(F, G, cls, p, rc, +1),
-                       rm_point(F, G, cls, p, rc, -1))
-
-
-class TwistedCycle(tuple):
-    """Formal sum of closed geodesics with character coefficients."""
-
-    def __new__(cls, terms):
-        return tuple.__new__(cls, tuple(terms))
-
-    @property
-    def terms(self):
-        return tuple(self)
+    """The RM points (plus, minus) of the class for +r and -r."""
+    return rm_point(F, G, cls, p, rc, +1), rm_point(F, G, cls, p, rc, -1)
 
 
 def twisted_cycle(F, G, psi, p, rc):
+    """The psi-twisted cycle: (psi(cls), Q) for the +r and the -r RM point
+    Q of each narrow class."""
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
-    terms = []
-    for cls in range(G.h):
-        pair = rm_point_pair(F, G, cls, p, rc)
-        coeff = psi(cls)
-        terms.append((coeff, pair.point_plus))
-        terms.append((coeff, pair.point_minus))
-    return TwistedCycle(terms)
+    return tuple((psi(cls), Q) for cls in range(G.h)
+                 for Q in rm_point_pair(F, G, cls, p, rc))
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +235,6 @@ def gamma0_automorph(form, p):
     return A ** sum(_cusp_orbit(A, p))
 
 
-def gamma0_equivalent(f, g, p):
-    """Whether f and g are properly equivalent under Gamma0(p)."""
-    if f.disc() != g.disc():
-        return False
-    m = sl2_equivalence(f, g)
-    if m is None:
-        return False
-    hit = _cusp_orbit(automorph(f), p)
-    return bool(hit[_p1_key(m.a, m.c, p, _inverses(p))])
-
-
 def intersect_winding_cycle(Q):
     """Winding intersection number by one walk along the river: the sum
     of sgn(a) over the forms [a, b, c] with a*c < 0 in the Gamma0(p)-class
@@ -382,8 +281,17 @@ def intersect_winding_cycle(Q):
 # edge it reaches is gamma E0 or gamma^-1 E0, whichever lies ahead.
 
 
+def _straddle(alpha, beta):
+    """Intersection of the geodesic from alpha to beta, two irrational
+    boundary points, with the winding geodesic from 0 to infinity: +1 if
+    beta < 0 < alpha, -1 if alpha < 0 < beta, 0 otherwise."""
+    sa, sb = alpha.sign(), beta.sign()
+    assert sa and sb, "geodesic endpoint at 0"
+    return (sa - sb) // 2
+
+
 def _edge_sign(edge, w, wsig, p):
-    """straddle of the pull-back of the geodesic from w to wsig through
+    """_straddle of the pull-back of the geodesic from w to wsig through
     the edge's coset rep, or 0 when the edge is not a Gamma0(p) translate
     of the imaginary axis."""
     (un, ud), (vn, vd) = edge
@@ -398,7 +306,7 @@ def _edge_sign(edge, w, wsig, p):
     delta = Mat2(un, vn, ud, vd)
     assert delta.det == 1 and delta.c % p == 0
     inv = delta.adjugate()
-    return straddle(Geodesic(mobius(inv, w), mobius(inv, wsig)))
+    return _straddle(mobius(inv, w), mobius(inv, wsig))
 
 
 def _norm_pt(t):

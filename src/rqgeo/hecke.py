@@ -126,23 +126,6 @@ def double_cosets(Q, n):
     return tuple(out)
 
 
-def _dual_stabilizer(Q, delta, n):
-    """Stabilizer of the translated geodesic computed the slow way: the
-    minimal power of Q.gamma whose delta-conjugate is integral and lies
-    in Gamma0(p).  A test oracle for the automorph-based generator."""
-    gamma = Q.gamma
-    adj = delta.adjugate()
-    M = gamma
-    for _ in range(10 ** 6):
-        B = adj * M * delta
-        if not any(e % n for e in B.entries()):
-            cand = Mat2(B.a // n, B.b // n, B.c // n, B.d // n)
-            if cand.c % Q.p == 0:
-                return cand
-        M = M * gamma
-    raise RuntimeError("conjugated stabilizer not found")
-
-
 def hecke_translate(Q, n):
     """The closed geodesics delta^{-1} Q over double coset reps delta.
 
@@ -162,10 +145,11 @@ def hecke_translate(Q, n):
 
 
 def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle):
-    """<T_n cycle, winding geodesic>: character-weighted sum of winding
-    intersection numbers over all Hecke translates."""
+    """<T_n cycle, winding geodesic> for a cycle given as (coeff, Q)
+    pairs: the coeff-weighted sum of winding intersection numbers over
+    the Hecke translates of each closed geodesic Q."""
     total = 0
-    for coeff, Q in cycle.terms:
+    for coeff, Q in cycle:
         s = 0
         for t in hecke_translate(Q, n):
             s += algorithm(t)

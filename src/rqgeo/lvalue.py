@@ -9,7 +9,6 @@ independent oracle via finite generalized-Bernoulli sums.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exact import squarefree_part
@@ -25,7 +24,6 @@ __all__ = [
     "dirichlet_L0",
     "euler_factor",
     "constant_term",
-    "zeta_F_0_numeric",
     "kronecker",
 ]
 
@@ -194,16 +192,3 @@ def constant_term(F, G, psi, p, r):
         assert raw == oracle, (raw, oracle)
     e = euler_factor(F, G, psi, p, r)
     return LValue(e * raw, e, raw)
-
-
-def zeta_F_0_numeric(d):
-    """Numeric oracle for zeta_F(0) through the factorization
-    zeta_F = zeta * L(chi_d): Hurwitz-zeta evaluation at s = 0."""
-    import mpmath
-
-    L = mpmath.mpf(0)
-    for a in range(1, d):
-        ch = kronecker(d, a)
-        if ch:
-            L += ch * mpmath.zeta(0, mpmath.mpf(a) / d)
-    return float(mpmath.zeta(0) * L)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesic import InertPrime, TwistedCycle, choose_r, rm_point_pair
+from .geodesic import InertPrime, choose_r, rm_point_pair
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
 from .hecke import pair_with_twisted_cycle, sigma1
 
@@ -122,12 +122,10 @@ def pairing_table(F, G, p, r, N, algorithm):
     rc = choose_r(F, p, r)
     table = []
     for cls in range(G.h):
-        pair = rm_point_pair(F, G, cls, p, rc)
         table.append(tuple(
-            tuple(pair_with_twisted_cycle(TwistedCycle([(1, Q)]), n,
-                                          algorithm=intersect)
+            tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect)
                   for n in range(1, N + 1))
-            for Q in (pair.point_plus, pair.point_minus)))
+            for Q in rm_point_pair(F, G, cls, p, rc)))
     return tuple(table)
 
 

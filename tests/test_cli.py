@@ -1,9 +1,6 @@
 import contextlib
 import io
 import json
-import os
-
-import pytest
 
 import rqgeo.cli
 import rqgeo.hecke
@@ -32,7 +29,7 @@ def _strip_ts(text):
 class TestSeries:
     def test_d12_p13(self):
         code, rep, _ = invoke_json("series", "--D", "3", "--p", "13",
-                                   "--N", "10", "--no-cache")
+                                   "--N", "10")
         assert code == EXIT_OK
         assert rep["d_F"] == 12 and rep["p"] == 13 and rep["kappa"] == 2
         assert rep["constant"] == {"num": 0, "den": 1}
@@ -41,7 +38,7 @@ class TestSeries:
 
     def test_d24_p5_values(self):
         code, rep, _ = invoke_json("series", "--D", "6", "--p", "5",
-                                   "--N", "6", "--no-cache")
+                                   "--N", "6")
         assert code == EXIT_OK
         assert rep["constant"] == {"num": 4, "den": 3}
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56,
@@ -50,13 +47,13 @@ class TestSeries:
 
     def test_inert_structured_zero(self):
         code, rep, _ = invoke_json("series", "--D", "3", "--p", "5",
-                                   "--N", "5", "--no-cache")
+                                   "--N", "5")
         assert code == EXIT_OK
         assert rep["inert"] is True
         assert all(v == 0 for v in rep["coeffs"].values())
 
     def test_determinism(self):
-        args = ("series", "--D", "7", "--p", "3", "--N", "8", "--no-cache")
+        args = ("series", "--D", "7", "--p", "3", "--N", "8")
         _, a, _ = invoke(*args)
         _, b, _ = invoke(*args)
         assert _strip_ts(a) == _strip_ts(b)
@@ -97,9 +94,8 @@ class TestVerify:
         F = build_field(6)
         G = narrow_class_group(F)
         rc = choose_r(F, 5)
-        pairs = [rm_point_pair(F, G, cls, 5, rc) for cls in range(G.h)]
-        points = [Q for pair in pairs
-                  for Q in (pair.point_plus, pair.point_minus)]
+        points = [Q for cls in range(G.h)
+                  for Q in rm_point_pair(F, G, cls, 5, rc)]
         assert len(points) == 2 * G.h
         assert calls["translate"] == 2 * len(points) * N
         assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
@@ -118,33 +114,31 @@ class TestVerify:
 
 class TestInfoCommands:
     def test_field(self):
-        code, rep, _ = invoke_json("field", "--D", "3", "--no-cache")
+        code, rep, _ = invoke_json("field", "--D", "3")
         assert code == EXIT_OK
         assert rep["d_F"] == 12 and rep["pell_plus"] == {"t": 4, "u": 1}
 
     def test_classgroup(self):
-        code, rep, _ = invoke_json("classgroup", "--D", "6", "--no-cache")
+        code, rep, _ = invoke_json("classgroup", "--D", "6")
         assert code == EXIT_OK
         assert rep["classgroup"]["h"] == 2
         assert rep["classgroup"]["table"] == [[0, 1], [1, 0]]
 
     def test_chars_d5_no_admissible(self):
-        code, rep, _ = invoke_json("chars", "--D", "5", "--no-cache")
+        code, rep, _ = invoke_json("chars", "--D", "5")
         assert code == EXIT_OK
         assert rep["odd_count"] == 0
         assert rep["message"] == "no admissible character"
 
     def test_rmpoints(self):
-        code, rep, _ = invoke_json("rmpoints", "--D", "6", "--p", "5",
-                                   "--no-cache")
+        code, rep, _ = invoke_json("rmpoints", "--D", "6", "--p", "5")
         assert code == EXIT_OK
         assert rep["rmpoints"]["r"] == 8
         assert len(rep["rmpoints"]["classes"]) == 2
 
     def test_intersect(self):
         code, rep, _ = invoke_json("intersect", "--D", "6", "--p", "5",
-                                   "--n", "2", "--algorithm", "both",
-                                   "--no-cache")
+                                   "--n", "2", "--algorithm", "both")
         assert code == EXIT_OK
         # a_2 = -2 * pairing = 24 = 8 * sigma1(2)
         assert rep["pairing"] == -12
@@ -154,60 +148,46 @@ class TestInfoCommands:
 class TestFormats:
     def test_csv(self):
         code, out, _ = invoke("series", "--D", "6", "--p", "5", "--N", "3",
-                              "--format", "csv", "--no-cache")
+                              "--format", "csv")
         assert code == EXIT_OK
         assert out.splitlines()[0] == "key,value"
         assert any(l.startswith("coeffs.2,24") for l in out.splitlines())
 
     def test_text(self):
-        code, out, _ = invoke("field", "--D", "3", "--format", "text",
-                              "--no-cache")
+        code, out, _ = invoke("field", "--D", "3", "--format", "text")
         assert code == EXIT_OK
         assert "d_F" in out
 
 
-class TestCache:
-    def test_transparent_and_corruption_safe(self, tmp_path):
-        base = ("rmpoints", "--D", "6", "--p", "5",
-                "--cache-dir", str(tmp_path))
-        _, fresh, _ = invoke(*base)
-        files = os.listdir(tmp_path)
-        assert files == ["rm_24_5_8.json"]
-        _, cached, _ = invoke(*base)
-        _, uncached, _ = invoke(*base, "--no-cache")
-        assert _strip_ts(fresh) == _strip_ts(cached) == _strip_ts(uncached)
-        (tmp_path / files[0]).write_text("{broken")
-        code, again, err = invoke(*base)
-        assert code == EXIT_OK
-        assert "corrupt" in err
-        assert _strip_ts(again) == _strip_ts(fresh)
-
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RQGEO_CACHE_DIR", str(tmp_path))
-        code, _, _ = invoke("classgroup", "--D", "6")
-        assert code == EXIT_OK
-        assert os.listdir(tmp_path) == ["field_24.json"]
+class TestNoDiskWrites:
+    def test_info_commands_write_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("RQGEO_CACHE_DIR", raising=False)
+        for argv in (("classgroup", "--D", "6"),
+                     ("rmpoints", "--D", "6", "--p", "5")):
+            code, _, _ = invoke(*argv)
+            assert code == EXIT_OK
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
     def test_bad_D(self):
-        code, _, err = invoke("series", "--D", "4", "--p", "5", "--no-cache")
+        code, _, err = invoke("series", "--D", "4", "--p", "5")
         assert code == EXIT_DOMAIN and "squarefree" in err
 
     def test_ramified_p(self):
-        code, _, err = invoke("series", "--D", "3", "--p", "3", "--no-cache")
+        code, _, err = invoke("series", "--D", "3", "--p", "3")
         assert code == EXIT_DOMAIN and "ramifies" in err
 
     def test_bad_r_override(self):
-        code, _, err = invoke("series", "--D", "3", "--p", "13", "--r", "7",
-                              "--no-cache")
+        code, _, err = invoke("series", "--D", "3", "--p", "13", "--r", "7")
         assert code == EXIT_DOMAIN
 
     def test_ramified_p_with_r_override(self):
         # 6^2 = d_F = 24 mod 12, but p = 3 ramifies in Q(sqrt(6))
         for cmd in ("series", "verify"):
             code, out, err = invoke(cmd, "--D", "6", "--p", "3", "--r", "6",
-                                    "--N", "4", "--no-cache")
+                                    "--N", "4")
             assert code == EXIT_DOMAIN and "ramifies" in err
             assert out == ""
 
@@ -217,25 +197,26 @@ class TestExitCodes:
         for p in ("9", "25"):
             for cmd in ("series", "verify"):
                 code, out, err = invoke(cmd, "--D", "7", "--p", p,
-                                        "--N", "4", "--no-cache")
+                                        "--N", "4")
                 assert code == EXIT_DOMAIN and "odd prime" in err
                 assert out == ""
 
     def test_no_admissible_character(self):
-        code, _, err = invoke("series", "--D", "5", "--p", "11", "--no-cache")
+        code, _, err = invoke("series", "--D", "5", "--p", "11")
         assert code == EXIT_DOMAIN and "no admissible character" in err
 
     def test_char_index_out_of_range(self):
         code, _, err = invoke("series", "--D", "6", "--p", "5",
-                              "--char-index", "5", "--no-cache")
+                              "--char-index", "5")
         assert code == EXIT_DOMAIN
 
     def test_order_4_character(self):
         # exact values for characters of order > 2 are not implemented
         for cmd in ("series", "verify"):
-            code, out, err = invoke(cmd, "--D", "34", "--p", "3", "--N", "4",
-                                    "--no-cache")
-            assert code == EXIT_DOMAIN and "ROADMAP item 3" in err
+            code, out, err = invoke(cmd, "--D", "34", "--p", "3", "--N", "4")
+            assert code == EXIT_DOMAIN
+            assert "characters of order 4 are not supported yet" in err
+            assert "values are not exact" in err
             assert out == ""
 
     def test_algorithm_mismatch(self, monkeypatch):
@@ -244,7 +225,7 @@ class TestExitCodes:
                             lambda t: enum(t) + 1)
         for argv in (("series", "--N", "2"), ("intersect", "--n", "2")):
             code, out, err = invoke(*argv, "--D", "6", "--p", "5",
-                                    "--algorithm", "both", "--no-cache")
+                                    "--algorithm", "both")
             assert code == EXIT_MISMATCH and "mismatch: translate" in err
             assert out == ""
 
@@ -254,7 +235,7 @@ class TestExitCodes:
                 raise exc
             monkeypatch.setattr(rqgeo.cli, "diagonal_restriction", broken)
             code, out, err = invoke("series", "--D", "6", "--p", "5",
-                                    "--N", "2", "--no-cache")
+                                    "--N", "2")
             assert code == EXIT_INTERNAL and "internal error" in err
             assert out == ""
 
@@ -296,8 +277,7 @@ class TestExitCodes:
             pair = rm_point_pair(F, G, cls, p, rc)
             if rc.r == default_r:
                 return pair
-            return type(pair)(cls, rc.r, pair.point_plus.reversed(),
-                              pair.point_minus.reversed())
+            return tuple(Q.reversed() for Q in pair)
         monkeypatch.setattr(rqgeo.series, "rm_point_pair", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["r_plus_2p"]
@@ -310,6 +290,8 @@ class TestExitCodes:
                       "--algorithm", "enum"),
                      ("verify", "--D", "6", "--p", "5", "--algorithm", "both"),
                      ("series", "--D", "6", "--p", "5", "--n", "2"),
+                     ("series", "--D", "6", "--p", "5", "--no-cache"),
+                     ("classgroup", "--D", "6", "--cache-dir", "X"),
                      ()):
             code, out, err = invoke(*argv)
             assert code == EXIT_DOMAIN, argv

@@ -10,18 +10,16 @@ from rqgeo.field import (
     all_characters,
     automorph,
     build_field,
-    canonical_rep,
     class_of_ideal,
     form_cycle,
     gauss_compose,
     ideal_to_form,
-    multiply_ideals,
     narrow_class_group,
     odd_characters,
     pell_plus,
     reduce_form,
-    sl2_equivalence,
 )
+from rqgeo.oracles import canonical_rep, multiply_ideals, sl2_equivalence
 
 
 class TestBuildField:

@@ -7,27 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqgeo.exact import INF, Mat2, QuadIrr
+from rqgeo.exact import Mat2, QuadIrr
 from rqgeo.field import QuadForm, automorph, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
     _norm_pt,
+    _straddle,
     ClosedGeodesic,
-    Geodesic,
     InertPrime,
-    NonTransverse,
     RChoice,
-    base_form,
     choose_r,
     gamma0_automorph,
-    gamma0_equivalent,
     intersect_winding_cycle,
     intersect_winding_enum,
     rm_point,
     rm_point_pair,
-    straddle,
     twisted_cycle,
 )
 from rqgeo.hecke import hecke_translate
+from rqgeo.oracles import gamma0_equivalent
 
 CONFIGS = ((3, 11), (3, 13), (6, 5), (7, 3))
 
@@ -112,37 +109,34 @@ class TestChooseR:
                 choose_r(build_field(7), p)
 
 
+SQRT2 = QuadIrr(0, 1, 1, 2)
+
+
 class TestStraddle:
     def test_table(self):
-        assert straddle(Geodesic(Fraction(2), Fraction(-1))) == 1
-        assert straddle(Geodesic(Fraction(-1), Fraction(2))) == -1
-        assert straddle(Geodesic(Fraction(1), Fraction(2))) == 0
-        assert straddle(Geodesic(Fraction(-3), Fraction(-1, 2))) == 0
-
-    def test_infinity_endpoint(self):
-        assert straddle(Geodesic(INF, Fraction(5))) == 0
-        assert straddle(Geodesic(QuadIrr(0, 1, 1, 2), INF)) == 0
+        one_plus, one_minus = QuadIrr(1, 1, 1, 2), QuadIrr(1, -1, 1, 2)
+        assert _straddle(SQRT2, -SQRT2) == 1
+        assert _straddle(-SQRT2, SQRT2) == -1
+        assert _straddle(SQRT2, one_plus) == 0
+        assert _straddle(-one_plus, one_minus) == 0
 
     def test_endpoint_on_axis(self):
-        with pytest.raises(NonTransverse):
-            straddle(Geodesic(Fraction(0), Fraction(3)))
+        with pytest.raises(AssertionError, match="endpoint at 0"):
+            _straddle(QuadIrr(0, 0, 1, 2), SQRT2)
 
     def test_irrational_endpoints(self):
-        a = QuadIrr(0, 1, 1, 2)       # sqrt(2)
-        b = QuadIrr(0, -1, 1, 2)
-        assert straddle(Geodesic(a, b)) == 1
-        assert straddle(Geodesic(b, a)) == -1
+        assert _straddle(SQRT2, -SQRT2) == 1
+        assert _straddle(-SQRT2, SQRT2) == -1
+        # reversing the geodesic negates the intersection
+        rng = random.Random(5)
+        for _ in range(50):
+            a, b = (QuadIrr(rng.randrange(-9, 10), rng.choice((-1, 1)),
+                            rng.randrange(1, 5), rng.choice((2, 3, 5, 6)))
+                    for _ in range(2))
+            assert _straddle(a, b) == -_straddle(b, a)
 
 
 class TestRmPoint:
-    def test_base_form_divisibility(self):
-        for D, p in CONFIGS:
-            F, G, psi, rc = _setup(D, p)
-            f = base_form(F, rc)
-            assert f.disc() == F.d_F
-            assert f.a % p == 0
-            assert f.b == -rc.r
-
     def test_rm_point_constraints(self):
         for D, p in CONFIGS:
             F, G, psi, rc = _setup(D, p)
@@ -170,9 +164,9 @@ class TestRmPoint:
 
     def test_pair_signs(self):
         F, G, psi, rc = _setup(6, 5)
-        pair = rm_point_pair(F, G, 0, 5, rc)
-        assert (pair.point_plus.form.b + rc.r) % (2 * 5) == 0
-        assert (pair.point_minus.form.b - rc.r) % (2 * 5) == 0
+        plus, minus = rm_point_pair(F, G, 0, 5, rc)
+        assert (plus.form.b + rc.r) % (2 * 5) == 0
+        assert (minus.form.b - rc.r) % (2 * 5) == 0
 
 
 class TestClosedGeodesic:
@@ -240,15 +234,15 @@ class TestIntersection:
         for D, p in CONFIGS:
             F, G, psi, rc = _setup(D, p)
             T = twisted_cycle(F, G, psi, p, rc)
-            for _, Q in T.terms:
+            for _, Q in T:
                 assert intersect_winding_cycle(Q) == intersect_winding_enum(Q)
 
     def test_known_values(self):
         # per-geodesic intersection numbers at the base level
         F, G, psi, rc = _setup(6, 5)
         T = twisted_cycle(F, G, psi, 5, rc)
-        vals = [intersect_winding_cycle(Q) for _, Q in T.terms]
-        coeffs = [c for c, _ in T.terms]
+        vals = [intersect_winding_cycle(Q) for _, Q in T]
+        coeffs = [c for c, _ in T]
         assert sum(c * v for c, v in zip(coeffs, vals)) == -4
 
     def test_orientation_flip_negates(self):
@@ -279,7 +273,7 @@ class TestIntersection:
 @lru_cache(maxsize=None)
 def _cycle_terms(D, p):
     F, G, psi, rc = _setup(D, p)
-    return twisted_cycle(F, G, psi, p, rc).terms
+    return twisted_cycle(F, G, psi, p, rc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -302,8 +296,8 @@ class TestTwistedCycle:
     def test_structure_d12(self):
         F, G, psi, rc = _setup(3, 13)
         T = twisted_cycle(F, G, psi, 13, rc)
-        assert len(T.terms) == 2 * G.h == 4
-        assert sorted(c for c, _ in T.terms) == [-1, -1, 1, 1]
+        assert len(T) == 2 * G.h == 4
+        assert sorted(c for c, _ in T) == [-1, -1, 1, 1]
 
     def test_rejects_even_character(self):
         F = build_field(3)

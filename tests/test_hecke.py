@@ -14,7 +14,6 @@ from rqgeo.geodesic import (
 )
 from rqgeo.hecke import (
     _coset_label,
-    _dual_stabilizer,
     _sl2_mod_gamma0,
     double_cosets,
     hecke_translate,
@@ -22,6 +21,7 @@ from rqgeo.hecke import (
     right_cosets,
     sigma1,
 )
+from rqgeo.oracles import _dual_stabilizer
 
 
 def _in_delta0(m, p):
@@ -252,7 +252,7 @@ class TestPairing:
         for n in (2, 4, 5):
             ref = pair_with_twisted_cycle(T, n)
             total = 0
-            for coeff, Q in T.terms:
+            for coeff, Q in T:
                 s = 0
                 for delta in double_cosets(Q, n):
                     g = Mat2(1, rng.randrange(-2, 3), 0, 1) * Mat2(1, 0, 3 * rng.randrange(-2, 3), 1)

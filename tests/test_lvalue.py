@@ -15,8 +15,8 @@ from rqgeo.lvalue import (
     kronecker,
     minus_cf_cycle,
     partial_zeta_values,
-    zeta_F_0_numeric,
 )
+from rqgeo.oracles import zeta_F_0_numeric
 
 FIELDS = (3, 6, 7)
 
