@@ -1,8 +1,9 @@
 """The full diagonal-restriction q-expansion for four field/prime pairs.
 
 Everything here is exact rational arithmetic. The constant term comes
-from partial zeta values (Zagier's continued-fraction formula, double
-checked by a genus-theory oracle); the higher coefficients come from
+from partial zeta values (sums of reduction steps over the reduced
+cycle of each class, double checked by a genus-theory oracle); the
+higher coefficients come from
 geodesic intersection numbers. Modularity then pins the whole series:
 for genus-zero p a single proportionality, for p = 11 a two-dimensional
 space containing the eta product.

@@ -288,8 +288,8 @@ def cmd_verify(args):
            mod.message or ("mode=%s" % mod.mode))
 
     # the RM points of r + 2p are other forms: a second table
-    rc = choose_r(F, p)
-    shifted = diagonal_restriction(F, G, psi, p, N=args.N, r=rc.r + 2 * p)
+    shifted = diagonal_restriction(F, G, psi, p, N=args.N,
+                                   r=S.metadata["r"] + 2 * p)
     record("r_plus_2p", shifted == S)
     # each class has an RM point of +r and one of -r; the halving in
     # series._coefficient assumes that the two halves pair equally.  The
@@ -441,10 +441,7 @@ def run(argv=None):
     fn = COMMANDS[args.command][0]
     try:
         report = fn(args)
-    except DomainFailure as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except (DomainFailure, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
     except VerificationFailure as exc:

@@ -2,8 +2,11 @@
 
 The class group backend is forms-only: narrow ideal classes are
 represented by proper equivalence classes of primitive integral binary
-quadratic forms of discriminant d_F.  Ideals enter as Z-bases and are
-converted to forms through a fixed orientation convention.
+quadratic forms of discriminant d_F, each the rho cycle of its reduced
+forms.  The group table composes forms by the united-form formula
+(``gauss_compose``); the characters are built by extending from one
+subgroup to the next (``all_characters``).  Ideals enter as Z-bases and
+are converted to forms through a fixed orientation convention.
 """
 
 from __future__ import annotations
@@ -232,48 +235,26 @@ def _divisors(n):
 
 
 def gauss_compose(f1, f2):
-    """Dirichlet composition of primitive forms of equal discriminant.
+    """Dirichlet composition of primitive forms of equal discriminant D.
 
-    f2 is first moved within its class so its leading coefficient is
-    coprime to that of f1; the concordant middle coefficient then comes
-    from CRT.
+    The united-form formula (Shanks; Cohen, GTM 138, 5.4.7): with
+    e = gcd(a1, a2, (b1 + b2)/2) = x a1 + y a2 + z (b1 + b2)/2 the product
+    is [A, B, (B^2 - D)/(4A)] with A = a1 a2 / e^2 and
+    B = (x a1 b2 + y a2 b1 + z (b1 b2 + D)/2) / e.
     """
     D = f1.disc()
     assert D == f2.disc()
     a1, b1, _ = f1
-    f2 = _coprime_rep(f2, a1)
     a2, b2, _ = f2
-    assert math.gcd(a1, a2) == 1
-    # B = b1 mod 2a1, B = b2 mod 2a2 (b1, b2 share the parity of D)
-    m2 = abs(a2)
-    t = 0 if m2 == 1 else ((b2 - b1) // 2) * pow(a1, -1, m2) % m2
-    B = b1 + 2 * a1 * t
-    A = a1 * a2
+    g, x, y = _xgcd(a1, a2)
+    e, u, z = _xgcd(g, (b1 + b2) // 2)
+    num = u * (x * a1 * b2 + y * a2 * b1) + z * ((b1 * b2 + D) // 2)
+    assert num % e == 0
+    A, B = a1 * a2 // (e * e), num // e
     assert (B * B - D) % (4 * A) == 0
     out = QuadForm(A, B, (B * B - D) // (4 * A))
     assert out.content() == 1
     return out
-
-
-def _coprime_rep(f, n):
-    """An equivalent form whose leading coefficient is coprime to n."""
-    n = abs(n)
-    if n <= 1 or math.gcd(f.a, n) == 1:
-        return f
-    for y in range(50):
-        for x in range(1, 50):
-            for sx in ((x,) if y == 0 else (x, -x)):
-                if math.gcd(sx, y) == 1 and math.gcd(f.value(sx, y), n) == 1:
-                    u, v = _unimodular_complete(sx, y)
-                    return f.apply(Mat2(sx, u, y, v))
-    raise ArithmeticError("no coprime representative found")
-
-
-def _unimodular_complete(x, y):
-    """(u, v) with x*v - u*y = 1."""
-    g, s, t = _xgcd(x, y)
-    assert g == 1
-    return -t, s
 
 
 def _xgcd(a, b):
@@ -361,11 +342,11 @@ def narrow_class_group(F):
 
 
 def _sqrt_class(F, G):
+    # (sqrt(d)) has Z-basis [d, (d + sqrt(d))/2] for odd d; for even d,
+    # (sqrt(d)/2) = [d/4, sqrt(d)/2] is in its class, since 2 >> 0
     d = F.d_F
-    # the ideal (sqrt(d_F)) = sqrt(d) * O with O = Z[(d + sqrt(d))/2]
-    w1 = QuadIrr(0, 1, 1, d)
-    w2 = w1 * F.lam
-    return G.classify(ideal_to_form(d, w1, w2))
+    f = QuadForm(d, -d, (d - 1) // 4) if d % 2 else QuadForm(d // 4, 0, -1)
+    return G.classify(f)
 
 
 def ideal_to_form(d, w1, w2):
@@ -394,10 +375,6 @@ def ideal_to_form(d, w1, w2):
     f = QuadForm(int(a), int(b), int(c))
     assert f.disc() == d, (f.disc(), d)
     return f
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 def class_of_ideal(G, spec):
@@ -473,77 +450,47 @@ class ClassCharacter:
         return "ClassCharacter(order=%d, exponents=%r)" % (self.order, self.exponents)
 
 
-def _element_generators(G):
-    """Greedy generating set plus exponent vectors for every element."""
-    h = G.h
-    e = G.identity_index()
-    gens = []
-    span = {e: ()}
-    for x in range(h):
-        if x in span:
-            continue
-        gens.append(x)
-        newspan = {}
-        for y, vec in span.items():
-            cur, k = y, 0
-            while True:
-                key = vec + (k,)
-                if cur not in newspan:
-                    newspan[cur] = key
-                cur = G.compose(cur, x)
-                k += 1
-                if cur == y:
-                    break
-        span = newspan
-        if len(span) == h:
-            break
-    # pad exponent vectors to full generator count
-    ng = len(gens)
-    span = {x: vec + (0,) * (ng - len(vec)) for x, vec in span.items()}
-    return gens, span
+def _first_power_in(G, x, H):
+    """(t, x^t) for the least t >= 1 with x^t in the set of classes H."""
+    t, y = 1, x
+    while y not in H:
+        y, t = G.compose(y, x), t + 1
+    return t, y
 
 
 def all_characters(G):
-    h = G.h
-    gens, span = _element_generators(G)
-    ng = len(gens)
+    """All h characters, as exponent vectors over the group exponent m.
+
+    Built one subgroup at a time: when x has order t modulo H, each
+    character chi of H extends to <H, x> in t ways,
+    chi(x) = chi(x^t)/t + k m/t for 0 <= k < t.  Sorted by exponents.
+    """
+    e = G.identity_index()
     m = 1
-    orders = []
-    for x in range(h):
-        o, cur = 1, x
-        e = G.identity_index()
-        while cur != e:
-            cur = G.compose(cur, x)
-            o += 1
-        orders.append(o)
-    for o in orders:
-        m = _lcm(m, o)
-    # relations: exponent vectors must map consistently
-    relations = []
-    for x in range(h):
-        for gi, g in enumerate(gens):
-            y = G.compose(x, g)
-            vec = list(span[x])
-            vec[gi] += 1
-            rel = tuple(a - b for a, b in zip(vec, span[y]))
-            relations.append(rel)
-    chars = set()
-    for t in _tuples(ng, m):
-        if all(sum(a * b for a, b in zip(t, rel)) % m == 0 for rel in relations):
-            exps = tuple(sum(a * b for a, b in zip(t, span[x])) % m
-                         for x in range(h))
-            chars.add(exps)
-    assert len(chars) == h, "character count mismatch"
-    return [ClassCharacter(G, exps, m) for exps in sorted(chars)]
-
-
-def _tuples(n, m):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(n - 1, m):
-        for v in range(m):
-            yield rest + (v,)
+    for x in range(G.h):
+        m = math.lcm(m, _first_power_in(G, x, {e})[0])
+    # the characters of H = {e}, each a map class -> exponent mod m whose
+    # keys are the classes of H
+    chars = [{e: 0}]
+    for x in range(G.h):
+        if x in chars[0]:
+            continue
+        t, xt = _first_power_in(G, x, chars[0])
+        grown = []
+        for chi in chars:
+            assert chi[xt] % t == 0
+            for k in range(t):
+                ex = chi[xt] // t + k * m // t
+                ext = {}
+                for y, ey in chi.items():
+                    for _ in range(t):      # y x^j gets chi(y) + j ex
+                        ext[y] = ey
+                        y, ey = G.compose(y, x), (ey + ex) % m
+                grown.append(ext)
+        chars = grown
+    assert len(chars) == G.h, "character count mismatch"
+    exps = sorted(tuple(chi[i] for i in range(G.h)) for chi in chars)
+    return [ClassCharacter(G, ex, m) for ex in exps]
 
 
 def odd_characters(G):

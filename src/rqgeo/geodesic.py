@@ -158,7 +158,6 @@ def rm_point(F, G, cls, p, rc, sign=1):
                 f = QuadForm(a, b, m // a)
                 if f.content() == 1 and G.classify(f) == cls:
                     return ClosedGeodesic(f, p)
-    raise RuntimeError("unreachable")
 
 
 def _spiral():

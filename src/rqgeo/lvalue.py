@@ -1,10 +1,13 @@
 """The constant term L^(p)(psi, 0), computed by two independent routes.
 
-The main route evaluates partial zeta functions at s = 0 through the
-minus continued fraction cycle of each narrow class (an exact rational)
-and sums them against the character.  For genus characters the value
-factors as a product of two Dirichlet L-values at 0, which serves as an
-independent oracle via finite generalized-Bernoulli sums.
+The main route sums the exact partial zeta values at s = 0 against the
+character: zeta(A, 0) = (1/12) * sum(delta) over the reduced cycle of
+the class A, each reduction step being f.apply((0, -1; 1, delta)).  For
+genus characters the value factors as a product of two Dirichlet
+L-values at 0, which serves as an independent oracle via finite
+generalized-Bernoulli sums.  The tests also check the partial zeta
+values against Zagier's minus continued fraction cycles
+(``rqgeo.oracles.minus_cf_cycle``).
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import squarefree_part
-from .field import class_of_ideal
+from .field import _rho, class_of_ideal, form_cycle
 
 __all__ = [
     "LValue",
     "NotApplicable",
-    "minus_cf_cycle",
     "partial_zeta_values",
     "L_value_zagier",
     "L_value_genus_oracle",
@@ -50,38 +52,14 @@ class LValue:
             self.value, self.euler_factor_p, self.raw_L)
 
 
-def _ceil(w):
-    return -((-w).floor())
-
-
-def minus_cf_cycle(w):
-    """Digits of the purely periodic minus continued fraction cycle
-    entered by the quadratic irrational w (b_k >= 2 on the cycle)."""
-    seen = {}
-    digits = []
-    for _ in range(10 ** 6):
-        if w in seen:
-            return tuple(digits[seen[w]:])
-        seen[w] = len(digits)
-        b = _ceil(w)
-        digits.append(b)
-        w = (b - w).inverse()
-    raise RuntimeError("minus continued fraction did not become periodic")
-
-
 def partial_zeta_values(F, G):
     """zeta(A_i, 0) for each narrow class, as exact rationals.
 
-    Zagier's formula: the value is (1/12) * sum(b_k - 3) over the minus
-    continued fraction cycle attached to the class; the cycle is reached
-    from the larger root of any representative form with a > 0.
+    The value is (1/12) * sum(delta) over the reduced cycle of the class,
+    where each reduction step is f.apply((0, -1; 1, delta)).
     """
-    out = []
-    for i in range(G.h):
-        f = G.positive_rep(i)
-        cyc = minus_cf_cycle(f.plus_root())
-        out.append(Fraction(sum(cyc) - 3 * len(cyc), 12))
-    return tuple(out)
+    return tuple(Fraction(sum(_rho(f)[1].d for f in form_cycle(rep)), 12)
+                 for rep in G.class_reps)
 
 
 def L_value_zagier(F, G, psi):

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .exact import Mat2, QuadIrr, squarefree_part
-from .field import _lcm, _rho, automorph, form_cycle, reduce_form
+from .field import _rho, automorph, form_cycle, reduce_form
 from .geodesic import _cusp_orbit, _inverses, _p1_key
 from .lvalue import kronecker
 
@@ -20,6 +20,7 @@ __all__ = [
     "canonical_rep",
     "sl2_equivalence",
     "multiply_ideals",
+    "minus_cf_cycle",
     "gamma0_equivalent",
     "zeta_F_0_numeric",
 ]
@@ -65,7 +66,7 @@ def multiply_ideals(d, basis1, basis2):
         q = Fraction(2 * z.v * _core_scale(z, d), z.w)
         p = Fraction(z.u, z.w) - q * Fraction(d, 2)
         rows.append((p, q))
-        den = _lcm(den, _lcm(p.denominator, q.denominator))
+        den = math.lcm(den, p.denominator, q.denominator)
     mat = [(int(p * den), int(q * den)) for p, q in rows]
     h = _hnf2(mat)
     (e, f), (g, k) = h
@@ -108,6 +109,26 @@ def _hnf2(rows):
         piv2 = [-piv2[0], -piv2[1]]
     piv2[0] %= g
     return (g, 0), (piv2[0], piv2[1])
+
+
+def minus_cf_cycle(w):
+    """Digits of the purely periodic minus continued fraction cycle
+    entered by the quadratic irrational w (b_k >= 2 on the cycle).
+
+    Zagier's reference route to the partial zeta values: the class of a
+    form [a, b, c] with a > 0 has zeta(A, 0) = (1/12) * sum(b_k - 3) over
+    the cycle entered by its plus root.
+    """
+    seen = {}
+    digits = []
+    for _ in range(10 ** 6):
+        if w in seen:
+            return tuple(digits[seen[w]:])
+        seen[w] = len(digits)
+        b = -((-w).floor())
+        digits.append(b)
+        w = (b - w).inverse()
+    raise RuntimeError("minus continued fraction did not become periodic")
 
 
 def gamma0_equivalent(f, g, p):

@@ -101,6 +101,21 @@ class TestVerify:
         assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
                                     for n in range(1, N + 1))
 
+    def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
+        # with --r 12 the shifted series is the one at 12 + 2*5, not the
+        # one at the default r = 8 shifted
+        seen = []
+        restrict = rqgeo.cli.diagonal_restriction
+
+        def spy(*args, **kw):
+            seen.append(kw["r"])
+            return restrict(*args, **kw)
+        monkeypatch.setattr(rqgeo.cli, "diagonal_restriction", spy)
+        code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
+                                   "--N", "4", "--r", "12")
+        assert code == EXIT_OK and rep["passed"] and rep["r"] == 12
+        assert seen == [12, 22, 12]
+
     def test_inert_passes(self):
         code, rep, _ = invoke_json("verify", "--D", "3", "--p", "5",
                                    "--N", "5", "--no-cache")

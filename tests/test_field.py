@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rqgeo.exact import QuadIrr
+from rqgeo.exact import QuadIrr, squarefree_part
 from rqgeo.field import (
     QuadForm,
     all_characters,
@@ -185,14 +185,17 @@ class TestComposition:
         assert G.compose(1, 1) == 0
 
     def test_against_ideal_multiplication(self):
+        # every square (a1 = a2), where gcd(a1, a2) alone is the wrong e,
+        # and random products; 226 has a cyclic class group of order 8
         rng = random.Random(7)
-        for D in (3, 6, 7, 10, 15):
+        for D in (3, 6, 7, 10, 15, 226):
             F = build_field(D)
             d = F.d_F
             G = narrow_class_group(F)
-            for _ in range(6):
-                i = rng.randrange(G.h)
-                j = rng.randrange(G.h)
+            pairs = [(i, i) for i in range(G.h)]
+            pairs += [(rng.randrange(G.h), rng.randrange(G.h))
+                      for _ in range(6)]
+            for i, j in pairs:
                 fi, fj = G.positive_rep(i), G.positive_rep(j)
                 b1 = _form_to_basis(d, fi)
                 b2 = _form_to_basis(d, fj)
@@ -251,6 +254,26 @@ class TestCharacters:
         for D in (3, 5, 6, 7, 10):
             G = narrow_class_group(build_field(D))
             assert len(all_characters(G)) == G.h
+
+    def test_exact_homomorphisms(self):
+        # every squarefree D < 300: h distinct characters, sorted by their
+        # exponents over the group exponent, each additive on the group
+        # table in exact exponent arithmetic
+        for D in range(2, 300):
+            if squarefree_part(D)[1] != 1:
+                continue
+            G = narrow_class_group(build_field(D))
+            chars = all_characters(G)
+            assert len(chars) == G.h
+            m = math.lcm(*(ch.modulus for ch in chars))
+            vecs = [tuple(e * (m // ch.modulus) for e in ch.exponents)
+                    for ch in chars]
+            assert len(set(vecs)) == G.h and vecs == sorted(vecs)
+            for ch in chars:
+                e, n = ch.exponents, ch.modulus
+                for i in range(G.h):
+                    for j in range(G.h):
+                        assert (e[i] + e[j] - e[G.compose(i, j)]) % n == 0
 
     def test_multiplicativity(self):
         for D in (3, 6, 10, 15):

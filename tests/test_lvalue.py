@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rqgeo.exact import Mat2, QuadIrr
+from rqgeo.exact import Mat2, QuadIrr, squarefree_part
 from rqgeo.field import all_characters, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import choose_r
 from rqgeo.lvalue import (
@@ -13,10 +13,9 @@ from rqgeo.lvalue import (
     dirichlet_L0,
     euler_factor,
     kronecker,
-    minus_cf_cycle,
     partial_zeta_values,
 )
-from rqgeo.oracles import zeta_F_0_numeric
+from rqgeo.oracles import minus_cf_cycle, zeta_F_0_numeric
 
 FIELDS = (3, 6, 7)
 
@@ -60,6 +59,20 @@ class TestPartialZetas:
         F7 = build_field(7)
         assert partial_zeta_values(F7, narrow_class_group(F7)) == (
             Fraction(1, 4), Fraction(-1, 4))
+
+    def test_reduced_cycle_matches_minus_cf(self):
+        # (1/12) sum(delta) over the reduced cycle against Zagier's
+        # (1/12) sum(b - 3) over the minus continued fraction cycle
+        for D in range(2, 400):
+            if squarefree_part(D)[1] != 1:
+                continue
+            F = build_field(D)
+            G = narrow_class_group(F)
+            want = []
+            for i in range(G.h):
+                cyc = minus_cf_cycle(G.positive_rep(i).plus_root())
+                want.append(Fraction(sum(cyc) - 3 * len(cyc), 12))
+            assert partial_zeta_values(F, G) == tuple(want), D
 
     def test_trivial_sum_is_dedekind_zeta_at_zero(self):
         for D in (3, 5, 6, 7, 10):
