@@ -6,7 +6,7 @@ the modular curve of level p, together with the exact constant term
 coming from partial zeta values.
 """
 
-from .exact import INF, Mat2, QuadIrr, cmp, conjugate, mobius
+from .exact import Mat2, QuadIrr
 from .field import (
     FieldData,
     NarrowClassGroup,
@@ -54,12 +54,8 @@ from .series import (
 )
 
 __all__ = [
-    "INF",
     "Mat2",
     "QuadIrr",
-    "cmp",
-    "conjugate",
-    "mobius",
     "FieldData",
     "NarrowClassGroup",
     "ClassCharacter",

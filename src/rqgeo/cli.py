@@ -287,14 +287,16 @@ def cmd_verify(args):
     record("modularity", mod.passed,
            mod.message or ("mode=%s" % mod.mode))
 
-    # the RM points of r + 2p are other forms: a second table
+    # the RM points of r + 2p are other forms: a second table.  The shift
+    # is away from zero, so that r^2 > d_F still holds for negative r
+    r = S.metadata["r"]
     shifted = diagonal_restriction(F, G, psi, p, N=args.N,
-                                   r=S.metadata["r"] + 2 * p)
+                                   r=r + 2 * p if r > 0 else r - 2 * p)
     record("r_plus_2p", shifted == S)
     # each class has an RM point of +r and one of -r; the halving in
     # series._coefficient assumes that the two halves pair equally.  The
     # rows are those of the report series, read back from its table.
-    table = pairing_table(F, G, p, S.metadata["r"], args.N, algorithm)
+    table = pairing_table(F, G, p, r, args.N, algorithm)
     weights = [psi(cls) for cls in range(G.h)]
 
     def half(k):

@@ -1,9 +1,9 @@
 """Exact arithmetic kernel.
 
-Values on the boundary of the upper half plane are rationals, real
-quadratic irrationalities (u + v*sqrt(D))/w, or the point at infinity.
-All comparisons and Moebius actions are decided by integer arithmetic;
-no floating point is used anywhere in this module.
+Integer 2x2 matrices, primality and squarefree parts, and the real
+quadratic irrationalities (u + v*sqrt(D))/w in which the field's units
+and the roots of forms are reported.  Every comparison is decided by
+integer arithmetic; no floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -12,13 +12,8 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "INF",
-    "Infinity",
     "QuadIrr",
     "Mat2",
-    "cmp",
-    "conjugate",
-    "mobius",
     "squarefree_part",
     "is_prime",
 ]
@@ -45,23 +40,6 @@ def squarefree_part(n):
                 s *= p
         p += 1 if p == 2 else 2
     return s * n, f
-
-
-class Infinity:
-    """The boundary point at infinity (unique instance INF)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = Infinity()
 
 
 class QuadIrr:
@@ -220,16 +198,16 @@ class QuadIrr:
         return hash((self.u, self.v, self.w, self.D))
 
     def __lt__(self, other):
-        return cmp(self, other) < 0
+        return _qcmp(self, other) < 0
 
     def __le__(self, other):
-        return cmp(self, other) <= 0
+        return _qcmp(self, other) <= 0
 
     def __gt__(self, other):
-        return cmp(self, other) > 0
+        return _qcmp(self, other) > 0
 
     def __ge__(self, other):
-        return cmp(self, other) >= 0
+        return _qcmp(self, other) >= 0
 
     def __repr__(self):
         if self.v == 0:
@@ -241,30 +219,8 @@ class QuadIrr:
 
 
 def _qcmp(x, y):
-    """Compare two QuadIrr-or-rational values exactly."""
-    if not isinstance(x, QuadIrr):
-        x = QuadIrr.from_fraction(x)
-    d = x - y
-    return d.sign()
-
-
-def cmp(x, y):
-    """Exact three-way comparison on the extended real line.
-
-    INF compares greater than every finite point.
-    """
-    xi, yi = x is INF, y is INF
-    if xi or yi:
-        if xi and yi:
-            return 0
-        return 1 if xi else -1
-    return _qcmp(x, y)
-
-
-def conjugate(x):
-    if x is INF or isinstance(x, (int, Fraction)):
-        return x
-    return x.conjugate()
+    """Compare a QuadIrr with a QuadIrr or rational value exactly."""
+    return (x - y).sign()
 
 
 class Mat2:
@@ -330,30 +286,3 @@ class Mat2:
 
     def __repr__(self):
         return "Mat2(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
-
-
-def mobius(m, x):
-    """Exact Moebius action of m on an extended boundary point."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    if x is INF:
-        if c == 0:
-            return INF
-        return Fraction(a, c)
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        den = c * x.numerator + d * x.denominator
-        if den == 0:
-            return INF
-        return Fraction(a * x.numerator + b * x.denominator, den)
-    assert isinstance(x, QuadIrr)
-    # numerator A + B sqrt(D), denominator C + E sqrt(D), all over x.w
-    A, B = a * x.u + b * x.w, a * x.v
-    C, E = c * x.u + d * x.w, c * x.v
-    nrm = C * C - E * E * x.D
-    # the denominator is irrational (v != 0) hence nonzero, and its norm
-    # vanishes only if both components do
-    assert nrm != 0 or (C == 0 and E == 0)
-    if nrm == 0:
-        return INF
-    return QuadIrr(A * C - B * E * x.D, B * C - A * E, nrm, x.D)

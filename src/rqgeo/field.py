@@ -5,8 +5,9 @@ represented by proper equivalence classes of primitive integral binary
 quadratic forms of discriminant d_F, each the rho cycle of its reduced
 forms.  The group table composes forms by the united-form formula
 (``gauss_compose``); the characters are built by extending from one
-subgroup to the next (``all_characters``).  Ideals enter as Z-bases and
-are converted to forms through a fixed orientation convention.
+subgroup to the next (``all_characters``).  Ideals enter as forms or as
+Z-bases [a0, (-b0 + sqrt(d))/2].  QuadIrr values appear only in the
+reported units and the roots of a form.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "all_characters",
     "odd_characters",
     "class_of_ideal",
-    "ideal_to_form",
     "pell_plus",
     "automorph",
     "reduce_form",
@@ -297,17 +297,11 @@ class NarrowClassGroup:
         return self.group_table[i][j]
 
     def identity_index(self):
-        for i in range(self.h):
-            if all(self.group_table[i][j] == j for j in range(self.h)):
-                return i
-        raise RuntimeError("no identity")
+        """The principal class, which narrow_class_group puts first."""
+        return 0
 
     def inverse(self, i):
-        e = self.identity_index()
-        for j in range(self.h):
-            if self.group_table[i][j] == e:
-                return j
-        raise RuntimeError("no inverse")
+        return self.group_table[i].index(0)
 
     def positive_rep(self, i):
         """A representative form with positive leading coefficient."""
@@ -337,6 +331,7 @@ def narrow_class_group(F):
     positive = [G.positive_rep(i) for i in range(G.h)]
     G.group_table = [[G.classify(gauss_compose(fi, fj)) for fj in positive]
                      for fi in positive]
+    assert G.group_table[0] == list(range(G.h)), "principal class not first"
     G.class_of_principal_sqrt_dF = _sqrt_class(F, G)
     return G
 
@@ -349,49 +344,18 @@ def _sqrt_class(F, G):
     return G.classify(f)
 
 
-def ideal_to_form(d, w1, w2):
-    """Form of the Z-module Z w1 + Z w2 (fractional ideal of disc-d order).
-
-    Orientation: the basis is swapped if needed so that
-    (w1 conj(w2) - conj(w1) w2)/sqrt(d) > 0; then
-    f(x, y) = N(x w1 + y w2)/N(module).  With this convention the ideal
-    [a0, (-b0 + sqrt(d))/2] maps to [a0, b0, (b0^2 - d)/(4 a0)].
-    """
-    rt = QuadIrr(0, 1, 1, d)
-    orient = (w1 * w2.conjugate() - w1.conjugate() * w2) / rt
-    assert orient.is_rational
-    ov = orient.as_fraction()
-    assert ov != 0
-    if ov < 0:
-        w1, w2 = w2, w1
-        ov = -ov
-    nm = ov  # norm of the module
-    a = w1.norm() / nm
-    b = (w1 * w2.conjugate() + w1.conjugate() * w2)
-    assert b.is_rational
-    b = b.as_fraction() / nm
-    c = w2.norm() / nm
-    assert a.denominator == b.denominator == c.denominator == 1
-    f = QuadForm(int(a), int(b), int(c))
-    assert f.disc() == d, (f.disc(), d)
-    return f
-
-
 def class_of_ideal(G, spec):
     """Narrow class index of an ideal.
 
-    Accepts a QuadForm, a pair of integers (a0, b0) meaning the Z-basis
-    [a0, (-b0 + sqrt(d))/2], or a pair of QuadIrr generators.
+    Accepts a QuadForm or a pair of integers (a0, b0) meaning the Z-basis
+    [a0, (-b0 + sqrt(d))/2].
     """
-    d = G.field.d_F
     if isinstance(spec, QuadForm):
         return G.classify(spec)
-    w1, w2 = spec
-    if isinstance(w1, int) and isinstance(w2, int):
-        a0, b0 = w1, w2
-        assert (b0 * b0 - d) % (4 * a0) == 0
-        return G.classify(QuadForm(a0, b0, (b0 * b0 - d) // (4 * a0)))
-    return G.classify(ideal_to_form(d, w1, w2))
+    a0, b0 = spec
+    d = G.field.d_F
+    assert (b0 * b0 - d) % (4 * a0) == 0
+    return G.classify(QuadForm(a0, b0, (b0 * b0 - d) // (4 * a0)))
 
 
 class ClassCharacter:

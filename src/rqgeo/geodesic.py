@@ -22,10 +22,11 @@ geodesic on Y0(p) with the winding geodesic from 0 to infinity:
   of the closed geodesic, in the original coordinates and without
   reducing the form, and adds up signed crossings with translates of the
   imaginary axis.  A Farey vertex (x, y) lies between the roots exactly
-  when f(x, y) * a < 0, and the period ends at the stabilizer's image of
-  the first crossed edge, so the walk is integer arithmetic throughout.
+  when f(x, y) * a < 0, the period ends at the stabilizer's image of
+  the first crossed edge, and the sides of a crossed edge's pull-back
+  are signs of numbers x + y sqrt(disc) with integer x, y.
 
-Everything is exact; there is no floating point in any sign decision.
+Everything is integer arithmetic; the roots of f are never built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import Mat2, is_prime, mobius
+from .exact import is_prime
 from .field import QuadForm, _divisors, automorph, reduce_form
 
 __all__ = [
@@ -56,8 +57,8 @@ class InertPrime(Exception):
 
 class ClosedGeodesic:
     """Oriented closed geodesic on Y0(p): a primitive form whose sign is
-    the orientation, which runs from the plus root w to the minus root
-    wsig.  Negating the form reverses the geodesic."""
+    the orientation, which runs from the plus root (-b + sqrt(disc))/(2a)
+    to the minus root.  Negating the form reverses the geodesic."""
 
     __slots__ = ("form", "p")
 
@@ -72,20 +73,13 @@ class ClosedGeodesic:
         raise AttributeError("immutable")
 
     @property
-    def w(self):
-        return self.form.plus_root()
-
-    @property
-    def wsig(self):
-        return self.form.minus_root()
-
-    @property
     def gamma(self):
-        """Generator of the proper stabilizer of the geodesic in Gamma0(p)."""
+        """Generator of the proper stabilizer of the geodesic in Gamma0(p).
+        A det-1 matrix fixes both roots of f exactly when it fixes f; one
+        that swaps them takes f to -f."""
         gamma = gamma0_automorph(self.form, self.p)
-        w, wsig = self.w, self.wsig
         assert gamma.det == 1 and gamma.c % self.p == 0
-        assert mobius(gamma, w) == w and mobius(gamma, wsig) == wsig
+        assert self.form.apply(gamma) == self.form
         return gamma
 
     def reversed(self):
@@ -277,22 +271,28 @@ def intersect_winding_cycle(Q):
 # crossed edges, in order along the geodesic, form a sequence that the
 # stabilizer gamma shifts by one period; so the walk starts at a crossed
 # edge E0, counts it, and steps from triangle to triangle until the
-# edge it reaches is gamma E0 or gamma^-1 E0, whichever lies ahead.
+# edge it reaches is gamma E0 or gamma^-1 E0, whichever lies ahead.  An
+# edge delta(infinity, 0) counts by the sides of the imaginary axis on
+# which delta^-1 puts the plus and the minus root.
 
 
-def _straddle(alpha, beta):
-    """Intersection of the geodesic from alpha to beta, two irrational
-    boundary points, with the winding geodesic from 0 to infinity: +1 if
-    beta < 0 < alpha, -1 if alpha < 0 < beta, 0 otherwise."""
-    sa, sb = alpha.sign(), beta.sign()
-    assert sa and sb, "geodesic endpoint at 0"
-    return (sa - sb) // 2
+def _sign(x, y, D):
+    """The sign of x + y sqrt(D), for D > 0 not a square."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or not sx:
+        return sy
+    if not sy:
+        return sx
+    # opposite signs: x^2 = D y^2 is impossible
+    return sx if x * x > D * y * y else sy
 
 
-def _edge_sign(edge, w, wsig, p):
-    """_straddle of the pull-back of the geodesic from w to wsig through
-    the edge's coset rep, or 0 when the edge is not a Gamma0(p) translate
-    of the imaginary axis."""
+def _edge_sign(edge, f, D, p):
+    """Intersection of the pull-back of the geodesic of f, of discriminant
+    D, through the edge's coset rep with the winding geodesic from 0 to
+    infinity: +1 if it runs from the positive half line to the negative
+    one, -1 the other way, 0 if it does not cross or the edge is not a
+    Gamma0(p) translate of the imaginary axis."""
     (un, ud), (vn, vd) = edge
     up, vp = ud % p == 0, vd % p == 0
     if up == vp:
@@ -302,10 +302,17 @@ def _edge_sign(edge, w, wsig, p):
         (un, ud), (vn, vd) = (vn, vd), (un, ud)
     if un * vd - vn * ud == -1:
         vn, vd = -vn, -vd
-    delta = Mat2(un, vn, ud, vd)
-    assert delta.det == 1 and delta.c % p == 0
-    inv = delta.adjugate()
-    return _straddle(mobius(inv, w), mobius(inv, wsig))
+    # the coset rep (un, vn; ud, vd) has inverse (vd, -vn; -ud, un), which
+    # takes the root (-b +- sqrt(D))/(2a) to (vd w - vn)/(un - ud w); with
+    # both factors scaled by 2a its sign is that of
+    # (-vd b - 2a vn +- vd sqrt(D)) * (2a un + ud b -+ ud sqrt(D))
+    assert un * vd - vn * ud == 1 and ud % p == 0
+    a, b, _ = f
+    x0, x1 = -vd * b - 2 * a * vn, 2 * a * un + ud * b
+    plus = _sign(x0, vd, D) * _sign(x1, -ud, D)
+    minus = _sign(x0, -vd, D) * _sign(x1, ud, D)
+    assert plus and minus, "pulled-back endpoint at 0 or infinity"
+    return (plus - minus) // 2
 
 
 def _norm_pt(t):
@@ -319,17 +326,20 @@ def _norm_pt(t):
     return (n, d)
 
 
-def _start_edge(w, inside):
-    """The first pair of consecutive continued-fraction convergents of w,
-    starting from 0/1 and 1/0, that lie on opposite sides of the
-    geodesic.  Convergents close in on the endpoint w from alternate
-    sides, so such a pair exists."""
+def _start_edge(f, D, inside):
+    """The first pair of consecutive continued-fraction convergents of
+    the plus root of f, of discriminant D, starting from 0/1 and 1/0,
+    that lie on opposite sides of the geodesic.  Convergents close in on
+    the root from alternate sides, so such a pair exists.  The complete
+    quotients are (P + sqrt(D))/Q with Q | D - P^2, from P = -b, Q = 2a,
+    so each partial quotient is an integer floor."""
+    P, Q, r = -f.b, 2 * f.a, math.isqrt(D)
     h0, k0, h1, k1 = 0, 1, 1, 0
-    x = w
     while inside((h0, k0)) == inside((h1, k1)):
-        an = x.floor()
+        an = (P + r) // Q if Q > 0 else (P + r + 1) // Q
         h0, k0, h1, k1 = h1, k1, an * h1 + h0, an * k1 + k0
-        x = 1 / (x - an)
+        P = an * Q - P
+        Q = (D - P * P) // Q
     return _norm_pt((h0, k0)), _norm_pt((h1, k1))
 
 
@@ -338,13 +348,13 @@ def intersect_winding_enum(Q):
     the sum of _edge_sign over the Farey edges that one period of the
     geodesic crosses."""
     f = Q.form
-    a = f.a
-    w, wsig, gamma, p = Q.w, Q.wsig, Q.gamma, Q.p
+    a, D = f.a, f.disc()
+    gamma, p = Q.gamma, Q.p
 
     def inside(t):
         return f.value(*t) * a < 0
 
-    edge = _start_edge(w, inside)
+    edge = _start_edge(f, D, inside)
     stops = []
     for m in (gamma, gamma.adjugate()):     # gamma and gamma^-1 (det 1)
         s, t = (_norm_pt((m.a * x + m.b * y, m.c * x + m.d * y))
@@ -354,7 +364,7 @@ def intersect_winding_enum(Q):
     tprev = _norm_pt((u[0] - v[0], u[1] - v[1]))
     total = 0
     while edge not in stops:
-        total += _edge_sign(edge, w, wsig, p)
+        total += _edge_sign(edge, f, D, p)
         # step across the current edge into the next Farey triangle
         u, v = edge
         t = _norm_pt((u[0] + v[0], u[1] + v[1]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import Mat2, mobius
+from .exact import Mat2
 from .field import _xgcd
 from .geodesic import ClosedGeodesic, intersect_winding_cycle
 
@@ -130,16 +130,15 @@ def hecke_translate(Q, n):
     """The closed geodesics delta^{-1} Q over double coset reps delta.
 
     Each is the pulled-back form, whose sign carries the orientation
-    pushed forward from Q; its endpoints are asserted to be the images
-    of Q's.
+    pushed forward from Q.  Pushing it back through adj(delta) gives a
+    positive multiple of Q's form, which holds exactly when adj(delta)
+    maps Q's plus and minus roots onto the translate's.
     """
-    w, wsig = Q.w, Q.wsig
     out = []
     for delta in double_cosets(Q, n):
         newQ = ClosedGeodesic(Q.form.apply(delta), Q.p)
-        adj = delta.adjugate()
-        assert newQ.w == mobius(adj, w)
-        assert newQ.wsig == mobius(adj, wsig)
+        assert newQ.form.apply(delta.adjugate()).primitive()[0] == Q.form, \
+            "translate roots are not the images of Q's"
         out.append(newQ)
     return tuple(out)
 

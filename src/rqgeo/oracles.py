@@ -12,11 +12,13 @@ import math
 from fractions import Fraction
 
 from .exact import Mat2, QuadIrr, squarefree_part
-from .field import _rho, automorph, form_cycle, reduce_form
+from .field import QuadForm, _rho, automorph, form_cycle, reduce_form
 from .geodesic import _cusp_orbit, _inverses, _p1_key
 from .lvalue import kronecker
 
 __all__ = [
+    "mobius",
+    "ideal_to_form",
     "canonical_rep",
     "sl2_equivalence",
     "multiply_ideals",
@@ -24,6 +26,46 @@ __all__ = [
     "gamma0_equivalent",
     "zeta_F_0_numeric",
 ]
+
+
+def mobius(m, x):
+    """Exact Moebius action of m on the quadratic irrational x: the
+    reference route for the integer sign and root tests of the Farey
+    walk and the Hecke translates."""
+    assert x.v, "rational point"
+    # numerator A + B sqrt(D), denominator C + E sqrt(D), all over x.w;
+    # the denominator is irrational, hence of nonzero norm
+    A, B = m.a * x.u + m.b * x.w, m.a * x.v
+    C, E = m.c * x.u + m.d * x.w, m.c * x.v
+    return QuadIrr(A * C - B * E * x.D, B * C - A * E, C * C - E * E * x.D, x.D)
+
+
+def ideal_to_form(d, w1, w2):
+    """Form of the Z-module Z w1 + Z w2 (fractional ideal of disc-d order).
+
+    Orientation: the basis is swapped if needed so that
+    (w1 conj(w2) - conj(w1) w2)/sqrt(d) > 0; then
+    f(x, y) = N(x w1 + y w2)/N(module).  With this convention the ideal
+    [a0, (-b0 + sqrt(d))/2] maps to [a0, b0, (b0^2 - d)/(4 a0)].
+    """
+    rt = QuadIrr(0, 1, 1, d)
+    orient = (w1 * w2.conjugate() - w1.conjugate() * w2) / rt
+    assert orient.is_rational
+    ov = orient.as_fraction()
+    assert ov != 0
+    if ov < 0:
+        w1, w2 = w2, w1
+        ov = -ov
+    nm = ov  # norm of the module
+    a = w1.norm() / nm
+    b = (w1 * w2.conjugate() + w1.conjugate() * w2)
+    assert b.is_rational
+    b = b.as_fraction() / nm
+    c = w2.norm() / nm
+    assert a.denominator == b.denominator == c.denominator == 1
+    f = QuadForm(int(a), int(b), int(c))
+    assert f.disc() == d, (f.disc(), d)
+    return f
 
 
 def canonical_rep(f):

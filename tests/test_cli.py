@@ -103,7 +103,8 @@ class TestVerify:
 
     def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
         # with --r 12 the shifted series is the one at 12 + 2*5, not the
-        # one at the default r = 8 shifted
+        # one at the default r = 8 shifted; a negative r shifts away from
+        # zero, since -12 + 2*5 = -2 has r^2 < d_F
         seen = []
         restrict = rqgeo.cli.diagonal_restriction
 
@@ -111,10 +112,12 @@ class TestVerify:
             seen.append(kw["r"])
             return restrict(*args, **kw)
         monkeypatch.setattr(rqgeo.cli, "diagonal_restriction", spy)
-        code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
-                                   "--N", "4", "--r", "12")
-        assert code == EXIT_OK and rep["passed"] and rep["r"] == 12
-        assert seen == [12, 22, 12]
+        for r, shifted in ((12, 22), (-12, -22)):
+            del seen[:]
+            code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
+                                       "--N", "4", "--r", str(r))
+            assert code == EXIT_OK and rep["passed"] and rep["r"] == r
+            assert seen == [r, shifted, r]
 
     def test_inert_passes(self):
         code, rep, _ = invoke_json("verify", "--D", "3", "--p", "5",

@@ -13,13 +13,17 @@ from rqgeo.field import (
     class_of_ideal,
     form_cycle,
     gauss_compose,
-    ideal_to_form,
     narrow_class_group,
     odd_characters,
     pell_plus,
     reduce_form,
 )
-from rqgeo.oracles import canonical_rep, multiply_ideals, sl2_equivalence
+from rqgeo.oracles import (
+    canonical_rep,
+    ideal_to_form,
+    multiply_ideals,
+    sl2_equivalence,
+)
 
 
 class TestBuildField:
@@ -200,7 +204,7 @@ class TestComposition:
                 b1 = _form_to_basis(d, fi)
                 b2 = _form_to_basis(d, fj)
                 w1, w2 = multiply_ideals(d, b1, b2)
-                k = class_of_ideal(G, (w1, w2))
+                k = class_of_ideal(G, ideal_to_form(d, w1, w2))
                 assert k == G.compose(i, j)
 
     def test_composition_well_defined(self):
@@ -232,7 +236,8 @@ class TestIdealDictionary:
             G = narrow_class_group(F)
             d = F.d_F
             one = QuadIrr(1, 0, 1, d)
-            assert class_of_ideal(G, (one, F.lam)) == G.identity_index()
+            f = ideal_to_form(d, one, F.lam)
+            assert class_of_ideal(G, f) == G.identity_index()
 
     def test_principal_form(self):
         G = narrow_class_group(build_field(3))

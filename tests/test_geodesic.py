@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rqgeo.geodesic
 from rqgeo.exact import Mat2, QuadIrr
 from rqgeo.field import QuadForm, automorph, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
+    _edge_sign,
     _norm_pt,
-    _straddle,
+    _sign,
+    _start_edge,
     ClosedGeodesic,
     InertPrime,
     RChoice,
@@ -24,7 +27,7 @@ from rqgeo.geodesic import (
     twisted_cycle,
 )
 from rqgeo.hecke import hecke_translate
-from rqgeo.oracles import gamma0_equivalent
+from rqgeo.oracles import gamma0_equivalent, mobius
 
 CONFIGS = ((3, 11), (3, 13), (6, 5), (7, 3))
 
@@ -109,31 +112,139 @@ class TestChooseR:
                 choose_r(build_field(7), p)
 
 
-SQRT2 = QuadIrr(0, 1, 1, 2)
+def _oracle_edge_sign(edge, f, p):
+    """_edge_sign by the reference route: the straddle of the Moebius
+    images of f's roots, as quadratic irrationals, under the inverse of
+    the edge's coset rep."""
+    (un, ud), (vn, vd) = edge
+    if (ud % p == 0) == (vd % p == 0):
+        return 0
+    if vd % p == 0:
+        (un, ud), (vn, vd) = (vn, vd), (un, ud)
+    if un * vd - vn * ud == -1:
+        vn, vd = -vn, -vd
+    inv = Mat2(un, vn, ud, vd).adjugate()
+    alpha = mobius(inv, f.plus_root()).sign()
+    beta = mobius(inv, f.minus_root()).sign()
+    assert alpha and beta
+    return (alpha - beta) // 2
+
+
+def _pell_near_misses(limit):
+    """(x, y, D) with x^2 - D y^2 in {1, -1, 4, -4}, D not a square, 0 < y
+    <= limit: the pairs x + y sqrt(D) closest to 0 for their size."""
+    out = []
+    for D in range(2, 60):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        for y in range(1, limit + 1):
+            for k in (1, -1, 4, -4):
+                x = math.isqrt(max(D * y * y + k, 0))
+                if x * x == D * y * y + k and x > 0:
+                    out.append((x, y, D))
+    return out
+
+
+def _gamma0_edge(rng, p):
+    """The edge (delta 1/0, delta 0/1) of a random delta in Gamma0(p)."""
+    delta = (Mat2(1, rng.randrange(-4, 5), 0, 1)
+             * Mat2(1, 0, p * rng.randrange(-3, 4), 1)
+             * Mat2(1, rng.randrange(-4, 5), 0, 1))
+    return ((delta.a, delta.c), (delta.b, delta.d))
 
 
 class TestStraddle:
-    def test_table(self):
-        one_plus, one_minus = QuadIrr(1, 1, 1, 2), QuadIrr(1, -1, 1, 2)
-        assert _straddle(SQRT2, -SQRT2) == 1
-        assert _straddle(-SQRT2, SQRT2) == -1
-        assert _straddle(SQRT2, one_plus) == 0
-        assert _straddle(-one_plus, one_minus) == 0
+    # _sign and _edge_sign decide, in integers, on which side of the
+    # imaginary axis the pulled-back roots lie
 
-    def test_endpoint_on_axis(self):
-        with pytest.raises(AssertionError, match="endpoint at 0"):
-            _straddle(QuadIrr(0, 0, 1, 2), SQRT2)
+    def test_table(self):
+        assert _sign(0, 1, 2) == 1
+        assert _sign(3, -2, 2) == 1     # 3 > 2 sqrt(2)
+        assert _sign(-3, 2, 2) == -1
+        assert _sign(2, -1, 5) == -1    # 2 < sqrt(5)
+        assert _sign(5, 0, 7) == 1 and _sign(-1, 0, 7) == -1
+        assert _sign(0, 0, 7) == 0
+        axis = ((1, 0), (0, 1))         # infinity and 0: the axis itself
+        f = QuadForm(1, 0, -2)          # from sqrt(2) to -sqrt(2)
+        assert _edge_sign(axis, f, 8, 5) == 1
+        assert _edge_sign(axis, QuadForm(-1, 0, 2), 8, 5) == -1
+        assert _edge_sign(axis, QuadForm(1, -4, 2), 8, 5) == 0   # 2 +- sqrt(2)
+        # both ends prime to p: not a translate of the axis
+        assert _edge_sign(((0, 1), (1, 1)), f, 8, 5) == 0
+        # the axis moved by delta = (1, 0; 5, 1) meets f o delta^-1
+        # exactly as the axis meets f
+        delta = Mat2(1, 0, 5, 1)
+        g = f.apply(delta.adjugate())
+        assert _edge_sign(((1, 5), (0, 1)), g, 8, 5) == 1
+        assert _edge_sign(((0, 1), (1, 5)), g, 8, 5) == 1
+
+    def test_sign_against_quadirr(self):
+        rng = random.Random(29)
+        cases = [(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-999, 1000),
+                  rng.choice((2, 3, 5, 8, 12, 13, 21, 24, 28, 40)))
+                 for _ in range(2000)]
+        near = _pell_near_misses(300)
+        assert len(near) > 100
+        cases += [(sx * x, sy * y, D) for x, y, D in near
+                  for sx in (1, -1) for sy in (1, -1)]
+        for x, y, D in cases:
+            assert _sign(x, y, D) == QuadIrr(x, y, 1, D).sign(), (x, y, D)
 
     def test_irrational_endpoints(self):
-        assert _straddle(SQRT2, -SQRT2) == 1
-        assert _straddle(-SQRT2, SQRT2) == -1
+        # against the Moebius route on random translates of the axis, and
         # reversing the geodesic negates the intersection
         rng = random.Random(5)
-        for _ in range(50):
-            a, b = (QuadIrr(rng.randrange(-9, 10), rng.choice((-1, 1)),
-                            rng.randrange(1, 5), rng.choice((2, 3, 5, 6)))
-                    for _ in range(2))
-            assert _straddle(a, b) == -_straddle(b, a)
+        for p in (3, 5, 7, 13):
+            for _ in range(150):
+                f = _random_form(rng)
+                D = f.disc()
+                edge = _gamma0_edge(rng, p)
+                if rng.random() < 0.5:
+                    edge = edge[::-1]
+                got = _edge_sign(edge, f, D, p)
+                assert got == _oracle_edge_sign(edge, f, p), (edge, f, p)
+                R = QuadForm(-f.a, -f.b, -f.c)
+                assert _edge_sign(edge, R, D, p) == -got
+
+
+def _convergents(w):
+    """0/1, 1/0 and then the continued-fraction convergents of w, from
+    QuadIrr floors."""
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    yield h0, k0
+    yield h1, k1
+    x = w
+    while True:
+        an = x.floor()
+        h0, k0, h1, k1 = h1, k1, an * h1 + h0, an * k1 + k0
+        yield h1, k1
+        x = 1 / (x - an)
+
+
+def test_start_edge_follows_the_convergents():
+    # the integer partial quotients, with their floor for Q < 0, give the
+    # convergents of the QuadIrr route; a query off that sequence fails at
+    # once instead of walking on
+    rng = random.Random(31)
+    forms = [_random_form(rng) for _ in range(300)]
+    forms += [t.form for D, p in CONFIGS for _, Q in _cycle_terms(D, p)
+              for n in (2, 5, 7) for t in hecke_translate(Q, n)]
+    assert any(f.a < 0 for f in forms)
+    for f in forms:
+        conv = _convergents(f.plus_root())
+        reached, asked = [], []
+
+        def inside(t):
+            # call j asks for convergent (j + 1) // 2
+            k = (len(asked) + 1) // 2
+            while len(reached) <= k:
+                reached.append(next(conv))
+            assert t == reached[k], (f, asked, t)
+            asked.append(t)
+            return f.value(*t) * f.a < 0
+        edge = _start_edge(f, f.disc(), inside)
+        assert edge == (_norm_pt(asked[-2]), _norm_pt(asked[-1]))
+        assert f.value(*asked[-2]) * f.value(*asked[-1]) < 0
 
 
 class TestRmPoint:
@@ -197,7 +308,8 @@ class TestClosedGeodesic:
             Q = rm_point(F, G, 0, p, rc)
             R = Q.reversed()
             assert R.form == QuadForm(*(-e for e in Q.form))
-            assert R.w == Q.wsig and R.wsig == Q.w
+            assert R.form.plus_root() == Q.form.minus_root()
+            assert R.form.minus_root() == Q.form.plus_root()
             assert R.gamma * Q.gamma == Mat2.identity()
             assert R.reversed().form == Q.form
 
@@ -289,7 +401,22 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
     translates = hecke_translate(Q, n)
     t = translates[(pick // len(terms)) % len(translates)]
     t = t.translate(Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
-    assert intersect_winding_cycle(t) == intersect_winding_enum(t)
+    # every edge the Farey walk signs is checked against the Moebius route
+    seen = []
+    edge_sign = rqgeo.geodesic._edge_sign
+
+    def recorded(edge, f, D, p):
+        seen.append((edge, edge_sign(edge, f, D, p)))
+        return seen[-1][1]
+    rqgeo.geodesic._edge_sign = recorded
+    try:
+        enum = intersect_winding_enum(t)
+    finally:
+        rqgeo.geodesic._edge_sign = edge_sign
+    assert intersect_winding_cycle(t) == enum
+    assert seen and sum(v for _, v in seen) == enum
+    for edge, v in seen:
+        assert v == _oracle_edge_sign(edge, t.form, p), (edge, t.form)
 
 
 class TestTwistedCycle:

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+import rqgeo.hecke
 from rqgeo.exact import Mat2
-from rqgeo.field import build_field, narrow_class_group, odd_characters
+from rqgeo.field import QuadForm, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
     choose_r,
     intersect_winding_cycle,
@@ -21,7 +22,7 @@ from rqgeo.hecke import (
     right_cosets,
     sigma1,
 )
-from rqgeo.oracles import _dual_stabilizer
+from rqgeo.oracles import _dual_stabilizer, mobius
 
 
 def _in_delta0(m, p):
@@ -184,7 +185,7 @@ class TestHeckeTranslate:
     def test_n1_is_q(self):
         Q = _base_geodesic(6, 5)
         (T1,) = hecke_translate(Q, 1)
-        assert T1.form == Q.form and T1.w == Q.w
+        assert T1.form == Q.form
 
     def test_disc_divides(self):
         Q = _base_geodesic(7, 3)
@@ -200,6 +201,34 @@ class TestHeckeTranslate:
         for t in hecke_translate(Q, 6):
             disc = t.form.disc()
             assert math.isqrt(disc) ** 2 != disc
+
+    def test_negated_translate_is_caught(self, monkeypatch):
+        # a translate whose form comes out negated runs from the image of
+        # the minus root to the image of the plus root
+        make = rqgeo.hecke.ClosedGeodesic
+        monkeypatch.setattr(rqgeo.hecke, "ClosedGeodesic",
+                            lambda f, p: make(QuadForm(-f.a, -f.b, -f.c), p))
+        Q = _base_geodesic(6, 5)
+        with pytest.raises(AssertionError, match="roots"):
+            hecke_translate(Q, 2)
+
+    def test_transposed_coset_is_caught(self, monkeypatch):
+        # the form pulled back through delta^T while the check pushes it
+        # back through adj(delta).  The check is an identity in the one
+        # matrix it is given, so the transpose is paired with the adjugate
+        # of the untransposed rep
+        class Transposed(Mat2):
+            def adjugate(self):
+                return Mat2(self.d, -self.c, -self.b, self.a)
+        cosets = rqgeo.hecke.double_cosets
+        monkeypatch.setattr(
+            rqgeo.hecke, "double_cosets",
+            lambda Q, n: tuple(Transposed(m.a, m.c, m.b, m.d)
+                               for m in cosets(Q, n)))
+        Q = _base_geodesic(6, 5)
+        with pytest.raises(AssertionError, match="roots"):
+            for n in range(2, 7):
+                hecke_translate(Q, n)
 
     def test_dual_stabilizer_asserted(self):
         # the stabilizer of each translate, from the automorph of its
@@ -247,7 +276,6 @@ class TestPairing:
         psi = odd_characters(G)[0]
         rc = choose_r(F, 3)
         T = twisted_cycle(F, G, psi, 3, rc)
-        from rqgeo.exact import mobius
         from rqgeo.geodesic import ClosedGeodesic
         for n in (2, 4, 5):
             ref = pair_with_twisted_cycle(T, n)
@@ -258,7 +286,10 @@ class TestPairing:
                     g = Mat2(1, rng.randrange(-2, 3), 0, 1) * Mat2(1, 0, 3 * rng.randrange(-2, 3), 1)
                     delta2 = delta * g
                     t = ClosedGeodesic(Q.form.apply(delta2), 3)
-                    assert t.w == mobius(delta2.adjugate(), Q.w)
+                    # adj(delta2) maps Q's plus and minus roots onto t's
+                    adj = delta2.adjugate()
+                    assert t.form.plus_root() == mobius(adj, Q.form.plus_root())
+                    assert t.form.minus_root() == mobius(adj, Q.form.minus_root())
                     s += intersect_winding_cycle(t)
                 total += coeff * s
             assert total == ref

@@ -6,6 +6,11 @@ import subprocess
 import sys
 
 import rqgeo
+from rqgeo.exact import QuadIrr
+from rqgeo.field import build_field, narrow_class_group, odd_characters
+from rqgeo.geodesic import choose_r, rm_point_pair
+from rqgeo.hecke import hecke_translate
+from rqgeo.series import diagonal_restriction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,3 +41,26 @@ def test_every_export_resolves():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), "%s.%s" % (mod.__name__, name)
+
+
+def test_coefficient_path_builds_no_quadirr(monkeypatch):
+    # past the field's reported units, a series and its Hecke translates
+    # are integer arithmetic on forms: no root is ever built
+    F = build_field(6)
+    G = narrow_class_group(F)
+    psi = odd_characters(G)[0]
+    built = []
+    init = QuadIrr.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(QuadIrr, "__init__", counted)
+    S = diagonal_restriction(F, G, psi, 5, N=8, algorithm="both")
+    assert any(S.coeffs.values())
+    for Q in rm_point_pair(F, G, 1, 5, choose_r(F, 5)):
+        for n in range(1, 9):
+            hecke_translate(Q, n)
+    assert built == []
+    Q.form.plus_root()          # the counter does count
+    assert len(built) == 1
