@@ -172,10 +172,9 @@ def automorph(f):
 class FieldData:
     """Invariants of the real quadratic field Q(sqrt(D))."""
 
-    def __init__(self, D, d_F, lam, eps, eps_plus, unit_norm):
+    def __init__(self, D, d_F, eps, eps_plus, unit_norm):
         self.D = D
         self.d_F = d_F
-        self.lam = lam
         self.eps = eps
         self.eps_plus = eps_plus
         self.unit_norm = unit_norm
@@ -191,16 +190,15 @@ def build_field(D):
     if f != 1:
         raise ValueError("D must be squarefree")
     d_F = D if D % 4 == 1 else 4 * D
-    lam = QuadIrr(d_F, 1, 2, d_F)
     # eps_plus = (t + u sqrt(d_F))/2 is eps**2 when the fundamental unit
     # eps = (s + v sqrt(d_F))/2 has norm -1, and then t = s^2 + 2, u = s v
     t, u = pell_plus(d_F)
     s = math.isqrt(t - 2)
     if s * s == t - 2 and u % s == 0 and s * s - d_F * (u // s) ** 2 == -4:
         eps = QuadIrr(s, u // s, 2, d_F)
-        return FieldData(D, d_F, lam, eps, eps * eps, -1)
+        return FieldData(D, d_F, eps, eps * eps, -1)
     eps = QuadIrr(t, u, 2, d_F)
-    return FieldData(D, d_F, lam, eps, eps, 1)
+    return FieldData(D, d_F, eps, eps, 1)
 
 
 def _reduced_forms(D):

@@ -4,10 +4,10 @@ Coset representatives for the determinant-n Hecke operator on Gamma0(p),
 their partition into double cosets under the stabilizer of a closed
 geodesic, and the pairing of a Hecke translate against a twisted cycle.
 
-The representatives come in closed form, column-Hermite matrices times
-representatives of SL2(Z)/Gamma0(p).  Each coset y Gamma0(p) carries a
-label, the Hermite forms of the lattices y Z^2 and y (Z + pZ), so the
-stabilizer's permutation of the cosets is read off a dictionary.
+Each coset y Gamma0(p) has one lower-triangular representative
+(A, 0; C, n/A), with A | n prime to p and C = p j, 0 <= j < n/A, and
+that representative's (A, C) is the coset's label: the stabilizer's
+orbits are walked on the labels in plain integers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from functools import lru_cache
 
 from .exact import Mat2
-from .field import _xgcd
+from .field import _divisors, _xgcd
 from .geodesic import ClosedGeodesic, intersect_winding_cycle
 
 __all__ = [
@@ -33,96 +33,59 @@ def sigma1(n, p=None):
     (only divisors coprime to p are counted)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(d for d in range(1, n + 1)
-               if n % d == 0 and (p is None or d % p))
+    return sum(d for d in _divisors(n) if p is None or d % p)
 
 
-def _sl2_mod_gamma0(p):
-    reps = [Mat2(1, 0, j, 1) for j in range(p)]
-    reps.append(Mat2(0, -1, 1, 0))
-    return reps
+def _coset_key(a, b, c, d, n, p):
+    """Label (A, C) of the coset (a, b; c, d) Gamma0(p) of a determinant-n
+    matrix with p | c and p prime to a.
 
-
-def _hermite(a, b, c, d, n):
-    """Column-Hermite label (D, B) of the lattice spanned by the columns
-    of (a, b; c, d), of determinant n > 0: the lattice has the basis
-    (n/D, 0), (B, D) with D > 0 and 0 <= B < n/D."""
-    g, u, v = _xgcd(c, d)
-    return g, (u * a + v * b) % (n // g)
-
-
-def _coset_label(y, n, p):
-    """Label of the coset y Gamma0(p) of a determinant-n matrix: the
-    Hermite forms of the lattices y Z^2 and y (Z + pZ).  Two cosets are
-    equal exactly when their labels are, since the matrices of SL2(Z)
-    that preserve Z + pZ form Gamma0(p)."""
-    return (_hermite(y.a, y.b, y.c, y.d, n)
-            + _hermite(y.a, p * y.b, y.c, p * y.d, n * p))
+    Right multiplication by the element of Gamma0(p) with columns
+    (x, p z) and (-b/A, a/A), where A = gcd(a, b) and x a/A + z p b/A = 1,
+    clears the upper-right entry and leaves (A, 0; C, n/A); the elements
+    that keep it lower triangular with A > 0 shift C by multiples of
+    p n/A, so C is reduced mod p n/A.
+    """
+    A = math.gcd(a, b)
+    g, x, z = _xgcd(a // A, p * (b // A))
+    assert g == 1, "upper-left entry is not prime to p"
+    return A, (c * x + d * p * z) % (p * (n // A))
 
 
 @lru_cache(maxsize=None)
 def right_cosets(n, p):
     """Representatives of the right Gamma0(p)-cosets of determinant-n
-    matrices with lower-left divisible by p and upper-left prime to p.
-
-    Every determinant-n matrix lies in h SL2(Z) for exactly one column-
-    Hermite h = (a, b; 0, d), 0 <= b < a, and SL2(Z) is the disjoint
-    union of the cosets s Gamma0(p) over s in _sl2_mod_gamma0(p); the
-    set is closed under right multiplication by Gamma0(p), so the
-    products h s that lie in it are one representative per coset.
-    There are sigma1(n) of them when gcd(n, p) = 1.
+    matrices with lower-left divisible by p and upper-left prime to p:
+    the lower-triangular (A, 0; p j, n/A) with A | n, p not dividing A
+    and 0 <= j < n/A, one per coset (see _coset_key).  There are
+    p^e sigma1(m) of them for n = p^e m, sigma1(n) when gcd(n, p) = 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    sl2 = _sl2_mod_gamma0(p)
-    reps = []
-    for a in range(1, n + 1):
-        if n % a:
-            continue
-        d = n // a
-        for b in range(a):
-            h = Mat2(a, b, 0, d)
-            for s in sl2:
-                if d * s.c % p:     # the lower-left entry of h s
-                    continue
-                y = h * s
-                if math.gcd(y.a, p) == 1:
-                    reps.append(y)
-    return tuple(reps)
-
-
-@lru_cache(maxsize=None)
-def _coset_index(n, p):
-    """Map from coset label to position in right_cosets(n, p)."""
-    reps = right_cosets(n, p)
-    index = {_coset_label(y, n, p): i for i, y in enumerate(reps)}
-    if len(index) != len(reps):
-        raise RuntimeError("right coset representatives are not distinct")
-    return index
+    return tuple(Mat2(A, 0, p * j, n // A)
+                 for A in _divisors(n) if A % p
+                 for j in range(n // A))
 
 
 def double_cosets(Q, n):
     """One coset representative per orbit of the stabilizer of Q acting
     on the right cosets by left multiplication."""
-    p, gamma = Q.p, Q.gamma
+    p, (ga, gb, gc, gd) = Q.p, Q.gamma.entries()
     reps = right_cosets(n, p)
-    index = _coset_index(n, p)
-    perm = []
-    for y in reps:
-        j = index.get(_coset_label(gamma * y, n, p))
-        if j is None:
-            raise RuntimeError("stabilizer does not permute the cosets")
-        perm.append(j)
-    seen = [False] * len(reps)
+    seen = set()
     out = []
-    for i in range(len(reps)):
-        if seen[i]:
+    for y in reps:
+        key = (y.a, y.c)
+        if key in seen:
             continue
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-        out.append(reps[i])
+        out.append(y)
+        while key not in seen:
+            seen.add(key)
+            A, C = key
+            D = n // A
+            key = _coset_key(ga * A + gb * C, gb * D,
+                             gc * A + gd * C, gd * D, n, p)
+    assert len(seen) == len(reps), "stabilizer does not permute the cosets"
     return tuple(out)
 
 

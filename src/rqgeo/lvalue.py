@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import squarefree_part
-from .field import _rho, class_of_ideal, form_cycle
+from .field import _divisors, _rho, class_of_ideal, form_cycle
 
 __all__ = [
     "LValue",
@@ -133,10 +133,8 @@ def L_value_genus_oracle(F, G, psi):
         raise NotApplicable("not an odd genus character")
     d = F.d_F
     pairs = []
-    for d1 in range(-1, -d - 1, -1):
-        if d % d1:
-            continue
-        d2 = d // d1
+    for e in _divisors(d):
+        d1, d2 = -e, -(d // e)
         if d2 >= d1 and _is_fundamental(d1) and _is_fundamental(d2):
             pairs.append((d1, d2))
     if len(pairs) != 1:

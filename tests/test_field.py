@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -45,13 +44,6 @@ class TestBuildField:
         assert F.unit_norm == -1
         assert F.eps_plus == F.eps * F.eps
         assert F.eps_plus.norm() == 1
-
-    def test_lambda(self):
-        F = build_field(3)
-        assert F.lam == QuadIrr(12, 1, 2, 12)
-        # lam satisfies x^2 - d x + (d^2-d)/4 = 0 with d = d_F
-        lam = F.lam
-        assert lam * lam - 12 * lam + Fraction(12 * 12 - 12, 4) == 0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -236,7 +228,7 @@ class TestIdealDictionary:
             G = narrow_class_group(F)
             d = F.d_F
             one = QuadIrr(1, 0, 1, d)
-            f = ideal_to_form(d, one, F.lam)
+            f = ideal_to_form(d, one, QuadIrr(d, 1, 2, d))
             assert class_of_ideal(G, f) == G.identity_index()
 
     def test_principal_form(self):

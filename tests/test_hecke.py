@@ -14,8 +14,7 @@ from rqgeo.geodesic import (
     twisted_cycle,
 )
 from rqgeo.hecke import (
-    _coset_label,
-    _sl2_mod_gamma0,
+    _coset_key,
     double_cosets,
     hecke_translate,
     pair_with_twisted_cycle,
@@ -36,14 +35,16 @@ def _same_coset(y, z, n, p):
 
 def _brute_right_cosets(n, p):
     """Small-n oracle: every h s with h upper triangular, b running mod n,
+    and s one of the p + 1 representatives of SL2(Z)/Gamma0(p),
     deduplicated by pairwise coset comparison."""
+    sl2 = [Mat2(1, 0, j, 1) for j in range(p)] + [Mat2(0, -1, 1, 0)]
     reps = []
     for a in range(1, n + 1):
         if n % a:
             continue
         for b in range(n):
             h = Mat2(a, b, 0, n // a)
-            for s in _sl2_mod_gamma0(p):
+            for s in sl2:
                 y = h * s
                 if not _in_delta0(y, p):
                     continue
@@ -82,11 +83,13 @@ class TestRightCosets:
         assert len(right_cosets(2, 13)) == 3
 
     def test_count_is_sigma1(self):
-        for p in (3, 5, 11, 13):
-            for n in range(1, 31):
-                if n % p == 0:
-                    continue
-                assert len(right_cosets(n, p)) == sigma1(n)
+        # n = p^e m with p prime to m: p^e sigma1(m) cosets
+        for p in (3, 5, 7, 11, 13):
+            for n in range(1, 61):
+                m, pe = n, 1
+                while m % p == 0:
+                    m, pe = m // p, pe * p
+                assert len(right_cosets(n, p)) == pe * sigma1(m)
 
     def test_membership(self):
         for n, p in ((4, 5), (6, 11), (9, 13), (5, 5)):
@@ -123,10 +126,18 @@ class TestRightCosets:
                 brute = _brute_right_cosets(n, p)
                 closed = right_cosets(n, p)
                 assert len(closed) == len(brute)
-                assert ({_coset_label(y, n, p) for y in closed}
-                        == {_coset_label(y, n, p) for y in brute})
+                for y in brute:
+                    hits = [z for z in closed if _same_coset(y, z, n, p)]
+                    assert len(hits) == 1
 
-    def test_label_equality_is_coset_equality(self):
+    def test_reps_are_their_own_keys(self):
+        for p in (2, 3, 5, 13):
+            for n in range(1, 41):
+                for y in right_cosets(n, p):
+                    assert y.b == 0 and y.a * y.d == n
+                    assert _coset_key(*y.entries(), n, p) == (y.a, y.c)
+
+    def test_key_equality_is_coset_equality(self):
         rng = random.Random(23)
         for n, p in ((6, 5), (12, 7), (9, 3), (10, 11), (13, 13)):
             reps = right_cosets(n, p)
@@ -135,7 +146,8 @@ class TestRightCosets:
                 z = rng.choice(reps) * _random_gamma0(rng, p)
                 if rng.random() < 0.3:
                     z = y * _random_gamma0(rng, p)
-                assert ((_coset_label(y, n, p) == _coset_label(z, n, p))
+                assert ((_coset_key(*y.entries(), n, p)
+                         == _coset_key(*z.entries(), n, p))
                         == _same_coset(y, z, n, p))
 
     def test_delta0_right_gamma0_invariant(self):
@@ -179,6 +191,26 @@ class TestDoubleCosets:
                         cur = g * cur
                 covered += (hits >= 1)
             assert covered == len(reps)
+
+    @pytest.mark.parametrize("shift, match", [
+        (lambda A, C, n, p: C + 1, None),
+        # C left unreduced mod p n/A: still a multiple of p, so only the
+        # count of the walked keys catches it
+        (lambda A, C, n, p: C + p * (n // A), "permute"),
+    ], ids=["off_by_one", "unreduced"])
+    def test_wrong_key_is_caught(self, monkeypatch, shift, match):
+        # a key off the representatives' labels sends the orbit walk out
+        # of the coset set
+        key = rqgeo.hecke._coset_key
+
+        def mutant(a, b, c, d, n, p):
+            A, C = key(a, b, c, d, n, p)
+            return A, shift(A, C, n, p)
+        monkeypatch.setattr(rqgeo.hecke, "_coset_key", mutant)
+        Q = _base_geodesic(6, 5)
+        with pytest.raises(AssertionError, match=match):
+            for n in range(2, 7):
+                double_cosets(Q, n)
 
 
 class TestHeckeTranslate:
