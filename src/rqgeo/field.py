@@ -2,10 +2,14 @@
 
 The class group backend is forms-only: narrow ideal classes are
 represented by proper equivalence classes of primitive integral binary
-quadratic forms of discriminant d_F, each the rho cycle of its reduced
-forms.  The group table composes forms by the united-form formula
-(``gauss_compose``); the characters are built by extending from one
-subgroup to the next (``all_characters``).  Ideals enter as forms or as
+quadratic forms of discriminant d_F.  A class is its rho cycle of
+reduced forms, kept with each step's delta (the step from f to the next
+form is f.apply((0, -1; 1, delta))): the sum of the deltas gives the
+partial zeta value, and ``_steps`` turns deltas into the step matrix,
+around the principal cycle the Pell unit.  The group table composes
+forms by the united-form formula (``gauss_compose``); the characters
+are built by extending from one subgroup to the next
+(``all_characters``).  Ideals enter as forms or as
 Z-bases [a0, (-b0 + sqrt(d))/2].  QuadIrr values appear only in the
 reported units and the roots of a form.
 """
@@ -96,7 +100,8 @@ def _is_reduced(f):
 
 
 def _rho(f):
-    """One reduction step; returns (form, matrix) with f.apply(m) = form."""
+    """One reduction step; returns (g, delta) with
+    g = f.apply((0, -1; 1, delta))."""
     a, b, c = f
     D = f.disc()
     ac = abs(c)
@@ -106,33 +111,44 @@ def _rho(f):
     bp = lo + ((-b - lo) % (2 * ac))
     delta = (bp + b) // (2 * c)
     cp = (bp * bp - D) // (4 * c)
-    m = Mat2(0, -1, 1, delta)
-    g = QuadForm(c, bp, cp)
-    assert f.apply(m) == g
-    return g, m
+    # f.apply((0, -1; 1, delta)) == (c, bp, cp), entry by entry
+    assert -b + 2 * c * delta == bp and a - b * delta + c * delta * delta == cp
+    return QuadForm(c, bp, cp), delta
+
+
+def _steps(deltas):
+    """The product of the reduction steps (0, -1; 1, delta), in order."""
+    # right multiplication by a step: the columns (x0, y0), (x1, y1)
+    # become (x1, y1), (delta x1 - x0, delta y1 - y0)
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    for delta in deltas:
+        x0, x1 = x1, delta * x1 - x0
+        y0, y1 = y1, delta * y1 - y0
+    return Mat2(x0, x1, y0, y1)
 
 
 def reduce_form(f):
     """Reduce an indefinite form; returns (g, m) with f.apply(m) = g reduced."""
-    m = Mat2.identity()
-    g = f
+    g, deltas = f, []
     for _ in range(10000):
         if _is_reduced(g):
-            return g, m
-        g, step = _rho(g)
-        m = m * step
+            return g, _steps(deltas)
+        g, delta = _rho(g)
+        deltas.append(delta)
     raise RuntimeError("reduction did not terminate for %r" % (f,))
 
 
 def form_cycle(f):
-    """The cycle of reduced forms properly equivalent to f, in rho order."""
-    g, _ = reduce_form(f)
-    cyc = [g]
-    h, _ = _rho(g)
-    while h != g:
-        cyc.append(h)
-        h, _ = _rho(h)
-    return cyc
+    """The cycle of reduced forms properly equivalent to f, in rho order,
+    and the delta of each step: deltas[i] takes forms[i] to the next form,
+    the last one back to forms[0]."""
+    forms, deltas = [reduce_form(f)[0]], []
+    while True:
+        g, delta = _rho(forms[-1])
+        deltas.append(delta)
+        if g == forms[0]:
+            return forms, deltas
+        forms.append(g)
 
 
 @lru_cache(maxsize=None)
@@ -140,20 +156,14 @@ def pell_plus(D):
     """Smallest (t, u), t, u > 0, with t^2 - D u^2 = 4.
 
     Gives the fundamental totally positive unit (t + u sqrt(D))/2 of the
-    order of discriminant D.  Obtained as the product of the transition
-    matrices around one period of the reduction cycle of the principal
-    form, which is the fundamental automorph; brute-forcing u is far too
-    slow once the regulator grows.
+    order of discriminant D.  Obtained as the product of the steps around
+    the reduced cycle of the principal form, which is the fundamental
+    automorph; brute-forcing u is far too slow once the regulator grows.
     """
     assert D > 0 and squarefree_part(D)[0] != 1
     b0 = D % 2
-    g, _ = reduce_form(QuadForm(1, b0, (b0 * b0 - D) // 4))
-    cur, m = g, Mat2.identity()
-    while True:
-        cur, step = _rho(cur)
-        m = m * step
-        if cur == g:
-            break
+    forms, deltas = form_cycle(QuadForm(1, b0, (b0 * b0 - D) // 4))
+    g, m = forms[0], _steps(deltas)
     assert g.apply(m) == g
     t = abs(m.a + m.d)
     u = abs(m.c) // abs(g.a)
@@ -270,20 +280,24 @@ def _xgcd(a, b):
 
 
 class NarrowClassGroup:
-    """Cl(F)^+ as proper classes of primitive forms of discriminant d_F."""
+    """Cl(F)^+ as proper classes of primitive forms of discriminant d_F.
 
-    def __init__(self, field, reps, table, sqrt_class):
+    Each class is its rho cycle, kept as the (forms, deltas) of
+    form_cycle from its least reduced form; narrow_class_group fills in
+    the group table and the class of (sqrt(d_F)).
+    """
+
+    def __init__(self, field, cycles):
         self.field = field
-        self.class_reps = reps
-        self.group_table = table
-        self.class_of_principal_sqrt_dF = sqrt_class
-        # the reduced forms of a class make up its one rho cycle
-        self._class_of = {g: i for i, r in enumerate(reps)
-                          for g in form_cycle(r)}
+        self.cycles = cycles
+        self.group_table = None
+        self.class_of_principal_sqrt_dF = None
+        self._class_of = {g: i for i, (forms, _) in enumerate(cycles)
+                          for g in forms}
 
     @property
     def h(self):
-        return len(self.class_reps)
+        return len(self.cycles)
 
     def classify(self, form):
         if form.disc() != self.field.d_F:
@@ -303,7 +317,7 @@ class NarrowClassGroup:
 
     def positive_rep(self, i):
         """A representative form with positive leading coefficient."""
-        for f in form_cycle(self.class_reps[i]):
+        for f in self.cycles[i][0]:
             if f.a > 0:
                 return f
         raise RuntimeError("cycle has no positive form")
@@ -311,21 +325,21 @@ class NarrowClassGroup:
 
 def narrow_class_group(F):
     d = F.d_F
-    forms = _reduced_forms(d)
     cycles = []
     seen = set()
-    for f in forms:
+    for f in _reduced_forms(d):
         if f in seen:
             continue
-        cyc = form_cycle(f)
-        seen.update(cyc)
-        cycles.append(cyc)
+        forms, deltas = form_cycle(f)
+        seen.update(forms)
+        # from its least form, which positive_rep starts its search at
+        k = forms.index(min(forms))
+        cycles.append((forms[k:] + forms[:k], deltas[k:] + deltas[:k]))
     # the principal class first, the others by their least reduced form
     b0 = d % 2
     principal, _ = reduce_form(QuadForm(1, b0, (b0 * b0 - d) // 4))
-    cycles.sort(key=lambda cyc: (principal not in cyc, min(cyc)))
-    classes = [min(cyc) for cyc in cycles]
-    G = NarrowClassGroup(F, classes, None, None)
+    cycles.sort(key=lambda cyc: (principal not in cyc[0], cyc[0][0]))
+    G = NarrowClassGroup(F, cycles)
     positive = [G.positive_rep(i) for i in range(G.h)]
     G.group_table = [[G.classify(gauss_compose(fi, fj)) for fj in positive]
                      for fi in positive]

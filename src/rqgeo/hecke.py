@@ -7,7 +7,9 @@ geodesic, and the pairing of a Hecke translate against a twisted cycle.
 Each coset y Gamma0(p) has one lower-triangular representative
 (A, 0; C, n/A), with A | n prime to p and C = p j, 0 <= j < n/A, and
 that representative's (A, C) is the coset's label: the stabilizer's
-orbits are walked on the labels in plain integers.
+orbits are walked on the labels in plain integers.  right_cosets
+asserts that each representative is its own key, so a key that moves
+the labels among themselves is caught as well as one that leaves them.
 """
 
 from __future__ import annotations
@@ -62,9 +64,12 @@ def right_cosets(n, p):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return tuple(Mat2(A, 0, p * j, n // A)
+    reps = tuple(Mat2(A, 0, p * j, n // A)
                  for A in _divisors(n) if A % p
                  for j in range(n // A))
+    assert all(_coset_key(*y.entries(), n, p) == (y.a, y.c) for y in reps), \
+        "coset rep is not its own key"
+    return reps
 
 
 def double_cosets(Q, n):

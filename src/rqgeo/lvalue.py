@@ -2,7 +2,9 @@
 
 The main route sums the exact partial zeta values at s = 0 against the
 character: zeta(A, 0) = (1/12) * sum(delta) over the reduced cycle of
-the class A, each reduction step being f.apply((0, -1; 1, delta)).  For
+the class A, each reduction step being f.apply((0, -1; 1, delta)).  The
+class group keeps those deltas from the walk that found the cycle, so
+no cycle is walked here.  For
 genus characters the value factors as a product of two Dirichlet
 L-values at 0, which serves as an independent oracle via finite
 generalized-Bernoulli sums.  The tests also check the partial zeta
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import squarefree_part
-from .field import _divisors, _rho, class_of_ideal, form_cycle
+from .field import _divisors, class_of_ideal
 
 __all__ = [
     "LValue",
@@ -58,8 +60,7 @@ def partial_zeta_values(F, G):
     The value is (1/12) * sum(delta) over the reduced cycle of the class,
     where each reduction step is f.apply((0, -1; 1, delta)).
     """
-    return tuple(Fraction(sum(_rho(f)[1].d for f in form_cycle(rep)), 12)
-                 for rep in G.class_reps)
+    return tuple(Fraction(sum(deltas), 12) for _, deltas in G.cycles)
 
 
 def L_value_zagier(F, G, psi):

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .exact import Mat2, QuadIrr, squarefree_part
-from .field import QuadForm, _rho, automorph, form_cycle, reduce_form
+from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
 from .geodesic import _cusp_orbit, _inverses, _p1_key
 from .lvalue import kronecker
 
@@ -70,7 +70,7 @@ def ideal_to_form(d, w1, w2):
 
 def canonical_rep(f):
     """Deterministic representative of the proper equivalence class of f."""
-    return min(form_cycle(f))
+    return min(form_cycle(f)[0])
 
 
 def sl2_equivalence(f, g):
@@ -79,17 +79,12 @@ def sl2_equivalence(f, g):
         raise ValueError("discriminant mismatch")
     rf, mf = reduce_form(f)
     rg, mg = reduce_form(g)
-    cur, walk = rf, Mat2.identity()
-    for _ in range(10000):
-        if cur == rg:
-            m = mf * walk * mg.adjugate()
-            assert f.apply(m) == g
-            return m
-        cur, step = _rho(cur)
-        walk = walk * step
-        if cur == rf:
-            return None
-    raise RuntimeError("cycle walk did not close")
+    forms, deltas = form_cycle(rf)
+    if rg not in forms:
+        return None
+    m = mf * _steps(deltas[:forms.index(rg)]) * mg.adjugate()
+    assert f.apply(m) == g
+    return m
 
 
 def multiply_ideals(d, basis1, basis2):

@@ -67,7 +67,7 @@ class TestVerify:
         assert rep["passed"]
         names = [c["name"] for c in rep["checks"]]
         assert names == ["dual_algorithm", "modularity", "r_plus_2p",
-                         "pm_halves", "psi_inverse", "coset_counts"]
+                         "pm_halves", "psi_inverse"]
 
     def test_two_hecke_passes(self, monkeypatch):
         # one pass with both algorithms for the report series (which the

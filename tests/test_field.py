@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from rqgeo.exact import QuadIrr, squarefree_part
+from rqgeo.exact import Mat2, QuadIrr, squarefree_part
 from rqgeo.field import (
     QuadForm,
+    _is_reduced,
     all_characters,
     automorph,
     build_field,
@@ -106,9 +107,24 @@ class TestPell:
 class TestReduction:
     def test_reduced_cycle_closes(self):
         f = QuadForm(1, 0, -3)
-        cyc = form_cycle(f)
-        assert len(cyc) >= 1
-        assert all(g.disc() == 12 for g in cyc)
+        forms, deltas = form_cycle(f)
+        assert len(forms) == len(deltas) >= 1
+        assert all(g.disc() == 12 for g in forms)
+        # deltas[i] steps forms[i] to the next form, the last one back
+        # to the first, for both orientations of the principal form
+        for D in range(2, 200):
+            if squarefree_part(D)[1] != 1:
+                continue
+            d = build_field(D).d_F
+            b0 = d % 2
+            for s in (1, -1):
+                forms, deltas = form_cycle(
+                    QuadForm(s, b0, s * (b0 * b0 - d) // 4))
+                assert len(forms) == len(deltas) == len(set(forms))
+                assert all(_is_reduced(g) for g in forms)
+                for i, (g, delta) in enumerate(zip(forms, deltas)):
+                    nxt = forms[(i + 1) % len(forms)]
+                    assert g.apply(Mat2(0, -1, 1, delta)) == nxt, (D, i)
 
     def test_equivalence_matrix(self):
         f = QuadForm(1, 2, -2)
@@ -140,6 +156,21 @@ class TestNarrowClassGroup:
     def test_h_plus_24_28(self):
         assert narrow_class_group(build_field(6)).h == 2
         assert narrow_class_group(build_field(7)).h == 2
+
+    def test_cycles_start_at_least_form(self):
+        # each class is its cycle from its least reduced form, with the
+        # delta of every step; the positive rep is the first positive form
+        assert narrow_class_group(build_field(10)).positive_rep(1) == (3, 4, -2)
+        for D in range(2, 300):
+            if squarefree_part(D)[1] != 1:
+                continue
+            G = narrow_class_group(build_field(D))
+            for i, (forms, deltas) in enumerate(G.cycles):
+                assert forms[0] == min(forms)
+                assert G.positive_rep(i) == next(f for f in forms if f.a > 0)
+                for k, delta in enumerate(deltas):
+                    nxt = forms[(k + 1) % len(forms)]
+                    assert forms[k].apply(Mat2(0, -1, 1, delta)) == nxt
 
     def test_identity_first(self):
         for D in (3, 5, 6, 7):

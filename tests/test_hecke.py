@@ -197,15 +197,24 @@ class TestDoubleCosets:
         # C left unreduced mod p n/A: still a multiple of p, so only the
         # count of the walked keys catches it
         (lambda A, C, n, p: C + p * (n // A), "permute"),
-    ], ids=["off_by_one", "unreduced"])
+        # a key that stays inside the label set: the orbit walk never
+        # leaves it, but the reps are no longer their own keys
+        (lambda A, C, n, p: (C + p) % (p * (n // A)), "own key"),
+    ], ids=["off_by_one", "unreduced", "inside_label_set"])
     def test_wrong_key_is_caught(self, monkeypatch, shift, match):
         # a key off the representatives' labels sends the orbit walk out
-        # of the coset set
+        # of the coset set, or fails right_cosets' own-key assert
         key = rqgeo.hecke._coset_key
 
         def mutant(a, b, c, d, n, p):
             A, C = key(a, b, c, d, n, p)
             return A, shift(A, C, n, p)
+        if match == "own key":
+            right_cosets.cache_clear()
+        else:
+            # cached reps, so the walk in double_cosets meets the mutant
+            for n in range(2, 7):
+                right_cosets(n, 5)
         monkeypatch.setattr(rqgeo.hecke, "_coset_key", mutant)
         Q = _base_geodesic(6, 5)
         with pytest.raises(AssertionError, match=match):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import rqgeo.field
 from rqgeo.exact import Mat2, QuadIrr, squarefree_part
 from rqgeo.field import all_characters, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import choose_r
@@ -59,6 +60,17 @@ class TestPartialZetas:
         F7 = build_field(7)
         assert partial_zeta_values(F7, narrow_class_group(F7)) == (
             Fraction(1, 4), Fraction(-1, 4))
+
+    def test_no_walk_once_the_group_is_built(self, monkeypatch):
+        # the class group keeps each cycle's deltas from the walk that
+        # found it; the partial zeta values only sum them
+        F = build_field(210)
+        G = narrow_class_group(F)
+
+        def no_step(f):
+            raise AssertionError("partial_zeta_values walked a cycle")
+        monkeypatch.setattr(rqgeo.field, "_rho", no_step)
+        assert sum(partial_zeta_values(F, G)) == 0
 
     def test_reduced_cycle_matches_minus_cf(self):
         # (1/12) sum(delta) over the reduced cycle against Zagier's

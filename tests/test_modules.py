@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib
 import json
 import os
@@ -41,6 +43,40 @@ def test_every_export_resolves():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), "%s.%s" % (mod.__name__, name)
+
+
+def _unused_imports(source):
+    """Names bound by a module-level import that the module neither
+    reads nor lists in __all__."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read and name not in exported)
+
+
+def test_no_unused_imports():
+    # a name imported at module level is read there or exported
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "rqgeo", "*.py"))):
+        with open(path) as fh:
+            unused = _unused_imports(fh.read())
+        assert unused == [], (os.path.basename(path), unused)
+    # the guard does fire
+    assert _unused_imports("import math\nfrom .x import _a, b\n"
+                           "__all__ = ['b']\n") == [(1, "math"), (2, "_a")]
 
 
 def test_coefficient_path_builds_no_quadirr(monkeypatch):
