@@ -13,18 +13,25 @@ geodesic on Y0(p) with the winding geodesic from 0 to infinity:
 
 * intersect_winding_cycle sums sgn(a) over the forms in the proper
   Gamma0(p)-class of Q whose root geodesic separates 0 from infinity
-  (those with a*c < 0).  It finds them in one walk along the river of
-  the Conway topograph of Q.form, one automorph period long, carrying
-  only the transition matrix mod p; an edge counts when a column of
-  that matrix lies in the orbit of infinity in P^1(F_p) under the
-  automorph;
+  (those with a*c < 0), the edges of the river of the Conway topograph
+  whose walk matrix has a column in the orbit of infinity in P^1(F_p)
+  under the automorph.  If m reduces Q.form to g, that orbit is the
+  orbit of m^-1 infinity under g's automorph A, so the number depends
+  only on that A-orbit: one walk along one period of g's river gives a
+  table of it for every orbit, and registers each reduced form of the
+  cycles of g and -g with its walk matrix mod p.  A translate that
+  reduces into either cycle then costs one reduction and one lookup,
+  and a memo shared by the translates of one pairing table walks each
+  SL2(Z) cycle and its negative once;
 * intersect_winding_enum walks the Farey tessellation along one period
   of the closed geodesic, in the original coordinates and without
   reducing the form, and adds up signed crossings with translates of the
-  imaginary axis.  A Farey vertex (x, y) lies between the roots exactly
-  when f(x, y) * a < 0, the period ends at the stabilizer's image of
-  the first crossed edge, and the sides of a crossed edge's pull-back
-  are signs of numbers x + y sqrt(disc) with integer x, y.
+  imaginary axis; it shares nothing with the cycle side.  A Farey vertex
+  (x, y) lies between the roots exactly when f(x, y) * a < 0, the walk
+  steps to mediants toward one root, the period ends at the
+  stabilizer's image of the first crossed edge, and the sides of a
+  crossed edge's pull-back are signs of numbers x + y sqrt(disc) with
+  integer x, y.
 
 Everything is integer arithmetic; the roots of f are never built.
 """
@@ -228,35 +235,101 @@ def gamma0_automorph(form, p):
     return A ** sum(_cusp_orbit(A, p))
 
 
-def intersect_winding_cycle(Q):
-    """Winding intersection number by one walk along the river: the sum
-    of sgn(a) over the forms [a, b, c] with a*c < 0 in the Gamma0(p)-class
-    of Q.form.  The class of -f holds the negatives of the forms in the
-    class of f, so reversing Q negates the sum."""
-    p = Q.p
+def _walk_river(g, p, memo):
+    """Walk the river of the reduced form g once, one automorph period.
+
+    Tally +1 at the P^1(F_p) key of each edge's first column and -1 at
+    that of its second, with the walk matrix E (g.apply(E) is the edge's
+    form) carried mod p; sum the tallies over the orbits of g's automorph
+    A on P^1(F_p) into the table T, indexed by key.  Every reduced form
+    of the class of g met on the way is registered in memo under (p, *form)
+    as (T, E mod p by columns), and every reduced form of the class of -g
+    as (-T, E), where -g.apply(E) is that form.
+    """
     inv = _inverses(p)
-    hit = _cusp_orbit(automorph(Q.form), p)
-    (a, b, c), m = reduce_form(Q.form)     # reduced, so a*c < 0
-    # the transition matrix from Q.form, mod p, by columns (x0, y0), (x1, y1)
-    x0, x1, y0, y1 = m.mod(p)
+    a, b, c = g
+    s = math.isqrt(b * b - 4 * a * c)
+    x0, x1, y0, y1 = 1, 0, 0, 1
     if a < 0:
+        # start on the edge whose forms are [c, -b, a] and g itself
         a, b, c = c, -b, a
-        x0, x1, y0, y1 = x1, -x0 % p, y1, -y0 % p
+        x0, x1, y0, y1 = 0, p - 1, 1, 0
     start = (a, b, c)
-    total = 0
+    tally = [0] * (p + 1)
+    table, negated = [None] * (p + 1), [None] * (p + 1)   # filled below
     while True:
-        # [a, b, c] counts +1 and [c, -b, a] counts -1 (_p1_key inlined)
-        total += (hit[x0 * inv[y0] % p if y0 else p]
-                  - hit[x1 * inv[y1] % p if y1 else p])
-        s = a + b + c               # value on e1 + e2, never 0
-        if s > 0:
-            a, b = s, b + 2 * c     # e1 <- e1 + e2
+        tally[x0 * inv[y0] % p if y0 else p] += 1     # _p1_key inlined
+        tally[x1 * inv[y1] % p if y1 else p] -= 1
+        # the edge holds [a, b, c] = g.apply(E) and [c, -b, a] = g.apply(E S),
+        # E S = (x1, -x0; y1, -y0), and their negatives lie in the class of
+        # -g.  On the river 0 < |b| < sqrt(D), so [x, |b|, y] is reduced
+        # when sqrt(D) - |b| < 2|x| < sqrt(D) + |b|, in integers
+        # -|b| <= s - 2|x| < |b|; as (sqrt(D) - |b|)(sqrt(D) + |b|) = 4|x y|,
+        # the test on a decides the one on c
+        u = s - 2 * a
+        if -b <= u < b:
+            memo[p, a, b, c] = (table, x0, x1, y0, y1)
+            memo[p, -c, b, -a] = (negated, x1, -x0 % p, y1, -y0 % p)
+        elif b <= u < -b:
+            memo[p, c, -b, a] = (table, x1, -x0 % p, y1, -y0 % p)
+            memo[p, -a, -b, -c] = (negated, x0, x1, y0, y1)
+        t = a + b + c               # value on e1 + e2, never 0
+        if t > 0:
+            a, b = t, b + 2 * c     # e1 <- e1 + e2
             x0, y0 = (x0 + x1) % p, (y0 + y1) % p
         else:
-            b, c = b + 2 * a, s     # e2 <- e1 + e2
+            b, c = b + 2 * a, t     # e2 <- e1 + e2
             x1, y1 = (x0 + x1) % p, (y0 + y1) % p
         if (a, b, c) == start:
-            return total
+            break
+    ma, mb, mc, md = automorph(g).mod(p)
+    for k in range(p + 1):
+        orbit, j = [], k
+        x, y = (k, 1) if k < p else (1, 0)
+        while table[j] is None:     # A permutes P^1(F_p): back at k
+            table[j] = 0
+            orbit.append(j)
+            x, y = (ma * x + mb * y) % p, (mc * x + md * y) % p
+            j = _p1_key(x, y, p, inv)
+        total = sum(tally[j] for j in orbit)
+        for j in orbit:
+            table[j], negated[j] = total, -total
+
+
+def intersect_winding_cycle(Q, memo=None):
+    """Winding intersection number by the river of the topograph: the sum
+    of sgn(a) over the forms [a, b, c] with a*c < 0 in the Gamma0(p)-class
+    of Q.form.
+
+    Let m reduce Q.form to g (Q.form.apply(m) = g) and let A be the
+    automorph of g.  A river edge of g, with walk matrix W, counts when a
+    column of m W lies, in P^1(F_p), in the orbit of infinity under the
+    automorph m A m^-1 of Q.form, that is when the column of W lies in the
+    A-orbit of m^-1 infinity = (d, -c).  So the number depends only on
+    that orbit, and one walk of g's river (_walk_river) gives it for every
+    orbit at once: the table T of tallies summed over A-orbits.  The walk
+    registers every reduced form g' = g.apply(E) of g's cycle, and of the
+    cycle of -g with -T, so a form reduced to g' by m reads T at
+    E (d, -c).  The class of -f holds the negatives of the forms in the
+    class of f, so reversing Q negates the sum.
+
+    memo maps (p, *reduced form) to (T, E mod p); with one dict passed to
+    every call, each SL2(Z) cycle and its negative is walked once.
+    Without it, the call walks the river of its own reduced form.
+    """
+    p = Q.p
+    g, m = reduce_form(Q.form)
+    key = (p,) + g
+    if memo is None:
+        memo = {}
+    entry = memo.get(key)
+    if entry is None:
+        _walk_river(g, p, memo)
+        entry = memo[key]
+    table, x0, x1, y0, y1 = entry
+    # m^-1 infinity = (d, -c), carried by E into the start's coordinates
+    x, y = (x0 * m.d - x1 * m.c) % p, (y0 * m.d - y1 * m.c) % p
+    return table[x * _inverses(p)[y] % p if y else p]
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +421,13 @@ def intersect_winding_enum(Q):
     the sum of _edge_sign over the Farey edges that one period of the
     geodesic crosses."""
     f = Q.form
-    a, D = f.a, f.disc()
+    a, b, c = f
+    D = b * b - 4 * a * c
     gamma, p = Q.gamma, Q.p
 
     def inside(t):
-        return f.value(*t) * a < 0
+        x, y = t
+        return (a * x * x + b * x * y + c * y * y) * a < 0
 
     edge = _start_edge(f, D, inside)
     stops = []
@@ -360,18 +435,22 @@ def intersect_winding_enum(Q):
         s, t = (_norm_pt((m.a * x + m.b * y, m.c * x + m.d * y))
                 for x, y in edge)
         stops += [(s, t), (t, s)]
-    u, v = edge
-    tprev = _norm_pt((u[0] - v[0], u[1] - v[1]))
+    # every edge of the walk is crossed, and a step keeps the side of the
+    # edge's first point, so that side is inside(edge[0]) throughout
+    uin = inside(edge[0])
     total = 0
     while edge not in stops:
         total += _edge_sign(edge, f, D, p)
-        # step across the current edge into the next Farey triangle
+        # step across the edge into the Farey triangle (u, v, u + v).  The
+        # geodesic crosses (u, v), so one root lies in the interval that
+        # the edge spans and the triangles below it close in on that root:
+        # the walk never turns back to u - v.  The mediant of a unimodular
+        # pair is primitive, and it has a positive denominator since u and
+        # v have nonnegative ones, so it is normalized as it stands
         u, v = edge
-        t = _norm_pt((u[0] + v[0], u[1] + v[1]))
-        if t == tprev:
-            t = _norm_pt((u[0] - v[0], u[1] - v[1]))
-        if inside(t) != inside(u):
-            edge, tprev = (u, t), v
+        x, y = t = (u[0] + v[0], u[1] + v[1])
+        if ((a * x * x + b * x * y + c * y * y) * a < 0) != uin:
+            edge = (u, t)
         else:
-            edge, tprev = (t, v), u
+            edge = (t, v)
     return total

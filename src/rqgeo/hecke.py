@@ -97,10 +97,14 @@ def double_cosets(Q, n):
 def hecke_translate(Q, n):
     """The closed geodesics delta^{-1} Q over double coset reps delta.
 
-    Each is the pulled-back form, whose sign carries the orientation
-    pushed forward from Q.  Pushing it back through adj(delta) gives a
-    positive multiple of Q's form, which holds exactly when adj(delta)
-    maps Q's plus and minus roots onto the translate's.
+    Each is the pulled-back form f o delta of Q's form f, whose sign
+    carries the orientation pushed forward from Q.  The assert pushes it
+    back through adj(delta) and asks for f itself up to a positive
+    factor, that is, for adj(delta) to map Q's plus and minus roots onto
+    the translate's.  Since f o delta o adj(delta) = det(delta)^2 f, that
+    holds for every integer matrix delta: it catches a translate and a
+    check built from different matrices or signs, never a wrong coset
+    rep (right_cosets and double_cosets assert those).
     """
     out = []
     for delta in double_cosets(Q, n):

@@ -15,6 +15,7 @@ values against Zagier's minus continued fraction cycles
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import squarefree_part
 from .field import _divisors, class_of_ideal
@@ -144,14 +145,21 @@ def L_value_genus_oracle(F, G, psi):
     return dirichlet_L0(d1) * dirichlet_L0(d2)
 
 
+@lru_cache(maxsize=16)
+def _classes_over(G, p, r):
+    """The narrow classes of P = (p, r) and P^sigma = (p, -r), located via
+    the ideal dictionary once for every character of G (keyed by the
+    group object itself, like series.pairing_table)."""
+    return class_of_ideal(G, (p, r)), class_of_ideal(G, (p, -r))
+
+
 def euler_factor(F, G, psi, p, r):
     """(1 - psi(P)) * (1 - psi(P^sigma)) for the degree-one primes P,
-    P^sigma over the split prime p, located via the ideal dictionary."""
+    P^sigma over the split prime p."""
     d = F.d_F
     if (r * r - d) % (4 * p):
         raise ValueError("r is not a square root of d_F mod 4p")
-    cls_p = class_of_ideal(G, (p, r))
-    cls_ps = class_of_ideal(G, (p, -r))
+    cls_p, cls_ps = _classes_over(G, p, r)
     return (1 - psi(cls_p)) * (1 - psi(cls_ps))
 
 

@@ -45,20 +45,25 @@ def intersection_algorithm(name):
     """The function of one Hecke translate that gives its winding
     intersection number by the named algorithm: "cycle", "enum", or
     "both", which runs the two on the translate and raises
-    AlgorithmMismatch, naming its form, when they disagree.  The
-    algorithms are looked up when this is called, so wrapping the module
-    attributes wraps them."""
+    AlgorithmMismatch, naming its form, when they disagree.  Each call
+    gives "cycle" and "both" a fresh river memo (see
+    intersect_winding_cycle), which lives as long as the returned
+    function.  The algorithms are looked up when this is called ("enum")
+    or on every translate, so wrapping the module attributes wraps
+    them."""
     if name == "cycle":
-        return intersect_winding_cycle
+        memo = {}
+        return lambda t: intersect_winding_cycle(t, memo)
     if name == "enum":
         return intersect_winding_enum
     if name == "both":
-        return _intersect_both
+        memo = {}
+        return lambda t: _intersect_both(t, memo)
     raise ValueError("unknown algorithm %r" % (name,))
 
 
-def _intersect_both(t):
-    val, other = intersect_winding_cycle(t), intersect_winding_enum(t)
+def _intersect_both(t, memo):
+    val, other = intersect_winding_cycle(t, memo), intersect_winding_enum(t)
     if val != other:
         raise AlgorithmMismatch("translate %r: cycle=%r enum=%r"
                                 % (t.form, val, other))

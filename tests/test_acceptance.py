@@ -5,7 +5,7 @@ the headline guarantees: dual-algorithm agreement, genus-zero
 proportionality, the level-11 two-dimensional identity, L-value
 cross-validation, invariance of the series under every representative
 choice, degenerate cases, the archimedean identities, and the coset
-counting law.
+keys and their counting law.
 """
 
 import random
@@ -26,7 +26,13 @@ from rqgeo.geodesic import (
     intersect_winding_enum,
     twisted_cycle,
 )
-from rqgeo.hecke import hecke_translate, pair_with_twisted_cycle, right_cosets, sigma1
+from rqgeo.hecke import (
+    _coset_key,
+    hecke_translate,
+    pair_with_twisted_cycle,
+    right_cosets,
+    sigma1,
+)
 from rqgeo.lvalue import (
     L_value_genus_oracle,
     L_value_zagier,
@@ -182,10 +188,34 @@ def test_criterion_7_analytic_suite():
 
 
 def test_criterion_8_coset_counts():
-    for p in (3, 5, 11, 13):
-        for n in range(1, N + 1):
-            if n % p == 0:
-                continue
-            assert len(right_cosets(n, p)) == sigma1(n, None)
-    print("PASS criterion 8: |right_cosets(n,p)| = sigma1(n) for "
-          "gcd(n,p)=1, n <= 30")
+    # every det-n matrix (a, b; c, d) with p | c, p prime to a and
+    # |a|, |b|, |d| <= 12, |c| <= 4p is keyed to a label of right_cosets
+    # whose rep R has R^-1 M in Gamma0(p), and the keys met are exactly
+    # the p^e sigma1(m) labels, n = p^e m
+    B, K = 12, 4
+    for p in (3, 5, 11):
+        for n in range(1, 13):
+            labels = {(y.a, y.c) for y in right_cosets(n, p)}
+            e, m = 0, n
+            while m % p == 0:
+                e, m = e + 1, m // p
+            met = set()
+            for a in range(-B, B + 1):
+                if a % p == 0:
+                    continue
+                for c in range(-K * p, K * p + 1, p):
+                    for b in range(-B, B + 1):
+                        d, rem = divmod(n + b * c, a)
+                        if rem or abs(d) > B:
+                            continue
+                        A, C = key = _coset_key(a, b, c, d, n, p)
+                        assert key in labels, (n, p, (a, b, c, d), key)
+                        met.add(key)
+                        # n R^-1 M = (n/A, 0; -C, A) (a, b; c, d)
+                        D = n // A
+                        g = (D * a, D * b, A * c - C * a, A * d - C * b)
+                        assert all(x % n == 0 for x in g) \
+                            and g[2] // n % p == 0, (n, p, (a, b, c, d), key)
+            assert met == labels and len(labels) == p ** e * sigma1(m), (n, p)
+    print("PASS criterion 8: _coset_key puts every det-n matrix with small "
+          "entries in its coset and meets every label, n <= 12")

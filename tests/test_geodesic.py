@@ -419,6 +419,28 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
         assert v == _oracle_edge_sign(edge, t.form, p), (edge, t.form)
 
 
+_RIVER_MEMO = {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.sampled_from(CONFIGS + ((15, 7), (21, 5), (33, 17), (7, 19))),
+       n=st.integers(1, 12), pick=st.integers(0, 10 ** 6),
+       j=st.integers(-3, 3), k=st.integers(-2, 2))
+def test_river_table_equals_fresh_walk(config, n, pick, j, k):
+    # one memo shared by every example, so most translates read a table
+    # walked from another form of their cycle or of its negative: it must
+    # give what a walk of the translate's own reduced form gives
+    D, p = config
+    terms = _cycle_terms(D, p)
+    _, Q = terms[pick % len(terms)]
+    translates = hecke_translate(Q, n)
+    t = translates[(pick // len(terms)) % len(translates)]
+    t = t.translate(Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
+    for u in (t, t.reversed()):
+        assert intersect_winding_cycle(u, _RIVER_MEMO) == \
+            intersect_winding_cycle(u), u
+
+
 class TestTwistedCycle:
     def test_structure_d12(self):
         F, G, psi, rc = _setup(3, 13)

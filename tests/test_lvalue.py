@@ -3,8 +3,15 @@ from fractions import Fraction
 import pytest
 
 import rqgeo.field
+import rqgeo.lvalue
 from rqgeo.exact import Mat2, QuadIrr, squarefree_part
-from rqgeo.field import all_characters, build_field, narrow_class_group, odd_characters
+from rqgeo.field import (
+    all_characters,
+    build_field,
+    class_of_ideal,
+    narrow_class_group,
+    odd_characters,
+)
 from rqgeo.geodesic import choose_r
 from rqgeo.lvalue import (
     L_value_genus_oracle,
@@ -203,6 +210,24 @@ class TestEulerFactor:
         rc = choose_r(F, 5)
         for k in (0, 1, 2, -1):
             assert euler_factor(F, G, psi, 5, rc.r + 2 * 5 * k) == 4
+
+    def test_primes_classified_once_per_field(self, monkeypatch):
+        # the four odd characters of D = 210 at p = 11 share one
+        # classification of P = (p, r) and P^sigma = (p, -r)
+        F = build_field(210)
+        G = narrow_class_group(F)
+        rc = choose_r(F, 11)
+        chars = odd_characters(G)
+        assert len(chars) == 4
+        P, Ps = class_of_ideal(G, (11, rc.r)), class_of_ideal(G, (11, -rc.r))
+        calls = []
+        classify = rqgeo.lvalue.class_of_ideal
+        monkeypatch.setattr(rqgeo.lvalue, "class_of_ideal",
+                            lambda G, spec: calls.append(spec) or classify(G, spec))
+        for psi in chars:
+            lv = constant_term(F, G, psi, 11, rc.r)
+            assert lv.euler_factor_p == (1 - psi(P)) * (1 - psi(Ps))
+        assert calls == [(11, rc.r), (11, -rc.r)]
 
 
 class TestConstantTerm:

@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from rqgeo.field import all_characters, build_field, narrow_class_group, odd_characters
+from rqgeo.field import (
+    QuadForm,
+    all_characters,
+    build_field,
+    form_cycle,
+    narrow_class_group,
+    odd_characters,
+)
 from rqgeo.geodesic import choose_r, twisted_cycle
+import rqgeo.geodesic
 import rqgeo.hecke
 import rqgeo.series
 from rqgeo.series import (
@@ -13,6 +21,7 @@ from rqgeo.series import (
     diagonal_restriction,
     eta_product_coeffs,
     modularity_check,
+    pairing_table,
 )
 from rqgeo.hecke import pair_with_twisted_cycle, sigma1
 
@@ -166,6 +175,37 @@ class TestPairingTable:
             return translate(Q, n)
         monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted)
         return calls
+
+    def test_one_river_walk_per_cycle_pair(self, monkeypatch):
+        # the 836 translates of (6, 5) at N=30 fall into 144 SL2(Z)
+        # cycles, closed under negation; one walk covers a cycle and its
+        # negative, and a second table computes its own walks again
+        walks = []
+        walk = rqgeo.geodesic._walk_river
+        monkeypatch.setattr(rqgeo.geodesic, "_walk_river",
+                            lambda g, p, memo: walks.append(g) or walk(g, p, memo))
+        translates = []
+        translate = rqgeo.hecke.hecke_translate
+
+        def recorded(Q, n):
+            ts = translate(Q, n)
+            translates.extend(ts)
+            return ts
+        monkeypatch.setattr(rqgeo.hecke, "hecke_translate", recorded)
+        counts = []
+        for _ in range(2):
+            del walks[:], translates[:]
+            F = build_field(6)
+            G = narrow_class_group(F)
+            pairing_table(F, G, 5, choose_r(F, 5).r, 30, "cycle")
+            cycles, pairs = set(), set()
+            for t in translates:
+                cyc = frozenset(form_cycle(t.form)[0])
+                neg = frozenset(form_cycle(QuadForm(*(-x for x in t.form)))[0])
+                cycles.add(cyc)
+                pairs.add(frozenset((cyc, neg)))
+            counts.append((len(translates), len(cycles), len(pairs), len(walks)))
+        assert counts == [(836, 144, 72, 72)] * 2
 
     def test_equals_twisted_cycle_pairing(self):
         N = 4
