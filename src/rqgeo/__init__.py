@@ -6,7 +6,7 @@ the modular curve of level p, together with the exact constant term
 coming from partial zeta values.
 """
 
-from .exact import Mat2, QuadIrr
+from .exact import Mat2
 from .field import (
     FieldData,
     NarrowClassGroup,
@@ -55,7 +55,6 @@ from .series import (
 
 __all__ = [
     "Mat2",
-    "QuadIrr",
     "FieldData",
     "NarrowClassGroup",
     "ClassCharacter",

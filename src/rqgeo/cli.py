@@ -5,9 +5,9 @@ verify, verify-analytic; each takes only the options it reads.  Exit
 codes: 0 success (including inert primes, which yield a structured zero
 series), 2 verification mismatch (a failed check, or the two
 intersection algorithms disagreeing on a translate), 3 domain errors
-(bad input, a malformed command line included, or a character this
-version cannot handle exactly), 4 internal error (a broken invariant:
-AssertionError or RuntimeError).
+(bad input, a malformed command line included, a character this version
+cannot handle exactly, or verify-analytic without mpmath), 4 internal
+error (a broken invariant: AssertionError or RuntimeError).
 
 verify walks the Hecke translates twice: once with both intersection
 algorithms for the report series, whose pairing table the pm_halves and
@@ -20,11 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
-from .exact import QuadIrr
 from .field import (
     all_characters,
     build_field,
@@ -65,8 +65,6 @@ def _jsonable(v):
         return {"num": v.numerator, "den": v.denominator}
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, QuadIrr):
-        return {"u": v.u, "v": v.v, "w": v.w, "D": v.D}
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -85,24 +83,22 @@ def _flatten(prefix, v, rows):
         rows.append((prefix, v))
 
 
-def emit(report, fmt, stream=None):
-    stream = stream or sys.stdout
-    payload = _jsonable(report)
+def emit(report, fmt):
+    payload, out = _jsonable(report), sys.stdout
     if fmt == "json":
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    elif fmt == "csv":
-        rows = []
-        _flatten("", payload, rows)
-        w = csv.writer(stream)
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
+        return
+    rows = []
+    _flatten("", payload, rows)
+    if fmt == "csv":
+        w = csv.writer(out)
         w.writerow(("key", "value"))
         for k, v in rows:
             w.writerow((k, json.dumps(v) if isinstance(v, list) else v))
     else:
-        rows = []
-        _flatten("", payload, rows)
         for k, v in rows:
-            stream.write("%-28s %s\n" % (k, v))
+            out.write("%-28s %s\n" % (k, v))
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +133,19 @@ def _base_report(args, **extra):
 # subcommands
 
 
+def _unit(F, x, y):
+    """The unit (x + y sqrt(d_F))/2 as (u + v sqrt(D))/w in lowest terms."""
+    v = y if F.d_F == F.D else 2 * y        # sqrt(4D) = 2 sqrt(D)
+    g = math.gcd(x, v, 2)
+    return {"u": x // g, "v": v // g, "w": 2 // g, "D": F.D}
+
+
 def cmd_field(args):
     F = build_field(args.D)
     t, u = pell_plus(F.d_F)
     return _base_report(
         args, d_F=F.d_F, unit_norm=F.unit_norm,
-        fundamental_unit=F.eps, totally_positive_unit=F.eps_plus,
+        fundamental_unit=_unit(F, *F.unit), totally_positive_unit=_unit(F, t, u),
         pell_plus={"t": t, "u": u})
 
 
@@ -301,7 +304,10 @@ def cmd_verify(args):
 
 
 def cmd_verify_analytic(args):
-    from . import analytic as an
+    try:
+        from . import analytic as an
+    except ModuleNotFoundError as exc:
+        raise ValueError("verify-analytic needs the 'analytic' extra: %s" % exc)
     checks = []
 
     def record(name, err, tol):

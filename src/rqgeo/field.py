@@ -10,8 +10,8 @@ around the principal cycle the Pell unit.  The group table composes
 forms by the united-form formula (``gauss_compose``); the characters
 are built by extending from one subgroup to the next
 (``all_characters``).  Ideals enter as forms or as
-Z-bases [a0, (-b0 + sqrt(d))/2].  QuadIrr values appear only in the
-reported units and the roots of a form.
+Z-bases [a0, (-b0 + sqrt(d))/2].  Units are integer pairs: (x, y)
+stands for (x + y sqrt(d_F))/2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .exact import Mat2, QuadIrr, squarefree_part
+from .exact import Mat2, squarefree_part
 
 __all__ = [
     "FieldData",
@@ -77,13 +77,6 @@ class QuadForm(tuple):
 
     def value(self, x, y):
         return self[0] * x * x + self[1] * x * y + self[2] * y * y
-
-    def plus_root(self):
-        """The root (-b + sqrt(disc)) / (2a)."""
-        return QuadIrr(-self[1], 1, 2 * self[0], self.disc())
-
-    def minus_root(self):
-        return QuadIrr(-self[1], -1, 2 * self[0], self.disc())
 
     def __repr__(self):
         return "QuadForm(%d, %d, %d)" % self
@@ -180,13 +173,12 @@ def automorph(f):
 
 
 class FieldData:
-    """Invariants of the real quadratic field Q(sqrt(D))."""
+    """Invariants of Q(sqrt(D)); unit = (x, y) is (x + y sqrt(d_F))/2."""
 
-    def __init__(self, D, d_F, eps, eps_plus, unit_norm):
+    def __init__(self, D, d_F, unit, unit_norm):
         self.D = D
         self.d_F = d_F
-        self.eps = eps
-        self.eps_plus = eps_plus
+        self.unit = unit
         self.unit_norm = unit_norm
 
     def __repr__(self):
@@ -200,15 +192,13 @@ def build_field(D):
     if f != 1:
         raise ValueError("D must be squarefree")
     d_F = D if D % 4 == 1 else 4 * D
-    # eps_plus = (t + u sqrt(d_F))/2 is eps**2 when the fundamental unit
+    # pell_plus (t + u sqrt(d_F))/2 is eps**2 when the fundamental unit
     # eps = (s + v sqrt(d_F))/2 has norm -1, and then t = s^2 + 2, u = s v
     t, u = pell_plus(d_F)
     s = math.isqrt(t - 2)
     if s * s == t - 2 and u % s == 0 and s * s - d_F * (u // s) ** 2 == -4:
-        eps = QuadIrr(s, u // s, 2, d_F)
-        return FieldData(D, d_F, eps, eps * eps, -1)
-    eps = QuadIrr(t, u, 2, d_F)
-    return FieldData(D, d_F, eps, eps, 1)
+        return FieldData(D, d_F, (s, u // s), -1)
+    return FieldData(D, d_F, (t, u), 1)
 
 
 def _reduced_forms(D):

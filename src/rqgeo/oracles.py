@@ -3,7 +3,8 @@
 The production path (field -> cycle -> Hecke -> intersection -> series)
 calls none of these, and neither the package nor the command line
 imports this module; the tests import it to check the fast routes
-against them.
+against them, with ``QuadIrr``, the exact (u + v sqrt(D))/w, as the
+reference type for roots, ideal bases and units.
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import Mat2, QuadIrr, squarefree_part
+from .exact import Mat2, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
 from .geodesic import _cusp_orbit, _inverses, _p1_key
 from .lvalue import kronecker
 
 __all__ = [
+    "QuadIrr",
+    "plus_root",
+    "minus_root",
     "mobius",
     "ideal_to_form",
     "canonical_rep",
@@ -26,6 +30,196 @@ __all__ = [
     "gamma0_equivalent",
     "zeta_F_0_numeric",
 ]
+
+
+class QuadIrr:
+    """(u + v*sqrt(D))/w, canonicalized so equality is structural.
+
+    Canonical shape: w > 0, gcd(u, v, w) = 1, D squarefree.  A rational
+    value is stored with v = 0 and D = 1.  Instances are immutable.
+    """
+
+    __slots__ = ("u", "v", "w", "D")
+
+    def __init__(self, u, v, w, D):
+        if w == 0:
+            raise ZeroDivisionError("zero denominator")
+        if D <= 0:
+            raise ValueError("D must be positive")
+        s, f = squarefree_part(D)
+        v *= f
+        if v == 0:
+            s = 1
+        if s == 1:
+            # perfect-square radicand collapses to a rational
+            u, v = u + v, 0
+        if w < 0:
+            u, v, w = -u, -v, -w
+        g = math.gcd(math.gcd(abs(u), abs(v)), w)
+        object.__setattr__(self, "u", u // g)
+        object.__setattr__(self, "v", v // g)
+        object.__setattr__(self, "w", w // g)
+        object.__setattr__(self, "D", s)
+
+    def __setattr__(self, *args):
+        raise AttributeError("QuadIrr is immutable")
+
+    @classmethod
+    def from_fraction(cls, q):
+        q = Fraction(q)
+        return cls(q.numerator, 0, q.denominator, 1)
+
+    @property
+    def is_rational(self):
+        return self.v == 0
+
+    def as_fraction(self):
+        assert self.v == 0
+        return Fraction(self.u, self.w)
+
+    def conjugate(self):
+        return QuadIrr(self.u, -self.v, self.w, self.D)
+
+    def norm(self):
+        """Product with the conjugate, as an exact Fraction."""
+        return Fraction(self.u * self.u - self.v * self.v * self.D,
+                        self.w * self.w)
+
+    def trace(self):
+        return Fraction(2 * self.u, self.w)
+
+    def sign(self):
+        u, v = self.u, self.v
+        if v == 0:
+            return 0 if u == 0 else (1 if u > 0 else -1)
+        if u == 0:
+            return 1 if v > 0 else -1
+        if (u > 0) == (v > 0):
+            return 1 if u > 0 else -1
+        # opposite signs: compare u^2 against v^2 D (never equal, D nonsquare)
+        return (1 if u > 0 else -1) if u * u > v * v * self.D else (1 if v > 0 else -1)
+
+    def _coerce(self, other):
+        if isinstance(other, QuadIrr):
+            if self.v and other.v and self.D != other.D:
+                raise ValueError("incompatible radicands %d, %d" % (self.D, other.D))
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadIrr.from_fraction(other)
+        return NotImplemented
+
+    def _dom(self, other):
+        return self.D if self.v else other.D
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return QuadIrr(self.u * o.w + o.u * self.w,
+                       self.v * o.w + o.v * self.w,
+                       self.w * o.w, self._dom(o))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadIrr(-self.u, -self.v, self.w, self.D)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        D = self._dom(o)
+        return QuadIrr(self.u * o.u + self.v * o.v * D,
+                       self.u * o.v + self.v * o.u,
+                       self.w * o.w, D)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        # 1/x = conj(x) / N(x)
+        n = self.u * self.u - self.v * self.v * self.D
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return QuadIrr(self.u * self.w, -self.v * self.w, n, self.D) if n > 0 \
+            else QuadIrr(-self.u * self.w, self.v * self.w, -n, self.D)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def floor(self):
+        """Exact integer floor."""
+        if self.v == 0:
+            return self.u // self.w
+        # bracket v*sqrt(D) between consecutive integers
+        t = math.isqrt(self.v * self.v * self.D)
+        lo = t if self.v > 0 else -t - 1
+        n = (self.u + lo) // self.w
+        while _qcmp(self, n + 1) >= 0:
+            n += 1
+        while _qcmp(self, n) < 0:
+            n -= 1
+        return n
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = QuadIrr.from_fraction(other)
+        if not isinstance(other, QuadIrr):
+            return NotImplemented
+        return (self.u, self.v, self.w, self.D) == (other.u, other.v, other.w, other.D)
+
+    def __hash__(self):
+        if self.v == 0:
+            return hash(Fraction(self.u, self.w))
+        return hash((self.u, self.v, self.w, self.D))
+
+    def __lt__(self, other):
+        return _qcmp(self, other) < 0
+
+    def __le__(self, other):
+        return _qcmp(self, other) <= 0
+
+    def __gt__(self, other):
+        return _qcmp(self, other) > 0
+
+    def __ge__(self, other):
+        return _qcmp(self, other) >= 0
+
+    def __repr__(self):
+        if self.v == 0:
+            return "QuadIrr(%d/%d)" % (self.u, self.w)
+        return "QuadIrr((%d %+d*sqrt(%d))/%d)" % (self.u, self.v, self.D, self.w)
+
+    def __float__(self):
+        return (self.u + self.v * math.sqrt(self.D)) / self.w
+
+
+def _qcmp(x, y):
+    """Compare a QuadIrr with a QuadIrr or rational value exactly."""
+    return (x - y).sign()
+
+
+def plus_root(f):
+    """The root (-b + sqrt(disc)) / (2a) of the form f."""
+    return QuadIrr(-f.b, 1, 2 * f.a, f.disc())
+
+
+def minus_root(f):
+    return QuadIrr(-f.b, -1, 2 * f.a, f.disc())
 
 
 def mobius(m, x):

@@ -196,9 +196,6 @@ class ModularityReport:
         self.first_fail = first_fail
         self.message = message
 
-    def __bool__(self):
-        return self.passed
-
     def __repr__(self):
         return "ModularityReport(passed=%r, mode=%r, first_fail=%r)" % (
             self.passed, self.mode, self.first_fail)

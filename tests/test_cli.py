@@ -6,8 +6,10 @@ import rqgeo.cli
 import rqgeo.hecke
 import rqgeo.series
 from rqgeo.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, run
-from rqgeo.field import build_field, narrow_class_group
+from rqgeo.exact import squarefree_part
+from rqgeo.field import build_field, narrow_class_group, pell_plus
 from rqgeo.geodesic import choose_r, rm_point_pair
+from rqgeo.oracles import QuadIrr
 
 
 def invoke(*argv):
@@ -135,6 +137,21 @@ class TestInfoCommands:
         code, rep, _ = invoke_json("field", "--D", "3")
         assert code == EXIT_OK
         assert rep["d_F"] == 12 and rep["pell_plus"] == {"t": 4, "u": 1}
+
+    def test_field_units_match_oracle(self):
+        # each reported unit is the oracle QuadIrr of its integer pair
+        # (x + y sqrt(d_F))/2, so sqrt(d_F) = 2 sqrt(D) when d_F = 4D
+        for D in range(2, 400):
+            if squarefree_part(D)[1] != 1:
+                continue
+            code, rep, _ = invoke_json("field", "--D", str(D))
+            assert code == EXIT_OK
+            F = build_field(D)
+            for key, (x, y) in (("fundamental_unit", F.unit),
+                                ("totally_positive_unit", pell_plus(F.d_F))):
+                q = QuadIrr(x, y, 2, F.d_F)
+                assert rep[key] == {"u": q.u, "v": q.v, "w": q.w, "D": q.D}, \
+                    (D, key)
 
     def test_classgroup(self):
         code, rep, _ = invoke_json("classgroup", "--D", "6")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqgeo.exact import Mat2, QuadIrr
-from rqgeo.oracles import mobius
+from rqgeo.exact import Mat2
+from rqgeo.oracles import QuadIrr, mobius
 
 mpmath.mp.dps = 50
 

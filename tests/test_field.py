@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rqgeo.exact import Mat2, QuadIrr, squarefree_part
+from rqgeo.exact import Mat2, squarefree_part
 from rqgeo.field import (
     QuadForm,
     _is_reduced,
@@ -19,11 +19,19 @@ from rqgeo.field import (
     reduce_form,
 )
 from rqgeo.oracles import (
+    QuadIrr,
     canonical_rep,
     ideal_to_form,
     multiply_ideals,
     sl2_equivalence,
 )
+
+
+def _units(F):
+    """The fundamental and the totally positive unit of F as oracle
+    quadratic irrationals, from the integer pairs F.unit and pell_plus."""
+    t, u = pell_plus(F.d_F)
+    return QuadIrr(*F.unit, 2, F.d_F), QuadIrr(t, u, 2, F.d_F)
 
 
 class TestBuildField:
@@ -35,16 +43,20 @@ class TestBuildField:
 
     def test_unit_d3(self):
         F = build_field(3)
-        assert F.eps == QuadIrr(2, 1, 1, 3)
+        eps, eps_plus = _units(F)
+        assert F.unit == (4, 1)
+        assert eps == QuadIrr(2, 1, 1, 3)
         assert F.unit_norm == 1
-        assert F.eps_plus == F.eps
+        assert eps_plus == eps
 
     def test_unit_d5(self):
         F = build_field(5)
-        assert F.eps == QuadIrr(1, 1, 2, 5)
+        eps, eps_plus = _units(F)
+        assert F.unit == (1, 1)
+        assert eps == QuadIrr(1, 1, 2, 5)
         assert F.unit_norm == -1
-        assert F.eps_plus == F.eps * F.eps
-        assert F.eps_plus.norm() == 1
+        assert eps_plus == eps * eps
+        assert eps_plus.norm() == 1
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -54,7 +66,7 @@ class TestBuildField:
 
     def test_eps_plus_totally_positive(self):
         for D in (2, 3, 5, 6, 7, 10, 11, 13):
-            e = build_field(D).eps_plus
+            e = _units(build_field(D))[1]
             assert e.sign() == 1 and e.conjugate().sign() == 1
             assert e > 1
 
@@ -76,18 +88,18 @@ class TestFundamentalUnit:
                   26, 29, 30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43):
             F = build_field(D)
             t, u, sgn = _brute_unit(F.d_F)
-            assert F.eps == QuadIrr(t, u, 2, F.d_F)
+            assert F.unit == (t, u)
             assert F.unit_norm == sgn
 
     @pytest.mark.parametrize("D", (139, 151, 163, 166, 199, 211, 214))
     def test_large_regulator(self, D):
         # the brute-force search over u stalled on these fields
         F = build_field(D)
-        t, u = pell_plus(F.d_F)
-        assert F.eps.norm() == F.unit_norm
-        assert F.eps.trace().denominator == 1 and F.eps > 1
-        assert F.eps_plus == QuadIrr(t, u, 2, F.d_F)
-        assert F.eps_plus == (F.eps if F.unit_norm == 1 else F.eps * F.eps)
+        eps, eps_plus = _units(F)
+        assert eps.norm() == F.unit_norm
+        assert eps.trace().denominator == 1 and eps > 1
+        assert eps_plus.norm() == 1
+        assert eps_plus == (eps if F.unit_norm == 1 else eps * eps)
 
 
 class TestPell:

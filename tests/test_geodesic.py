@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqgeo.geodesic
-from rqgeo.exact import Mat2, QuadIrr
+from rqgeo.exact import Mat2
 from rqgeo.field import QuadForm, automorph, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
     _edge_sign,
@@ -27,7 +27,13 @@ from rqgeo.geodesic import (
     twisted_cycle,
 )
 from rqgeo.hecke import hecke_translate
-from rqgeo.oracles import gamma0_equivalent, mobius
+from rqgeo.oracles import (
+    QuadIrr,
+    gamma0_equivalent,
+    minus_root,
+    mobius,
+    plus_root,
+)
 
 CONFIGS = ((3, 11), (3, 13), (6, 5), (7, 3))
 
@@ -124,8 +130,8 @@ def _oracle_edge_sign(edge, f, p):
     if un * vd - vn * ud == -1:
         vn, vd = -vn, -vd
     inv = Mat2(un, vn, ud, vd).adjugate()
-    alpha = mobius(inv, f.plus_root()).sign()
-    beta = mobius(inv, f.minus_root()).sign()
+    alpha = mobius(inv, plus_root(f)).sign()
+    beta = mobius(inv, minus_root(f)).sign()
     assert alpha and beta
     return (alpha - beta) // 2
 
@@ -231,7 +237,7 @@ def test_start_edge_follows_the_convergents():
               for n in (2, 5, 7) for t in hecke_translate(Q, n)]
     assert any(f.a < 0 for f in forms)
     for f in forms:
-        conv = _convergents(f.plus_root())
+        conv = _convergents(plus_root(f))
         reached, asked = [], []
 
         def inside(t):
@@ -308,8 +314,8 @@ class TestClosedGeodesic:
             Q = rm_point(F, G, 0, p, rc)
             R = Q.reversed()
             assert R.form == QuadForm(*(-e for e in Q.form))
-            assert R.form.plus_root() == Q.form.minus_root()
-            assert R.form.minus_root() == Q.form.plus_root()
+            assert plus_root(R.form) == minus_root(Q.form)
+            assert minus_root(R.form) == plus_root(Q.form)
             assert R.gamma * Q.gamma == Mat2.identity()
             assert R.reversed().form == Q.form
 

@@ -21,7 +21,7 @@ from rqgeo.hecke import (
     right_cosets,
     sigma1,
 )
-from rqgeo.oracles import _dual_stabilizer, mobius
+from rqgeo.oracles import _dual_stabilizer, minus_root, mobius, plus_root
 
 
 def _in_delta0(m, p):
@@ -329,8 +329,8 @@ class TestPairing:
                     t = ClosedGeodesic(Q.form.apply(delta2), 3)
                     # adj(delta2) maps Q's plus and minus roots onto t's
                     adj = delta2.adjugate()
-                    assert t.form.plus_root() == mobius(adj, Q.form.plus_root())
-                    assert t.form.minus_root() == mobius(adj, Q.form.minus_root())
+                    assert plus_root(t.form) == mobius(adj, plus_root(Q.form))
+                    assert minus_root(t.form) == mobius(adj, minus_root(Q.form))
                     s += intersect_winding_cycle(t)
                 total += coeff * s
             assert total == ref

@@ -8,32 +8,60 @@ import subprocess
 import sys
 
 import rqgeo
-from rqgeo.exact import QuadIrr
 from rqgeo.field import build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import choose_r, rm_point_pair
 from rqgeo.hecke import hecke_translate
+from rqgeo.oracles import QuadIrr, plus_root
 from rqgeo.series import diagonal_restriction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PROBE = """
 import contextlib, io, json, sys
+if sys.argv[1] == "no-mpmath":
+    sys.modules["mpmath"] = None        # every import of mpmath fails
 import rqgeo, rqgeo.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = rqgeo.cli.run(["series", "--D", "6", "--p", "5", "--N", "4"])
-print(json.dumps({"code": code, "oracles": "rqgeo.oracles" in sys.modules,
-                  "mpmath": "mpmath" in sys.modules}))
+runs = []
+for argv in json.loads(sys.argv[2]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        runs.append([rqgeo.cli.run(argv), err.getvalue()])
+rqgeo_modules = [m for name, m in sys.modules.items()
+                 if name.split(".")[0] == "rqgeo"]
+print(json.dumps({"runs": runs, "oracles": "rqgeo.oracles" in sys.modules,
+                  "mpmath": sys.modules.get("mpmath") is not None,
+                  "QuadIrr": any(hasattr(m, "QuadIrr") for m in rqgeo_modules)}))
 """
+
+PAIR = ["--D", "6", "--p", "5", "--N", "4"]
+
+
+def _probe(mode, *argvs):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, mode,
+                           json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
 
 
 def test_series_run_loads_no_oracle():
     # the production path imports neither the oracles nor mpmath
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout) == {"code": 0, "oracles": False,
-                                       "mpmath": False}
+    out = _probe("mpmath", ["series"] + PAIR)
+    assert out == {"runs": [[0, ""]], "oracles": False, "mpmath": False,
+                   "QuadIrr": False}
+    # and runs with mpmath absent.  QuadIrr lives only in the oracles, so
+    # no command below can build one; only verify-analytic needs mpmath,
+    # and without it that is a domain error, not a traceback
+    out = _probe("no-mpmath", ["series"] + PAIR,
+                 ["series", "--algorithm", "both"] + PAIR,
+                 ["field", "--D", "6"], ["verify"] + PAIR,
+                 ["verify-analytic"])
+    assert out["runs"][:4] == [[0, ""]] * 4
+    code, err = out["runs"][4]
+    assert code == 3 and "'analytic' extra" in err and "mpmath" in err
+    assert (out["oracles"], out["mpmath"], out["QuadIrr"]) == (False,) * 3
 
 
 def test_every_export_resolves():
@@ -81,7 +109,8 @@ def test_no_unused_imports():
 
 def test_coefficient_path_builds_no_quadirr(monkeypatch):
     # past the field's reported units, a series and its Hecke translates
-    # are integer arithmetic on forms: no root is ever built
+    # are integer arithmetic on forms: no root is ever built, even with
+    # the oracles loaded in the same process
     F = build_field(6)
     G = narrow_class_group(F)
     psi = odd_characters(G)[0]
@@ -98,5 +127,5 @@ def test_coefficient_path_builds_no_quadirr(monkeypatch):
         for n in range(1, 9):
             hecke_translate(Q, n)
     assert built == []
-    Q.form.plus_root()          # the counter does count
+    plus_root(Q.form)           # the counter does count
     assert len(built) == 1
