@@ -5,8 +5,9 @@ geodesics and intersect each Hecke translate with the winding geodesic
 (the image of the imaginary axis in Y0(p)), using two algorithms that
 share nothing but the exact arithmetic layer:
 
-  cycle  - walk the river of the form's Conway topograph for one
-           automorph period and count the straddling forms (a*c < 0)
+  cycle  - walk the reduction cycle of the form once, each step a run
+           of |delta| edges of the river of its Conway topograph, and
+           count the straddling forms (a*c < 0) of one automorph period
            that lie in the Gamma0(p)-class;
   enum   - follow the Farey cutting sequence of the geodesic from one
            crossed edge to its image under the Gamma0(p) stabilizer,

@@ -17,12 +17,13 @@ geodesic on Y0(p) with the winding geodesic from 0 to infinity:
   whose walk matrix has a column in the orbit of infinity in P^1(F_p)
   under the automorph.  If m reduces Q.form to g, that orbit is the
   orbit of m^-1 infinity under g's automorph A, so the number depends
-  only on that A-orbit: one walk along one period of g's river gives a
-  table of it for every orbit, and registers each reduced form of the
-  cycles of g and -g with its walk matrix mod p.  A translate that
-  reduces into either cycle then costs one reduction and one lookup,
-  and a memo shared by the translates of one pairing table walks each
-  SL2(Z) cycle and its negative once;
+  only on that A-orbit.  One turn of g's reduction cycle, a run of
+  |delta| river edges per step, is one period of g's river: it gives a
+  table of the number for every orbit and registers each reduced form
+  of the cycles of g and -g with its walk matrix mod p.  A translate
+  that reduces into either cycle then costs one reduction and one
+  lookup, and a memo shared by the translates of one pairing table
+  walks each SL2(Z) cycle and its negative once;
 * intersect_winding_enum walks the Farey tessellation along one period
   of the closed geodesic, in the original coordinates and without
   reducing the form, and adds up signed crossings with translates of the
@@ -41,8 +42,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import is_prime
-from .field import QuadForm, _divisors, automorph, reduce_form
+from .exact import Mat2, is_prime
+from .field import QuadForm, _divisors, automorph, form_cycle, reduce_form
 
 __all__ = [
     "ClosedGeodesic",
@@ -186,7 +187,7 @@ def twisted_cycle(F, G, psi, p, rc):
 
 
 # ---------------------------------------------------------------------------
-# algorithm 1: one walk along the river of the Conway topograph
+# algorithm 1: one walk around the reduction cycle, in runs of river edges
 #
 # Let f = Q.form.  The forms with a*c < 0 in the proper SL2(Z)-class of f
 # are the edges of the river of f's topograph: the edge between the
@@ -195,9 +196,16 @@ def twisted_cycle(F, G, psi, p, rc):
 # S = (0, -1; 1, 0).  The automorph of f shifts the river by one period,
 # so one period meets every such form exactly once.  A form f.apply(m)
 # lies in the Gamma0(p)-class of f exactly when some automorph power
-# times m lies in Gamma0(p), that is when the first column of m, as a
-# point of P^1(F_p), lies in the orbit of infinity = (1 : 0) under the
-# automorph.
+# times m lies in Gamma0(p), that is when the first column of m lies in
+# the orbit of infinity = (1 : 0) in P^1(F_p) under the automorph.
+#
+# The reduced forms of the class are river edges too, in the order of
+# the reduction cycle (form_cycle).  The step (0, -1; 1, delta) takes
+# the walk matrix (e0 | e1) of one reduced form to (e1 | delta e1 - e0)
+# and passes the |delta| edges between the face e1 and the faces
+# k e1 - e0, k from 0 toward delta (k = delta is the next step's first
+# edge).  One turn of the cycle is thus one river period, and the
+# product of its steps is the automorph up to sign, unseen in P^1(F_p).
 
 
 @lru_cache(maxsize=None)
@@ -210,20 +218,20 @@ def _p1_key(x, y, p, inv):
     return p if y % p == 0 else x * inv[y % p] % p
 
 
-def _cusp_orbit(A, p):
-    """Membership table, indexed by _p1_key, of the orbit of infinity
-    under A acting on P^1(F_p)."""
+def _p1_orbit(A, p, k=None):
+    """The orbit of the point with _p1_key k, infinity by default, under
+    A acting on P^1(F_p): its keys in the order A visits them."""
     inv = _inverses(p)
     a, b, c, d = A.mod(p)
-    hit = bytearray(p + 1)
-    x, y = 1, 0
+    k = p if k is None else k
+    x, y = (k, 1) if k < p else (1, 0)
+    orbit = [k]
     while True:
-        k = _p1_key(x, y, p, inv)
-        if hit[k]:
-            # A permutes P^1(F_p), so the first repeat closes the orbit
-            return hit
-        hit[k] = 1
         x, y = (a * x + b * y) % p, (c * x + d * y) % p
+        j = _p1_key(x, y, p, inv)
+        if j == k:              # A permutes P^1(F_p): back at k
+            return orbit
+        orbit.append(j)
 
 
 def gamma0_automorph(form, p):
@@ -232,90 +240,65 @@ def gamma0_automorph(form, p):
     in Gamma0(p) exactly when it fixes infinity in P^1(F_p), so k is the
     length of the orbit of infinity under A."""
     A = automorph(form)
-    return A ** sum(_cusp_orbit(A, p))
+    return A ** len(_p1_orbit(A, p))
 
 
 def _walk_river(g, p, memo):
-    """Walk the river of the reduced form g once, one automorph period.
-
-    Tally +1 at the P^1(F_p) key of each edge's first column and -1 at
-    that of its second, with the walk matrix E (g.apply(E) is the edge's
-    form) carried mod p; sum the tallies over the orbits of g's automorph
-    A on P^1(F_p) into the table T, indexed by key.  Every reduced form
-    of the class of g met on the way is registered in memo under (p, *form)
-    as (T, E mod p by columns), and every reduced form of the class of -g
-    as (-T, E), where -g.apply(E) is that form.
+    """Walk the reduction cycle of the reduced form g once: one river
+    period, in runs of |delta| edges.  Tally +1 at the P^1(F_p) key of
+    each edge's face of positive value and -1 at that of its face of
+    negative value, and sum the tallies over the orbits of the step
+    product, g's automorph up to sign, into the table T.  Each reduced
+    form [a, b, c] = g.apply(E) is registered in memo under (p, a, b, c)
+    as (T, E mod p by columns), and [-c, b, -a] = -g.apply(E S), of the
+    cycle of -g, as (-T, E S).
     """
     inv = _inverses(p)
-    a, b, c = g
-    s = math.isqrt(b * b - 4 * a * c)
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    if a < 0:
-        # start on the edge whose forms are [c, -b, a] and g itself
-        a, b, c = c, -b, a
-        x0, x1, y0, y1 = 0, p - 1, 1, 0
-    start = (a, b, c)
+    forms, deltas = form_cycle(g)
     tally = [0] * (p + 1)
     table, negated = [None] * (p + 1), [None] * (p + 1)   # filled below
-    while True:
-        tally[x0 * inv[y0] % p if y0 else p] += 1     # _p1_key inlined
-        tally[x1 * inv[y1] % p if y1 else p] -= 1
-        # the edge holds [a, b, c] = g.apply(E) and [c, -b, a] = g.apply(E S),
-        # E S = (x1, -x0; y1, -y0), and their negatives lie in the class of
-        # -g.  On the river 0 < |b| < sqrt(D), so [x, |b|, y] is reduced
-        # when sqrt(D) - |b| < 2|x| < sqrt(D) + |b|, in integers
-        # -|b| <= s - 2|x| < |b|; as (sqrt(D) - |b|)(sqrt(D) + |b|) = 4|x y|,
-        # the test on a decides the one on c
-        u = s - 2 * a
-        if -b <= u < b:
-            memo[p, a, b, c] = (table, x0, x1, y0, y1)
-            memo[p, -c, b, -a] = (negated, x1, -x0 % p, y1, -y0 % p)
-        elif b <= u < -b:
-            memo[p, c, -b, a] = (table, x1, -x0 % p, y1, -y0 % p)
-            memo[p, -a, -b, -c] = (negated, x0, x1, y0, y1)
-        t = a + b + c               # value on e1 + e2, never 0
-        if t > 0:
-            a, b = t, b + 2 * c     # e1 <- e1 + e2
-            x0, y0 = (x0 + x1) % p, (y0 + y1) % p
-        else:
-            b, c = b + 2 * a, t     # e2 <- e1 + e2
-            x1, y1 = (x0 + x1) % p, (y0 + y1) % p
-        if (a, b, c) == start:
-            break
-    ma, mb, mc, md = automorph(g).mod(p)
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    for (a, b, c), delta in zip(forms, deltas):
+        memo[p, a, b, c] = (table, x0, x1, y0, y1)
+        memo[p, -c, b, -a] = (negated, x1, -x0 % p, y1, -y0 % p)
+        # the run's edges share the face (x1, y1) of value c; delta has
+        # the sign of c, as both b and the next form's b are positive
+        tally[x1 * inv[y1] % p if y1 else p] += delta     # _p1_key inlined
+        sign = 1 if delta > 0 else -1
+        for k in range(0, delta, sign):
+            x, y = (k * x1 - x0) % p, (k * y1 - y0) % p
+            tally[x * inv[y] % p if y else p] -= sign
+        x0, x1 = x1, (delta * x1 - x0) % p
+        y0, y1 = y1, (delta * y1 - y0) % p
+    A = Mat2(x0, x1, y0, y1)
     for k in range(p + 1):
-        orbit, j = [], k
-        x, y = (k, 1) if k < p else (1, 0)
-        while table[j] is None:     # A permutes P^1(F_p): back at k
-            table[j] = 0
-            orbit.append(j)
-            x, y = (ma * x + mb * y) % p, (mc * x + md * y) % p
-            j = _p1_key(x, y, p, inv)
-        total = sum(tally[j] for j in orbit)
-        for j in orbit:
-            table[j], negated[j] = total, -total
+        if table[k] is None:
+            orbit = _p1_orbit(A, p, k)
+            total = sum(tally[j] for j in orbit)
+            for j in orbit:
+                table[j], negated[j] = total, -total
 
 
 def intersect_winding_cycle(Q, memo=None):
-    """Winding intersection number by the river of the topograph: the sum
-    of sgn(a) over the forms [a, b, c] with a*c < 0 in the Gamma0(p)-class
-    of Q.form.
+    """Winding intersection number by the reduction cycle: the sum of
+    sgn(a) over the forms [a, b, c] with a*c < 0, the river edges, in the
+    Gamma0(p)-class of Q.form.
 
     Let m reduce Q.form to g (Q.form.apply(m) = g) and let A be the
     automorph of g.  A river edge of g, with walk matrix W, counts when a
     column of m W lies, in P^1(F_p), in the orbit of infinity under the
     automorph m A m^-1 of Q.form, that is when the column of W lies in the
     A-orbit of m^-1 infinity = (d, -c).  So the number depends only on
-    that orbit, and one walk of g's river (_walk_river) gives it for every
-    orbit at once: the table T of tallies summed over A-orbits.  The walk
-    registers every reduced form g' = g.apply(E) of g's cycle, and of the
-    cycle of -g with -T, so a form reduced to g' by m reads T at
-    E (d, -c).  The class of -f holds the negatives of the forms in the
-    class of f, so reversing Q negates the sum.
+    that orbit, and one turn of g's reduction cycle (_walk_river) gives it
+    for every orbit at once: the table T of tallies summed over A-orbits.
+    The walk registers every reduced form g' = g.apply(E) of g's cycle,
+    and of the cycle of -g with -T, so a form reduced to g' by m reads T
+    at E (d, -c).  The class of -f holds the negatives of the forms in
+    the class of f, so reversing Q negates the sum.
 
     memo maps (p, *reduced form) to (T, E mod p); with one dict passed to
     every call, each SL2(Z) cycle and its negative is walked once.
-    Without it, the call walks the river of its own reduced form.
+    Without it, the call walks the cycle of its own reduced form.
     """
     p = Q.p
     g, m = reduce_form(Q.form)

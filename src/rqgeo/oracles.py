@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import Mat2, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
-from .geodesic import _cusp_orbit, _inverses, _p1_key
+from .geodesic import _inverses, _p1_key, _p1_orbit
 from .lvalue import kronecker
 
 __all__ = [
@@ -119,8 +119,6 @@ class QuadIrr:
                        self.v * o.w + o.v * self.w,
                        self.w * o.w, self._dom(o))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadIrr(-self.u, -self.v, self.w, self.D)
 
@@ -190,14 +188,8 @@ class QuadIrr:
     def __lt__(self, other):
         return _qcmp(self, other) < 0
 
-    def __le__(self, other):
-        return _qcmp(self, other) <= 0
-
     def __gt__(self, other):
         return _qcmp(self, other) > 0
-
-    def __ge__(self, other):
-        return _qcmp(self, other) >= 0
 
     def __repr__(self):
         if self.v == 0:
@@ -369,8 +361,7 @@ def gamma0_equivalent(f, g, p):
     m = sl2_equivalence(f, g)
     if m is None:
         return False
-    hit = _cusp_orbit(automorph(f), p)
-    return bool(hit[_p1_key(m.a, m.c, p, _inverses(p))])
+    return _p1_key(m.a, m.c, p, _inverses(p)) in _p1_orbit(automorph(f), p)
 
 
 def _dual_stabilizer(Q, delta, n):

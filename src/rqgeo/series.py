@@ -46,7 +46,8 @@ def intersection_algorithm(name):
     intersection number by the named algorithm: "cycle", "enum", or
     "both", which runs the two on the translate and raises
     AlgorithmMismatch, naming its form, when they disagree.  Each call
-    gives "cycle" and "both" a fresh river memo (see
+    gives "cycle" and "both" a fresh memo of reduction-cycle tables,
+    one walk per SL2(Z) cycle and its negative (see
     intersect_winding_cycle), which lives as long as the returned
     function.  The algorithms are looked up when this is called ("enum")
     or on every translate, so wrapping the module attributes wraps

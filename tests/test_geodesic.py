@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 import rqgeo.geodesic
 from rqgeo.exact import Mat2
-from rqgeo.field import QuadForm, automorph, build_field, narrow_class_group, odd_characters
+from rqgeo.field import (
+    QuadForm,
+    _reduced_forms,
+    _steps,
+    automorph,
+    build_field,
+    form_cycle,
+    narrow_class_group,
+    odd_characters,
+)
 from rqgeo.geodesic import (
     _edge_sign,
     _norm_pt,
@@ -445,6 +454,84 @@ def test_river_table_equals_fresh_walk(config, n, pick, j, k):
     for u in (t, t.reversed()):
         assert intersect_winding_cycle(u, _RIVER_MEMO) == \
             intersect_winding_cycle(u), u
+
+
+def _key(x, y, p):
+    """The point (x : y) of P^1(F_p) as an index in 0..p, p for infinity."""
+    return p if y % p == 0 else x * pow(y, -1, p) % p
+
+
+def _topograph_river(g, p):
+    """One period of the river of the reduced form g, stepped through the
+    Conway topograph one edge at a time: the number of edges, and the
+    tally of +1 at the P^1(F_p) key of each edge's face of positive value
+    and -1 at that of its face of negative value."""
+    a, b, c = g
+    e1, e2 = (1, 0), (0, 1)
+    if a < 0:
+        # the edge's forms are [c, -b, a] and g itself
+        a, b, c = c, -b, a
+        e1, e2 = (0, 1), (-1, 0)
+    start, edges, tally = (a, b, c), 0, [0] * (p + 1)
+    while True:
+        tally[_key(*e1, p)] += 1
+        tally[_key(*e2, p)] -= 1
+        edges += 1
+        t = a + b + c               # the value on e1 + e2, never 0 here
+        e = (e1[0] + e2[0], e1[1] + e2[1])
+        if t > 0:
+            a, b, e1 = t, b + 2 * c, e
+        else:
+            b, c, e2 = b + 2 * a, t, e
+        if (a, b, c) == start:
+            return edges, tally
+
+
+def _orbit_sums(A, tally, p):
+    """For each key k, the sum of the tally over the orbit of k under A."""
+    sums = []
+    for k in range(p + 1):
+        x, y = (k, 1) if k < p else (1, 0)
+        orbit = set()
+        while _key(x, y, p) not in orbit:
+            orbit.add(_key(x, y, p))
+            x, y = A.a * x + A.b * y, A.c * x + A.d * y
+        sums.append(sum(tally[j] for j in orbit))
+    return sums
+
+
+def test_reduction_cycle_is_one_river_period():
+    # every cycle of reduced forms of a translate discriminant
+    # n^2 d_F / g^2 = m^2 d_F, m <= 40: the product of the cycle's steps
+    # is the automorph up to sign, the cycle spans sum |delta| river
+    # edges, one river period, and the walk's table is the topograph's
+    # tally summed over the automorph's orbits
+    cycles = edges = 0
+    for D, p in CONFIGS + ((15, 7),):
+        d_F = build_field(D).d_F
+        for m in range(1, 41):
+            seen = set()
+            for g in _reduced_forms(m * m * d_F):
+                if g in seen:
+                    continue
+                forms, deltas = form_cycle(g)
+                seen.update(forms)
+                A = automorph(g)
+                assert _steps(deltas).entries() in (
+                    A.entries(), tuple(-e for e in A.entries())), g
+                period, tally = _topograph_river(g, p)
+                assert sum(abs(delta) for delta in deltas) == period, g
+                memo = {}
+                rqgeo.geodesic._walk_river(g, p, memo)
+                assert set(memo) == {(p,) + f for f in forms} | {
+                    (p, -c, b, -a) for a, b, c in forms}
+                table, *walk = memo[(p,) + g]
+                assert walk in ([1, 0, 0, 1], [p - 1, 0, 0, p - 1])    # E = +-I
+                assert table == _orbit_sums(A, tally, p), g
+                a, b, c = g
+                assert memo[p, -c, b, -a][0] == [-v for v in table]
+                cycles, edges = cycles + 1, edges + period
+    assert (cycles, edges) == (1376, 121700)
 
 
 class TestTwistedCycle:

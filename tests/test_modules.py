@@ -107,6 +107,42 @@ def test_no_unused_imports():
                            "__all__ = ['b']\n") == [(1, "math"), (2, "_a")]
 
 
+def _unreferenced_helpers(sources):
+    """(module, name) of each module-level function named _x that no
+    module of sources reads, by name, as an attribute or in an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(entry for entry in defined if entry[1] not in read)
+
+
+def test_no_unreferenced_helpers():
+    # a private helper of the package is read somewhere in src/; the
+    # oracles may keep helpers of their own for the tests
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "rqgeo", "*.py"))):
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert [entry for entry in _unreferenced_helpers(sources)
+            if entry[0] != "oracles.py"] == []
+    # the guard does fire, and a read in another module counts
+    assert _unreferenced_helpers({"a.py": "def _a(): pass\n"
+                                  "def _b(): return _a\n"}) == [("a.py", "_b")]
+    assert _unreferenced_helpers({"a.py": "def _a(): pass\n",
+                                  "b.py": "from .a import _a\n"}) == []
+
+
 def test_coefficient_path_builds_no_quadirr(monkeypatch):
     # past the field's reported units, a series and its Hecke translates
     # are integer arithmetic on forms: no root is ever built, even with
