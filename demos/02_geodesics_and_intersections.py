@@ -29,11 +29,11 @@ D, p = 6, 5
 F = build_field(D)
 G = narrow_class_group(F)
 psi = odd_characters(G)[0]
-rc = choose_r(F, p)
+r = choose_r(F, p)
 print("d_F = %d, p = %d, chosen square root r = %d (r^2 = d_F mod 4p)"
-      % (F.d_F, p, rc.r))
+      % (F.d_F, p, r))
 
-cyc = twisted_cycle(F, G, psi, p, rc)
+cyc = twisted_cycle(F, G, psi, p, r)
 print("\ntwisted cycle: %d closed geodesics (one +r and one -r per class);"
       % len(cyc))
 print("each is a signed primitive form, oriented from its plus root to its"

@@ -21,12 +21,10 @@ from .field import (
 from .geodesic import (
     ClosedGeodesic,
     InertPrime,
-    RChoice,
     choose_r,
     intersect_winding_cycle,
     intersect_winding_enum,
-    rm_point,
-    rm_point_pair,
+    rm_points,
     twisted_cycle,
 )
 from .hecke import (
@@ -66,12 +64,10 @@ __all__ = [
     "class_of_ideal",
     "ClosedGeodesic",
     "InertPrime",
-    "RChoice",
     "choose_r",
     "intersect_winding_cycle",
     "intersect_winding_enum",
-    "rm_point",
-    "rm_point_pair",
+    "rm_points",
     "twisted_cycle",
     "double_cosets",
     "hecke_translate",

@@ -32,7 +32,7 @@ from .field import (
     odd_characters,
     pell_plus,
 )
-from .geodesic import InertPrime, choose_r, rm_point_pair, twisted_cycle
+from .geodesic import InertPrime, choose_r, rm_points, twisted_cycle
 from .hecke import hecke_translate, right_cosets
 from .series import (
     AlgorithmMismatch,
@@ -183,16 +183,15 @@ def cmd_rmpoints(args):
     p = args.p
     G = narrow_class_group(F)
     try:
-        rc = choose_r(F, p, args.r)
+        r = choose_r(F, p, args.r)
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
-    data = {"r": rc.r, "N0": rc.N0, "classes": []}
-    for cls in range(G.h):
-        plus, minus = rm_point_pair(F, G, cls, p, rc)
-        data["classes"].append({"class_index": cls,
-                                "form_plus": list(plus.form),
-                                "form_minus": list(minus.form)})
+    # N0 = 2 N((-r + sqrt(d_F))/2)
+    data = {"r": r, "N0": (r * r - F.d_F) // 2, "classes": [
+        {"class_index": cls, "form_plus": list(plus.form),
+         "form_minus": list(minus.form)}
+        for cls, (plus, minus) in enumerate(rm_points(F, G, p, r))]}
     return _base_report(args, d_F=F.d_F, p=p, inert=False, rmpoints=data)
 
 
@@ -202,18 +201,18 @@ def cmd_intersect(args):
     G = narrow_class_group(F)
     psi = _character(G, args)
     try:
-        rc = choose_r(F, p, args.r)
+        r = choose_r(F, p, args.r)
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
     n = args.n
     intersect = intersection_algorithm(args.algorithm)
     translates = total = 0
-    for coeff, Q in twisted_cycle(F, G, psi, p, rc):
+    for coeff, Q in twisted_cycle(F, G, psi, p, r):
         ts = hecke_translate(Q, n)
         translates += len(ts)
         total += coeff * sum(intersect(t) for t in ts)
-    return _base_report(args, d_F=F.d_F, p=p, r=rc.r, n=n,
+    return _base_report(args, d_F=F.d_F, p=p, r=r, n=n,
                         algorithm=args.algorithm,
                         translates=translates,
                         right_cosets=len(right_cosets(n, p)),

@@ -82,23 +82,18 @@ class QuadForm(tuple):
         return "QuadForm(%d, %d, %d)" % self
 
 
-def _is_reduced(f):
-    # indefinite reduction: |sqrt(D) - 2|a|| < b < sqrt(D)
-    a, b, c = f
-    D = f.disc()
-    if b <= 0 or b * b >= D:
-        return False
-    t = 2 * abs(a) - b
-    return (t < 0 or t * t < D) and D < (2 * abs(a) + b) ** 2
+def _is_reduced(f, s):
+    # indefinite reduction |sqrt(D) - 2|a|| < b < sqrt(D), with
+    # s = isqrt(D) and D not a square
+    a, b, _ = f
+    return 0 < b <= s and s - b < 2 * abs(a) <= s + b
 
 
-def _rho(f):
-    """One reduction step; returns (g, delta) with
-    g = f.apply((0, -1; 1, delta))."""
+def _rho(f, D, s):
+    """One reduction step of f, of discriminant D with s = isqrt(D);
+    returns (g, delta) with g = f.apply((0, -1; 1, delta))."""
     a, b, c = f
-    D = f.disc()
     ac = abs(c)
-    s = math.isqrt(D)
     # pick b' = -b mod 2|c| inside the reduction window
     lo = (-ac + 1) if ac > s else (s - 2 * ac + 1)
     bp = lo + ((-b - lo) % (2 * ac))
@@ -122,11 +117,13 @@ def _steps(deltas):
 
 def reduce_form(f):
     """Reduce an indefinite form; returns (g, m) with f.apply(m) = g reduced."""
+    D = f.disc()
+    s = math.isqrt(D)
     g, deltas = f, []
     for _ in range(10000):
-        if _is_reduced(g):
+        if _is_reduced(g, s):
             return g, _steps(deltas)
-        g, delta = _rho(g)
+        g, delta = _rho(g, D, s)
         deltas.append(delta)
     raise RuntimeError("reduction did not terminate for %r" % (f,))
 
@@ -135,9 +132,11 @@ def form_cycle(f):
     """The cycle of reduced forms properly equivalent to f, in rho order,
     and the delta of each step: deltas[i] takes forms[i] to the next form,
     the last one back to forms[0]."""
+    D = f.disc()
+    s = math.isqrt(D)
     forms, deltas = [reduce_form(f)[0]], []
     while True:
-        g, delta = _rho(forms[-1])
+        g, delta = _rho(forms[-1], D, s)
         deltas.append(delta)
         if g == forms[0]:
             return forms, deltas
@@ -214,7 +213,7 @@ def _reduced_forms(D):
             for aa in (a, -a):
                 c = m // aa
                 f = QuadForm(aa, b, c)
-                if f.content() == 1 and _is_reduced(f):
+                if f.content() == 1 and _is_reduced(f, s):
                     out.append(f)
     return out
 

@@ -5,8 +5,9 @@ taken with its sign: it runs from the plus root of f to the minus root,
 so -f is the reversed geodesic.  Its stabilizer in Gamma0(p) is the
 automorph A of f raised to the length of the orbit of infinity under A
 in P^1(F_p); everything else is derived from f on demand.  Each narrow
-class has an RM point for +r and one for -r (rm_point_pair), and the
-psi-twisted cycle is the tuple of (psi(class), RM point) pairs.
+class has an RM point for +r and one for -r, found for all classes at
+once by one search per sign (rm_points), and the psi-twisted cycle is
+the tuple of (psi(class), RM point) pairs.
 
 Two independent algorithms compute the intersection number of a closed
 geodesic on Y0(p) with the winding geodesic from 0 to infinity:
@@ -48,10 +49,8 @@ from .field import QuadForm, _divisors, automorph, form_cycle, reduce_form
 __all__ = [
     "ClosedGeodesic",
     "InertPrime",
-    "RChoice",
     "choose_r",
-    "rm_point",
-    "rm_point_pair",
+    "rm_points",
     "twisted_cycle",
     "gamma0_automorph",
     "intersect_winding_cycle",
@@ -103,24 +102,10 @@ class ClosedGeodesic:
         return "ClosedGeodesic(form=%r, p=%d)" % (self.form, self.p)
 
 
-class RChoice(tuple):
-    """Output of choose_r: (r, N0)."""
-
-    def __new__(cls, r, N0):
-        return tuple.__new__(cls, (r, N0))
-
-    @property
-    def r(self):
-        return self[0]
-
-    @property
-    def N0(self):
-        return self[1]
-
-
 def choose_r(F, p, r=None):
     """A square root r of d_F mod 4p with r^2 > d_F: the given one, which
-    is checked, or else the smallest positive one.
+    is checked, or else the smallest positive one.  Its sign picks which
+    RM point of each class is the plus one (rm_points).
 
     Raises ValueError when p is not an odd prime unramified in F or r is
     not such a root, and InertPrime when d_F is not a square mod p.
@@ -138,52 +123,52 @@ def choose_r(F, p, r=None):
             r += 1
     elif (r * r - d) % (4 * p) or r * r <= d:
         raise ValueError("invalid square root r = %d of d_F mod 4p" % r)
-    return RChoice(r, (r * r - d) // 2)
+    return r
 
 
-def rm_point(F, G, cls, p, rc, sign=1):
-    """RM point of the given narrow class: a ClosedGeodesic whose form
-    satisfies p | a and b = -r (mod 2p), with deterministic search order.
+def rm_points(F, G, p, r):
+    """The RM points of every narrow class: one (plus, minus) pair of
+    ClosedGeodesics per class, for the roots r and -r.  The point for the
+    root s has a primitive form [a, b, c] with p | a and b = -s (mod 2p).
+
+    For each s, one search meets the candidates b = -s + 2pk for k = 0,
+    1, -1, 2, -2, ..., then p | a by increasing |a|, +a before -a; it
+    classifies each primitive candidate once, keeps the first one of each
+    class, and stops once every class has one.
     """
-    d = F.d_F
-    r = sign * rc.r
-    for k in _spiral():
-        b = -r + 2 * p * k
-        m = (b * b - d) // 4
-        if m == 0:
-            continue
-        assert (b * b - d) % 4 == 0 and m % p == 0
-        for e in _divisors(abs(m)):
-            if e % p:
-                continue
-            for a in (e, -e):
-                f = QuadForm(a, b, m // a)
-                if f.content() == 1 and G.classify(f) == cls:
-                    return ClosedGeodesic(f, p)
+    points = []
+    for s in (r, -r):
+        first = {}
+        for f in _rm_candidates(F.d_F, p, s):
+            first.setdefault(G.classify(f), f)
+            if len(first) == G.h:
+                break
+        points.append([ClosedGeodesic(first[cls], p) for cls in range(G.h)])
+    return tuple(zip(*points))
 
 
-def _spiral():
-    yield 0
-    k = 1
-    while k < 10000:
-        yield k
-        yield -k
-        k += 1
+def _rm_candidates(d, p, s):
+    for k in range(10000):
+        for j in ((k, -k) if k else (0,)):
+            b = -s + 2 * p * j
+            m = (b * b - d) // 4
+            assert (b * b - d) % 4 == 0 and m % p == 0
+            for e in _divisors(abs(m)):
+                if e % p == 0:
+                    for a in (e, -e):
+                        f = QuadForm(a, b, m // a)
+                        if f.content() == 1:
+                            yield f
     raise RuntimeError("rm point search exhausted")
 
 
-def rm_point_pair(F, G, cls, p, rc):
-    """The RM points (plus, minus) of the class for +r and -r."""
-    return rm_point(F, G, cls, p, rc, +1), rm_point(F, G, cls, p, rc, -1)
-
-
-def twisted_cycle(F, G, psi, p, rc):
+def twisted_cycle(F, G, psi, p, r):
     """The psi-twisted cycle: (psi(cls), Q) for the +r and the -r RM point
-    Q of each narrow class."""
+    Q of each narrow class, r a square root from choose_r."""
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
-    return tuple((psi(cls), Q) for cls in range(G.h)
-                 for Q in rm_point_pair(F, G, cls, p, rc))
+    return tuple((psi(cls), Q) for cls, pair in enumerate(rm_points(F, G, p, r))
+                 for Q in pair)
 
 
 # ---------------------------------------------------------------------------

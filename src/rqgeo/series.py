@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesic import InertPrime, choose_r, rm_point_pair
+from .geodesic import InertPrime, choose_r, rm_points
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
 from .hecke import pair_with_twisted_cycle, sigma1
 
@@ -125,14 +125,12 @@ def pairing_table(F, G, p, r, N, algorithm):
     raises (an AlgorithmMismatch under "both") leaves nothing behind.
     """
     intersect = intersection_algorithm(algorithm)
-    rc = choose_r(F, p, r)
-    table = []
-    for cls in range(G.h):
-        table.append(tuple(
-            tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect)
-                  for n in range(1, N + 1))
-            for Q in rm_point_pair(F, G, cls, p, rc)))
-    return tuple(table)
+    points = rm_points(F, G, p, choose_r(F, p, r))
+    return tuple(
+        tuple(tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect)
+                    for n in range(1, N + 1))
+              for Q in pair)
+        for pair in points)
 
 
 def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
@@ -152,13 +150,13 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     meta = {"d_F": F.d_F, "p": p, "r": None, "psi": psi.exponents,
             "kappa": 2, "pairing_factor": PAIRING_FACTOR}
     try:
-        rc = choose_r(F, p, r)
+        r = choose_r(F, p, r)
     except InertPrime:
         return QSeries(0, {n: 0 for n in range(1, N + 1)}, meta, inert=True)
-    meta["r"] = rc.r
+    meta["r"] = r
     from .lvalue import constant_term
-    lv = constant_term(F, G, psi, p, rc.r)
-    table = pairing_table(F, G, p, rc.r, N, algorithm)
+    lv = constant_term(F, G, psi, p, r)
+    table = pairing_table(F, G, p, r, N, algorithm)
     weights = [psi(cls) for cls in range(G.h)]
     coeffs = {}
     for n in range(1, N + 1):

@@ -118,16 +118,16 @@ def test_criterion_5_invariance_and_fault_injection():
     for D, p in ((6, 5), (7, 3)):
         F, G, psi = _setup(D)
         base = diagonal_restriction(F, G, psi, p, N=10)
-        rc = choose_r(F, p)
-        assert diagonal_restriction(F, G, psi, p, N=10, r=rc.r + 2 * p) == base
-        assert diagonal_restriction(F, G, psi, p, N=10, r=-rc.r) == base
+        r = choose_r(F, p)
+        assert diagonal_restriction(F, G, psi, p, N=10, r=r + 2 * p) == base
+        assert diagonal_restriction(F, G, psi, p, N=10, r=-r) == base
         assert diagonal_restriction(F, G, psi.inverse(), p, N=10) == base
         assert diagonal_restriction(F, G, psi, p, N=10,
                                     algorithm="enum") == base
 
         # representative changes inside the cycle: replace every RM point
         # by a Gamma0(p)-translate (ideal representative and base point)
-        cyc = twisted_cycle(F, G, psi, p, rc)
+        cyc = twisted_cycle(F, G, psi, p, r)
         for g in (Mat2(1, 1, 0, 1), Mat2(1, 0, p, 1), Mat2(1, -2, p, 1 - 2 * p)):
             moved = tuple((c, Q.translate(g)) for c, Q in cyc)
             for n in (1, 2, 3, 5, 7):

@@ -8,7 +8,7 @@ import rqgeo.series
 from rqgeo.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, run
 from rqgeo.exact import squarefree_part
 from rqgeo.field import build_field, narrow_class_group, pell_plus
-from rqgeo.geodesic import choose_r, rm_point_pair
+from rqgeo.geodesic import choose_r, rm_points
 from rqgeo.oracles import QuadIrr
 
 
@@ -95,9 +95,8 @@ class TestVerify:
         assert code == EXIT_OK and rep["passed"]
         F = build_field(6)
         G = narrow_class_group(F)
-        rc = choose_r(F, 5)
-        points = [Q for cls in range(G.h)
-                  for Q in rm_point_pair(F, G, cls, 5, rc)]
+        points = [Q for pair in rm_points(F, G, 5, choose_r(F, 5))
+                  for Q in pair]
         assert len(points) == 2 * G.h
         assert calls["translate"] == 2 * len(points) * N
         assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
@@ -170,6 +169,19 @@ class TestInfoCommands:
         assert code == EXIT_OK
         assert rep["rmpoints"]["r"] == 8
         assert len(rep["rmpoints"]["classes"]) == 2
+        # N0 = 2 N(x) with x = (-r + sqrt(d_F))/2, for the default r and
+        # explicit ones of either sign
+        for D, p, r in ((6, 5, None), (6, 5, -8), (6, 5, 18), (3, 11, None),
+                        (3, 13, None), (3, 13, 18), (7, 3, None), (7, 3, -10)):
+            argv = ["rmpoints", "--D", str(D), "--p", str(p)]
+            if r is not None:
+                argv += ["--r", str(r)]
+            code, rep, _ = invoke_json(*argv)
+            assert code == EXIT_OK, argv
+            got = rep["rmpoints"]["r"]
+            assert r in (None, got)
+            x = QuadIrr(-got, 1, 2, build_field(D).d_F)
+            assert 2 * x.norm() == rep["rmpoints"]["N0"]
 
     def test_intersect(self):
         code, rep, _ = invoke_json("intersect", "--D", "6", "--p", "5",
@@ -306,14 +318,14 @@ class TestExitCodes:
     def test_r_plus_2p_can_fail(self, monkeypatch):
         # reverse the RM points of every r but the default one: the series
         # at r + 2p then comes out negated
-        default_r = choose_r(build_field(6), 5).r
+        default_r = choose_r(build_field(6), 5)
 
-        def skewed(F, G, cls, p, rc):
-            pair = rm_point_pair(F, G, cls, p, rc)
-            if rc.r == default_r:
-                return pair
-            return tuple(Q.reversed() for Q in pair)
-        monkeypatch.setattr(rqgeo.series, "rm_point_pair", skewed)
+        def skewed(F, G, p, r):
+            points = rm_points(F, G, p, r)
+            if r == default_r:
+                return points
+            return tuple(tuple(Q.reversed() for Q in pair) for pair in points)
+        monkeypatch.setattr(rqgeo.series, "rm_points", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["r_plus_2p"]
 

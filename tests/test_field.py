@@ -133,10 +133,27 @@ class TestReduction:
                 forms, deltas = form_cycle(
                     QuadForm(s, b0, s * (b0 * b0 - d) // 4))
                 assert len(forms) == len(deltas) == len(set(forms))
-                assert all(_is_reduced(g) for g in forms)
+                assert all(_is_reduced(g, math.isqrt(d)) for g in forms)
                 for i, (g, delta) in enumerate(zip(forms, deltas)):
                     nxt = forms[(i + 1) % len(forms)]
                     assert g.apply(Mat2(0, -1, 1, delta)) == nxt, (D, i)
+        # the isqrt window of _is_reduced against the squared inequalities
+        # |sqrt(D) - 2|a|| < b < sqrt(D) on every form with nonsquare
+        # D > 0 and |a|, |b|, |c| <= 40
+        count = 0
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                for c in range(-40, 41):
+                    D = b * b - 4 * a * c
+                    s = math.isqrt(max(D, 0))
+                    if D <= 0 or s * s == D:
+                        continue
+                    t = 2 * abs(a) - b
+                    squared = (0 < b and b * b < D and (t < 0 or t * t < D)
+                               and D < (2 * abs(a) + b) ** 2)
+                    assert _is_reduced((a, b, c), s) == squared, (a, b, c)
+                    count += 1
+        assert count == 297772
 
     def test_equivalence_matrix(self):
         f = QuadForm(1, 2, -2)

@@ -1,6 +1,7 @@
+import json
 import math
+import os
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -11,6 +12,7 @@ import rqgeo.geodesic
 from rqgeo.exact import Mat2
 from rqgeo.field import (
     QuadForm,
+    _divisors,
     _reduced_forms,
     _steps,
     automorph,
@@ -26,13 +28,11 @@ from rqgeo.geodesic import (
     _start_edge,
     ClosedGeodesic,
     InertPrime,
-    RChoice,
     choose_r,
     gamma0_automorph,
     intersect_winding_cycle,
     intersect_winding_enum,
-    rm_point,
-    rm_point_pair,
+    rm_points,
     twisted_cycle,
 )
 from rqgeo.hecke import hecke_translate
@@ -45,14 +45,15 @@ from rqgeo.oracles import (
 )
 
 CONFIGS = ((3, 11), (3, 13), (6, 5), (7, 3))
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "benchmarks", "golden")
 
 
 def _setup(D, p):
     F = build_field(D)
     G = narrow_class_group(F)
     psi = odd_characters(G)[0]
-    rc = choose_r(F, p)
-    return F, G, psi, rc
+    return F, G, psi, choose_r(F, p)
 
 
 def _capped_power_search(form, p):
@@ -80,23 +81,20 @@ def _random_form(rng):
 
 class TestChooseR:
     def test_values(self):
-        assert choose_r(build_field(3), 11).r == 10
-        assert choose_r(build_field(3), 13).r == 8
-        assert choose_r(build_field(6), 5).r == 8
-        assert choose_r(build_field(7), 3).r == 8
+        assert choose_r(build_field(3), 11) == 10
+        assert choose_r(build_field(3), 13) == 8
+        assert choose_r(build_field(6), 5) == 8
+        assert choose_r(build_field(7), 3) == 8
 
     def test_congruence_and_minimality(self):
         for D, p in CONFIGS:
             F = build_field(D)
-            rc = choose_r(F, p)
+            r = choose_r(F, p)
             d = F.d_F
-            assert (rc.r * rc.r - d) % (4 * p) == 0
-            assert rc.r * rc.r > d
-            for s in range(1, rc.r):
+            assert (r * r - d) % (4 * p) == 0
+            assert r * r > d
+            for s in range(1, r):
                 assert (s * s - d) % (4 * p) != 0 or s * s <= d
-            # N0 = 2 N(x) with x = (-r + sqrt(d))/2
-            x = QuadIrr(-rc.r, 1, 2, d)
-            assert rc.N0 == 2 * x.norm() == Fraction(rc.r ** 2 - d, 2)
 
     def test_inert(self):
         with pytest.raises(InertPrime):
@@ -111,9 +109,9 @@ class TestChooseR:
 
     def test_explicit_r(self):
         F = build_field(6)
-        assert choose_r(F, 5, r=8) == RChoice(8, 20)
-        assert choose_r(F, 5, r=-8) == RChoice(-8, 20)
-        assert choose_r(F, 5, r=18) == RChoice(18, 150)
+        assert choose_r(F, 5, r=8) == 8
+        assert choose_r(F, 5, r=-8) == -8
+        assert choose_r(F, 5, r=18) == 18
         for r in (7, 2, -2):
             with pytest.raises(ValueError, match="invalid square root"):
                 choose_r(F, 5, r=r)
@@ -262,17 +260,66 @@ def test_start_edge_follows_the_convergents():
         assert f.value(*asked[-2]) * f.value(*asked[-1]) < 0
 
 
+def _first_hit_rm_form(F, G, cls, p, s):
+    """The form of the RM point of one class for the root s, by a search
+    of its own restarted for every class: the first primitive candidate
+    [a, b, (b^2 - d_F)/(4a)] of the class, b = -s + 2pk with k = 0, 1,
+    -1, 2, ..., then p | a by increasing |a|, +a before -a."""
+    d = F.d_F
+    for k in range(10000):
+        for j in ((0,) if k == 0 else (k, -k)):
+            b = -s + 2 * p * j
+            m = (b * b - d) // 4
+            for e in _divisors(abs(m)):
+                for a in ((e, -e) if e % p == 0 else ()):
+                    f = QuadForm(a, b, m // a)
+                    if f.content() == 1 and G.classify(f) == cls:
+                        return f
+
+
+def _golden_pairs():
+    with open(os.path.join(GOLDEN_DIR, "fields.json")) as fh:
+        entries = json.load(fh)["entries"]
+    return sorted({(e["D"], e["p"]) for e in entries})
+
+
 class TestRmPoint:
     def test_rm_point_constraints(self):
         for D, p in CONFIGS:
-            F, G, psi, rc = _setup(D, p)
-            for cls in range(G.h):
-                for sign in (1, -1):
-                    Q = rm_point(F, G, cls, p, rc, sign)
+            F, G, psi, r = _setup(D, p)
+            points = rm_points(F, G, p, r)
+            assert len(points) == G.h
+            for cls, pair in enumerate(points):
+                for sign, Q in zip((1, -1), pair):
                     assert Q.form.a % p == 0
-                    assert (Q.form.b + sign * rc.r) % (2 * p) == 0
+                    assert (Q.form.b + sign * r) % (2 * p) == 0
                     assert Q.form.disc() == F.d_F
                     assert G.classify(Q.form) == cls
+
+    def test_equals_per_class_search(self):
+        # one search per sign gives each class the point that a search
+        # restarted for that class alone finds, at r, -r and r + 2p, on
+        # every golden fields pair, the matrix pairs, and fields whose
+        # unit has norm -1 (there f and -f share a class, so the order
+        # +a before -a decides the point)
+        pairs = _golden_pairs()
+        assert len(pairs) == 161
+        norm_minus_one = [(D, p) for D in (2, 5, 10, 13, 29, 41)
+                          for p in (3, 5, 7, 11, 13) if D % p]
+        for D, p in pairs + list(CONFIGS) + norm_minus_one:
+            F = build_field(D)
+            G = narrow_class_group(F)
+            try:
+                r0 = choose_r(F, p)
+            except InertPrime:
+                continue
+            for r in (r0, -r0, r0 + 2 * p):
+                want = [(_first_hit_rm_form(F, G, cls, p, r),
+                         _first_hit_rm_form(F, G, cls, p, -r))
+                        for cls in range(G.h)]
+                got = [(plus.form, minus.form)
+                       for plus, minus in rm_points(F, G, p, r)]
+                assert got == want, (D, p, r)
 
     def test_explicit_large_r(self):
         # the other square root class mod 2p for d_F = 12, p = 13
@@ -281,25 +328,27 @@ class TestRmPoint:
         d = F.d_F
         r = 18
         assert (r * r - d) % (4 * 13) == 0
-        rc = choose_r(F, 13, r=r)
-        assert rc == RChoice(r, (r * r - d) // 2)
+        assert choose_r(F, 13, r=r) == r
         target = QuadForm(78, -18, 1)
         cls = G.classify(target)
-        Q = rm_point(F, G, cls, 13, rc, 1)
+        Q = rm_points(F, G, 13, r)[cls][0]
         assert gamma0_equivalent(Q.form, target, 13)
 
     def test_pair_signs(self):
-        F, G, psi, rc = _setup(6, 5)
-        plus, minus = rm_point_pair(F, G, 0, 5, rc)
-        assert (plus.form.b + rc.r) % (2 * 5) == 0
-        assert (minus.form.b - rc.r) % (2 * 5) == 0
+        F, G, psi, r = _setup(6, 5)
+        plus, minus = rm_points(F, G, 5, r)[0]
+        assert (plus.form.b + r) % (2 * 5) == 0
+        assert (minus.form.b - r) % (2 * 5) == 0
+        # at -r the pair is swapped
+        swapped = rm_points(F, G, 5, -r)[0]
+        assert [Q.form for Q in swapped] == [minus.form, plus.form]
 
 
 class TestClosedGeodesic:
     def test_stabilizer_fixes_endpoints(self):
         for D, p in CONFIGS:
-            F, G, psi, rc = _setup(D, p)
-            Q = rm_point(F, G, 0, p, rc)
+            F, G, psi, r = _setup(D, p)
+            Q = rm_points(F, G, p, r)[0][0]
             g = Q.gamma
             assert g.det == 1 and g.c % p == 0
             assert g.a + g.d > 2
@@ -319,8 +368,8 @@ class TestClosedGeodesic:
 
     def test_orientation_reversal(self):
         for D, p in CONFIGS:
-            F, G, psi, rc = _setup(D, p)
-            Q = rm_point(F, G, 0, p, rc)
+            F, G, psi, r = _setup(D, p)
+            Q = rm_points(F, G, p, r)[0][0]
             R = Q.reversed()
             assert R.form == QuadForm(*(-e for e in Q.form))
             assert plus_root(R.form) == minus_root(Q.form)
@@ -359,30 +408,30 @@ class TestGamma0Equivalence:
 class TestIntersection:
     def test_cycle_equals_enum_base_points(self):
         for D, p in CONFIGS:
-            F, G, psi, rc = _setup(D, p)
-            T = twisted_cycle(F, G, psi, p, rc)
+            F, G, psi, r = _setup(D, p)
+            T = twisted_cycle(F, G, psi, p, r)
             for _, Q in T:
                 assert intersect_winding_cycle(Q) == intersect_winding_enum(Q)
 
     def test_known_values(self):
         # per-geodesic intersection numbers at the base level
-        F, G, psi, rc = _setup(6, 5)
-        T = twisted_cycle(F, G, psi, 5, rc)
+        F, G, psi, r = _setup(6, 5)
+        T = twisted_cycle(F, G, psi, 5, r)
         vals = [intersect_winding_cycle(Q) for _, Q in T]
         coeffs = [c for c, _ in T]
         assert sum(c * v for c, v in zip(coeffs, vals)) == -4
 
     def test_orientation_flip_negates(self):
         for D, p in ((6, 5), (7, 3)):
-            F, G, psi, rc = _setup(D, p)
-            Q = rm_point(F, G, 0, p, rc)
+            F, G, psi, r = _setup(D, p)
+            Q = rm_points(F, G, p, r)[0][0]
             assert intersect_winding_cycle(Q.reversed()) == -intersect_winding_cycle(Q)
             assert intersect_winding_enum(Q.reversed()) == -intersect_winding_enum(Q)
 
     def test_gamma0_translate_invariance(self):
         rng = random.Random(11)
-        F, G, psi, rc = _setup(6, 5)
-        Q = rm_point(F, G, 1, 5, rc)
+        F, G, psi, r = _setup(6, 5)
+        Q = rm_points(F, G, 5, r)[1][0]
         base = intersect_winding_cycle(Q)
         for _ in range(6):
             g = Mat2(1, rng.randrange(-3, 4), 0, 1) * Mat2(1, 0, 5 * rng.randrange(-2, 3), 1)
@@ -399,8 +448,8 @@ class TestIntersection:
 
 @lru_cache(maxsize=None)
 def _cycle_terms(D, p):
-    F, G, psi, rc = _setup(D, p)
-    return twisted_cycle(F, G, psi, p, rc)
+    F, G, psi, r = _setup(D, p)
+    return twisted_cycle(F, G, psi, p, r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,16 +585,16 @@ def test_reduction_cycle_is_one_river_period():
 
 class TestTwistedCycle:
     def test_structure_d12(self):
-        F, G, psi, rc = _setup(3, 13)
-        T = twisted_cycle(F, G, psi, 13, rc)
+        F, G, psi, r = _setup(3, 13)
+        T = twisted_cycle(F, G, psi, 13, r)
         assert len(T) == 2 * G.h == 4
         assert sorted(c for c, _ in T) == [-1, -1, 1, 1]
 
     def test_rejects_even_character(self):
         F = build_field(3)
         G = narrow_class_group(F)
-        rc = choose_r(F, 13)
+        r = choose_r(F, 13)
         from rqgeo.field import all_characters
         triv = [c for c in all_characters(G) if c.is_trivial()][0]
         with pytest.raises(ValueError):
-            twisted_cycle(F, G, triv, 13, rc)
+            twisted_cycle(F, G, triv, 13, r)

@@ -10,7 +10,7 @@ from rqgeo.geodesic import (
     choose_r,
     intersect_winding_cycle,
     intersect_winding_enum,
-    rm_point,
+    rm_points,
     twisted_cycle,
 )
 from rqgeo.hecke import (
@@ -162,8 +162,7 @@ class TestRightCosets:
 def _base_geodesic(D, p, cls=0):
     F = build_field(D)
     G = narrow_class_group(F)
-    rc = choose_r(F, p)
-    return rm_point(F, G, cls, p, rc)
+    return rm_points(F, G, p, choose_r(F, p))[cls][0]
 
 
 class TestDoubleCosets:
@@ -290,8 +289,8 @@ class TestPairing:
             F = build_field(D)
             G = narrow_class_group(F)
             psi = odd_characters(G)[0]
-            rc = choose_r(F, p)
-            T = twisted_cycle(F, G, psi, p, rc)
+            r = choose_r(F, p)
+            T = twisted_cycle(F, G, psi, p, r)
             for n in range(1, 11):
                 a = pair_with_twisted_cycle(T, n)
                 b = pair_with_twisted_cycle(T, n, algorithm=intersect_winding_enum)
@@ -302,8 +301,8 @@ class TestPairing:
         F = build_field(6)
         G = narrow_class_group(F)
         psi = odd_characters(G)[0]
-        rc = choose_r(F, 5)
-        T = twisted_cycle(F, G, psi, 5, rc)
+        r = choose_r(F, 5)
+        T = twisted_cycle(F, G, psi, 5, r)
         for n in range(1, 9):
             assert pair_with_twisted_cycle(T, n) == -4 * sigma1(n, 5)
 
@@ -315,8 +314,8 @@ class TestPairing:
         F = build_field(7)
         G = narrow_class_group(F)
         psi = odd_characters(G)[0]
-        rc = choose_r(F, 3)
-        T = twisted_cycle(F, G, psi, 3, rc)
+        r = choose_r(F, 3)
+        T = twisted_cycle(F, G, psi, 3, r)
         from rqgeo.geodesic import ClosedGeodesic
         for n in (2, 4, 5):
             ref = pair_with_twisted_cycle(T, n)

@@ -9,7 +9,7 @@ import sys
 
 import rqgeo
 from rqgeo.field import build_field, narrow_class_group, odd_characters
-from rqgeo.geodesic import choose_r, rm_point_pair
+from rqgeo.geodesic import choose_r, rm_points
 from rqgeo.hecke import hecke_translate
 from rqgeo.oracles import QuadIrr, plus_root
 from rqgeo.series import diagonal_restriction
@@ -159,9 +159,112 @@ def test_coefficient_path_builds_no_quadirr(monkeypatch):
     monkeypatch.setattr(QuadIrr, "__init__", counted)
     S = diagonal_restriction(F, G, psi, 5, N=8, algorithm="both")
     assert any(S.coeffs.values())
-    for Q in rm_point_pair(F, G, 1, 5, choose_r(F, 5)):
+    for Q in rm_points(F, G, 5, choose_r(F, 5))[1]:
         for n in range(1, 9):
             hecke_translate(Q, n)
     assert built == []
     plus_root(Q.form)           # the counter does count
     assert len(built) == 1
+
+
+HOOKS = """
+import contextlib, importlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import rqgeo, rqgeo.cli
+from tracing import TARGETS, Recorder, layer_metrics
+missing = [m + "." + a for m, a, _ in TARGETS
+           if not hasattr(importlib.import_module(m), a)]
+if missing:
+    print(json.dumps({"missing": missing}))
+    sys.exit()
+recorder = Recorder()
+recorder.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = rqgeo.cli.run(["verify", "--D", "6", "--p", "5", "--N", "4",
+                          "--no-cache"])
+F = rqgeo.field.build_field(15)
+G = rqgeo.field.narrow_class_group(F)
+rqgeo.series.diagonal_restriction(F, G, rqgeo.field.odd_characters(G)[0], 7,
+                                  N=4)
+print(json.dumps({"missing": [], "code": code,
+                  "counters": recorder.counters(),
+                  "layers": layer_metrics(recorder.spans)}))
+"""
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id] + parts[::-1])
+
+
+def _rqgeo_names(source):
+    """The dotted rqgeo names a benchmark file reads: its imports from
+    rqgeo, and attribute chains on rqgeo or on a name assigned one."""
+    tree = ast.parse(source)
+    alias, names = {"rqgeo": "rqgeo"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for t, v in pairs:
+                d = _dotted(v)
+                if isinstance(t, ast.Name) and d and d.split(".")[0] == "rqgeo":
+                    alias[t.id] = d
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "rqgeo"):
+            names.update(node.module + "." + a.name for a in node.names)
+    for node in ast.walk(tree):
+        d = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if d and d.split(".")[0] in alias:
+            head, _, rest = d.partition(".")
+            names.add(alias[head] + "." + rest)
+    return names
+
+
+def _resolves(dotted):
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            return False
+    return True
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark binds package functions by name (tracing.TARGETS) and
+    # reads lru_cache statistics; a traced verify run and a library series
+    # must reach every layer it reports
+    bench = os.path.join(ROOT, "benchmarks")
+    names = set()
+    for path in sorted(glob.glob(os.path.join(bench, "*.py"))):
+        with open(path) as fh:
+            names |= _rqgeo_names(fh.read())
+    assert {"rqgeo.geodesic.choose_r", "rqgeo.cli.run",
+            "rqgeo.series.diagonal_restriction"} <= names
+    assert [n for n in sorted(names) if not _resolves(n)] == []
+    assert not _resolves("rqgeo.geodesic.rm_point_pair")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", HOOKS, bench], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["missing"] == []
+    assert out["code"] == 0
+    counters, layers = out["counters"], out["layers"]
+    for name in ("geodesic.intersect_cycle.calls",
+                 "geodesic.intersect_enum.calls", "hecke.translates",
+                 "field.pell_plus.hits"):
+        assert counters[name] > 0, name
+    for name in ("series.pair_s", "lvalue.constant_term_s"):
+        assert layers[name] > 0, name

@@ -197,7 +197,7 @@ class TestPairingTable:
             del walks[:], translates[:]
             F = build_field(6)
             G = narrow_class_group(F)
-            pairing_table(F, G, 5, choose_r(F, 5).r, 30, "cycle")
+            pairing_table(F, G, 5, choose_r(F, 5), 30, "cycle")
             cycles, pairs = set(), set()
             for t in translates:
                 cyc = frozenset(form_cycle(t.form)[0])
@@ -212,12 +212,12 @@ class TestPairingTable:
         for D, p in self.CASES:
             F = build_field(D)
             G = narrow_class_group(F)
-            rc = choose_r(F, p)
+            r = choose_r(F, p)
             chars = [psi for psi in odd_characters(G) if psi.order == 2]
             assert chars, D
             for psi in chars:
                 S = diagonal_restriction(F, G, psi, p, N=N)
-                cyc = twisted_cycle(F, G, psi, p, rc)
+                cyc = twisted_cycle(F, G, psi, p, r)
                 assert S.coeffs == {
                     n: _coefficient(pair_with_twisted_cycle(cyc, n))
                     for n in range(1, N + 1)}, (D, p, psi.exponents)
