@@ -9,10 +9,12 @@ intersection algorithms disagreeing on a translate), 3 domain errors
 cannot handle exactly, or verify-analytic without mpmath), 4 internal
 error (a broken invariant: AssertionError or RuntimeError).
 
-verify walks the Hecke translates twice: once with both intersection
-algorithms for the report series, whose pairing table the pm_halves and
-psi_inverse checks read back, and once with the cycle algorithm for the
-series at r + 2p.
+verify walks the Hecke translates of h RM points three times, h the
+narrow class number: with both intersection algorithms for the +r points
+of the report series, whose pairing table the pm_halves and psi_inverse
+checks read back, again with both for the -r points that pm_halves pairs
+directly, and with the cycle algorithm for the +r points of the series
+at r + 2p.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .series import (
     diagonal_restriction,
     intersection_algorithm,
     modularity_check,
+    pairing_row,
     pairing_table,
 )
 
@@ -250,15 +253,25 @@ def cmd_verify(args):
     def record(name, ok, detail=""):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
-    # the report series itself checks cycle == enum on every translate;
-    # after a mismatch it is computed again with the cycle algorithm
+    def series_and_minus_rows(algorithm):
+        rep, S = _series_report(args, F, G, psi, p, algorithm)
+        if S.inert:
+            return rep, S, None
+        intersect = intersection_algorithm(algorithm)
+        minus = tuple(pairing_row(Q, args.N, intersect)
+                      for _, Q in rm_points(F, G, p, S.metadata["r"]))
+        return rep, S, minus
+
+    # the report series and the directly paired -r points check cycle ==
+    # enum on every translate; after a mismatch both are computed again
+    # with the cycle algorithm
     algorithm = "both"
     try:
-        rep, S = _series_report(args, F, G, psi, p, algorithm)
+        rep, S, minus = series_and_minus_rows(algorithm)
         dual = (True, "cycle==enum for n=1..%d" % args.N)
     except AlgorithmMismatch as exc:
         algorithm = "cycle"
-        rep, S = _series_report(args, F, G, psi, p, algorithm)
+        rep, S, minus = series_and_minus_rows(algorithm)
         dual = (False, str(exc))
     if S.inert:
         record("inert", True, "p is inert: zero series")
@@ -277,17 +290,13 @@ def cmd_verify(args):
     shifted = diagonal_restriction(F, G, psi, p, N=args.N,
                                    r=r + 2 * p if r > 0 else r - 2 * p)
     record("r_plus_2p", shifted == S)
-    # each class has an RM point of +r and one of -r; the halving in
-    # series._coefficient assumes that the two halves pair equally.  The
-    # rows are those of the report series, read back from its table.
+    # the report table pairs only the +r points and files each negated
+    # row as the -r row of the reversed point's class; the -r points of
+    # rm_points' own -r search, paired above with the report's
+    # algorithm, must give the same rows, class by class
     table = pairing_table(F, G, p, r, args.N, algorithm)
-    weights = [psi(cls) for cls in range(G.h)]
-
-    def half(k):
-        return [sum(w * rows[k][i] for w, rows in zip(weights, table))
-                for i in range(args.N)]
-    record("pm_halves", half(0) == half(1),
-           "+r and -r halves pair equally for n=1..%d" % args.N)
+    record("pm_halves", tuple(row for _, row in table) == minus,
+           "-r rows equal the paired -r points for n=1..%d" % args.N)
     # psi^-1 reuses the report's table; it can differ from psi only for
     # characters of order > 2
     inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r,

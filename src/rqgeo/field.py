@@ -131,16 +131,19 @@ def reduce_form(f):
 def form_cycle(f):
     """The cycle of reduced forms properly equivalent to f, in rho order,
     and the delta of each step: deltas[i] takes forms[i] to the next form,
-    the last one back to forms[0]."""
+    the last one back to forms[0].  A reduced form has 0 < b <= s and
+    |a| <= s, so a cycle has at most 2 s^2 forms; a walk that has not
+    closed by then raises RuntimeError."""
     D = f.disc()
     s = math.isqrt(D)
     forms, deltas = [reduce_form(f)[0]], []
-    while True:
+    for _ in range(2 * s * s):
         g, delta = _rho(forms[-1], D, s)
         deltas.append(delta)
         if g == forms[0]:
             return forms, deltas
         forms.append(g)
+    raise RuntimeError("reduction cycle did not close for %r" % (f,))
 
 
 @lru_cache(maxsize=None)

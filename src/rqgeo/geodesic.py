@@ -71,7 +71,8 @@ class ClosedGeodesic:
 
     def __init__(self, form, p):
         form, _ = form.primitive()
-        if form.disc() <= 0 or math.isqrt(form.disc()) ** 2 == form.disc():
+        d = form.disc()
+        if d <= 0 or math.isqrt(d) ** 2 == d:
             raise ValueError("form must have positive nonsquare discriminant")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "p", p)

@@ -23,6 +23,7 @@ __all__ = [
     "GENUS_ZERO_LEVELS",
     "diagonal_restriction",
     "pairing_table",
+    "pairing_row",
     "intersection_algorithm",
     "eta_product_coeffs",
     "modularity_check",
@@ -112,11 +113,26 @@ def _coefficient(pairing):
     return PAIRING_FACTOR * half
 
 
+def pairing_row(Q, N, intersect):
+    """Raw pairings <T_n Q, W>, n = 1..N, of one closed geodesic Q, each
+    translate counted by intersect (from intersection_algorithm)."""
+    return tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect)
+                 for n in range(1, N + 1))
+
+
 @lru_cache(maxsize=16)
 def pairing_table(F, G, p, r, N, algorithm):
     """Raw pairings <T_n Q, W>, n = 1..N, of the RM points of every narrow
     class: one (plus_row, minus_row) per class, the rows of its +r and -r
     points, each a tuple indexed by n - 1.
+
+    Only the +r points are paired.  Reversing the +r point f_c of class c
+    gives -f_c, a -r RM form of class c^-1 s, s the class of
+    (sqrt(d_F)); by the Gross-Kohnen-Zagier bijection between the RM
+    points of r and of -r it is Gamma0(p)-equivalent to that class's -r
+    point, and reversal negates every winding number.  So the -r row of
+    c^-1 s is the negated +r row of c; the classes of the -f_c are
+    asserted to be a permutation.
 
     The pairing is linear in the twisted cycle, so the series of every
     character psi is a psi-weighted sum of these rows.  The table is kept
@@ -125,12 +141,14 @@ def pairing_table(F, G, p, r, N, algorithm):
     raises (an AlgorithmMismatch under "both") leaves nothing behind.
     """
     intersect = intersection_algorithm(algorithm)
-    points = rm_points(F, G, p, choose_r(F, p, r))
-    return tuple(
-        tuple(tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect)
-                    for n in range(1, N + 1))
-              for Q in pair)
-        for pair in points)
+    minus = [None] * G.h
+    plus = []
+    for Q, _ in rm_points(F, G, p, choose_r(F, p, r)):
+        row = pairing_row(Q, N, intersect)
+        plus.append(row)
+        minus[G.classify(Q.reversed().form)] = tuple(-v for v in row)
+    assert None not in minus, "reversed +r points miss a class"
+    return tuple(zip(plus, minus))
 
 
 def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):

@@ -71,10 +71,11 @@ class TestVerify:
         assert names == ["dual_algorithm", "modularity", "r_plus_2p",
                          "pm_halves", "psi_inverse"]
 
-    def test_two_hecke_passes(self, monkeypatch):
-        # one pass with both algorithms for the report series (which the
-        # pm_halves and psi_inverse checks read back) and one cycle pass
-        # for the RM points of r + 2p
+    def test_three_hecke_passes(self, monkeypatch):
+        # one pass with both algorithms over the +r points for the report
+        # series (which the pm_halves and psi_inverse checks read back),
+        # one with both over the -r points that pm_halves pairs directly,
+        # and one cycle pass over the +r points of r + 2p
         calls = {"translate": 0, "enum": 0}
         translate = rqgeo.hecke.hecke_translate
         enum = rqgeo.series.intersect_winding_enum
@@ -98,7 +99,7 @@ class TestVerify:
         points = [Q for pair in rm_points(F, G, 5, choose_r(F, 5))
                   for Q in pair]
         assert len(points) == 2 * G.h
-        assert calls["translate"] == 2 * len(points) * N
+        assert calls["translate"] == 3 * G.h * N
         assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
                                     for n in range(1, N + 1))
 

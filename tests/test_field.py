@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rqgeo.exact import Mat2, squarefree_part
+import rqgeo.field
 from rqgeo.field import (
     QuadForm,
     _is_reduced,
@@ -154,6 +155,15 @@ class TestReduction:
                     assert _is_reduced((a, b, c), s) == squared, (a, b, c)
                     count += 1
         assert count == 297772
+
+    def test_broken_reduction_raises(self, monkeypatch):
+        # with the reduction window broken, the walk from a form that is
+        # not reduced never returns to it: form_cycle stops at its bound
+        # of 2 s^2 steps instead of hanging
+        monkeypatch.setattr(rqgeo.field, "_is_reduced",
+                            lambda f, s: s - f[1] <= 2 * abs(f[0]))
+        with pytest.raises(RuntimeError, match="did not close"):
+            form_cycle(QuadForm(1, 0, -3))
 
     def test_equivalence_matrix(self):
         f = QuadForm(1, 2, -2)

@@ -10,7 +10,8 @@ from rqgeo.field import (
     narrow_class_group,
     odd_characters,
 )
-from rqgeo.geodesic import choose_r, twisted_cycle
+from rqgeo.exact import squarefree_part
+from rqgeo.geodesic import choose_r, rm_points, twisted_cycle
 import rqgeo.geodesic
 import rqgeo.hecke
 import rqgeo.series
@@ -177,9 +178,10 @@ class TestPairingTable:
         return calls
 
     def test_one_river_walk_per_cycle_pair(self, monkeypatch):
-        # the 836 translates of (6, 5) at N=30 fall into 144 SL2(Z)
-        # cycles, closed under negation; one walk covers a cycle and its
-        # negative, and a second table computes its own walks again
+        # the 418 translates of the +r points of (6, 5) at N=30 fall into
+        # 144 SL2(Z) cycles, closed under negation; one walk covers a
+        # cycle and its negative, and a second table computes its own
+        # walks again
         walks = []
         walk = rqgeo.geodesic._walk_river
         monkeypatch.setattr(rqgeo.geodesic, "_walk_river",
@@ -205,7 +207,35 @@ class TestPairingTable:
                 cycles.add(cyc)
                 pairs.add(frozenset((cyc, neg)))
             counts.append((len(translates), len(cycles), len(pairs), len(walks)))
-        assert counts == [(836, 144, 72, 72)] * 2
+        assert counts == [(418, 144, 72, 72)] * 2
+
+    def test_minus_rows_are_reversed_plus_rows(self):
+        # the -r row of class c^-1 s is the negated +r row of c, s the
+        # class of (sqrt(d_F)): the table's -r rows equal the rows of the
+        # -r points that rm_points finds, paired directly
+        N = 6
+        tables = 0
+        for D in range(2, 100):
+            if squarefree_part(D)[1] != 1:
+                continue
+            F = build_field(D)
+            G = narrow_class_group(F)
+            s = G.class_of_principal_sqrt_dF
+            for p in (3, 5, 7, 11, 13):
+                if F.d_F % p == 0 or pow(F.d_F, (p - 1) // 2, p) != 1:
+                    continue
+                r = choose_r(F, p)
+                points = rm_points(F, G, p, r)
+                for c, (plus, _) in enumerate(points):
+                    assert G.classify(plus.reversed().form) == \
+                        G.compose(G.inverse(c), s), (D, p, c)
+                table = pairing_table(F, G, p, r, N, "cycle")
+                assert [row for _, row in table] == [
+                    tuple(pair_with_twisted_cycle(((1, Q),), n)
+                          for n in range(1, N + 1))
+                    for _, Q in points], (D, p)
+                tables += 1
+        assert tables == 123
 
     def test_equals_twisted_cycle_pairing(self):
         N = 4
@@ -229,7 +259,8 @@ class TestPairingTable:
         assert len(others) == 3
         calls = self._count_translates(monkeypatch)
         diagonal_restriction(F, G, first, 11, N=3)
-        assert len(calls) == 2 * G.h * 3
+        # one +r point per class is paired
+        assert len(calls) == G.h * 3
         del calls[:]
         for psi in others:
             diagonal_restriction(F, G, psi, 11, N=3)
@@ -242,7 +273,7 @@ class TestPairingTable:
         for _ in range(2):
             F, G, psi = _setup(6)
             results.append(diagonal_restriction(F, G, psi, 5, N=3))
-        assert len(calls) == 2 * (2 * 2 * 3)
+        assert len(calls) == 2 * (2 * 3)
         assert results[0] == results[1]
 
     def test_mismatch_is_not_cached(self, monkeypatch):
@@ -255,7 +286,7 @@ class TestPairingTable:
                 diagonal_restriction(F, G, psi, 5, N=3, algorithm="both")
         calls = self._count_translates(monkeypatch)
         S = diagonal_restriction(F, G, psi, 5, N=3, algorithm="both")
-        assert len(calls) == 2 * 2 * 3
+        assert len(calls) == 2 * 3
         assert S == diagonal_restriction(F, G, psi, 5, N=3)
 
 
