@@ -238,10 +238,18 @@ def _walk_river(g, p, memo):
     form [a, b, c] = g.apply(E) is registered in memo under (p, a, b, c)
     as (T, E mod p by columns), and [-c, b, -a] = -g.apply(E S), of the
     cycle of -g, as (-T, E S).
+
+    A run is taken mod p.  Its faces k e1 - e0 depend on k only mod p,
+    and as (e0 | e1) is invertible mod p, p consecutive k meet every key
+    of P^1(F_p) except e1's exactly once.  So a run of |delta| = q p + rem
+    edges tallies -sgn(delta) q at every key, kept as one offset that
+    adds offset * |orbit| to each orbit's sum, +sgn(delta) q at e1's key,
+    and its first rem edges one by one.
     """
     inv = _inverses(p)
     forms, deltas = form_cycle(g)
     tally = [0] * (p + 1)
+    offset = 0
     table, negated = [None] * (p + 1), [None] * (p + 1)   # filled below
     x0, x1, y0, y1 = 1, 0, 0, 1
     for (a, b, c), delta in zip(forms, deltas):
@@ -249,9 +257,11 @@ def _walk_river(g, p, memo):
         memo[p, -c, b, -a] = (negated, x1, -x0 % p, y1, -y0 % p)
         # the run's edges share the face (x1, y1) of value c; delta has
         # the sign of c, as both b and the next form's b are positive
-        tally[x1 * inv[y1] % p if y1 else p] += delta     # _p1_key inlined
         sign = 1 if delta > 0 else -1
-        for k in range(0, delta, sign):
+        laps, rem = divmod(sign * delta, p)
+        offset -= sign * laps
+        tally[x1 * inv[y1] % p if y1 else p] += delta + sign * laps  # _p1_key
+        for k in range(0, sign * rem, sign):
             x, y = (k * x1 - x0) % p, (k * y1 - y0) % p
             tally[x * inv[y] % p if y else p] -= sign
         x0, x1 = x1, (delta * x1 - x0) % p
@@ -260,7 +270,7 @@ def _walk_river(g, p, memo):
     for k in range(p + 1):
         if table[k] is None:
             orbit = _p1_orbit(A, p, k)
-            total = sum(tally[j] for j in orbit)
+            total = sum(tally[j] for j in orbit) + offset * len(orbit)
             for j in orbit:
                 table[j], negated[j] = total, -total
 

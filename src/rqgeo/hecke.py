@@ -6,10 +6,29 @@ geodesic, and the pairing of a Hecke translate against a twisted cycle.
 
 Each coset y Gamma0(p) has one lower-triangular representative
 (A, 0; C, n/A), with A | n prime to p and C = p j, 0 <= j < n/A, and
-that representative's (A, C) is the coset's label: the stabilizer's
-orbits are walked on the labels in plain integers.  right_cosets
-asserts that each representative is its own key, so a key that moves
-the labels among themselves is caught as well as one that leaves them.
+that representative's (A, C) is the coset's label.  The label stands for
+the lattice y L0, where L0 = Z + pZ, the column vectors with second
+coordinate divisible by p, is stabilized by Gamma0(p): y L0 is spanned
+by (A, C) and (0, p n/A), and two matrices of the coset set with one
+lattice differ by an element of Gamma0(p).  The stabilizer gamma of a
+geodesic acts on the labels by left multiplication, so on the lattices.
+
+A lattice of index p n is the intersection of its parts at the primes
+of n.  So for coprime n = n1 n2 the label (A, p j) of n is the pair of
+the labels (A1, p j1) of n1 and (A2, p j2) of n2 that contain it, with
+
+    A = A1 A2,   j = A2 j1 (mod n1/A1),   j = A1 j2 (mod n2/A2),
+
+and gamma acts on both parts at once; the p-part is one of the parts.
+double_cosets walks gamma's orbits on the labels of each prime power
+q^e || n once per geodesic and builds the orbits of n from them: for a
+cyclic group, a pair of orbits of sizes a and b makes gcd(a, b) orbits
+of size lcm(a, b), represented by (x, gamma^i y) for 0 <= i < gcd(a, b).
+
+right_cosets asserts that each representative is its own key, so a key
+that moves the labels among themselves is caught as well as one that
+leaves them, which the orbit walk catches; double_cosets asserts the
+same of every label it builds.
 """
 
 from __future__ import annotations
@@ -72,30 +91,93 @@ def right_cosets(n, p):
     return reps
 
 
-def double_cosets(Q, n):
-    """One coset representative per orbit of the stabilizer of Q acting
-    on the right cosets by left multiplication."""
-    p, (ga, gb, gc, gd) = Q.p, Q.gamma.entries()
+def _prime_powers(n):
+    """The prime powers q^e that exactly divide n, by increasing q."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            qe = 1
+            while n % q == 0:
+                n, qe = n // q, qe * q
+            out.append(qe)
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _label_orbits(gamma, n, p):
+    """The orbits of the matrix with entries gamma on the labels of
+    determinant n: one list per orbit, its labels (A, C) in the order
+    gamma visits them from the first."""
+    ga, gb, gc, gd = gamma
     reps = right_cosets(n, p)
-    seen = set()
-    out = []
+    free = {(y.a, y.c) for y in reps}
+    orbits = []
     for y in reps:
-        key = (y.a, y.c)
-        if key in seen:
+        start = (y.a, y.c)
+        if start not in free:
             continue
-        out.append(y)
-        while key not in seen:
-            seen.add(key)
+        free.remove(start)
+        orbit, key = [], start
+        while True:
+            orbit.append(key)
             A, C = key
             D = n // A
             key = _coset_key(ga * A + gb * C, gb * D,
                              gc * A + gd * C, gd * D, n, p)
-    assert len(seen) == len(reps), "stabilizer does not permute the cosets"
+            if key == start:
+                break
+            assert key in free, "stabilizer does not permute the cosets"
+            free.remove(key)
+        orbits.append(orbit)
+    return orbits
+
+
+def double_cosets(Q, n, orbits=None):
+    """One coset representative per orbit of the stabilizer of Q acting
+    on the right cosets by left multiplication, built from its orbits on
+    the labels of the prime powers of n (see the module docstring).
+
+    orbits maps (p, *Q.form) to the stabilizer's entries and its orbit
+    lists by prime power; with one dict passed for every n of a
+    geodesic, each prime power is walked once.  Without it, the call
+    walks the prime powers of its own n.
+    """
+    p = Q.p
+    if orbits is None:
+        orbits = {}
+    key = (p,) + Q.form
+    if key not in orbits:
+        orbits[key] = (Q.gamma.entries(), {})
+    gamma, walked = orbits[key]
+    reps, m = [(1, 0, 1)], 1    # (A, j, orbit size) of labels (A, p j) of m
+    for qe in _prime_powers(n):
+        if qe not in walked:
+            walked[qe] = _label_orbits(gamma, qe, p)
+        pairs = []
+        for A1, j1, a in reps:
+            D1 = m // A1
+            for orbit in walked[qe]:
+                g = math.gcd(a, len(orbit))
+                for A2, C2 in orbit[:g]:        # gamma^i y for i < g
+                    # j = A2 j1 mod D1 and j = A1 j2 mod D2, by CRT
+                    D2 = qe // A2
+                    r1, r2 = A2 * j1 % D1, A1 * (C2 // p) % D2
+                    j = r1 + D1 * ((r2 - r1) * pow(D1, -1, D2) % D2)
+                    pairs.append((A1 * A2, j, a * len(orbit) // g))
+        reps, m = pairs, m * qe
+    out = []
+    for A, j, _ in reps:
+        assert _coset_key(A, 0, p * j, n // A, n, p) == (A, p * j), \
+            "double coset rep is not its own key"
+        out.append(Mat2(A, 0, p * j, n // A))
     return tuple(out)
 
 
-def hecke_translate(Q, n):
-    """The closed geodesics delta^{-1} Q over double coset reps delta.
+def hecke_translate(Q, n, orbits=None):
+    """The closed geodesics delta^{-1} Q over double coset reps delta,
+    from double_cosets(Q, n), with its orbits dict when one is given.
 
     Each is the pulled-back form f o delta of Q's form f, whose sign
     carries the orientation pushed forward from Q.  The assert pushes it
@@ -107,7 +189,9 @@ def hecke_translate(Q, n):
     rep (right_cosets and double_cosets assert those).
     """
     out = []
-    for delta in double_cosets(Q, n):
+    deltas = (double_cosets(Q, n) if orbits is None
+              else double_cosets(Q, n, orbits))
+    for delta in deltas:
         newQ = ClosedGeodesic(Q.form.apply(delta), Q.p)
         assert newQ.form.apply(delta.adjugate()).primitive()[0] == Q.form, \
             "translate roots are not the images of Q's"
@@ -115,14 +199,17 @@ def hecke_translate(Q, n):
     return tuple(out)
 
 
-def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle):
+def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle,
+                            orbits=None):
     """<T_n cycle, winding geodesic> for a cycle given as (coeff, Q)
     pairs: the coeff-weighted sum of winding intersection numbers over
-    the Hecke translates of each closed geodesic Q."""
+    the Hecke translates of each closed geodesic Q.  orbits is passed to
+    double_cosets; one dict kept across n walks each prime power once
+    per geodesic."""
     total = 0
     for coeff, Q in cycle:
         s = 0
-        for t in hecke_translate(Q, n):
+        for t in hecke_translate(Q, n, orbits):
             s += algorithm(t)
         total += coeff * s
     return total

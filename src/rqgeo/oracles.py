@@ -15,6 +15,7 @@ from fractions import Fraction
 from .exact import Mat2, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
 from .geodesic import _inverses, _p1_key, _p1_orbit
+from .hecke import _coset_key, right_cosets
 from .lvalue import kronecker
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "multiply_ideals",
     "minus_cf_cycle",
     "gamma0_equivalent",
+    "double_cosets_by_walk",
     "zeta_F_0_numeric",
 ]
 
@@ -379,6 +381,30 @@ def _dual_stabilizer(Q, delta, n):
                 return cand
         M = M * gamma
     raise RuntimeError("conjugated stabilizer not found")
+
+
+def double_cosets_by_walk(Q, n):
+    """One coset representative per orbit of the stabilizer of Q acting
+    on the right cosets by left multiplication, by walking the orbit of
+    every coset of determinant n: the reference for hecke.double_cosets,
+    which builds the orbits from those of the prime powers of n."""
+    p, (ga, gb, gc, gd) = Q.p, Q.gamma.entries()
+    reps = right_cosets(n, p)
+    seen = set()
+    out = []
+    for y in reps:
+        key = (y.a, y.c)
+        if key in seen:
+            continue
+        out.append(y)
+        while key not in seen:
+            seen.add(key)
+            A, C = key
+            D = n // A
+            key = _coset_key(ga * A + gb * C, gb * D,
+                             gc * A + gd * C, gd * D, n, p)
+    assert len(seen) == len(reps), "stabilizer does not permute the cosets"
+    return tuple(out)
 
 
 def zeta_F_0_numeric(d):

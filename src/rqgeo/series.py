@@ -115,8 +115,13 @@ def _coefficient(pairing):
 
 def pairing_row(Q, N, intersect):
     """Raw pairings <T_n Q, W>, n = 1..N, of one closed geodesic Q, each
-    translate counted by intersect (from intersection_algorithm)."""
-    return tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect)
+    translate counted by intersect (from intersection_algorithm).  One
+    dict of Q's coset orbits serves every n of the row, so each prime
+    power is walked once (see hecke.double_cosets); it goes with the
+    row."""
+    orbits = {}
+    return tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect,
+                                         orbits=orbits)
                  for n in range(1, N + 1))
 
 

@@ -80,9 +80,9 @@ class TestVerify:
         translate = rqgeo.hecke.hecke_translate
         enum = rqgeo.series.intersect_winding_enum
 
-        def counted_translate(Q, n):
+        def counted_translate(Q, n, *orbits):
             calls["translate"] += 1
-            return translate(Q, n)
+            return translate(Q, n, *orbits)
 
         def counted_enum(t):
             calls["enum"] += 1

@@ -554,10 +554,13 @@ def test_reduction_cycle_is_one_river_period():
     # n^2 d_F / g^2 = m^2 d_F, m <= 40: the product of the cycle's steps
     # is the automorph up to sign, the cycle spans sum |delta| river
     # edges, one river period, and the walk's table is the topograph's
-    # tally summed over the automorph's orbits
-    cycles = edges = 0
+    # tally summed over the automorph's orbits.  The walk takes each run
+    # mod p and visits only its last |delta| mod p edges one by one; each
+    # pair has runs of two laps or more, |delta| >= 2p
+    cycles = edges = visits = 0
     for D, p in CONFIGS + ((15, 7),):
         d_F = build_field(D).d_F
+        longest = 0
         for m in range(1, 41):
             seen = set()
             for g in _reduced_forms(m * m * d_F):
@@ -580,7 +583,10 @@ def test_reduction_cycle_is_one_river_period():
                 a, b, c = g
                 assert memo[p, -c, b, -a][0] == [-v for v in table]
                 cycles, edges = cycles + 1, edges + period
-    assert (cycles, edges) == (1376, 121700)
+                visits += sum(abs(delta) % p for delta in deltas)
+                longest = max([longest] + [abs(delta) for delta in deltas])
+        assert longest >= 2 * p, (D, p, longest)
+    assert (cycles, edges, visits) == (1376, 121700, 32380)
 
 
 class TestTwistedCycle:

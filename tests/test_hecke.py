@@ -21,7 +21,14 @@ from rqgeo.hecke import (
     right_cosets,
     sigma1,
 )
-from rqgeo.oracles import _dual_stabilizer, minus_root, mobius, plus_root
+from rqgeo.oracles import (
+    _dual_stabilizer,
+    double_cosets_by_walk,
+    minus_root,
+    mobius,
+    plus_root,
+)
+from rqgeo.series import intersection_algorithm, pairing_row
 
 
 def _in_delta0(m, p):
@@ -219,6 +226,69 @@ class TestDoubleCosets:
         with pytest.raises(AssertionError, match=match):
             for n in range(2, 7):
                 double_cosets(Q, n)
+
+
+def _label_orbit(Q, y, n):
+    """The labels of the stabilizer's orbit of the coset of y."""
+    ga, gb, gc, gd = Q.gamma.entries()
+    orbit, key = set(), (y.a, y.c)
+    while key not in orbit:
+        orbit.add(key)
+        A, C = key
+        D = n // A
+        key = _coset_key(ga * A + gb * C, gb * D, gc * A + gd * C, gd * D,
+                         n, Q.p)
+    return frozenset(orbit)
+
+
+class TestDoubleCosetsFromPrimePowers:
+    def test_orbits_match_the_walk(self):
+        # the orbits built from the prime powers are those of the walk
+        # over every coset, one rep each, on every +r and -r RM point
+        cases = 0
+        for D, p in ((6, 5), (7, 3), (3, 11), (3, 13), (15, 7)):
+            F = build_field(D)
+            G = narrow_class_group(F)
+            for pair in rm_points(F, G, p, choose_r(F, p)):
+                for Q in pair:
+                    orbits = {}
+                    for n in range(1, 61):
+                        built = double_cosets(Q, n, orbits)
+                        walked = double_cosets_by_walk(Q, n)
+                        assert len(built) == len(walked), (D, p, Q, n)
+                        assert ({_label_orbit(Q, y, n) for y in built}
+                                == {_label_orbit(Q, y, n) for y in walked}
+                                ), (D, p, Q, n)
+                        cases += 1
+        assert cases == 1440
+
+    def test_coset_key_calls(self, monkeypatch):
+        # one key per label of each prime power q^e <= N and one per
+        # double coset, per RM point; the walk over every coset of every
+        # n <= 60 takes 2,887
+        p, N = 5, 60
+        for n in range(1, N + 1):
+            right_cosets(n, p)
+        key, calls = rqgeo.hecke._coset_key, []
+
+        def counted(*args):
+            calls.append(args)
+            return key(*args)
+        F = build_field(6)
+        G = narrow_class_group(F)
+        counts, expected = [], []
+        for Q, _ in rm_points(F, G, p, choose_r(F, p)):
+            with monkeypatch.context() as m:
+                m.setattr(rqgeo.hecke, "_coset_key", counted)
+                del calls[:]
+                pairing_row(Q, N, intersection_algorithm("cycle"))
+                counts.append(len(calls))
+            labels = sum(len(right_cosets(q, p)) for q in range(2, N + 1)
+                         if len(rqgeo.hecke._prime_powers(q)) == 1)
+            expected.append(labels + sum(len(double_cosets(Q, n))
+                                         for n in range(1, N + 1)))
+        assert counts == expected == [1304, 1304]
+        assert sum(len(right_cosets(n, p)) for n in range(1, N + 1)) == 2887
 
 
 class TestHeckeTranslate:

@@ -171,9 +171,9 @@ class TestPairingTable:
         calls = []
         translate = rqgeo.hecke.hecke_translate
 
-        def counted(Q, n):
+        def counted(Q, n, *orbits):
             calls.append(n)
-            return translate(Q, n)
+            return translate(Q, n, *orbits)
         monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted)
         return calls
 
@@ -189,8 +189,8 @@ class TestPairingTable:
         translates = []
         translate = rqgeo.hecke.hecke_translate
 
-        def recorded(Q, n):
-            ts = translate(Q, n)
+        def recorded(Q, n, *orbits):
+            ts = translate(Q, n, *orbits)
             translates.extend(ts)
             return ts
         monkeypatch.setattr(rqgeo.hecke, "hecke_translate", recorded)
