@@ -1,43 +1,81 @@
-"""Exact arithmetic kernel: integer 2x2 matrices, primality and
-squarefree parts.
+"""Exact arithmetic kernel: integer 2x2 matrices and the integer
+arithmetic of the package: factorization, divisors, squarefree part,
+primality and the extended gcd.
 
-The production path builds no quadratic irrational: units, forms and
-matrices are integers.  ``QuadIrr``, the reference type of the root and
-ideal oracles, lives in ``rqgeo.oracles``.
+``factor`` is the package's one trial division; divisors, squarefree
+parts and primality are read off its prime powers.  The production path
+builds no quadratic irrational: units, forms and matrices are integers.
+``QuadIrr``, the reference type of the root and ideal oracles, lives in
+``rqgeo.oracles``.
 """
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
     "Mat2",
+    "factor",
+    "divisors",
     "squarefree_part",
     "is_prime",
+    "xgcd",
 ]
 
 
-def is_prime(n):
-    """Primality by trial division (levels are small)."""
-    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+def factor(n):
+    """Yield (q, e) for each prime power q^e exactly dividing n > 0, by
+    increasing q.  Each prime found is divided out, so the trial
+    division stops at the square root of what is left."""
+    assert n > 0
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            yield q, e
+        q += 1 if q == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def divisors(n):
+    """The positive divisors of n > 0, sorted."""
+    ds = [1]
+    for q, e in factor(n):
+        ds = [d * q ** i for d in ds for i in range(e + 1)]
+    return sorted(ds)
 
 
 def squarefree_part(n):
     """Split n > 0 as s * f**2 with s squarefree; returns (s, f)."""
-    assert n > 0
     s, f = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            f *= p ** (e // 2)
-            if e % 2:
-                s *= p
-        p += 1 if p == 2 else 2
-    return s * n, f
+    for q, e in factor(n):
+        s *= q ** (e % 2)
+        f *= q ** (e // 2)
+    return s, f
+
+
+def is_prime(n):
+    """Primality by trial division: n > 1 is prime when it is its own
+    least prime factor.  Only that first factor is asked for, so a
+    composite n stops there."""
+    return n > 1 and next(factor(n)) == (n, 1)
+
+
+def xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 class Mat2:

@@ -20,7 +20,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .exact import Mat2, squarefree_part
+from .exact import Mat2, divisors, squarefree_part, xgcd
 
 __all__ = [
     "FieldData",
@@ -155,7 +155,7 @@ def pell_plus(D):
     the reduced cycle of the principal form, which is the fundamental
     automorph; brute-forcing u is far too slow once the regulator grows.
     """
-    assert D > 0 and squarefree_part(D)[0] != 1
+    assert D > 0 and math.isqrt(D) ** 2 != D
     b0 = D % 2
     forms, deltas = form_cycle(QuadForm(1, b0, (b0 * b0 - D) // 4))
     g, m = forms[0], _steps(deltas)
@@ -212,26 +212,13 @@ def _reduced_forms(D):
         m = (b * b - D) // 4
         if m >= 0:
             continue
-        for a in _divisors(-m):
+        for a in divisors(-m):
             for aa in (a, -a):
                 c = m // aa
                 f = QuadForm(aa, b, c)
                 if f.content() == 1 and _is_reduced(f, s):
                     out.append(f)
     return out
-
-
-def _divisors(n):
-    assert n > 0
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.append(i)
-            if i != n // i:
-                ds.append(n // i)
-        i += 1
-    return sorted(ds)
 
 
 def gauss_compose(f1, f2):
@@ -246,8 +233,8 @@ def gauss_compose(f1, f2):
     assert D == f2.disc()
     a1, b1, _ = f1
     a2, b2, _ = f2
-    g, x, y = _xgcd(a1, a2)
-    e, u, z = _xgcd(g, (b1 + b2) // 2)
+    g, x, y = xgcd(a1, a2)
+    e, u, z = xgcd(g, (b1 + b2) // 2)
     num = u * (x * a1 * b2 + y * a2 * b1) + z * ((b1 * b2 + D) // 2)
     assert num % e == 0
     A, B = a1 * a2 // (e * e), num // e
@@ -255,20 +242,6 @@ def gauss_compose(f1, f2):
     out = QuadForm(A, B, (B * B - D) // (4 * A))
     assert out.content() == 1
     return out
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 class NarrowClassGroup:

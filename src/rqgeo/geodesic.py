@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import Mat2, is_prime
-from .field import QuadForm, _divisors, automorph, form_cycle, reduce_form
+from .exact import Mat2, divisors, is_prime
+from .field import QuadForm, automorph, form_cycle, reduce_form
 
 __all__ = [
     "ClosedGeodesic",
@@ -154,12 +154,11 @@ def _rm_candidates(d, p, s):
             b = -s + 2 * p * j
             m = (b * b - d) // 4
             assert (b * b - d) % 4 == 0 and m % p == 0
-            for e in _divisors(abs(m)):
-                if e % p == 0:
-                    for a in (e, -e):
-                        f = QuadForm(a, b, m // a)
-                        if f.content() == 1:
-                            yield f
+            for e in divisors(abs(m) // p):
+                for a in (p * e, -p * e):
+                    f = QuadForm(a, b, m // a)
+                    if f.content() == 1:
+                        yield f
     raise RuntimeError("rm point search exhausted")
 
 

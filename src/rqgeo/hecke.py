@@ -36,8 +36,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import Mat2
-from .field import _divisors, _xgcd
+from .exact import Mat2, divisors, factor, xgcd
 from .geodesic import ClosedGeodesic, intersect_winding_cycle
 
 __all__ = [
@@ -54,7 +53,7 @@ def sigma1(n, p=None):
     (only divisors coprime to p are counted)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(d for d in _divisors(n) if p is None or d % p)
+    return sum(d for d in divisors(n) if p is None or d % p)
 
 
 def _coset_key(a, b, c, d, n, p):
@@ -68,7 +67,7 @@ def _coset_key(a, b, c, d, n, p):
     p n/A, so C is reduced mod p n/A.
     """
     A = math.gcd(a, b)
-    g, x, z = _xgcd(a // A, p * (b // A))
+    g, x, z = xgcd(a // A, p * (b // A))
     assert g == 1, "upper-left entry is not prime to p"
     return A, (c * x + d * p * z) % (p * (n // A))
 
@@ -84,26 +83,11 @@ def right_cosets(n, p):
     if n < 1:
         raise ValueError("n must be positive")
     reps = tuple(Mat2(A, 0, p * j, n // A)
-                 for A in _divisors(n) if A % p
+                 for A in divisors(n) if A % p
                  for j in range(n // A))
     assert all(_coset_key(*y.entries(), n, p) == (y.a, y.c) for y in reps), \
         "coset rep is not its own key"
     return reps
-
-
-def _prime_powers(n):
-    """The prime powers q^e that exactly divide n, by increasing q."""
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            qe = 1
-            while n % q == 0:
-                n, qe = n // q, qe * q
-            out.append(qe)
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _label_orbits(gamma, n, p):
@@ -144,6 +128,8 @@ def double_cosets(Q, n, orbits=None):
     geodesic, each prime power is walked once.  Without it, the call
     walks the prime powers of its own n.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     p = Q.p
     if orbits is None:
         orbits = {}
@@ -152,7 +138,8 @@ def double_cosets(Q, n, orbits=None):
         orbits[key] = (Q.gamma.entries(), {})
     gamma, walked = orbits[key]
     reps, m = [(1, 0, 1)], 1    # (A, j, orbit size) of labels (A, p j) of m
-    for qe in _prime_powers(n):
+    for q, e in factor(n):
+        qe = q ** e
         if qe not in walked:
             walked[qe] = _label_orbits(gamma, qe, p)
         pairs = []
@@ -177,7 +164,7 @@ def double_cosets(Q, n, orbits=None):
 
 def hecke_translate(Q, n, orbits=None):
     """The closed geodesics delta^{-1} Q over double coset reps delta,
-    from double_cosets(Q, n), with its orbits dict when one is given.
+    from double_cosets(Q, n, orbits).
 
     Each is the pulled-back form f o delta of Q's form f, whose sign
     carries the orientation pushed forward from Q.  The assert pushes it
@@ -189,9 +176,7 @@ def hecke_translate(Q, n, orbits=None):
     rep (right_cosets and double_cosets assert those).
     """
     out = []
-    deltas = (double_cosets(Q, n) if orbits is None
-              else double_cosets(Q, n, orbits))
-    for delta in deltas:
+    for delta in double_cosets(Q, n, orbits):
         newQ = ClosedGeodesic(Q.form.apply(delta), Q.p)
         assert newQ.form.apply(delta.adjugate()).primitive()[0] == Q.form, \
             "translate roots are not the images of Q's"

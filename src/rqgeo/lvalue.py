@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import squarefree_part
-from .field import _divisors, class_of_ideal
+from .exact import divisors, squarefree_part
+from .field import class_of_ideal
 
 __all__ = [
     "LValue",
@@ -135,7 +135,7 @@ def L_value_genus_oracle(F, G, psi):
         raise NotApplicable("not an odd genus character")
     d = F.d_F
     pairs = []
-    for e in _divisors(d):
+    for e in divisors(d):
         d1, d2 = -e, -(d // e)
         if d2 >= d1 and _is_fundamental(d1) and _is_fundamental(d2):
             pairs.append((d1, d2))

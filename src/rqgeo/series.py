@@ -194,14 +194,14 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     return QSeries(lv.value, coeffs, meta)
 
 
-def eta_product_coeffs(N, m=11):
-    """Coefficients 1..N of q prod (1-q^k)^2 (1-q^{mk})^2, the weight-2
-    cusp form generator for Gamma0(11) when m = 11."""
+def eta_product_coeffs(N):
+    """Coefficients 1..N of q prod (1-q^k)^2 (1-q^{11k})^2, the weight-2
+    cusp form generator for Gamma0(11)."""
     poly = [0] * N
     if N >= 1:
         poly[0] = 1
     for k in range(1, N):
-        for j in (k, k, m * k, m * k):
+        for j in (k, k, 11 * k, 11 * k):
             if j >= N:
                 continue
             for i in range(N - 1, j - 1, -1):

@@ -239,6 +239,13 @@ class TestExitCodes:
             assert code == EXIT_DOMAIN and "ramifies" in err
             assert out == ""
 
+    def test_nonpositive_n(self):
+        for n in ("0", "-2"):
+            code, out, err = invoke("intersect", "--D", "6", "--p", "5",
+                                    "--n", n)
+            assert code == EXIT_DOMAIN and "n must be positive" in err
+            assert out == ""
+
     def test_composite_p_rejected(self):
         # rejected before the residue test, which would call 28 a square
         # mod 9 and report p = 25 as inert

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -6,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqgeo.exact import Mat2
+from rqgeo.exact import Mat2, divisors, factor, is_prime, squarefree_part
+from rqgeo.field import QuadForm, build_field, narrow_class_group
 from rqgeo.oracles import QuadIrr, mobius
 
 mpmath.mp.dps = 50
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def q(u, v, w, D):
@@ -191,3 +199,59 @@ def test_floor_bracket(x):
     n = x.floor()
     assert cmp(x, n) >= 0
     assert cmp(x, n + 1) < 0
+
+
+class TestIntegerKernel:
+    def test_small_n_match_brute_force(self):
+        primes = [t for t in range(2, 3001) if all(t % k for k in range(2, t))]
+        for n in range(1, 3001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+            expected = []
+            for t in primes:
+                e = 0
+                while n % t ** (e + 1) == 0:
+                    e += 1
+                if e:
+                    expected.append((t, e))
+            assert list(factor(n)) == expected, n
+            f = max(f for f in range(1, math.isqrt(n) + 1) if n % (f * f) == 0)
+            assert squarefree_part(n) == (n // (f * f), f), n
+            assert is_prime(n) == (n in primes), n
+
+    def test_two_large_primes(self):
+        p1, p2, p3 = 1000003, 1000033, 1000037
+        assert is_prime(p1) and is_prime(p2) and is_prime(p3)
+        for a, b in ((p1, p2), (p2, p3), (p1, p1)):
+            n = a * b
+            assert list(factor(n)) == ([(a, 2)] if a == b else [(a, 1), (b, 1)])
+            assert divisors(n) == sorted({1, a, b, n})
+            assert squarefree_part(n) == ((1, a) if a == b else (n, 1))
+            assert not is_prime(n)
+
+    def test_is_prime_stops_at_least_factor(self):
+        # factoring 3 (2^61 - 1) completely would take ~10^9 divisions
+        start = time.perf_counter()
+        assert not is_prime(3 * (2 ** 61 - 1))
+        assert time.perf_counter() - start < 1
+
+    def test_rmpoints_for_large_r(self):
+        # each RM candidate b factors (b^2 - d_F)/4 ~ 2.5e15 once; dividing
+        # out the primes found keeps that far below sqrt(2.5e15) divisions
+        D, p, r = 6, 5, 100000008
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rqgeo.cli", "rmpoints", "--D", str(D),
+             "--p", str(p), "--r", str(r)],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        data = json.loads(proc.stdout)["rmpoints"]
+        assert data["r"] == r
+        F = build_field(D)
+        G = narrow_class_group(F)
+        assert [c["class_index"] for c in data["classes"]] == list(range(G.h))
+        for c in data["classes"]:
+            for key, s in (("form_plus", r), ("form_minus", -r)):
+                f = QuadForm(*c[key])
+                assert f.a % p == 0 and (f.b + s) % (2 * p) == 0
+                assert f.disc() == F.d_F
+                assert G.classify(f) == c["class_index"]

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqgeo.geodesic
-from rqgeo.exact import Mat2
+from rqgeo.exact import Mat2, divisors
 from rqgeo.field import (
     QuadForm,
-    _divisors,
     _reduced_forms,
     _steps,
     automorph,
@@ -270,7 +269,7 @@ def _first_hit_rm_form(F, G, cls, p, s):
         for j in ((0,) if k == 0 else (k, -k)):
             b = -s + 2 * p * j
             m = (b * b - d) // 4
-            for e in _divisors(abs(m)):
+            for e in divisors(abs(m)):
                 for a in ((e, -e) if e % p == 0 else ()):
                     f = QuadForm(a, b, m // a)
                     if f.content() == 1 and G.classify(f) == cls:

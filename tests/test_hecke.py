@@ -4,7 +4,7 @@ import random
 import pytest
 
 import rqgeo.hecke
-from rqgeo.exact import Mat2
+from rqgeo.exact import Mat2, factor
 from rqgeo.field import QuadForm, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
     choose_r,
@@ -284,7 +284,7 @@ class TestDoubleCosetsFromPrimePowers:
                 pairing_row(Q, N, intersection_algorithm("cycle"))
                 counts.append(len(calls))
             labels = sum(len(right_cosets(q, p)) for q in range(2, N + 1)
-                         if len(rqgeo.hecke._prime_powers(q)) == 1)
+                         if len(list(factor(q))) == 1)
             expected.append(labels + sum(len(double_cosets(Q, n))
                                          for n in range(1, N + 1)))
         assert counts == expected == [1304, 1304]
@@ -312,6 +312,19 @@ class TestHeckeTranslate:
             disc = t.form.disc()
             assert math.isqrt(disc) ** 2 != disc
 
+    def test_rejects_nonpositive_n(self):
+        # n = 0 used to divide by zero in _coset_key, and n = -2 gave a
+        # translate of determinant -2
+        Q = _base_geodesic(6, 5)
+        cycle = ((1, Q),)
+        for n in (0, -2):
+            for call in (lambda: double_cosets(Q, n),
+                         lambda: double_cosets(Q, n, {}),
+                         lambda: hecke_translate(Q, n),
+                         lambda: pair_with_twisted_cycle(cycle, n)):
+                with pytest.raises(ValueError, match="n must be positive"):
+                    call()
+
     def test_negated_translate_is_caught(self, monkeypatch):
         # a translate whose form comes out negated runs from the image of
         # the minus root to the image of the plus root
@@ -333,8 +346,8 @@ class TestHeckeTranslate:
         cosets = rqgeo.hecke.double_cosets
         monkeypatch.setattr(
             rqgeo.hecke, "double_cosets",
-            lambda Q, n: tuple(Transposed(m.a, m.c, m.b, m.d)
-                               for m in cosets(Q, n)))
+            lambda Q, n, *orbits: tuple(Transposed(m.a, m.c, m.b, m.d)
+                                        for m in cosets(Q, n, *orbits)))
         Q = _base_geodesic(6, 5)
         with pytest.raises(AssertionError, match="roots"):
             for n in range(2, 7):

@@ -107,6 +107,39 @@ def test_no_unused_imports():
                            "__all__ = ['b']\n") == [(1, "math"), (2, "_a")]
 
 
+def _private_imports(source):
+    """(line, module, name) of each underscore name that source imports
+    from an rqgeo module, relative or absolute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "rqgeo"):
+            module = "." * node.level + (node.module or "")
+            out += [(node.lineno, module, alias.name) for alias in node.names
+                    if alias.name.startswith("_")]
+    return sorted(out)
+
+
+def test_no_private_imports():
+    # a package module uses another's helpers by their public names; the
+    # oracles are the tests' reference and may reach into the package
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "rqgeo", "*.py"))):
+        if os.path.basename(path) == "oracles.py":
+            continue
+        with open(path) as fh:
+            private = _private_imports(fh.read())
+        assert private == [], (os.path.basename(path), private)
+    # the guard does fire, on relative and absolute imports, also inside
+    # a function, and not on other packages
+    assert _private_imports(
+        "from __future__ import annotations\n"
+        "from .field import QuadForm, _divisors\n"
+        "from math import _x\n"
+        "def f():\n"
+        "    from rqgeo.hecke import _xgcd\n") == [
+        (2, ".field", "_divisors"), (5, "rqgeo.hecke", "_xgcd")]
+
+
 def _unreferenced_helpers(sources):
     """(module, name) of each module-level function named _x that no
     module of sources reads, by name, as an attribute or in an import."""
