@@ -9,12 +9,11 @@ intersection algorithms disagreeing on a translate), 3 domain errors
 cannot handle exactly, or verify-analytic without mpmath), 4 internal
 error (a broken invariant: AssertionError or RuntimeError).
 
-verify walks the Hecke translates of h RM points three times, h the
-narrow class number: with both intersection algorithms for the +r points
-of the report series, whose pairing table the pm_halves and psi_inverse
-checks read back, again with both for the -r points that pm_halves pairs
-directly, and with the cycle algorithm for the +r points of the series
-at r + 2p.
+verify builds three pairing tables, each walking the Hecke translates
+of h RM points, h the narrow class number: with both intersection
+algorithms the table at r of the report series, which the pm_halves and
+psi_inverse checks read back, and the table at -r, which pairs the -r
+points for pm_halves; with the cycle algorithm the table at r + 2p.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .series import (
     diagonal_restriction,
     intersection_algorithm,
     modularity_check,
-    pairing_row,
     pairing_table,
 )
 
@@ -253,25 +251,22 @@ def cmd_verify(args):
     def record(name, ok, detail=""):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
-    def series_and_minus_rows(algorithm):
+    def series_and_tables(algorithm):
         rep, S = _series_report(args, F, G, psi, p, algorithm)
-        if S.inert:
-            return rep, S, None
-        intersect = intersection_algorithm(algorithm)
-        minus = tuple(pairing_row(Q, args.N, intersect)
-                      for _, Q in rm_points(F, G, p, S.metadata["r"]))
-        return rep, S, minus
+        r = S.metadata["r"]
+        return rep, S, [] if S.inert else [
+            pairing_table(F, G, p, s, args.N, algorithm) for s in (r, -r)]
 
-    # the report series and the directly paired -r points check cycle ==
-    # enum on every translate; after a mismatch both are computed again
-    # with the cycle algorithm
+    # the report series and the table at -r, whose +r side is the -r
+    # points, check cycle == enum on every translate; after a mismatch
+    # both are computed again with the cycle algorithm
     algorithm = "both"
     try:
-        rep, S, minus = series_and_minus_rows(algorithm)
+        rep, S, tables = series_and_tables(algorithm)
         dual = (True, "cycle==enum for n=1..%d" % args.N)
     except AlgorithmMismatch as exc:
         algorithm = "cycle"
-        rep, S, minus = series_and_minus_rows(algorithm)
+        rep, S, tables = series_and_tables(algorithm)
         dual = (False, str(exc))
     if S.inert:
         record("inert", True, "p is inert: zero series")
@@ -284,18 +279,16 @@ def cmd_verify(args):
     record("modularity", mod.passed,
            mod.message or ("mode=%s" % mod.mode))
 
-    # the RM points of r + 2p are other forms: a second table.  The shift
+    # the RM points of r + 2p are other forms: a third table.  The shift
     # is away from zero, so that r^2 > d_F still holds for negative r
     r = S.metadata["r"]
     shifted = diagonal_restriction(F, G, psi, p, N=args.N,
                                    r=r + 2 * p if r > 0 else r - 2 * p)
     record("r_plus_2p", shifted == S)
-    # the report table pairs only the +r points and files each negated
-    # row as the -r row of the reversed point's class; the -r points of
-    # rm_points' own -r search, paired above with the report's
-    # algorithm, must give the same rows, class by class
-    table = pairing_table(F, G, p, r, args.N, algorithm)
-    record("pm_halves", tuple(row for _, row in table) == minus,
+    # the report table derives its -r rows from the reversed +r points;
+    # the table at -r pairs the -r points themselves, class by class
+    record("pm_halves",
+           [row for _, row in tables[0]] == [row for row, _ in tables[1]],
            "-r rows equal the paired -r points for n=1..%d" % args.N)
     # psi^-1 reuses the report's table; it can differ from psi only for
     # characters of order > 2

@@ -2,8 +2,9 @@
 arithmetic of the package: factorization, divisors, squarefree part,
 primality and the extended gcd.
 
-``factor`` is the package's one trial division; divisors, squarefree
-parts and primality are read off its prime powers.  The production path
+``factor`` is the package's one trial division; divisors and squarefree
+parts are read off its prime powers.  Primality is a deterministic
+Miller-Rabin test, exact below 3.3e24.  The production path
 builds no quadratic irrational: units, forms and matrices are integers.
 ``QuadIrr``, the reference type of the root and ideal oracles, lives in
 ``rqgeo.oracles``.
@@ -56,11 +57,32 @@ def squarefree_part(n):
     return s, f
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Primality by trial division: n > 1 is prime when it is its own
-    least prime factor.  Only that first factor is asked for, so a
-    composite n stops there."""
-    return n > 1 and next(factor(n)) == (n, 1)
+    """Primality by deterministic Miller-Rabin; raises ValueError for
+    n >= _MR_BOUND, where these bases no longer decide it."""
+    if n >= _MR_BOUND:
+        raise ValueError("primality of %d is not decided at or above %d"
+                         % (n, _MR_BOUND))
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d 2^s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def xgcd(a, b):

@@ -69,11 +69,8 @@ def L_value_zagier(F, G, psi):
 
     Exact rational for order <= 2 characters, complex otherwise.
     """
-    zetas = partial_zeta_values(F, G)
-    vals = psi.values
-    if all(isinstance(v, int) for v in vals):
-        return sum((Fraction(0),) + tuple(v * z for v, z in zip(vals, zetas)))
-    return sum(v * complex(z) for v, z in zip(vals, zetas))
+    return sum((psi(c) * z for c, z in enumerate(partial_zeta_values(F, G))),
+               Fraction(0))
 
 
 def _is_fundamental(d):
@@ -147,10 +144,12 @@ def L_value_genus_oracle(F, G, psi):
 
 @lru_cache(maxsize=16)
 def _classes_over(G, p, r):
-    """The narrow classes of P = (p, r) and P^sigma = (p, -r), located via
-    the ideal dictionary once for every character of G (keyed by the
-    group object itself, like series.pairing_table)."""
-    return class_of_ideal(G, (p, r)), class_of_ideal(G, (p, -r))
+    """The narrow classes of P = (p, r) and P^sigma = (p, -r).  P is
+    classified once for every character of G (keyed by the group object
+    itself, like series.pairing_table); P P^sigma = (p) is principal and
+    totally positive, so the class of P^sigma is the inverse of P's."""
+    cls = class_of_ideal(G, (p, r))
+    return cls, G.inverse(cls)
 
 
 def euler_factor(F, G, psi, p, r):

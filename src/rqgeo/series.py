@@ -1,11 +1,12 @@
 """Assemble the diagonal-restriction q-expansion and check modularity.
 
 The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
-the lvalue module, higher coefficients from winding intersection numbers
-of Hecke-translated twisted cycles.  For genus-zero levels the space of
-such forms is one-dimensional and the whole series is pinned by a single
-proportionality; for p = 11 it is two-dimensional and the cusp direction
-is spanned by an eta product.
+the lvalue module, higher coefficients from the winding intersection
+numbers of the Hecke translates of the +r RM points (pairing_table),
+weighted by the character.  For genus-zero levels the space of such
+forms is one-dimensional and the whole series is pinned by a single
+proportionality; for p = 11 it is two-dimensional and the cusp
+direction is spanned by an eta product.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "GENUS_ZERO_LEVELS",
     "diagonal_restriction",
     "pairing_table",
-    "pairing_row",
     "intersection_algorithm",
     "eta_product_coeffs",
     "modularity_check",
@@ -113,31 +113,22 @@ def _coefficient(pairing):
     return PAIRING_FACTOR * half
 
 
-def pairing_row(Q, N, intersect):
-    """Raw pairings <T_n Q, W>, n = 1..N, of one closed geodesic Q, each
-    translate counted by intersect (from intersection_algorithm).  One
-    dict of Q's coset orbits serves every n of the row, so each prime
-    power is walked once (see hecke.double_cosets); it goes with the
-    row."""
-    orbits = {}
-    return tuple(pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect,
-                                         orbits=orbits)
-                 for n in range(1, N + 1))
-
-
 @lru_cache(maxsize=16)
 def pairing_table(F, G, p, r, N, algorithm):
     """Raw pairings <T_n Q, W>, n = 1..N, of the RM points of every narrow
     class: one (plus_row, minus_row) per class, the rows of its +r and -r
-    points, each a tuple indexed by n - 1.
+    points, each a tuple indexed by n - 1.  Each translate is counted by
+    intersection_algorithm(algorithm); one dict of a point's coset
+    orbits serves every n of its row, so each prime power is walked once
+    (see hecke.double_cosets).
 
     Only the +r points are paired.  Reversing the +r point f_c of class c
-    gives -f_c, a -r RM form of class c^-1 s, s the class of
+    gives -f_c, a -r RM form of class sigma(c) = c^-1 s, s the class of
     (sqrt(d_F)); by the Gross-Kohnen-Zagier bijection between the RM
     points of r and of -r it is Gamma0(p)-equivalent to that class's -r
     point, and reversal negates every winding number.  So the -r row of
-    c^-1 s is the negated +r row of c; the classes of the -f_c are
-    asserted to be a permutation.
+    sigma(c) is the negated +r row of c; the class of every -f_c is
+    asserted to be sigma(c).
 
     The pairing is linear in the twisted cycle, so the series of every
     character psi is a psi-weighted sum of these rows.  The table is kept
@@ -146,14 +137,18 @@ def pairing_table(F, G, p, r, N, algorithm):
     raises (an AlgorithmMismatch under "both") leaves nothing behind.
     """
     intersect = intersection_algorithm(algorithm)
-    minus = [None] * G.h
+    s = G.class_of_principal_sqrt_dF
+    sigma = [G.compose(G.inverse(c), s) for c in range(G.h)]
     plus = []
-    for Q, _ in rm_points(F, G, p, choose_r(F, p, r)):
-        row = pairing_row(Q, N, intersect)
-        plus.append(row)
-        minus[G.classify(Q.reversed().form)] = tuple(-v for v in row)
-    assert None not in minus, "reversed +r points miss a class"
-    return tuple(zip(plus, minus))
+    for c, (Q, _) in enumerate(rm_points(F, G, p, choose_r(F, p, r))):
+        assert G.classify(Q.reversed().form) == sigma[c], ("-f_c misfiled", c)
+        orbits = {}
+        plus.append(tuple(pair_with_twisted_cycle(
+            ((1, Q),), n, algorithm=intersect, orbits=orbits)
+            for n in range(1, N + 1)))
+    # sigma is an involution, so the -r row of c is -(+r row of sigma(c))
+    return tuple((row, tuple(-v for v in plus[sigma[c]]))
+                 for c, row in enumerate(plus))
 
 
 def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):

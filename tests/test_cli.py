@@ -103,6 +103,15 @@ class TestVerify:
         assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
                                     for n in range(1, N + 1))
 
+    def test_three_tables(self):
+        # the tables at r, -r and r + 2p; pm_halves and psi_inverse read
+        # the report's table back from the cache
+        rqgeo.series.pairing_table.cache_clear()
+        code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
+                                   "--N", "4")
+        assert code == EXIT_OK and rep["passed"]
+        assert rqgeo.series.pairing_table.cache_info().misses == 3
+
     def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
         # with --r 12 the shifted series is the one at 12 + 2*5, not the
         # one at the default r = 8 shifted; a negative r shifts away from
@@ -324,16 +333,20 @@ class TestExitCodes:
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
 
     def test_r_plus_2p_can_fail(self, monkeypatch):
-        # reverse the RM points of every r but the default one: the series
-        # at r + 2p then comes out negated
+        # negate the pairing rows at every r but the default root and its
+        # negative: the series at r + 2p then comes out negated.  Reversed
+        # RM points would trip pairing_table's class assert, and the table
+        # at -r, which pm_halves reads, stays as it is.
         default_r = choose_r(build_field(6), 5)
+        pairing_table = rqgeo.series.pairing_table
 
-        def skewed(F, G, p, r):
-            points = rm_points(F, G, p, r)
-            if r == default_r:
-                return points
-            return tuple(tuple(Q.reversed() for Q in pair) for pair in points)
-        monkeypatch.setattr(rqgeo.series, "rm_points", skewed)
+        def skewed(F, G, p, r, N, algorithm):
+            table = pairing_table(F, G, p, r, N, algorithm)
+            if abs(r) == default_r:
+                return table
+            return tuple(tuple(tuple(-v for v in row) for row in pair)
+                         for pair in table)
+        monkeypatch.setattr(rqgeo.series, "pairing_table", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["r_plus_2p"]
 

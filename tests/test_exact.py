@@ -234,6 +234,36 @@ class TestIntegerKernel:
         assert not is_prime(3 * (2 ** 61 - 1))
         assert time.perf_counter() - start < 1
 
+    def test_is_prime_matches_least_factor(self):
+        for n in range(0, 10 ** 5 + 1):
+            assert is_prime(n) == (n > 1 and next(factor(n)) == (n, 1)), n
+
+    def test_strong_pseudoprimes(self):
+        # 318665857834031151167461 passes the bases up to 37 and only base
+        # 41 rejects it; 3825123056546413051 passes the bases up to 31
+        assert not is_prime(318665857834031151167461)
+        assert not is_prime(3825123056546413051)
+        assert is_prime(2 ** 61 - 1)
+
+    def test_is_prime_raises_at_the_bound(self):
+        # the bases up to 41 decide primality only below 3.3e24
+        for n in (3317044064679887385961981, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="not decided"):
+                is_prime(n)
+
+    def test_rmpoints_for_large_prime(self):
+        # p = 2^61 - 1 is prime and inert in Q(sqrt 6); trial division up
+        # to sqrt(p) takes ~10^9 steps
+        p = 2 ** 61 - 1
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rqgeo.cli", "rmpoints", "--D", "6",
+             "--p", str(p)],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        rep = json.loads(proc.stdout)
+        assert rep["p"] == p and rep["inert"] is True
+
     def test_rmpoints_for_large_r(self):
         # each RM candidate b factors (b^2 - d_F)/4 ~ 2.5e15 once; dividing
         # out the primes found keeps that far below sqrt(2.5e15) divisions

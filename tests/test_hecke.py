@@ -28,7 +28,7 @@ from rqgeo.oracles import (
     mobius,
     plus_root,
 )
-from rqgeo.series import intersection_algorithm, pairing_row
+from rqgeo.series import intersection_algorithm
 
 
 def _in_delta0(m, p):
@@ -281,7 +281,10 @@ class TestDoubleCosetsFromPrimePowers:
             with monkeypatch.context() as m:
                 m.setattr(rqgeo.hecke, "_coset_key", counted)
                 del calls[:]
-                pairing_row(Q, N, intersection_algorithm("cycle"))
+                intersect, orbits = intersection_algorithm("cycle"), {}
+                for n in range(1, N + 1):
+                    pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect,
+                                            orbits=orbits)
                 counts.append(len(calls))
             labels = sum(len(right_cosets(q, p)) for q in range(2, N + 1)
                          if len(list(factor(q))) == 1)

@@ -211,9 +211,27 @@ class TestEulerFactor:
         for k in (0, 1, 2, -1):
             assert euler_factor(F, G, psi, 5, r + 2 * 5 * k) == 4
 
+    def test_conjugate_prime_is_inverse_class(self):
+        # P P^sigma = (p) is principal and totally positive
+        cases = 0
+        for D in range(2, 300):
+            if squarefree_part(D)[1] != 1:
+                continue
+            F = build_field(D)
+            G = narrow_class_group(F)
+            for p in (3, 5, 7, 11, 13, 17, 19, 23):
+                if F.d_F % p == 0 or pow(F.d_F, (p - 1) // 2, p) != 1:
+                    continue
+                r = choose_r(F, p)
+                assert class_of_ideal(G, (p, -r)) == \
+                    G.inverse(class_of_ideal(G, (p, r))), (D, p)
+                cases += 1
+        assert cases > 400
+
     def test_primes_classified_once_per_field(self, monkeypatch):
         # the four odd characters of D = 210 at p = 11 share one
-        # classification of P = (p, r) and P^sigma = (p, -r)
+        # classification of P = (p, r); P^sigma = (p, -r) is in the
+        # inverse class, so it is not classified
         F = build_field(210)
         G = narrow_class_group(F)
         r = choose_r(F, 11)
@@ -227,7 +245,7 @@ class TestEulerFactor:
         for psi in chars:
             lv = constant_term(F, G, psi, 11, r)
             assert lv.euler_factor_p == (1 - psi(P)) * (1 - psi(Ps))
-        assert calls == [(11, r), (11, -r)]
+        assert calls == [(11, r)]
 
 
 class TestConstantTerm:

@@ -237,6 +237,17 @@ class TestPairingTable:
                 tables += 1
         assert tables == 123
 
+    def test_misfiled_points_are_caught(self, monkeypatch):
+        # RM points in reversed class order still make a permutation of
+        # reversed classes, but not the law c -> c^-1 s
+        points = rqgeo.series.rm_points
+        monkeypatch.setattr(rqgeo.series, "rm_points",
+                            lambda *args: points(*args)[::-1])
+        F, G, _ = _setup(6)
+        assert G.h == 2
+        with pytest.raises(AssertionError, match="misfiled"):
+            pairing_table(F, G, 5, choose_r(F, 5), 3, "cycle")
+
     def test_equals_twisted_cycle_pairing(self):
         N = 4
         for D, p in self.CASES:
