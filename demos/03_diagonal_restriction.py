@@ -10,9 +10,10 @@ space containing the eta product.
 """
 
 from rqgeo import (
+    L_value_zagier,
     build_field,
-    constant_term,
     diagonal_restriction,
+    euler_factor,
     modularity_check,
     narrow_class_group,
     odd_characters,
@@ -35,10 +36,9 @@ for D, p in ((3, 11), (3, 13), (6, 5), (7, 3)):
         ratio = S.coeffs[1]
         assert all(S.coeffs[n] == ratio * sigma1(n, p) for n in S.coeffs)
         print("  a_n = %d * sigma1^(%d)(n) for all n" % (ratio, p))
-    lv = constant_term(F, G, psi, p, S.metadata["r"]) if S.metadata["r"] else None
-    if lv is not None:
+    if S.metadata["r"]:
         print("  L-value split: euler factor %s x raw L %s" % (
-            lv.euler_factor_p, lv.raw_L))
+            euler_factor(F, G, psi, p, S.metadata["r"]), L_value_zagier(G, psi)))
     print()
 
 # the inert case: 12 is not a square mod 5, the series collapses

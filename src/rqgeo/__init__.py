@@ -35,7 +35,6 @@ from .hecke import (
     sigma1,
 )
 from .lvalue import (
-    LValue,
     NotApplicable,
     L_value_genus_oracle,
     L_value_zagier,
@@ -74,7 +73,6 @@ __all__ = [
     "pair_with_twisted_cycle",
     "right_cosets",
     "sigma1",
-    "LValue",
     "NotApplicable",
     "L_value_genus_oracle",
     "L_value_zagier",

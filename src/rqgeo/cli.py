@@ -13,7 +13,8 @@ verify builds three pairing tables, each walking the Hecke translates
 of h RM points, h the narrow class number: with both intersection
 algorithms the table at r of the report series, which the pm_halves and
 psi_inverse checks read back, and the table at -r, which pairs the -r
-points for pm_halves; with the cycle algorithm the table at r + 2p.
+points for pm_halves; with the cycle algorithm the table at r + 2p,
+which r_plus_2p compares with the report's table row by row.
 """
 
 from __future__ import annotations
@@ -279,19 +280,22 @@ def cmd_verify(args):
     record("modularity", mod.passed,
            mod.message or ("mode=%s" % mod.mode))
 
-    # the RM points of r + 2p are other forms: a third table.  The shift
-    # is away from zero, so that r^2 > d_F still holds for negative r
+    # the RM points of r + 2p (away from zero, so that r^2 > d_F) are other
+    # forms with b = -r (mod 2p), Gamma0(p)-equivalent to those of r class
+    # by class (Gross-Kohnen-Zagier): a third table, equal to the report's
+    # row by row.  The constant term needs no check: (p, r + 2p) = (p, r)
     r = S.metadata["r"]
-    shifted = diagonal_restriction(F, G, psi, p, N=args.N,
-                                   r=r + 2 * p if r > 0 else r - 2 * p)
-    record("r_plus_2p", shifted == S)
+    shifted = r + 2 * p if r > 0 else r - 2 * p
+    record("r_plus_2p",
+           pairing_table(F, G, p, shifted, args.N, "cycle") == tables[0])
     # the report table derives its -r rows from the reversed +r points;
     # the table at -r pairs the -r points themselves, class by class
     record("pm_halves",
            [row for _, row in tables[0]] == [row for row, _ in tables[1]],
            "-r rows equal the paired -r points for n=1..%d" % args.N)
-    # psi^-1 reuses the report's table; it can differ from psi only for
-    # characters of order > 2
+    # psi^-1 reuses the report's table.  An odd psi enters the series only
+    # through psi + conj(psi) (README, "How it is verified"), so psi^-1 =
+    # conj(psi) gives the same exact series for every order
     inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r,
                                algorithm=algorithm)
     record("psi_inverse", inv == S)

@@ -116,10 +116,6 @@ class Mat2:
     def __setattr__(self, *args):
         raise AttributeError("Mat2 is immutable")
 
-    @classmethod
-    def identity(cls):
-        return cls(1, 0, 0, 1)
-
     @property
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -132,10 +128,8 @@ class Mat2:
                     self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
     def __pow__(self, n):
-        if n < 0:
-            assert self.det == 1
-            return self.adjugate() ** (-n)
-        r = Mat2.identity()
+        assert n >= 0, "negative power"
+        r = Mat2(1, 0, 0, 1)
         x = self
         while n > 0:
             if n & 1:

@@ -75,9 +75,6 @@ class QuadForm(tuple):
                         2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
                         a * q * q + b * q * s + c * s * s)
 
-    def value(self, x, y):
-        return self[0] * x * x + self[1] * x * y + self[2] * y * y
-
     def __repr__(self):
         return "QuadForm(%d, %d, %d)" % self
 
@@ -273,10 +270,6 @@ class NarrowClassGroup:
     def compose(self, i, j):
         return self.group_table[i][j]
 
-    def identity_index(self):
-        """The principal class, which narrow_class_group puts first."""
-        return 0
-
     def inverse(self, i):
         return self.group_table[i].index(0)
 
@@ -322,13 +315,8 @@ def _sqrt_class(F, G):
 
 
 def class_of_ideal(G, spec):
-    """Narrow class index of an ideal.
-
-    Accepts a QuadForm or a pair of integers (a0, b0) meaning the Z-basis
-    [a0, (-b0 + sqrt(d))/2].
-    """
-    if isinstance(spec, QuadForm):
-        return G.classify(spec)
+    """Narrow class index of the ideal with Z-basis [a0, (-b0 + sqrt(d))/2],
+    spec = (a0, b0); a form's class is G.classify(form)."""
     a0, b0 = spec
     d = G.field.d_F
     assert (b0 * b0 - d) % (4 * a0) == 0
@@ -339,7 +327,7 @@ class ClassCharacter:
     """A character of the narrow class group.
 
     Internally stored as exact exponents: the value on class i is
-    exp(2 pi i * exponents[i] / modulus).  Calling the character yields
+    exp(2 pi i * exponents[i] / order).  Calling the character yields
     exact integers +-1 when the order divides 2 and complex doubles
     otherwise.
     """
@@ -350,11 +338,10 @@ class ClassCharacter:
         for e in exponents:
             g = math.gcd(g, e)
         self.exponents = tuple(e // g for e in exponents)
-        self.modulus = modulus // g
-        self.order = self.modulus
+        self.order = modulus // g
 
     def _value(self, ex):
-        m = self.modulus
+        m = self.order
         if 2 * ex % m == 0:
             return 1 if ex % m == 0 else -1
         return cmath.exp(2j * cmath.pi * ex / m)
@@ -369,23 +356,23 @@ class ClassCharacter:
     @property
     def totally_odd(self):
         ex = self.exponents[self.group.class_of_principal_sqrt_dF]
-        return 2 * ex % self.modulus == 0 and ex % self.modulus != 0
+        return 2 * ex % self.order == 0 and ex % self.order != 0
 
     def inverse(self):
         return ClassCharacter(self.group,
-                              [(-e) % self.modulus for e in self.exponents],
-                              self.modulus)
+                              [(-e) % self.order for e in self.exponents],
+                              self.order)
 
     def is_trivial(self):
-        return all(e % self.modulus == 0 for e in self.exponents)
+        return all(e % self.order == 0 for e in self.exponents)
 
     def __eq__(self, o):
         return (isinstance(o, ClassCharacter)
                 and self.exponents == o.exponents
-                and self.modulus == o.modulus)
+                and self.order == o.order)
 
     def __hash__(self):
-        return hash((self.exponents, self.modulus))
+        return hash((self.exponents, self.order))
 
     def __repr__(self):
         return "ClassCharacter(order=%d, exponents=%r)" % (self.order, self.exponents)
@@ -406,13 +393,12 @@ def all_characters(G):
     character chi of H extends to <H, x> in t ways,
     chi(x) = chi(x^t)/t + k m/t for 0 <= k < t.  Sorted by exponents.
     """
-    e = G.identity_index()
     m = 1
     for x in range(G.h):
-        m = math.lcm(m, _first_power_in(G, x, {e})[0])
-    # the characters of H = {e}, each a map class -> exponent mod m whose
-    # keys are the classes of H
-    chars = [{e: 0}]
+        m = math.lcm(m, _first_power_in(G, x, {0})[0])
+    # the characters of H = {0}, the principal class, each a map
+    # class -> exponent mod m whose keys are the classes of H
+    chars = [{0: 0}]
     for x in range(G.h):
         if x in chars[0]:
             continue

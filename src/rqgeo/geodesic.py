@@ -94,11 +94,6 @@ class ClosedGeodesic:
         a, b, c = self.form
         return ClosedGeodesic(QuadForm(-a, -b, -c), self.p)
 
-    def translate(self, g):
-        """The geodesic g^{-1} . Q for g in Gamma0(p) (det 1)."""
-        assert g.det == 1 and g.c % self.p == 0
-        return ClosedGeodesic(self.form.apply(g), self.p)
-
     def __repr__(self):
         return "ClosedGeodesic(form=%r, p=%d)" % (self.form, self.p)
 

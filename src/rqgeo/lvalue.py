@@ -21,7 +21,6 @@ from .exact import divisors, squarefree_part
 from .field import class_of_ideal
 
 __all__ = [
-    "LValue",
     "NotApplicable",
     "partial_zeta_values",
     "L_value_zagier",
@@ -37,25 +36,7 @@ class NotApplicable(Exception):
     """The character is not a genus character; the oracle does not apply."""
 
 
-class LValue:
-    """Constant term of the diagonal restriction.
-
-    value = euler_factor_p * raw_L where raw_L = L(psi, 0).
-    """
-
-    __slots__ = ("value", "euler_factor_p", "raw_L")
-
-    def __init__(self, value, euler_factor_p, raw_L):
-        self.value = value
-        self.euler_factor_p = euler_factor_p
-        self.raw_L = raw_L
-
-    def __repr__(self):
-        return "LValue(value=%r, euler=%r, raw=%r)" % (
-            self.value, self.euler_factor_p, self.raw_L)
-
-
-def partial_zeta_values(F, G):
+def partial_zeta_values(G):
     """zeta(A_i, 0) for each narrow class, as exact rationals.
 
     The value is (1/12) * sum(delta) over the reduced cycle of the class,
@@ -64,12 +45,12 @@ def partial_zeta_values(F, G):
     return tuple(Fraction(sum(deltas), 12) for _, deltas in G.cycles)
 
 
-def L_value_zagier(F, G, psi):
+def L_value_zagier(G, psi):
     """L(psi, 0) as the character-weighted sum of partial zeta values.
 
     Exact rational for order <= 2 characters, complex otherwise.
     """
-    return sum((psi(c) * z for c, z in enumerate(partial_zeta_values(F, G))),
+    return sum((psi(c) * z for c, z in enumerate(partial_zeta_values(G))),
                Fraction(0))
 
 
@@ -124,7 +105,7 @@ def dirichlet_L0(d):
     return Fraction(-sum(kronecker(d, a) * a for a in range(1, m)), m)
 
 
-def L_value_genus_oracle(F, G, psi):
+def L_value_genus_oracle(F, psi):
     """Genus-character factorization oracle: L(psi, 0) = L(chi_d1, 0) *
     L(chi_d2, 0) for the splitting d_F = d1 * d2 into two negative
     fundamental discriminants.  Only valid for odd 2-torsion psi."""
@@ -167,12 +148,11 @@ def constant_term(F, G, psi, p, r):
     against the genus oracle whenever it applies."""
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
-    raw = L_value_zagier(F, G, psi)
+    raw = L_value_zagier(G, psi)
     try:
-        oracle = L_value_genus_oracle(F, G, psi)
+        oracle = L_value_genus_oracle(F, psi)
     except NotApplicable:
         pass
     else:
         assert raw == oracle, (raw, oracle)
-    e = euler_factor(F, G, psi, p, r)
-    return LValue(e * raw, e, raw)
+    return euler_factor(F, G, psi, p, r) * raw

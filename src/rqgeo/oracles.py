@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .exact import Mat2, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
-from .geodesic import _inverses, _p1_key, _p1_orbit
 from .hecke import _coset_key, right_cosets
 from .lvalue import kronecker
 
@@ -29,6 +28,7 @@ __all__ = [
     "multiply_ideals",
     "minus_cf_cycle",
     "gamma0_equivalent",
+    "translate",
     "double_cosets_by_walk",
     "zeta_F_0_numeric",
 ]
@@ -357,13 +357,26 @@ def minus_cf_cycle(w):
 
 
 def gamma0_equivalent(f, g, p):
-    """Whether f and g are properly equivalent under Gamma0(p)."""
+    """Whether f and g are properly equivalent under Gamma0(p).  Every
+    proper equivalence is +-A^k m, A the automorph of f and m the one
+    sl2_equivalence finds; A mod p has order at most 2(p + 1)."""
     if f.disc() != g.disc():
         return False
     m = sl2_equivalence(f, g)
     if m is None:
         return False
-    return _p1_key(m.a, m.c, p, _inverses(p)) in _p1_orbit(automorph(f), p)
+    A = automorph(f)
+    for _ in range(2 * (p + 1) + 1):
+        if m.c % p == 0:
+            return True
+        m = A * m
+    return False
+
+
+def translate(Q, g):
+    """The closed geodesic g^-1 . Q for g in Gamma0(p) (det 1)."""
+    assert g.det == 1 and g.c % Q.p == 0
+    return type(Q)(Q.form.apply(g), Q.p)
 
 
 def _dual_stabilizer(Q, delta, n):

@@ -173,7 +173,7 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
         return QSeries(0, {n: 0 for n in range(1, N + 1)}, meta, inert=True)
     meta["r"] = r
     from .lvalue import constant_term
-    lv = constant_term(F, G, psi, p, r)
+    constant = constant_term(F, G, psi, p, r)
     table = pairing_table(F, G, p, r, N, algorithm)
     weights = [psi(cls) for cls in range(G.h)]
     coeffs = {}
@@ -186,7 +186,7 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
             pairing += coeff * plus[n - 1]
             pairing += coeff * minus[n - 1]
         coeffs[n] = _coefficient(pairing)
-    return QSeries(lv.value, coeffs, meta)
+    return QSeries(constant, coeffs, meta)
 
 
 def eta_product_coeffs(N):

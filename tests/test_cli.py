@@ -113,22 +113,22 @@ class TestVerify:
         assert rqgeo.series.pairing_table.cache_info().misses == 3
 
     def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
-        # with --r 12 the shifted series is the one at 12 + 2*5, not the
+        # with --r 12 the shifted table is the one at 12 + 2*5, not the
         # one at the default r = 8 shifted; a negative r shifts away from
         # zero, since -12 + 2*5 = -2 has r^2 < d_F
         seen = []
-        restrict = rqgeo.cli.diagonal_restriction
+        table = rqgeo.cli.pairing_table
 
-        def spy(*args, **kw):
-            seen.append(kw["r"])
-            return restrict(*args, **kw)
-        monkeypatch.setattr(rqgeo.cli, "diagonal_restriction", spy)
+        def spy(F, G, p, r, N, algorithm):
+            seen.append(r)
+            return table(F, G, p, r, N, algorithm)
+        monkeypatch.setattr(rqgeo.cli, "pairing_table", spy)
         for r, shifted in ((12, 22), (-12, -22)):
             del seen[:]
             code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
                                        "--N", "4", "--r", str(r))
             assert code == EXIT_OK and rep["passed"] and rep["r"] == r
-            assert seen == [r, shifted, r]
+            assert seen == [r, -r, shifted]
 
     def test_inert_passes(self):
         code, rep, _ = invoke_json("verify", "--D", "3", "--p", "5",
@@ -334,9 +334,10 @@ class TestExitCodes:
 
     def test_r_plus_2p_can_fail(self, monkeypatch):
         # negate the pairing rows at every r but the default root and its
-        # negative: the series at r + 2p then comes out negated.  Reversed
-        # RM points would trip pairing_table's class assert, and the table
-        # at -r, which pm_halves reads, stays as it is.
+        # negative, wherever verify reads them: the table at r + 2p then
+        # comes out negated.  Reversed RM points would trip pairing_table's
+        # class assert, and the table at -r, which pm_halves reads, stays
+        # as it is.
         default_r = choose_r(build_field(6), 5)
         pairing_table = rqgeo.series.pairing_table
 
@@ -347,6 +348,7 @@ class TestExitCodes:
             return tuple(tuple(tuple(-v for v in row) for row in pair)
                          for pair in table)
         monkeypatch.setattr(rqgeo.series, "pairing_table", skewed)
+        monkeypatch.setattr(rqgeo.cli, "pairing_table", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["r_plus_2p"]
 

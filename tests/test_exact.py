@@ -123,6 +123,16 @@ class TestMobius:
         assert mobius(m, q(0, 1, 1, 2)) == q(0, 1, 2, 2)
 
 
+class TestMat2:
+    def test_powers(self):
+        # non-negative powers only: a negative exponent raises, where the
+        # square-and-multiply loop would silently return the identity
+        m = Mat2(2, 1, 1, 1)
+        assert m ** 0 == Mat2(1, 0, 0, 1) and m ** 5 == m * m * m * m * m
+        with pytest.raises(AssertionError, match="negative power"):
+            m ** -1
+
+
 mats = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9),
     st.integers(-9, 9), st.integers(-9, 9),

@@ -41,6 +41,8 @@ from rqgeo.oracles import (
     minus_root,
     mobius,
     plus_root,
+    sl2_equivalence,
+    translate,
 )
 
 CONFIGS = ((3, 11), (3, 13), (6, 5), (7, 3))
@@ -233,6 +235,10 @@ def _convergents(w):
         x = 1 / (x - an)
 
 
+def _value(f, x, y):
+    return f.a * x * x + f.b * x * y + f.c * y * y
+
+
 def test_start_edge_follows_the_convergents():
     # the integer partial quotients, with their floor for Q < 0, give the
     # convergents of the QuadIrr route; a query off that sequence fails at
@@ -253,10 +259,10 @@ def test_start_edge_follows_the_convergents():
                 reached.append(next(conv))
             assert t == reached[k], (f, asked, t)
             asked.append(t)
-            return f.value(*t) * f.a < 0
+            return _value(f, *t) * f.a < 0
         edge = _start_edge(f, f.disc(), inside)
         assert edge == (_norm_pt(asked[-2]), _norm_pt(asked[-1]))
-        assert f.value(*asked[-2]) * f.value(*asked[-1]) < 0
+        assert _value(f, *asked[-2]) * _value(f, *asked[-1]) < 0
 
 
 def _first_hit_rm_form(F, G, cls, p, s):
@@ -373,7 +379,7 @@ class TestClosedGeodesic:
             assert R.form == QuadForm(*(-e for e in Q.form))
             assert plus_root(R.form) == minus_root(Q.form)
             assert minus_root(R.form) == plus_root(Q.form)
-            assert R.gamma * Q.gamma == Mat2.identity()
+            assert R.gamma * Q.gamma == Mat2(1, 0, 0, 1)
             assert R.reversed().form == Q.form
 
     def test_slots(self):
@@ -388,13 +394,19 @@ class TestClosedGeodesic:
 
 class TestGamma0Equivalence:
     def test_reflexive_on_translates(self):
+        # for [1, 2, -2] the SL2(Z) equivalence that sl2_equivalence finds
+        # is outside Gamma0(5) for some translates, so the oracle has to
+        # step through powers of the automorph
         rng = random.Random(3)
-        f = QuadForm(10, -8, 1)
-        for _ in range(8):
-            j = rng.randrange(-4, 5)
-            k = rng.randrange(-2, 3)
-            g = Mat2(1, j, 0, 1) * Mat2(1, 0, 5 * k, 1)
-            assert gamma0_equivalent(f, f.apply(g), 5)
+        outside = 0
+        for f in (QuadForm(10, -8, 1), QuadForm(1, 2, -2)):
+            for _ in range(8):
+                j = rng.randrange(-4, 5)
+                k = rng.randrange(-2, 3)
+                g = Mat2(1, j, 0, 1) * Mat2(1, 0, 5 * k, 1)
+                assert gamma0_equivalent(f, f.apply(g), 5)
+                outside += sl2_equivalence(f, f.apply(g)).c % 5 != 0
+        assert outside > 0
 
     def test_sl2_but_not_gamma0(self):
         # [1,2,-2] and its S-translate are SL2- but not Gamma0(5)-equivalent
@@ -434,7 +446,7 @@ class TestIntersection:
         base = intersect_winding_cycle(Q)
         for _ in range(6):
             g = Mat2(1, rng.randrange(-3, 4), 0, 1) * Mat2(1, 0, 5 * rng.randrange(-2, 3), 1)
-            R = Q.translate(g)
+            R = translate(Q, g)
             assert intersect_winding_cycle(R) == base
             assert intersect_winding_enum(R) == base
 
@@ -463,7 +475,7 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
     _, Q = terms[pick % len(terms)]
     translates = hecke_translate(Q, n)
     t = translates[(pick // len(terms)) % len(translates)]
-    t = t.translate(Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
+    t = translate(t, Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
     # every edge the Farey walk signs is checked against the Moebius route
     seen = []
     edge_sign = rqgeo.geodesic._edge_sign
@@ -498,7 +510,7 @@ def test_river_table_equals_fresh_walk(config, n, pick, j, k):
     _, Q = terms[pick % len(terms)]
     translates = hecke_translate(Q, n)
     t = translates[(pick // len(terms)) % len(translates)]
-    t = t.translate(Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
+    t = translate(t, Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
     for u in (t, t.reversed()):
         assert intersect_winding_cycle(u, _RIVER_MEMO) == \
             intersect_winding_cycle(u), u

@@ -176,6 +176,48 @@ def test_no_unreferenced_helpers():
                                   "b.py": "from .a import _a\n"}) == []
 
 
+def _unread_parameters(source):
+    """(line, function, parameter) of each parameter that its function,
+    nested functions included, never reads; self, cls, names _x and
+    dunder methods are skipped."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name.startswith("__"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, p.arg) for p in params
+                if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+                and p.arg not in read]
+    return sorted(out)
+
+
+def test_no_unread_parameters():
+    # a package function reads every parameter it takes; the oracles are
+    # the tests' reference and are not scanned
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "rqgeo", "*.py"))):
+        if os.path.basename(path) == "oracles.py":
+            continue
+        with open(path) as fh:
+            unread = _unread_parameters(fh.read())
+        assert unread == [], (os.path.basename(path), unread)
+    # the guard does fire, also on keyword-only and star parameters and in
+    # a nested function, and a read in a nested function counts
+    assert _unread_parameters(
+        "def f(F, G, *, k=1, _x=0, **kw):\n"
+        "    def g(y):\n"
+        "        return G + k\n"
+        "    return g\n"
+        "class C:\n"
+        "    def __init__(self, z): pass\n"
+        "    def m(self, cls, w, *args): return w\n") == [
+        (1, "f", "F"), (1, "f", "kw"), (2, "g", "y"), (7, "m", "args")]
+
+
 def test_coefficient_path_builds_no_quadirr(monkeypatch):
     # past the field's reported units, a series and its Hecke translates
     # are integer arithmetic on forms: no root is ever built, even with

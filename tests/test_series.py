@@ -237,6 +237,28 @@ class TestPairingTable:
                 tables += 1
         assert tables == 123
 
+    def test_shift_by_2p_keeps_every_row(self):
+        # the RM points of r and of r +- 2p (away from zero) share
+        # b = -r (mod 2p), so each class's points are Gamma0(p)-equivalent
+        # (Gross-Kohnen-Zagier) and the two tables are equal row by row
+        N = 6
+        pairs = 0
+        for D in range(2, 160):
+            if squarefree_part(D)[1] != 1:
+                continue
+            F = build_field(D)
+            G = narrow_class_group(F)
+            for p in (3, 5, 7, 11, 13):
+                if F.d_F % p == 0 or pow(F.d_F, (p - 1) // 2, p) != 1:
+                    continue
+                r = choose_r(F, p)
+                for s in (r, -r):
+                    shifted = s + 2 * p if s > 0 else s - 2 * p
+                    assert pairing_table(F, G, p, shifted, N, "cycle") == \
+                        pairing_table(F, G, p, s, N, "cycle"), (D, p, s)
+                    pairs += 1
+        assert pairs == 410
+
     def test_misfiled_points_are_caught(self, monkeypatch):
         # RM points in reversed class order still make a permutation of
         # reversed classes, but not the law c -> c^-1 s
