@@ -12,6 +12,10 @@ share nothing but the exact arithmetic layer:
   enum   - follow the Farey cutting sequence of the geodesic from one
            crossed edge to its image under the Gamma0(p) stabilizer,
            telling the sides of each vertex by the sign of the form.
+
+The series itself builds no translate: T_n moves onto the winding
+geodesic, whose Hecke images are fixed sums of unimodular edges, so one
+Manin table of p + 1 crossing numbers per point gives every pairing.
 """
 
 from rqgeo import (
@@ -20,6 +24,8 @@ from rqgeo import (
     hecke_translate,
     intersect_winding_cycle,
     intersect_winding_enum,
+    manin_counts,
+    manin_table,
     narrow_class_group,
     odd_characters,
     twisted_cycle,
@@ -54,5 +60,15 @@ for n in (1, 2, 3, 4):
             total += coeff * a
     print("  n = %d: pairing %d from %d translates %s"
           % (n, total, len(rows), rows if n == 1 else "..."))
+tables = [(coeff, manin_table(Q)) for coeff, Q in cyc]
+print("\nManin tables, entry k for the bottom row (1 : k), p for (0 : 1):")
+for coeff, table in tables:
+    print("  coeff %+d   %s" % (coeff, table))
+print("the same pairings as sums of R_n[k] * table[k]:")
+for n in (1, 2, 3, 4):
+    counts = manin_counts(n, p)
+    pairing = sum(coeff * sum(c * table[k] for k, c in counts)
+                  for coeff, table in tables)
+    print("  n = %d: R_n = %s, pairing %d" % (n, dict(counts), pairing))
 print("\nevery pairing is even (both square roots trace the same locus)")
 print("and the series coefficient is a_n = -2 * pairing.")

@@ -24,12 +24,14 @@ from .geodesic import (
     choose_r,
     intersect_winding_cycle,
     intersect_winding_enum,
+    manin_table,
     rm_points,
     twisted_cycle,
 )
 from .hecke import (
     double_cosets,
     hecke_translate,
+    manin_counts,
     pair_with_twisted_cycle,
     right_cosets,
     sigma1,
@@ -66,10 +68,12 @@ __all__ = [
     "choose_r",
     "intersect_winding_cycle",
     "intersect_winding_enum",
+    "manin_table",
     "rm_points",
     "twisted_cycle",
     "double_cosets",
     "hecke_translate",
+    "manin_counts",
     "pair_with_twisted_cycle",
     "right_cosets",
     "sigma1",

@@ -4,17 +4,20 @@ Subcommands: field, classgroup, chars, rmpoints, intersect, series,
 verify, verify-analytic; each takes only the options it reads.  Exit
 codes: 0 success (including inert primes, which yield a structured zero
 series), 2 verification mismatch (a failed check, or the two
-intersection algorithms disagreeing on a translate), 3 domain errors
+intersection algorithms disagreeing on a translate or a pairing), 3
+domain errors
 (bad input, a malformed command line included, a character this version
 cannot handle exactly, or verify-analytic without mpmath), 4 internal
 error (a broken invariant: AssertionError or RuntimeError).
 
-verify builds three pairing tables, each walking the Hecke translates
-of h RM points, h the narrow class number: with both intersection
-algorithms the table at r of the report series, which the pm_halves and
-psi_inverse checks read back, and the table at -r, which pairs the -r
-points for pm_halves; with the cycle algorithm the table at r + 2p,
-which r_plus_2p compares with the report's table row by row.
+verify builds three pairing tables of h RM points each, h the narrow
+class number.  Two use both algorithms: the table at r of the report
+series, which the pm_halves and psi_inverse checks read back, and the
+table at -r, which pairs the -r points for pm_halves.  Each sums the
+winding numbers of the Hecke translates, checks cycle == enum on every
+translate and checks every sum against the point's Manin row.  The
+third, at r + 2p with the cycle algorithm, reads the Manin rows only,
+and r_plus_2p compares it with the report's table row by row.
 """
 
 from __future__ import annotations
@@ -259,12 +262,14 @@ def cmd_verify(args):
             pairing_table(F, G, p, s, args.N, algorithm) for s in (r, -r)]
 
     # the report series and the table at -r, whose +r side is the -r
-    # points, check cycle == enum on every translate; after a mismatch
-    # both are computed again with the cycle algorithm
+    # points, check cycle == enum on every translate and the Manin row
+    # against the translates' sums; after a mismatch both are computed
+    # again with the cycle algorithm
     algorithm = "both"
     try:
         rep, S, tables = series_and_tables(algorithm)
-        dual = (True, "cycle==enum for n=1..%d" % args.N)
+        dual = (True, "cycle==enum per translate, manin==double cosets "
+                      "for n=1..%d" % args.N)
     except AlgorithmMismatch as exc:
         algorithm = "cycle"
         rep, S, tables = series_and_tables(algorithm)

@@ -24,7 +24,12 @@ geodesic on Y0(p) with the winding geodesic from 0 to infinity:
   of the cycles of g and -g with its walk matrix mod p.  A translate
   that reduces into either cycle then costs one reduction and one
   lookup, and a memo shared by the translates of one pairing table
-  walks each SL2(Z) cycle and its negative once;
+  walks each SL2(Z) cycle and its negative once.  The same walk, taken
+  once for each turn of one Gamma0(p)-period of Q, gives manin_table(Q):
+  the signed crossings of Q with the Gamma0(p)-orbit of every unimodular
+  edge, one entry per point of P^1(F_p), which the edge counts of
+  hecke.manin_counts turn into <T_n Q, W> for every n without a Hecke
+  translate;
 * intersect_winding_enum walks the Farey tessellation along one period
   of the closed geodesic, in the original coordinates and without
   reducing the form, and adds up signed crossings with translates of the
@@ -55,6 +60,8 @@ __all__ = [
     "gamma0_automorph",
     "intersect_winding_cycle",
     "intersect_winding_enum",
+    "manin_table",
+    "p1_key",
 ]
 
 
@@ -193,22 +200,21 @@ def _inverses(p):
     return [0] + [pow(i, -1, p) for i in range(1, p)]
 
 
-def _p1_key(x, y, p, inv):
+def p1_key(x, y, p):
     """Index in 0..p of the point (x : y) of P^1(F_p); p is infinity."""
-    return p if y % p == 0 else x * inv[y % p] % p
+    return p if y % p == 0 else x * _inverses(p)[y % p] % p
 
 
 def _p1_orbit(A, p, k=None):
-    """The orbit of the point with _p1_key k, infinity by default, under
+    """The orbit of the point with p1_key k, infinity by default, under
     A acting on P^1(F_p): its keys in the order A visits them."""
-    inv = _inverses(p)
     a, b, c, d = A.mod(p)
     k = p if k is None else k
     x, y = (k, 1) if k < p else (1, 0)
     orbit = [k]
     while True:
         x, y = (a * x + b * y) % p, (c * x + d * y) % p
-        j = _p1_key(x, y, p, inv)
+        j = p1_key(x, y, p)
         if j == k:              # A permutes P^1(F_p): back at k
             return orbit
         orbit.append(j)
@@ -221,6 +227,19 @@ def gamma0_automorph(form, p):
     length of the orbit of infinity under A."""
     A = automorph(form)
     return A ** len(_p1_orbit(A, p))
+
+
+def _runs(deltas, p):
+    """The walk matrix (e0 | e1) mod p, as (x0, x1, y0, y1), at the start
+    of each step of a reduction cycle with these deltas, and the step
+    product, the walk matrix after the last step."""
+    runs = []
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    for delta in deltas:
+        runs.append((x0, x1, y0, y1))
+        x0, x1 = x1, (delta * x1 - x0) % p
+        y0, y1 = y1, (delta * y1 - y0) % p
+    return runs, (x0, x1, y0, y1)
 
 
 def _walk_river(g, p, memo):
@@ -242,11 +261,11 @@ def _walk_river(g, p, memo):
     """
     inv = _inverses(p)
     forms, deltas = form_cycle(g)
+    runs, product = _runs(deltas, p)
     tally = [0] * (p + 1)
     offset = 0
     table, negated = [None] * (p + 1), [None] * (p + 1)   # filled below
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    for (a, b, c), delta in zip(forms, deltas):
+    for (a, b, c), delta, (x0, x1, y0, y1) in zip(forms, deltas, runs):
         memo[p, a, b, c] = (table, x0, x1, y0, y1)
         memo[p, -c, b, -a] = (negated, x1, -x0 % p, y1, -y0 % p)
         # the run's edges share the face (x1, y1) of value c; delta has
@@ -254,19 +273,71 @@ def _walk_river(g, p, memo):
         sign = 1 if delta > 0 else -1
         laps, rem = divmod(sign * delta, p)
         offset -= sign * laps
-        tally[x1 * inv[y1] % p if y1 else p] += delta + sign * laps  # _p1_key
+        tally[x1 * inv[y1] % p if y1 else p] += delta + sign * laps  # p1_key
         for k in range(0, sign * rem, sign):
             x, y = (k * x1 - x0) % p, (k * y1 - y0) % p
             tally[x * inv[y] % p if y else p] -= sign
-        x0, x1 = x1, (delta * x1 - x0) % p
-        y0, y1 = y1, (delta * y1 - y0) % p
-    A = Mat2(x0, x1, y0, y1)
+    A = Mat2(*product)
     for k in range(p + 1):
         if table[k] is None:
             orbit = _p1_orbit(A, p, k)
             total = sum(tally[j] for j in orbit) + offset * len(orbit)
             for j in orbit:
                 table[j], negated[j] = total, -total
+
+
+def manin_table(Q):
+    """The winding numbers of Q against every unimodular edge, a list of
+    p + 1 integers: entry k is the signed number of crossings of one
+    Gamma0(p)-period of Q with the Gamma0(p)-orbit of the edge
+    h(0 -> infinity), h in SL2(Z) of bottom row (c, d), k = p1_key(d, c).
+    Crossings are signed as in intersect_winding_cycle, which is entry p,
+    the bottom row (0 : 1).  The reversed edge h S has bottom row (d, -c),
+    so the entries of (c : d) and (d : -c) are opposite.
+
+    Let m reduce Q.form to g.  The river edges of g are the Farey edges
+    that g's geodesic crosses, and m carries them to Q's.  The edge
+    between the faces F1 and F2, with h = (F1 | F2) in SL2(Z), is
+    h(0 -> infinity) = (F2 -> F1), crossed with the sign of g(F1), and
+    m h has bottom row (rho F1, rho F2), rho = (m.c, m.d).  A run of the
+    reduction cycle (see _walk_river) has F1 = e1, of the sign of delta,
+    and F2 = k e1 - e0; it adds sgn(delta) at p1_key(rho F2, rho F1) and
+    -sgn(delta) at p1_key(-rho F1, rho F2) per edge.  One turn of the
+    cycle moves the faces by the step product P, and m P^i m^-1 lies in
+    Gamma0(p) exactly when rho P^i is a multiple of rho mod p, so one
+    Gamma0(p)-period of Q is one turn for each row in the orbit of
+    (m.c : m.d) under P.
+
+    A run is taken mod p, as in _walk_river.  Write x0, x1 for rho e0,
+    rho e1.  If x1 != 0, p consecutive edges meet the first keys 0..p-1
+    and the second keys 1..p once each, a net sgn(delta) at 0 and
+    -sgn(delta) at p; if x1 = 0, every edge adds sgn(delta) at p and
+    -sgn(delta) at 0.  So each of the q laps of |delta| = q p + rem edges
+    adds that net, and only the first rem edges are visited.
+    """
+    p = Q.p
+    inv = _inverses(p)
+    g, m = reduce_form(Q.form)
+    deltas = form_cycle(g)[1]
+    runs, (a, b, c, d) = _runs(deltas, p)
+    table = [0] * (p + 1)
+    r0, r1 = u, v = m.c % p, m.d % p
+    while True:
+        for (x0, x1, y0, y1), delta in zip(runs, deltas):
+            e0, e1 = (u * x0 + v * y0) % p, (u * x1 + v * y1) % p
+            sign = 1 if delta > 0 else -1
+            laps, rem = divmod(sign * delta, p)
+            if laps:
+                lap = sign * laps if e1 else -sign * laps * p
+                table[0] += lap
+                table[p] -= lap
+            for k in range(0, sign * rem, sign):
+                x = (k * e1 - e0) % p
+                table[x * inv[e1] % p if e1 else p] += sign     # p1_key
+                table[-e1 * inv[x] % p if x else p] -= sign
+        u, v = (u * a + v * c) % p, (u * b + v * d) % p        # rho P
+        if (u * r1 - v * r0) % p == 0:
+            return table
 
 
 def intersect_winding_cycle(Q, memo=None):

@@ -1,8 +1,19 @@
 """Hecke correspondences at prime level.
 
-Coset representatives for the determinant-n Hecke operator on Gamma0(p),
-their partition into double cosets under the stabilizer of a closed
-geodesic, and the pairing of a Hecke translate against a twisted cycle.
+Two independent decompositions of <T_n Q, W>, W the winding geodesic
+from 0 to infinity.  One moves T_n onto Q: coset representatives for the
+determinant-n Hecke operator on Gamma0(p), their partition into double
+cosets under the stabilizer of a closed geodesic, and the pairing of the
+Hecke translates against a twisted cycle.  The other moves T_n onto W
+(manin_counts): T_n W is the sum of the paths (b/d -> infinity) over the
+left cosets Gamma0(p)(a, b; 0, d), ad = n, p not dividing a, 0 <= b < d,
+and Manin's continued-fraction trick writes each path as a sum of
+unimodular edges, so <T_n Q, W> is a fixed integer combination of the
+p + 1 entries of geodesic.manin_table(Q).  The two agree when the
+discriminant of Q is fundamental, as an RM point's is: a translate's
+order then has no more units than Q's, so the translate's stabilizer is
+the conjugate of Q's and one period of each translate is its share of
+T_n Q.
 
 Each coset y Gamma0(p) has one lower-triangular representative
 (A, 0; C, n/A), with A | n prime to p and C = p j, 0 <= j < n/A, and
@@ -37,10 +48,11 @@ import math
 from functools import lru_cache
 
 from .exact import Mat2, divisors, factor, xgcd
-from .geodesic import ClosedGeodesic, intersect_winding_cycle
+from .geodesic import ClosedGeodesic, intersect_winding_cycle, p1_key
 
 __all__ = [
     "right_cosets",
+    "manin_counts",
     "double_cosets",
     "hecke_translate",
     "pair_with_twisted_cycle",
@@ -88,6 +100,50 @@ def right_cosets(n, p):
     assert all(_coset_key(*y.entries(), n, p) == (y.a, y.c) for y in reps), \
         "coset rep is not its own key"
     return reps
+
+
+@lru_cache(maxsize=None)
+def _path_counts(d, p):
+    """Minus the number of unimodular edges, by the p1_key of their
+    bottom row, on the paths (infinity -> b/d), 0 <= b < d, as a dict.
+
+    The path runs through the continued-fraction convergents of b/d from
+    1/0.  The edge h0/k0 -> h1/k1 is h(0 -> infinity) for
+    h = (h1, e h0; k1, e k0) in SL2(Z), e = h1 k0 - h0 k1, so its bottom
+    row is (k1, e k0), and e alternates -1, 1, -1, ... from the edge
+    1/0 -> 0/1.  Only the denominators mod p are kept, counted by pair
+    before they are keyed; (b/d -> infinity) is the path reversed.
+    """
+    pairs = {}
+    for b in range(d):
+        x, y, k0, k1, e = b, d, 1, 0, -1
+        while y:
+            a, x, y = x // y, y, x % y
+            k0, k1 = k1, (a * k1 + k0) % p
+            pair = e * k0, k1
+            pairs[pair] = pairs.get(pair, 0) + 1
+            e = -e
+    counts = {}
+    for (x, y), n in pairs.items():
+        key = p1_key(x, y, p)
+        counts[key] = counts.get(key, 0) - n
+    return counts
+
+
+@lru_cache(maxsize=None)
+def manin_counts(n, p):
+    """T_n of the winding geodesic in unimodular edges: the nonzero
+    (k, R_n[k]) in increasing k, where R_n is the sum of the path counts
+    of n/a (_path_counts) over the divisors a of n prime to p, so that
+    <T_n Q, W> = sum over k of R_n[k] manin_table(Q)[k]."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    total = {}
+    for a in divisors(n):
+        if a % p:
+            for key, count in _path_counts(n // a, p).items():
+                total[key] = total.get(key, 0) + count
+    return tuple(sorted((k, c) for k, c in total.items() if c))
 
 
 def _label_orbits(gamma, n, p):

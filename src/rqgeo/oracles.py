@@ -30,6 +30,7 @@ __all__ = [
     "gamma0_equivalent",
     "translate",
     "double_cosets_by_walk",
+    "manin_table_farey",
     "zeta_F_0_numeric",
 ]
 
@@ -418,6 +419,81 @@ def double_cosets_by_walk(Q, n):
                              gc * A + gd * C, gd * D, n, p)
     assert len(seen) == len(reps), "stabilizer does not permute the cosets"
     return tuple(out)
+
+
+def _key(x, y, p):
+    """The point (x : y) of P^1(F_p) as an index in 0..p, p for infinity."""
+    return p if y % p == 0 else x * pow(y, -1, p) % p
+
+
+def _lowest(x, y):
+    """The boundary point x/y in lowest terms with y >= 0, infinity as
+    (1, 0)."""
+    g = math.gcd(x, y)
+    x, y = x // g, y // g
+    return (-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y)
+
+
+def manin_table_farey(Q):
+    """The reference for geodesic.manin_table: walk the Farey
+    tessellation along one Gamma0(p)-period of Q, as
+    intersect_winding_enum does, and add the sign of each crossed edge at
+    the P^1(F_p) point of its bottom row.
+
+    The crossed edge between u and v is h(0 -> infinity) for
+    h = (u | v) in SL2(Z), v negated if need be, and its sign is +1 when
+    h^-1 takes the geodesic from the positive half line to the negative
+    one, -1 the other way, from the Moebius images of Q's roots.  It adds
+    the sign at (ud : vd), the bottom row of h, and minus the sign at
+    (vd : -ud), that of h S, the reversed edge; the point (c : d) has the
+    index of (d : c) in _key.
+    """
+    f, p = Q.form, Q.p
+    a, b, c = f
+    plus, minus = plus_root(f), minus_root(f)
+
+    def inside(x, y):
+        return (a * x * x + b * x * y + c * y * y) * a < 0
+
+    # the least automorph power in Gamma0(p): A mod p has order at most
+    # 2(p + 1)
+    A = automorph(f)
+    gamma = A
+    for _ in range(2 * (p + 1)):
+        if gamma.c % p == 0:
+            break
+        gamma = gamma * A
+    assert gamma.c % p == 0, "no automorph power in Gamma0(p)"
+    # the first pair of consecutive convergents of the plus root, from
+    # 0/1 and 1/0, on opposite sides of the geodesic
+    w, (h0, k0, h1, k1) = plus, (0, 1, 1, 0)
+    while inside(h0, k0) == inside(h1, k1):
+        an = w.floor()
+        h0, k0, h1, k1 = h1, k1, an * h1 + h0, an * k1 + k0
+        w = (w - an).inverse()
+    edge = (_lowest(h0, k0), _lowest(h1, k1))
+    stops = []
+    for m in (gamma, gamma.adjugate()):
+        s, t = (_lowest(m.a * x + m.b * y, m.c * x + m.d * y)
+                for x, y in edge)
+        stops += [(s, t), (t, s)]
+    table = [0] * (p + 1)
+    uin = inside(*edge[0])
+    while edge not in stops:
+        (un, ud), (vn, vd) = edge
+        if un * vd - vn * ud == -1:
+            vn, vd = -vn, -vd
+        h = Mat2(un, vn, ud, vd)
+        assert h.det == 1
+        sp = mobius(h.adjugate(), plus).sign()
+        sm = mobius(h.adjugate(), minus).sign()
+        assert sp == -sm, "walked edge is not crossed"
+        table[_key(vd, ud, p)] += sp
+        table[_key(-ud, vd, p)] -= sp
+        u, v = edge
+        t = (u[0] + v[0], u[1] + v[1])
+        edge = (u, t) if inside(*t) != uin else (t, v)
+    return table
 
 
 def zeta_F_0_numeric(d):

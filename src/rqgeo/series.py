@@ -1,12 +1,15 @@
 """Assemble the diagonal-restriction q-expansion and check modularity.
 
 The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
-the lvalue module, higher coefficients from the winding intersection
-numbers of the Hecke translates of the +r RM points (pairing_table),
-weighted by the character.  For genus-zero levels the space of such
-forms is one-dimensional and the whole series is pinned by a single
-proportionality; for p = 11 it is two-dimensional and the cusp
-direction is spanned by an eta product.
+the lvalue module, higher coefficients from the pairings <T_n Q, W> of
+the +r RM points Q with the winding geodesic W (pairing_table), weighted
+by the character.  The cycle algorithm reads each pairing off one Manin
+table of Q (geodesic.manin_table, hecke.manin_counts); the enum
+algorithm sums the Farey-walk winding numbers of Q's Hecke translates,
+and "both" checks the two decompositions against each other.  For
+genus-zero levels the space of such forms is one-dimensional and the
+whole series is pinned by a single proportionality; for p = 11 it is
+two-dimensional and the cusp direction is spanned by an eta product.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesic import InertPrime, choose_r, rm_points
+from .geodesic import InertPrime, choose_r, manin_table, rm_points
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
-from .hecke import pair_with_twisted_cycle, sigma1
+from .hecke import manin_counts, pair_with_twisted_cycle, sigma1
 
 __all__ = [
     "QSeries",
@@ -117,10 +120,18 @@ def _coefficient(pairing):
 def pairing_table(F, G, p, r, N, algorithm):
     """Raw pairings <T_n Q, W>, n = 1..N, of the RM points of every narrow
     class: one (plus_row, minus_row) per class, the rows of its +r and -r
-    points, each a tuple indexed by n - 1.  Each translate is counted by
-    intersection_algorithm(algorithm); one dict of a point's coset
-    orbits serves every n of its row, so each prime power is walked once
-    (see hecke.double_cosets).
+    points, each a tuple indexed by n - 1.
+
+    With "cycle", a point's row is its Manin table (manin_table) summed
+    against hecke.manin_counts(n, p): no Hecke translate is built.  With
+    "enum", each pairing sums intersection_algorithm("enum") over the
+    Hecke translates; one dict of a point's coset orbits serves every n
+    of its row, so each prime power is walked once (see
+    hecke.double_cosets).  "both" sums intersection_algorithm("both") over
+    the translates, which checks cycle == enum on each, and then checks
+    that row against the Manin row, raising AlgorithmMismatch naming the
+    point and n: right double cosets against left cosets, two
+    independent decompositions of T_n.
 
     Only the +r points are paired.  Reversing the +r point f_c of class c
     gives -f_c, a -r RM form of class sigma(c) = c^-1 s, s the class of
@@ -142,10 +153,23 @@ def pairing_table(F, G, p, r, N, algorithm):
     plus = []
     for c, (Q, _) in enumerate(rm_points(F, G, p, choose_r(F, p, r))):
         assert G.classify(Q.reversed().form) == sigma[c], ("-f_c misfiled", c)
-        orbits = {}
-        plus.append(tuple(pair_with_twisted_cycle(
-            ((1, Q),), n, algorithm=intersect, orbits=orbits)
-            for n in range(1, N + 1)))
+        row = None
+        if algorithm != "enum":
+            table = manin_table(Q)
+            row = tuple(sum(c * table[k] for k, c in manin_counts(n, p))
+                        for n in range(1, N + 1))
+        if algorithm != "cycle":
+            orbits = {}
+            cosets = tuple(pair_with_twisted_cycle(
+                ((1, Q),), n, algorithm=intersect, orbits=orbits)
+                for n in range(1, N + 1))
+            if row is not None and row != cosets:
+                n = [a == b for a, b in zip(row, cosets)].index(False) + 1
+                raise AlgorithmMismatch(
+                    "RM point %r at n=%d: manin=%r double cosets=%r"
+                    % (Q.form, n, row[n - 1], cosets[n - 1]))
+            row = cosets
+        plus.append(row)
     # sigma is an involution, so the -r row of c is -(+r row of sigma(c))
     return tuple((row, tuple(-v for v in plus[sigma[c]]))
                  for c, row in enumerate(plus))
@@ -156,9 +180,10 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     Eisenstein series attached to psi, truncated at q^N.
 
     algorithm is "cycle", "enum" or "both"; "both" checks every Hecke
-    translate with both and raises AlgorithmMismatch on any disagreement.
-    The pairings come from pairing_table, so characters of one field
-    share them.
+    translate with both intersection algorithms and every pairing against
+    the Manin row, and raises AlgorithmMismatch on any disagreement.  The
+    pairings come from pairing_table, so characters of one field share
+    them.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -224,7 +249,8 @@ def modularity_check(S):
     Genus-zero p: the space is spanned by the Eisenstein series with
     constant term (p-1)/24 and coefficients sigma1(n, p), so the whole
     series must be proportional to it.  p = 11: solve for the Eisenstein
-    and eta-product components from (constant, a_1) and check the rest.
+    and eta-product components from (constant, a_1) and check the rest,
+    so at least a_2 must be given.
     """
     p = S.metadata["p"]
     N = S.N
@@ -241,8 +267,8 @@ def modularity_check(S):
                                         "coefficient %d out of proportion" % n)
         return ModularityReport(True, "genus0")
     if p == 11:
-        if N < 4:
-            raise ValueError("p = 11 check needs N >= 4")
+        if N < 2:
+            raise ValueError("p = 11 check needs N >= 2")
         eta = eta_product_coeffs(N)
         alpha = S.constant * Fraction(24, 10)
         beta = S.coeffs[1] - alpha

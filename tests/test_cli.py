@@ -75,7 +75,8 @@ class TestVerify:
         # one pass with both algorithms over the +r points for the report
         # series (which the pm_halves and psi_inverse checks read back),
         # one with both over the -r points that pm_halves pairs directly,
-        # and one cycle pass over the +r points of r + 2p
+        # and one cycle pass over the +r points of r + 2p, which reads
+        # Manin tables and builds no translate
         calls = {"translate": 0, "enum": 0}
         translate = rqgeo.hecke.hecke_translate
         enum = rqgeo.series.intersect_winding_enum
@@ -99,7 +100,7 @@ class TestVerify:
         points = [Q for pair in rm_points(F, G, 5, choose_r(F, 5))
                   for Q in pair]
         assert len(points) == 2 * G.h
-        assert calls["translate"] == 3 * G.h * N
+        assert calls["translate"] == 2 * G.h * N
         assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
                                     for n in range(1, N + 1))
 
@@ -129,6 +130,18 @@ class TestVerify:
                                        "--N", "4", "--r", str(r))
             assert code == EXIT_OK and rep["passed"] and rep["r"] == r
             assert seen == [r, -r, shifted]
+
+    def test_level_11_from_two_terms(self):
+        # (constant, a_1) pin the 2-dim space, so N = 2 already checks a_2
+        for D in ("3", "15"):
+            for N in ("2", "3"):
+                code, rep, _ = invoke_json("verify", "--D", D, "--p", "11",
+                                           "--N", N)
+                assert code == EXIT_OK and rep["passed"], (D, N)
+                assert {"name": "modularity", "passed": True,
+                        "detail": "mode=dim2"} in rep["checks"]
+        code, out, err = invoke("verify", "--D", "3", "--p", "11", "--N", "1")
+        assert code == EXIT_DOMAIN and "N >= 2" in err and out == ""
 
     def test_inert_passes(self):
         code, rep, _ = invoke_json("verify", "--D", "3", "--p", "5",
@@ -330,6 +343,23 @@ class TestExitCodes:
                             lambda t: enum(t) + 1)
         failed, rep = self._failed_checks()
         assert failed == ["dual_algorithm"]
+        assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
+
+    def test_dual_algorithm_sees_a_dropped_coset(self, monkeypatch):
+        # without the last double coset of each n > 1 every translate
+        # still agrees with itself; the Manin row, from the left cosets,
+        # does not agree with the sum
+        double_cosets = rqgeo.hecke.double_cosets
+
+        def dropped(Q, n, *orbits):
+            reps = double_cosets(Q, n, *orbits)
+            return reps[:-1] if n > 1 else reps
+        monkeypatch.setattr(rqgeo.hecke, "double_cosets", dropped)
+        failed, rep = self._failed_checks()
+        assert failed == ["dual_algorithm"]
+        dual = rep["checks"][0]
+        assert dual["name"] == "dual_algorithm"
+        assert "RM point" in dual["detail"] and "at n=2" in dual["detail"]
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
 
     def test_r_plus_2p_can_fail(self, monkeypatch):

@@ -5,7 +5,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rqgeo.geodesic
@@ -31,6 +31,8 @@ from rqgeo.geodesic import (
     gamma0_automorph,
     intersect_winding_cycle,
     intersect_winding_enum,
+    manin_table,
+    p1_key,
     rm_points,
     twisted_cycle,
 )
@@ -38,6 +40,7 @@ from rqgeo.hecke import hecke_translate
 from rqgeo.oracles import (
     QuadIrr,
     gamma0_equivalent,
+    manin_table_farey,
     minus_root,
     mobius,
     plus_root,
@@ -514,6 +517,26 @@ def test_river_table_equals_fresh_walk(config, n, pick, j, k):
     for u in (t, t.reversed()):
         assert intersect_winding_cycle(u, _RIVER_MEMO) == \
             intersect_winding_cycle(u), u
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 97)),
+       a=st.integers(-12, 12), b=st.integers(-12, 12), c=st.integers(-12, 12))
+def test_manin_table_equals_farey_walk(p, a, b, c):
+    # the table read off the reduction cycle, one turn per row in the
+    # orbit, against a Farey walk over one Gamma0(p)-period signed by the
+    # Moebius images of the roots
+    f = QuadForm(a, b, c)
+    disc = f.disc()
+    assume(disc > 0 and math.isqrt(disc) ** 2 != disc and f.content() == 1)
+    Q = ClosedGeodesic(f, p)
+    table = manin_table(Q)
+    assert table == manin_table_farey(Q), (f, p)
+    assert table[p] == intersect_winding_cycle(Q)
+    assert manin_table(Q.reversed()) == [-v for v in table]
+    # the edge of bottom row (c : d) reversed has bottom row (d : -c)
+    for d in range(p):
+        assert table[p1_key(d, 1, p)] == -table[p1_key(-1, d, p)]
 
 
 def _key(x, y, p):

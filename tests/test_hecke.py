@@ -4,12 +4,14 @@ import random
 import pytest
 
 import rqgeo.hecke
-from rqgeo.exact import Mat2, factor
+from rqgeo.exact import Mat2, factor, squarefree_part
 from rqgeo.field import QuadForm, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
+    ClosedGeodesic,
     choose_r,
     intersect_winding_cycle,
     intersect_winding_enum,
+    manin_table,
     rm_points,
     twisted_cycle,
 )
@@ -17,6 +19,7 @@ from rqgeo.hecke import (
     _coset_key,
     double_cosets,
     hecke_translate,
+    manin_counts,
     pair_with_twisted_cycle,
     right_cosets,
     sigma1,
@@ -419,3 +422,56 @@ class TestPairing:
                     s += intersect_winding_cycle(t)
                 total += coeff * s
             assert total == ref
+
+
+class TestManinCounts:
+    def test_n1_is_the_reversed_axis(self):
+        # (0 -> infinity) is minus the edge 1/0 -> 0/1 of bottom row (1 : 0)
+        for p in (3, 5, 13):
+            assert manin_counts(1, p) == ((0, -1),)
+
+    def test_path_lengths(self):
+        # the path to b/d has one edge per partial quotient of b/d; R_n
+        # sums them over the left cosets, a | n prime to p, b mod n/a
+        def length(b, d):
+            k = 0
+            while d:
+                b, d, k = d, b % d, k + 1
+            return k
+        for p in (3, 7):
+            for n in range(1, 30):
+                want = sum(length(b, n // a) for a in range(1, n + 1)
+                           if n % a == 0 and a % p for b in range(n // a))
+                assert -sum(c for _, c in manin_counts(n, p)) == want, (n, p)
+
+    def test_left_cosets_equal_double_cosets(self):
+        # sum of R_n against the Manin table of Q is the sum over the
+        # double-coset translates of Q, for RM points and random forms,
+        # at n with and without p.  The forms have fundamental
+        # discriminants, as RM points do: then each translate's
+        # stabilizer is the conjugate of Q's (its order has conductor
+        # dividing n, so no more units), and one period of each translate
+        # is its share of T_n Q
+        rng = random.Random(23)
+        points = []
+        for D, p in ((6, 5), (7, 3), (3, 11), (15, 7), (21, 5), (33, 17)):
+            F = build_field(D)
+            G = narrow_class_group(F)
+            points += [Q for pair in rm_points(F, G, p, choose_r(F, p))
+                       for Q in pair]
+        while len(points) < 40:
+            f = QuadForm(*(rng.randrange(-9, 10) for _ in range(3)))
+            disc = f.disc()
+            core, square = squarefree_part(disc) if disc > 0 else (1, 0)
+            if core != 1 and f.content() == 1 and (
+                    square == 1 or square == 2 and core % 4 in (2, 3)):
+                points.append(ClosedGeodesic(f, rng.choice((3, 5, 7, 11))))
+        for Q in points:
+            table = manin_table(Q)
+            for n in range(1, 13):
+                assert sum(c * table[k] for k, c in manin_counts(n, Q.p)) == \
+                    pair_with_twisted_cycle(((1, Q),), n), (Q, n)
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            manin_counts(0, 5)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqgeo.field import (
     QuadForm,
@@ -10,7 +12,7 @@ from rqgeo.field import (
     narrow_class_group,
     odd_characters,
 )
-from rqgeo.exact import squarefree_part
+from rqgeo.exact import Mat2, squarefree_part
 from rqgeo.geodesic import choose_r, rm_points, twisted_cycle
 import rqgeo.geodesic
 import rqgeo.hecke
@@ -154,6 +156,24 @@ class TestInvariance:
         with pytest.raises(AlgorithmMismatch, match="translate"):
             diagonal_restriction(F, G, psi, 5, N=2, algorithm="both")
 
+    @pytest.mark.parametrize("wrong, first", [
+        (lambda reps, n: reps[:-1] if n > 1 else reps, 2),
+        (lambda reps, n: tuple(Mat2(m.a, m.c, m.b, m.d) for m in reps), 3)],
+        ids=["dropped", "transposed"])
+    def test_both_checks_each_row(self, monkeypatch, wrong, first):
+        # drop the last double coset of every n > 1, or transpose every
+        # rep: each translate still agrees with itself and passes the
+        # translate's root check, so only the row check against the left
+        # cosets of the Manin table sees it
+        double_cosets = rqgeo.hecke.double_cosets
+        monkeypatch.setattr(
+            rqgeo.hecke, "double_cosets",
+            lambda Q, n, *orbits: wrong(double_cosets(Q, n, *orbits), n))
+        F, G, psi = _setup(6)
+        with pytest.raises(AlgorithmMismatch,
+                           match=r"RM point .* at n=%d:" % first):
+            diagonal_restriction(F, G, psi, 5, N=4, algorithm="both")
+
     def test_unknown_algorithm(self):
         F, G, psi = _setup(6)
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -177,11 +197,22 @@ class TestPairingTable:
         monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted)
         return calls
 
+    @staticmethod
+    def _count_manin_tables(monkeypatch):
+        calls = []
+        table = rqgeo.series.manin_table
+
+        def counted(Q):
+            calls.append(Q)
+            return table(Q)
+        monkeypatch.setattr(rqgeo.series, "manin_table", counted)
+        return calls
+
     def test_one_river_walk_per_cycle_pair(self, monkeypatch):
-        # the 418 translates of the +r points of (6, 5) at N=30 fall into
-        # 144 SL2(Z) cycles, closed under negation; one walk covers a
-        # cycle and its negative, and a second table computes its own
-        # walks again
+        # the 418 translates of the +r points of (6, 5) at N=30, which
+        # "both" pairs, fall into 144 SL2(Z) cycles, closed under
+        # negation; one walk covers a cycle and its negative, and a
+        # second table computes its own walks again
         walks = []
         walk = rqgeo.geodesic._walk_river
         monkeypatch.setattr(rqgeo.geodesic, "_walk_river",
@@ -199,7 +230,7 @@ class TestPairingTable:
             del walks[:], translates[:]
             F = build_field(6)
             G = narrow_class_group(F)
-            pairing_table(F, G, 5, choose_r(F, 5), 30, "cycle")
+            pairing_table(F, G, 5, choose_r(F, 5), 30, "both")
             cycles, pairs = set(), set()
             for t in translates:
                 cyc = frozenset(form_cycle(t.form)[0])
@@ -290,10 +321,10 @@ class TestPairingTable:
         G = narrow_class_group(F)
         first, *others = odd_characters(G)
         assert len(others) == 3
-        calls = self._count_translates(monkeypatch)
+        calls = self._count_manin_tables(monkeypatch)
         diagonal_restriction(F, G, first, 11, N=3)
         # one +r point per class is paired
-        assert len(calls) == G.h * 3
+        assert len(calls) == G.h
         del calls[:]
         for psi in others:
             diagonal_restriction(F, G, psi, 11, N=3)
@@ -301,13 +332,26 @@ class TestPairingTable:
         assert calls == []
 
     def test_fresh_field_recomputes(self, monkeypatch):
-        calls = self._count_translates(monkeypatch)
+        calls = self._count_manin_tables(monkeypatch)
         results = []
         for _ in range(2):
             F, G, psi = _setup(6)
             results.append(diagonal_restriction(F, G, psi, 5, N=3))
-        assert len(calls) == 2 * (2 * 3)
+        assert len(calls) == 2 * 2
         assert results[0] == results[1]
+
+    def test_cycle_builds_no_translate(self, monkeypatch):
+        # the cycle table reads every pairing off the Manin tables
+        def refused(*args, **kwargs):
+            raise AssertionError("Hecke translate on the cycle path")
+        for name in ("hecke_translate", "double_cosets"):
+            monkeypatch.setattr(rqgeo.hecke, name, refused)
+        F, G, psi = _setup(6)
+        S = diagonal_restriction(F, G, psi, 5, N=12)
+        assert [S.coeffs[n] for n in range(1, 13)] == [
+            8 * sigma1(n, 5) for n in range(1, 13)]
+        with pytest.raises(AssertionError, match="translate"):
+            pairing_table(F, G, 5, choose_r(F, 5), 12, "both")
 
     def test_mismatch_is_not_cached(self, monkeypatch):
         F, G, psi = _setup(6)
@@ -321,6 +365,26 @@ class TestPairingTable:
         S = diagonal_restriction(F, G, psi, 5, N=3, algorithm="both")
         assert len(calls) == 2 * 3
         assert S == diagonal_restriction(F, G, psi, 5, N=3)
+
+
+# every split (D, p), D squarefree below 300 and p <= 23
+SPLIT = tuple((D, p) for D in range(2, 300) if squarefree_part(D)[1] == 1
+              for p in (3, 5, 7, 11, 13, 17, 19, 23)
+              if pow(D if D % 4 == 1 else 4 * D, (p - 1) // 2, p) == 1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(pair=st.sampled_from(SPLIT), N=st.integers(1, 20))
+def test_cycle_table_equals_enum_table(pair, N):
+    # the Manin tables against the Farey walks of the Hecke translates,
+    # at r and -r; eight draws keep it to a few seconds
+    D, p = pair
+    F = build_field(D)
+    G = narrow_class_group(F)
+    r = choose_r(F, p)
+    for s in (r, -r):
+        assert pairing_table(F, G, p, s, N, "cycle") == \
+            pairing_table(F, G, p, s, N, "enum"), (D, p, s, N)
 
 
 class TestModularityCheck:
@@ -351,11 +415,19 @@ class TestModularityCheck:
         rep = modularity_check(S)
         assert not rep.passed and rep.first_fail == 9
 
-    def test_p11_needs_four_terms(self):
+    def test_p11_needs_two_terms(self):
+        # alpha and beta come from (constant, a_1), so a_2 is the first
+        # coefficient left to check
         F, G, psi = _setup(3)
-        S = diagonal_restriction(F, G, psi, 11, N=3)
-        with pytest.raises(ValueError):
-            modularity_check(S)
+        for N in (2, 3):
+            rep = modularity_check(diagonal_restriction(F, G, psi, 11, N=N))
+            assert rep.passed and rep.mode == "dim2", N
+        S = diagonal_restriction(F, G, psi, 11, N=2)
+        S.coeffs[2] += 4
+        rep = modularity_check(S)
+        assert not rep.passed and rep.first_fail == 2
+        with pytest.raises(ValueError, match="N >= 2"):
+            modularity_check(diagonal_restriction(F, G, psi, 11, N=1))
 
     def test_unsupported_level(self):
         S = QSeries(1, {1: 1, 2: 3}, {"p": 17})
