@@ -5,10 +5,10 @@ geodesics and intersect each Hecke translate with the winding geodesic
 (the image of the imaginary axis in Y0(p)), using two algorithms that
 share nothing but the exact arithmetic layer:
 
-  cycle  - walk the reduction cycle of the form once, each step a run
-           of |delta| edges of the river of its Conway topograph, and
-           count the straddling forms (a*c < 0) of one automorph period
-           that lie in the Gamma0(p)-class;
+  cycle  - entry p of the form's Manin table: walk its reduction
+           cycle, each step a run of |delta| edges of the river of its
+           Conway topograph, and count the straddling forms (a*c < 0)
+           of one automorph period that lie in the Gamma0(p)-class;
   enum   - follow the Farey cutting sequence of the geodesic from one
            crossed edge to its image under the Gamma0(p) stabilizer,
            telling the sides of each vertex by the sign of the form.

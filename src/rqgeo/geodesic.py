@@ -12,24 +12,19 @@ the tuple of (psi(class), RM point) pairs.
 Two independent algorithms compute the intersection number of a closed
 geodesic on Y0(p) with the winding geodesic from 0 to infinity:
 
-* intersect_winding_cycle sums sgn(a) over the forms in the proper
-  Gamma0(p)-class of Q whose root geodesic separates 0 from infinity
-  (those with a*c < 0), the edges of the river of the Conway topograph
-  whose walk matrix has a column in the orbit of infinity in P^1(F_p)
-  under the automorph.  If m reduces Q.form to g, that orbit is the
-  orbit of m^-1 infinity under g's automorph A, so the number depends
-  only on that A-orbit.  One turn of g's reduction cycle, a run of
-  |delta| river edges per step, is one period of g's river: it gives a
-  table of the number for every orbit and registers each reduced form
-  of the cycles of g and -g with its walk matrix mod p.  A translate
-  that reduces into either cycle then costs one reduction and one
-  lookup, and a memo shared by the translates of one pairing table
-  walks each SL2(Z) cycle and its negative once.  The same walk, taken
-  once for each turn of one Gamma0(p)-period of Q, gives manin_table(Q):
-  the signed crossings of Q with the Gamma0(p)-orbit of every unimodular
-  edge, one entry per point of P^1(F_p), which the edge counts of
+* manin_table(Q) walks the reduction cycle of the reduced form of Q,
+  a run of |delta| river edges of the Conway topograph per step, once
+  for each turn of one Gamma0(p)-period of Q.  It gives the signed
+  crossings of Q with the Gamma0(p)-orbit of every unimodular edge, one
+  entry per point of P^1(F_p), which the edge counts of
   hecke.manin_counts turn into <T_n Q, W> for every n without a Hecke
-  translate;
+  translate.  intersect_winding_cycle(Q) is its entry p, the orbit of
+  the edge 0 -> infinity: the sum of sgn(a) over the forms in the
+  proper Gamma0(p)-class of Q whose root geodesic separates 0 from
+  infinity (those with a*c < 0), the edges of the river whose walk
+  matrix has a column in the orbit of infinity in P^1(F_p) under the
+  automorph.  So a translate's cycle number is entry p of its Manin
+  table;
 * intersect_winding_enum walks the Farey tessellation along one period
   of the closed geodesic, in the original coordinates and without
   reducing the form, and adds up signed crossings with translates of the
@@ -48,7 +43,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import Mat2, divisors, is_prime
+from .exact import divisors, is_prime
 from .field import QuadForm, automorph, form_cycle, reduce_form
 
 __all__ = [
@@ -174,7 +169,7 @@ def twisted_cycle(F, G, psi, p, r):
 
 
 # ---------------------------------------------------------------------------
-# algorithm 1: one walk around the reduction cycle, in runs of river edges
+# algorithm 1: the reduction cycle, in runs of river edges
 #
 # Let f = Q.form.  The forms with a*c < 0 in the proper SL2(Z)-class of f
 # are the edges of the river of f's topograph: the edge between the
@@ -184,7 +179,10 @@ def twisted_cycle(F, G, psi, p, r):
 # so one period meets every such form exactly once.  A form f.apply(m)
 # lies in the Gamma0(p)-class of f exactly when some automorph power
 # times m lies in Gamma0(p), that is when the first column of m lies in
-# the orbit of infinity = (1 : 0) in P^1(F_p) under the automorph.
+# the orbit of infinity = (1 : 0) in P^1(F_p) under the automorph.  So
+# the sum of sgn(a) over these forms is the signed number of crossings
+# of one Gamma0(p)-period of Q with the Gamma0(p)-orbit of the edge
+# 0 -> infinity: entry p of the Manin table.
 #
 # The reduced forms of the class are river edges too, in the order of
 # the reduction cycle (form_cycle).  The step (0, -1; 1, delta) takes
@@ -205,85 +203,17 @@ def p1_key(x, y, p):
     return p if y % p == 0 else x * _inverses(p)[y % p] % p
 
 
-def _p1_orbit(A, p, k=None):
-    """The orbit of the point with p1_key k, infinity by default, under
-    A acting on P^1(F_p): its keys in the order A visits them."""
-    a, b, c, d = A.mod(p)
-    k = p if k is None else k
-    x, y = (k, 1) if k < p else (1, 0)
-    orbit = [k]
-    while True:
-        x, y = (a * x + b * y) % p, (c * x + d * y) % p
-        j = p1_key(x, y, p)
-        if j == k:              # A permutes P^1(F_p): back at k
-            return orbit
-        orbit.append(j)
-
-
 def gamma0_automorph(form, p):
     """Generator of the stabilizer of form in Gamma0(p): the least power
     of the totally positive automorph A that lies in Gamma0(p).  A^k is
     in Gamma0(p) exactly when it fixes infinity in P^1(F_p), so k is the
     length of the orbit of infinity under A."""
     A = automorph(form)
-    return A ** len(_p1_orbit(A, p))
-
-
-def _runs(deltas, p):
-    """The walk matrix (e0 | e1) mod p, as (x0, x1, y0, y1), at the start
-    of each step of a reduction cycle with these deltas, and the step
-    product, the walk matrix after the last step."""
-    runs = []
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    for delta in deltas:
-        runs.append((x0, x1, y0, y1))
-        x0, x1 = x1, (delta * x1 - x0) % p
-        y0, y1 = y1, (delta * y1 - y0) % p
-    return runs, (x0, x1, y0, y1)
-
-
-def _walk_river(g, p, memo):
-    """Walk the reduction cycle of the reduced form g once: one river
-    period, in runs of |delta| edges.  Tally +1 at the P^1(F_p) key of
-    each edge's face of positive value and -1 at that of its face of
-    negative value, and sum the tallies over the orbits of the step
-    product, g's automorph up to sign, into the table T.  Each reduced
-    form [a, b, c] = g.apply(E) is registered in memo under (p, a, b, c)
-    as (T, E mod p by columns), and [-c, b, -a] = -g.apply(E S), of the
-    cycle of -g, as (-T, E S).
-
-    A run is taken mod p.  Its faces k e1 - e0 depend on k only mod p,
-    and as (e0 | e1) is invertible mod p, p consecutive k meet every key
-    of P^1(F_p) except e1's exactly once.  So a run of |delta| = q p + rem
-    edges tallies -sgn(delta) q at every key, kept as one offset that
-    adds offset * |orbit| to each orbit's sum, +sgn(delta) q at e1's key,
-    and its first rem edges one by one.
-    """
-    inv = _inverses(p)
-    forms, deltas = form_cycle(g)
-    runs, product = _runs(deltas, p)
-    tally = [0] * (p + 1)
-    offset = 0
-    table, negated = [None] * (p + 1), [None] * (p + 1)   # filled below
-    for (a, b, c), delta, (x0, x1, y0, y1) in zip(forms, deltas, runs):
-        memo[p, a, b, c] = (table, x0, x1, y0, y1)
-        memo[p, -c, b, -a] = (negated, x1, -x0 % p, y1, -y0 % p)
-        # the run's edges share the face (x1, y1) of value c; delta has
-        # the sign of c, as both b and the next form's b are positive
-        sign = 1 if delta > 0 else -1
-        laps, rem = divmod(sign * delta, p)
-        offset -= sign * laps
-        tally[x1 * inv[y1] % p if y1 else p] += delta + sign * laps  # p1_key
-        for k in range(0, sign * rem, sign):
-            x, y = (k * x1 - x0) % p, (k * y1 - y0) % p
-            tally[x * inv[y] % p if y else p] -= sign
-    A = Mat2(*product)
-    for k in range(p + 1):
-        if table[k] is None:
-            orbit = _p1_orbit(A, p, k)
-            total = sum(tally[j] for j in orbit) + offset * len(orbit)
-            for j in orbit:
-                table[j], negated[j] = total, -total
+    a, b, c, d = A.mod(p)
+    x, y, k = a, c, 1           # A^k infinity = (x : y)
+    while y:
+        x, y, k = (a * x + b * y) % p, (c * x + d * y) % p, k + 1
+    return A ** k
 
 
 def manin_table(Q):
@@ -291,35 +221,44 @@ def manin_table(Q):
     p + 1 integers: entry k is the signed number of crossings of one
     Gamma0(p)-period of Q with the Gamma0(p)-orbit of the edge
     h(0 -> infinity), h in SL2(Z) of bottom row (c, d), k = p1_key(d, c).
-    Crossings are signed as in intersect_winding_cycle, which is entry p,
-    the bottom row (0 : 1).  The reversed edge h S has bottom row (d, -c),
-    so the entries of (c : d) and (d : -c) are opposite.
+    Entry p, the bottom row (0 : 1), is intersect_winding_cycle.  The
+    reversed edge h S has bottom row (d, -c), so the entries of (c : d)
+    and (d : -c) are opposite.
 
     Let m reduce Q.form to g.  The river edges of g are the Farey edges
     that g's geodesic crosses, and m carries them to Q's.  The edge
     between the faces F1 and F2, with h = (F1 | F2) in SL2(Z), is
     h(0 -> infinity) = (F2 -> F1), crossed with the sign of g(F1), and
     m h has bottom row (rho F1, rho F2), rho = (m.c, m.d).  A run of the
-    reduction cycle (see _walk_river) has F1 = e1, of the sign of delta,
-    and F2 = k e1 - e0; it adds sgn(delta) at p1_key(rho F2, rho F1) and
-    -sgn(delta) at p1_key(-rho F1, rho F2) per edge.  One turn of the
-    cycle moves the faces by the step product P, and m P^i m^-1 lies in
-    Gamma0(p) exactly when rho P^i is a multiple of rho mod p, so one
-    Gamma0(p)-period of Q is one turn for each row in the orbit of
-    (m.c : m.d) under P.
+    reduction cycle (see the comment above) has F1 = e1, of the sign of
+    delta, and F2 = k e1 - e0; it adds sgn(delta) at p1_key(rho F2,
+    rho F1) and -sgn(delta) at p1_key(-rho F1, rho F2) per edge.  One
+    turn of the cycle moves the faces by the step product P, and
+    m P^i m^-1 lies in Gamma0(p) exactly when rho P^i is a multiple of
+    rho mod p, so one Gamma0(p)-period of Q is one turn for each row in
+    the orbit of (m.c : m.d) under P.
 
-    A run is taken mod p, as in _walk_river.  Write x0, x1 for rho e0,
-    rho e1.  If x1 != 0, p consecutive edges meet the first keys 0..p-1
-    and the second keys 1..p once each, a net sgn(delta) at 0 and
-    -sgn(delta) at p; if x1 = 0, every edge adds sgn(delta) at p and
-    -sgn(delta) at 0.  So each of the q laps of |delta| = q p + rem edges
-    adds that net, and only the first rem edges are visited.
+    A run is taken mod p: its faces k e1 - e0 depend on k only mod p.
+    Write x0, x1 for rho e0, rho e1.  If x1 != 0, p consecutive edges
+    meet the first keys 0..p-1 and the second keys 1..p once each, a net
+    sgn(delta) at 0 and -sgn(delta) at p; if x1 = 0, every edge adds
+    sgn(delta) at p and -sgn(delta) at 0.  So each of the q laps of
+    |delta| = q p + rem edges adds that net, and only the first rem edges
+    are visited.
     """
     p = Q.p
     inv = _inverses(p)
     g, m = reduce_form(Q.form)
     deltas = form_cycle(g)[1]
-    runs, (a, b, c, d) = _runs(deltas, p)
+    # the walk matrix (e0 | e1) mod p, as (x0, x1, y0, y1), at the start
+    # of each step; after the last step it is the step product P
+    runs = []
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    for delta in deltas:
+        runs.append((x0, x1, y0, y1))
+        x0, x1 = x1, (delta * x1 - x0) % p
+        y0, y1 = y1, (delta * y1 - y0) % p
+    a, b, c, d = x0, x1, y0, y1
     table = [0] * (p + 1)
     r0, r1 = u, v = m.c % p, m.d % p
     while True:
@@ -340,40 +279,13 @@ def manin_table(Q):
             return table
 
 
-def intersect_winding_cycle(Q, memo=None):
+def intersect_winding_cycle(Q):
     """Winding intersection number by the reduction cycle: the sum of
     sgn(a) over the forms [a, b, c] with a*c < 0, the river edges, in the
-    Gamma0(p)-class of Q.form.
-
-    Let m reduce Q.form to g (Q.form.apply(m) = g) and let A be the
-    automorph of g.  A river edge of g, with walk matrix W, counts when a
-    column of m W lies, in P^1(F_p), in the orbit of infinity under the
-    automorph m A m^-1 of Q.form, that is when the column of W lies in the
-    A-orbit of m^-1 infinity = (d, -c).  So the number depends only on
-    that orbit, and one turn of g's reduction cycle (_walk_river) gives it
-    for every orbit at once: the table T of tallies summed over A-orbits.
-    The walk registers every reduced form g' = g.apply(E) of g's cycle,
-    and of the cycle of -g with -T, so a form reduced to g' by m reads T
-    at E (d, -c).  The class of -f holds the negatives of the forms in
-    the class of f, so reversing Q negates the sum.
-
-    memo maps (p, *reduced form) to (T, E mod p); with one dict passed to
-    every call, each SL2(Z) cycle and its negative is walked once.
-    Without it, the call walks the cycle of its own reduced form.
-    """
-    p = Q.p
-    g, m = reduce_form(Q.form)
-    key = (p,) + g
-    if memo is None:
-        memo = {}
-    entry = memo.get(key)
-    if entry is None:
-        _walk_river(g, p, memo)
-        entry = memo[key]
-    table, x0, x1, y0, y1 = entry
-    # m^-1 infinity = (d, -c), carried by E into the start's coordinates
-    x, y = (x0 * m.d - x1 * m.c) % p, (y0 * m.d - y1 * m.c) % p
-    return table[x * _inverses(p)[y] % p if y else p]
+    Gamma0(p)-class of Q.form, which is entry p of manin_table(Q).  The
+    class of -f holds the negatives of the forms in the class of f, so
+    reversing Q negates the sum."""
+    return manin_table(Q)[Q.p]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ the labels (A1, p j1) of n1 and (A2, p j2) of n2 that contain it, with
 
 and gamma acts on both parts at once; the p-part is one of the parts.
 double_cosets walks gamma's orbits on the labels of each prime power
-q^e || n once per geodesic and builds the orbits of n from them: for a
+q^e || n once per call and builds the orbits of n from them: for a
 cyclic group, a pair of orbits of sizes a and b makes gcd(a, b) orbits
 of size lcm(a, b), represented by (x, gamma^i y) for 0 <= i < gcd(a, b).
 
@@ -174,34 +174,23 @@ def _label_orbits(gamma, n, p):
     return orbits
 
 
-def double_cosets(Q, n, orbits=None):
+def double_cosets(Q, n):
     """One coset representative per orbit of the stabilizer of Q acting
     on the right cosets by left multiplication, built from its orbits on
-    the labels of the prime powers of n (see the module docstring).
-
-    orbits maps (p, *Q.form) to the stabilizer's entries and its orbit
-    lists by prime power; with one dict passed for every n of a
-    geodesic, each prime power is walked once.  Without it, the call
-    walks the prime powers of its own n.
-    """
+    the labels of the prime powers of n, each walked once (see the module
+    docstring)."""
     if n < 1:
         raise ValueError("n must be positive")
     p = Q.p
-    if orbits is None:
-        orbits = {}
-    key = (p,) + Q.form
-    if key not in orbits:
-        orbits[key] = (Q.gamma.entries(), {})
-    gamma, walked = orbits[key]
+    gamma = Q.gamma.entries()
     reps, m = [(1, 0, 1)], 1    # (A, j, orbit size) of labels (A, p j) of m
     for q, e in factor(n):
         qe = q ** e
-        if qe not in walked:
-            walked[qe] = _label_orbits(gamma, qe, p)
+        orbits = _label_orbits(gamma, qe, p)
         pairs = []
         for A1, j1, a in reps:
             D1 = m // A1
-            for orbit in walked[qe]:
+            for orbit in orbits:
                 g = math.gcd(a, len(orbit))
                 for A2, C2 in orbit[:g]:        # gamma^i y for i < g
                     # j = A2 j1 mod D1 and j = A1 j2 mod D2, by CRT
@@ -218,9 +207,9 @@ def double_cosets(Q, n, orbits=None):
     return tuple(out)
 
 
-def hecke_translate(Q, n, orbits=None):
+def hecke_translate(Q, n):
     """The closed geodesics delta^{-1} Q over double coset reps delta,
-    from double_cosets(Q, n, orbits).
+    from double_cosets(Q, n).
 
     Each is the pulled-back form f o delta of Q's form f, whose sign
     carries the orientation pushed forward from Q.  The assert pushes it
@@ -232,7 +221,7 @@ def hecke_translate(Q, n, orbits=None):
     rep (right_cosets and double_cosets assert those).
     """
     out = []
-    for delta in double_cosets(Q, n, orbits):
+    for delta in double_cosets(Q, n):
         newQ = ClosedGeodesic(Q.form.apply(delta), Q.p)
         assert newQ.form.apply(delta.adjugate()).primitive()[0] == Q.form, \
             "translate roots are not the images of Q's"
@@ -240,17 +229,23 @@ def hecke_translate(Q, n, orbits=None):
     return tuple(out)
 
 
-def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle,
-                            orbits=None):
+def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle):
     """<T_n cycle, winding geodesic> for a cycle given as (coeff, Q)
     pairs: the coeff-weighted sum of winding intersection numbers over
-    the Hecke translates of each closed geodesic Q.  orbits is passed to
-    double_cosets; one dict kept across n walks each prime power once
-    per geodesic."""
+    the Hecke translates of each closed geodesic Q.
+
+    The sum over one period of each translate is <T_n Q, W> only when
+    the discriminant of Q is fundamental, as an RM point's is (see the
+    module docstring).  Otherwise a translate's order can have a smaller
+    conductor and more units, so its stabilizer can be larger than the
+    conjugate of Q's and one period is then only part of its share of
+    T_n Q.  For Q = [-4, 6, 9], disc 180 = 6^2 * 5, at p = 11 the
+    translates give -40 and -60 at n = 2 and 3 where the Manin row gives
+    -52 and -68."""
     total = 0
     for coeff, Q in cycle:
         s = 0
-        for t in hecke_translate(Q, n, orbits):
+        for t in hecke_translate(Q, n):
             s += algorithm(t)
         total += coeff * s
     return total

@@ -47,28 +47,23 @@ class AlgorithmMismatch(Exception):
 
 def intersection_algorithm(name):
     """The function of one Hecke translate that gives its winding
-    intersection number by the named algorithm: "cycle", "enum", or
-    "both", which runs the two on the translate and raises
-    AlgorithmMismatch, naming its form, when they disagree.  Each call
-    gives "cycle" and "both" a fresh memo of reduction-cycle tables,
-    one walk per SL2(Z) cycle and its negative (see
-    intersect_winding_cycle), which lives as long as the returned
-    function.  The algorithms are looked up when this is called ("enum")
-    or on every translate, so wrapping the module attributes wraps
-    them."""
+    intersection number by the named algorithm: intersect_winding_cycle
+    for "cycle", intersect_winding_enum for "enum", or for "both" one
+    that runs the two on the translate and raises AlgorithmMismatch,
+    naming its form, when they disagree.  The algorithms are looked up
+    when this is called, and by "both" on every translate, so wrapping
+    the module attributes wraps them."""
     if name == "cycle":
-        memo = {}
-        return lambda t: intersect_winding_cycle(t, memo)
+        return intersect_winding_cycle
     if name == "enum":
         return intersect_winding_enum
     if name == "both":
-        memo = {}
-        return lambda t: _intersect_both(t, memo)
+        return _intersect_both
     raise ValueError("unknown algorithm %r" % (name,))
 
 
-def _intersect_both(t, memo):
-    val, other = intersect_winding_cycle(t, memo), intersect_winding_enum(t)
+def _intersect_both(t):
+    val, other = intersect_winding_cycle(t), intersect_winding_enum(t)
     if val != other:
         raise AlgorithmMismatch("translate %r: cycle=%r enum=%r"
                                 % (t.form, val, other))
@@ -125,10 +120,9 @@ def pairing_table(F, G, p, r, N, algorithm):
     With "cycle", a point's row is its Manin table (manin_table) summed
     against hecke.manin_counts(n, p): no Hecke translate is built.  With
     "enum", each pairing sums intersection_algorithm("enum") over the
-    Hecke translates; one dict of a point's coset orbits serves every n
-    of its row, so each prime power is walked once (see
-    hecke.double_cosets).  "both" sums intersection_algorithm("both") over
-    the translates, which checks cycle == enum on each, and then checks
+    Hecke translates.  "both" sums intersection_algorithm("both") over
+    the translates, which checks cycle == enum on each (a translate's
+    cycle number is entry p of its own Manin table), and then checks
     that row against the Manin row, raising AlgorithmMismatch naming the
     point and n: right double cosets against left cosets, two
     independent decompositions of T_n.
@@ -159,10 +153,8 @@ def pairing_table(F, G, p, r, N, algorithm):
             row = tuple(sum(c * table[k] for k, c in manin_counts(n, p))
                         for n in range(1, N + 1))
         if algorithm != "cycle":
-            orbits = {}
-            cosets = tuple(pair_with_twisted_cycle(
-                ((1, Q),), n, algorithm=intersect, orbits=orbits)
-                for n in range(1, N + 1))
+            cosets = tuple(pair_with_twisted_cycle(((1, Q),), n, intersect)
+                           for n in range(1, N + 1))
             if row is not None and row != cosets:
                 n = [a == b for a, b in zip(row, cosets)].index(False) + 1
                 raise AlgorithmMismatch(

@@ -81,9 +81,9 @@ class TestVerify:
         translate = rqgeo.hecke.hecke_translate
         enum = rqgeo.series.intersect_winding_enum
 
-        def counted_translate(Q, n, *orbits):
+        def counted_translate(Q, n):
             calls["translate"] += 1
-            return translate(Q, n, *orbits)
+            return translate(Q, n)
 
         def counted_enum(t):
             calls["enum"] += 1
@@ -351,8 +351,8 @@ class TestExitCodes:
         # does not agree with the sum
         double_cosets = rqgeo.hecke.double_cosets
 
-        def dropped(Q, n, *orbits):
-            reps = double_cosets(Q, n, *orbits)
+        def dropped(Q, n):
+            reps = double_cosets(Q, n)
             return reps[:-1] if n > 1 else reps
         monkeypatch.setattr(rqgeo.hecke, "double_cosets", dropped)
         failed, rep = self._failed_checks()

@@ -497,28 +497,6 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
         assert v == _oracle_edge_sign(edge, t.form, p), (edge, t.form)
 
 
-_RIVER_MEMO = {}
-
-
-@settings(max_examples=100, deadline=None)
-@given(config=st.sampled_from(CONFIGS + ((15, 7), (21, 5), (33, 17), (7, 19))),
-       n=st.integers(1, 12), pick=st.integers(0, 10 ** 6),
-       j=st.integers(-3, 3), k=st.integers(-2, 2))
-def test_river_table_equals_fresh_walk(config, n, pick, j, k):
-    # one memo shared by every example, so most translates read a table
-    # walked from another form of their cycle or of its negative: it must
-    # give what a walk of the translate's own reduced form gives
-    D, p = config
-    terms = _cycle_terms(D, p)
-    _, Q = terms[pick % len(terms)]
-    translates = hecke_translate(Q, n)
-    t = translates[(pick // len(terms)) % len(translates)]
-    t = translate(t, Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
-    for u in (t, t.reversed()):
-        assert intersect_winding_cycle(u, _RIVER_MEMO) == \
-            intersect_winding_cycle(u), u
-
-
 @settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 97)),
        a=st.integers(-12, 12), b=st.integers(-12, 12), c=st.integers(-12, 12))
@@ -587,10 +565,11 @@ def test_reduction_cycle_is_one_river_period():
     # every cycle of reduced forms of a translate discriminant
     # n^2 d_F / g^2 = m^2 d_F, m <= 40: the product of the cycle's steps
     # is the automorph up to sign, the cycle spans sum |delta| river
-    # edges, one river period, and the walk's table is the topograph's
-    # tally summed over the automorph's orbits.  The walk takes each run
-    # mod p and visits only its last |delta| mod p edges one by one; each
-    # pair has runs of two laps or more, |delta| >= 2p
+    # edges, one river period, and the cycle number of g moved by M,
+    # which M^-1 reduces back to g, is the topograph's tally summed over
+    # the automorph's orbit of M infinity = key k.  The walk takes each
+    # run mod p and visits only its first |delta| mod p edges one by one;
+    # each pair has runs of two laps or more, |delta| >= 2p
     cycles = edges = visits = 0
     for D, p in CONFIGS + ((15, 7),):
         d_F = build_field(D).d_F
@@ -607,15 +586,11 @@ def test_reduction_cycle_is_one_river_period():
                     A.entries(), tuple(-e for e in A.entries())), g
                 period, tally = _topograph_river(g, p)
                 assert sum(abs(delta) for delta in deltas) == period, g
-                memo = {}
-                rqgeo.geodesic._walk_river(g, p, memo)
-                assert set(memo) == {(p,) + f for f in forms} | {
-                    (p, -c, b, -a) for a, b, c in forms}
-                table, *walk = memo[(p,) + g]
-                assert walk in ([1, 0, 0, 1], [p - 1, 0, 0, p - 1])    # E = +-I
-                assert table == _orbit_sums(A, tally, p), g
-                a, b, c = g
-                assert memo[p, -c, b, -a][0] == [-v for v in table]
+                sums = _orbit_sums(A, tally, p)
+                for k in range(p + 1):
+                    M = Mat2(k, -1, 1, 0) if k < p else Mat2(1, 0, 0, 1)
+                    t = ClosedGeodesic(g.apply(M), p)
+                    assert intersect_winding_cycle(t) == sums[k], (g, k)
                 cycles, edges = cycles + 1, edges + period
                 visits += sum(abs(delta) % p for delta in deltas)
                 longest = max([longest] + [abs(delta) for delta in deltas])

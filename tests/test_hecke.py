@@ -31,7 +31,6 @@ from rqgeo.oracles import (
     mobius,
     plus_root,
 )
-from rqgeo.series import intersection_algorithm
 
 
 def _in_delta0(m, p):
@@ -254,9 +253,8 @@ class TestDoubleCosetsFromPrimePowers:
             G = narrow_class_group(F)
             for pair in rm_points(F, G, p, choose_r(F, p)):
                 for Q in pair:
-                    orbits = {}
                     for n in range(1, 61):
-                        built = double_cosets(Q, n, orbits)
+                        built = double_cosets(Q, n)
                         walked = double_cosets_by_walk(Q, n)
                         assert len(built) == len(walked), (D, p, Q, n)
                         assert ({_label_orbit(Q, y, n) for y in built}
@@ -266,9 +264,9 @@ class TestDoubleCosetsFromPrimePowers:
         assert cases == 1440
 
     def test_coset_key_calls(self, monkeypatch):
-        # one key per label of each prime power q^e <= N and one per
-        # double coset, per RM point; the walk over every coset of every
-        # n <= 60 takes 2,887
+        # each call walks the labels of the prime powers q^e || n, one key
+        # per label, and keys each double coset it builds once; the walk
+        # over every coset of every n <= 60 takes 2,887
         p, N = 5, 60
         for n in range(1, N + 1):
             right_cosets(n, p)
@@ -279,21 +277,16 @@ class TestDoubleCosetsFromPrimePowers:
             return key(*args)
         F = build_field(6)
         G = narrow_class_group(F)
-        counts, expected = [], []
         for Q, _ in rm_points(F, G, p, choose_r(F, p)):
             with monkeypatch.context() as m:
                 m.setattr(rqgeo.hecke, "_coset_key", counted)
                 del calls[:]
-                intersect, orbits = intersection_algorithm("cycle"), {}
                 for n in range(1, N + 1):
-                    pair_with_twisted_cycle(((1, Q),), n, algorithm=intersect,
-                                            orbits=orbits)
-                counts.append(len(calls))
-            labels = sum(len(right_cosets(q, p)) for q in range(2, N + 1)
-                         if len(list(factor(q))) == 1)
-            expected.append(labels + sum(len(double_cosets(Q, n))
-                                         for n in range(1, N + 1)))
-        assert counts == expected == [1304, 1304]
+                    pair_with_twisted_cycle(((1, Q),), n)
+                count = len(calls)
+            assert count == sum(
+                sum(len(right_cosets(q ** e, p)) for q, e in factor(n))
+                + len(double_cosets(Q, n)) for n in range(1, N + 1))
         assert sum(len(right_cosets(n, p)) for n in range(1, N + 1)) == 2887
 
 
@@ -325,7 +318,6 @@ class TestHeckeTranslate:
         cycle = ((1, Q),)
         for n in (0, -2):
             for call in (lambda: double_cosets(Q, n),
-                         lambda: double_cosets(Q, n, {}),
                          lambda: hecke_translate(Q, n),
                          lambda: pair_with_twisted_cycle(cycle, n)):
                 with pytest.raises(ValueError, match="n must be positive"):
@@ -352,8 +344,8 @@ class TestHeckeTranslate:
         cosets = rqgeo.hecke.double_cosets
         monkeypatch.setattr(
             rqgeo.hecke, "double_cosets",
-            lambda Q, n, *orbits: tuple(Transposed(m.a, m.c, m.b, m.d)
-                                        for m in cosets(Q, n, *orbits)))
+            lambda Q, n: tuple(Transposed(m.a, m.c, m.b, m.d)
+                               for m in cosets(Q, n)))
         Q = _base_geodesic(6, 5)
         with pytest.raises(AssertionError, match="roots"):
             for n in range(2, 7):
@@ -471,6 +463,21 @@ class TestManinCounts:
             for n in range(1, 13):
                 assert sum(c * table[k] for k, c in manin_counts(n, Q.p)) == \
                     pair_with_twisted_cycle(((1, Q),), n), (Q, n)
+
+    def test_translates_need_a_fundamental_discriminant(self):
+        # Q = [-4, 6, 9], disc 180 = 6^2 * 5, is no RM point: a translate
+        # whose order has a smaller conductor has more units, so one
+        # period of it is only part of its share of T_n Q, and the
+        # translate sums fall short of the Manin row at n = 2 and 3
+        Q = ClosedGeodesic(QuadForm(-4, 6, 9), 11)
+        table = manin_table(Q)
+        manin = [sum(c * table[k] for k, c in manin_counts(n, 11))
+                 for n in range(1, 6)]
+        cycle = [pair_with_twisted_cycle(((1, Q),), n) for n in range(1, 6)]
+        enum = [pair_with_twisted_cycle(((1, Q),), n, intersect_winding_enum)
+                for n in range(1, 6)]
+        assert manin == [-16, -52, -68, -116, -100]
+        assert cycle == enum == [-16, -40, -60, -116, -100]
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqgeo.field import (
-    QuadForm,
     all_characters,
     build_field,
-    form_cycle,
     narrow_class_group,
     odd_characters,
 )
 from rqgeo.exact import Mat2, squarefree_part
 from rqgeo.geodesic import choose_r, rm_points, twisted_cycle
-import rqgeo.geodesic
 import rqgeo.hecke
 import rqgeo.series
 from rqgeo.series import (
@@ -168,7 +165,7 @@ class TestInvariance:
         double_cosets = rqgeo.hecke.double_cosets
         monkeypatch.setattr(
             rqgeo.hecke, "double_cosets",
-            lambda Q, n, *orbits: wrong(double_cosets(Q, n, *orbits), n))
+            lambda Q, n: wrong(double_cosets(Q, n), n))
         F, G, psi = _setup(6)
         with pytest.raises(AlgorithmMismatch,
                            match=r"RM point .* at n=%d:" % first):
@@ -191,9 +188,9 @@ class TestPairingTable:
         calls = []
         translate = rqgeo.hecke.hecke_translate
 
-        def counted(Q, n, *orbits):
+        def counted(Q, n):
             calls.append(n)
-            return translate(Q, n, *orbits)
+            return translate(Q, n)
         monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted)
         return calls
 
@@ -207,38 +204,6 @@ class TestPairingTable:
             return table(Q)
         monkeypatch.setattr(rqgeo.series, "manin_table", counted)
         return calls
-
-    def test_one_river_walk_per_cycle_pair(self, monkeypatch):
-        # the 418 translates of the +r points of (6, 5) at N=30, which
-        # "both" pairs, fall into 144 SL2(Z) cycles, closed under
-        # negation; one walk covers a cycle and its negative, and a
-        # second table computes its own walks again
-        walks = []
-        walk = rqgeo.geodesic._walk_river
-        monkeypatch.setattr(rqgeo.geodesic, "_walk_river",
-                            lambda g, p, memo: walks.append(g) or walk(g, p, memo))
-        translates = []
-        translate = rqgeo.hecke.hecke_translate
-
-        def recorded(Q, n, *orbits):
-            ts = translate(Q, n, *orbits)
-            translates.extend(ts)
-            return ts
-        monkeypatch.setattr(rqgeo.hecke, "hecke_translate", recorded)
-        counts = []
-        for _ in range(2):
-            del walks[:], translates[:]
-            F = build_field(6)
-            G = narrow_class_group(F)
-            pairing_table(F, G, 5, choose_r(F, 5), 30, "both")
-            cycles, pairs = set(), set()
-            for t in translates:
-                cyc = frozenset(form_cycle(t.form)[0])
-                neg = frozenset(form_cycle(QuadForm(*(-x for x in t.form)))[0])
-                cycles.add(cyc)
-                pairs.add(frozenset((cyc, neg)))
-            counts.append((len(translates), len(cycles), len(pairs), len(walks)))
-        assert counts == [(418, 144, 72, 72)] * 2
 
     def test_minus_rows_are_reversed_plus_rows(self):
         # the -r row of class c^-1 s is the negated +r row of c, s the
