@@ -41,7 +41,6 @@ Everything is integer arithmetic; the roots of f are never built.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .exact import divisors, is_prime
 from .field import QuadForm, automorph, form_cycle, reduce_form
@@ -193,14 +192,9 @@ def twisted_cycle(F, G, psi, p, r):
 # product of its steps is the automorph up to sign, unseen in P^1(F_p).
 
 
-@lru_cache(maxsize=None)
-def _inverses(p):
-    return [0] + [pow(i, -1, p) for i in range(1, p)]
-
-
 def p1_key(x, y, p):
     """Index in 0..p of the point (x : y) of P^1(F_p); p is infinity."""
-    return p if y % p == 0 else x * _inverses(p)[y % p] % p
+    return p if y % p == 0 else x * pow(y, -1, p) % p
 
 
 def gamma0_automorph(form, p):
@@ -247,7 +241,6 @@ def manin_table(Q):
     are visited.
     """
     p = Q.p
-    inv = _inverses(p)
     g, m = reduce_form(Q.form)
     deltas = form_cycle(g)[1]
     # the walk matrix (e0 | e1) mod p, as (x0, x1, y0, y1), at the start
@@ -270,10 +263,11 @@ def manin_table(Q):
                 lap = sign * laps if e1 else -sign * laps * p
                 table[0] += lap
                 table[p] -= lap
+            i1 = pow(e1, -1, p) if e1 else 0
             for k in range(0, sign * rem, sign):
                 x = (k * e1 - e0) % p
-                table[x * inv[e1] % p if e1 else p] += sign     # p1_key
-                table[-e1 * inv[x] % p if x else p] -= sign
+                table[x * i1 % p if e1 else p] += sign          # p1_key
+                table[-e1 * pow(x, -1, p) % p if x else p] -= sign
         u, v = (u * a + v * c) % p, (u * b + v * d) % p        # rho P
         if (u * r1 - v * r0) % p == 0:
             return table

@@ -17,29 +17,14 @@ T_n Q.
 
 Each coset y Gamma0(p) has one lower-triangular representative
 (A, 0; C, n/A), with A | n prime to p and C = p j, 0 <= j < n/A, and
-that representative's (A, C) is the coset's label.  The label stands for
-the lattice y L0, where L0 = Z + pZ, the column vectors with second
-coordinate divisible by p, is stabilized by Gamma0(p): y L0 is spanned
-by (A, C) and (0, p n/A), and two matrices of the coset set with one
-lattice differ by an element of Gamma0(p).  The stabilizer gamma of a
-geodesic acts on the labels by left multiplication, so on the lattices.
-
-A lattice of index p n is the intersection of its parts at the primes
-of n.  So for coprime n = n1 n2 the label (A, p j) of n is the pair of
-the labels (A1, p j1) of n1 and (A2, p j2) of n2 that contain it, with
-
-    A = A1 A2,   j = A2 j1 (mod n1/A1),   j = A1 j2 (mod n2/A2),
-
-and gamma acts on both parts at once; the p-part is one of the parts.
-double_cosets walks gamma's orbits on the labels of each prime power
-q^e || n once per call and builds the orbits of n from them: for a
-cyclic group, a pair of orbits of sizes a and b makes gcd(a, b) orbits
-of size lcm(a, b), represented by (x, gamma^i y) for 0 <= i < gcd(a, b).
-
-right_cosets asserts that each representative is its own key, so a key
-that moves the labels among themselves is caught as well as one that
-leaves them, which the orbit walk catches; double_cosets asserts the
-same of every label it builds.
+that representative's (A, C) is the coset's label (_coset_key).  The
+stabilizer gamma of a geodesic acts on the labels by left
+multiplication.  double_cosets walks each of gamma's orbits on the
+labels of n once and keeps its first label in right_cosets order; it
+asserts that each step lands on an unused label or closes the orbit, so
+a key that leaves the labels is caught.  right_cosets asserts that each
+representative is its own key, so a key that moves the labels among
+themselves is caught as well.
 """
 
 from __future__ import annotations
@@ -47,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import Mat2, divisors, factor, xgcd
+from .exact import Mat2, divisors, xgcd
 from .geodesic import ClosedGeodesic, intersect_winding_cycle, p1_key
 
 __all__ = [
@@ -146,22 +131,25 @@ def manin_counts(n, p):
     return tuple(sorted((k, c) for k, c in total.items() if c))
 
 
-def _label_orbits(gamma, n, p):
-    """The orbits of the matrix with entries gamma on the labels of
-    determinant n: one list per orbit, its labels (A, C) in the order
-    gamma visits them from the first."""
-    ga, gb, gc, gd = gamma
+def double_cosets(Q, n):
+    """One coset representative per orbit of the stabilizer of Q acting
+    on the right cosets by left multiplication: the first label of each
+    orbit in right_cosets order, each orbit walked once."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    p = Q.p
+    ga, gb, gc, gd = Q.gamma.entries()
     reps = right_cosets(n, p)
     free = {(y.a, y.c) for y in reps}
-    orbits = []
+    out = []
     for y in reps:
         start = (y.a, y.c)
         if start not in free:
             continue
         free.remove(start)
-        orbit, key = [], start
+        out.append(y)
+        key = start
         while True:
-            orbit.append(key)
             A, C = key
             D = n // A
             key = _coset_key(ga * A + gb * C, gb * D,
@@ -170,40 +158,6 @@ def _label_orbits(gamma, n, p):
                 break
             assert key in free, "stabilizer does not permute the cosets"
             free.remove(key)
-        orbits.append(orbit)
-    return orbits
-
-
-def double_cosets(Q, n):
-    """One coset representative per orbit of the stabilizer of Q acting
-    on the right cosets by left multiplication, built from its orbits on
-    the labels of the prime powers of n, each walked once (see the module
-    docstring)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    p = Q.p
-    gamma = Q.gamma.entries()
-    reps, m = [(1, 0, 1)], 1    # (A, j, orbit size) of labels (A, p j) of m
-    for q, e in factor(n):
-        qe = q ** e
-        orbits = _label_orbits(gamma, qe, p)
-        pairs = []
-        for A1, j1, a in reps:
-            D1 = m // A1
-            for orbit in orbits:
-                g = math.gcd(a, len(orbit))
-                for A2, C2 in orbit[:g]:        # gamma^i y for i < g
-                    # j = A2 j1 mod D1 and j = A1 j2 mod D2, by CRT
-                    D2 = qe // A2
-                    r1, r2 = A2 * j1 % D1, A1 * (C2 // p) % D2
-                    j = r1 + D1 * ((r2 - r1) * pow(D1, -1, D2) % D2)
-                    pairs.append((A1 * A2, j, a * len(orbit) // g))
-        reps, m = pairs, m * qe
-    out = []
-    for A, j, _ in reps:
-        assert _coset_key(A, 0, p * j, n // A, n, p) == (A, p * j), \
-            "double coset rep is not its own key"
-        out.append(Mat2(A, 0, p * j, n // A))
     return tuple(out)
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .exact import Mat2, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
-from .hecke import _coset_key, right_cosets
 from .lvalue import kronecker
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "minus_cf_cycle",
     "gamma0_equivalent",
     "translate",
-    "double_cosets_by_walk",
     "manin_table_farey",
     "zeta_F_0_numeric",
 ]
@@ -395,30 +393,6 @@ def _dual_stabilizer(Q, delta, n):
                 return cand
         M = M * gamma
     raise RuntimeError("conjugated stabilizer not found")
-
-
-def double_cosets_by_walk(Q, n):
-    """One coset representative per orbit of the stabilizer of Q acting
-    on the right cosets by left multiplication, by walking the orbit of
-    every coset of determinant n: the reference for hecke.double_cosets,
-    which builds the orbits from those of the prime powers of n."""
-    p, (ga, gb, gc, gd) = Q.p, Q.gamma.entries()
-    reps = right_cosets(n, p)
-    seen = set()
-    out = []
-    for y in reps:
-        key = (y.a, y.c)
-        if key in seen:
-            continue
-        out.append(y)
-        while key not in seen:
-            seen.add(key)
-            A, C = key
-            D = n // A
-            key = _coset_key(ga * A + gb * C, gb * D,
-                             gc * A + gd * C, gd * D, n, p)
-    assert len(seen) == len(reps), "stabilizer does not permute the cosets"
-    return tuple(out)
 
 
 def _key(x, y, p):

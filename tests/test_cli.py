@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 import rqgeo.cli
 import rqgeo.hecke
 import rqgeo.series
@@ -206,13 +208,23 @@ class TestInfoCommands:
             x = QuadIrr(-got, 1, 2, build_field(D).d_F)
             assert 2 * x.norm() == rep["rmpoints"]["N0"]
 
-    def test_intersect(self):
-        code, rep, _ = invoke_json("intersect", "--D", "6", "--p", "5",
-                                   "--n", "2", "--algorithm", "both")
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("D, p, n, triple", [
         # a_2 = -2 * pairing = 24 = 8 * sigma1(2)
-        assert rep["pairing"] == -12
-        assert rep["right_cosets"] == 3
+        (6, 5, 2, (-12, 12, 3)),
+        (6, 5, 12, (-112, 40, 28)),
+        (6, 5, 30, (-48, 72, 60)),
+        (3, 11, 22, (-4, 24, 33)),
+        (7, 3, 36, (-84, 80, 63)),
+    ], ids=["D6-p5-n2", "D6-p5-n12", "D6-p5-n30", "D3-p11-n22",
+            "D7-p3-n36"])
+    def test_intersect(self, D, p, n, triple):
+        # composite n, p | n among them; `both` checks every translate
+        # cycle against enum
+        code, rep, _ = invoke_json("intersect", "--D", str(D), "--p", str(p),
+                                   "--n", str(n), "--algorithm", "both")
+        assert code == EXIT_OK
+        assert (rep["pairing"], rep["translates"],
+                rep["right_cosets"]) == triple
 
 
 class TestFormats:

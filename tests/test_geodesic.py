@@ -515,6 +515,11 @@ def test_manin_table_equals_farey_walk(p, a, b, c):
     # the edge of bottom row (c : d) reversed has bottom row (d : -c)
     for d in range(p):
         assert table[p1_key(d, 1, p)] == -table[p1_key(-1, d, p)]
+    # the edges of bottom rows (c : d), (d : -c-d) and (-c-d : c) bound a
+    # Farey triangle
+    for c, d in [(1, d) for d in range(p)] + [(0, 1)]:
+        rows = (c, d), (d, -c - d), (-c - d, c)
+        assert sum(table[p1_key(y, x, p)] for x, y in rows) == 0, (f, p, c, d)
 
 
 def _key(x, y, p):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import rqgeo.hecke
-from rqgeo.exact import Mat2, factor, squarefree_part
+from rqgeo.exact import Mat2, squarefree_part
 from rqgeo.field import QuadForm, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
     ClosedGeodesic,
@@ -26,7 +26,6 @@ from rqgeo.hecke import (
 )
 from rqgeo.oracles import (
     _dual_stabilizer,
-    double_cosets_by_walk,
     minus_root,
     mobius,
     plus_root,
@@ -229,47 +228,12 @@ class TestDoubleCosets:
             for n in range(2, 7):
                 double_cosets(Q, n)
 
-
-def _label_orbit(Q, y, n):
-    """The labels of the stabilizer's orbit of the coset of y."""
-    ga, gb, gc, gd = Q.gamma.entries()
-    orbit, key = set(), (y.a, y.c)
-    while key not in orbit:
-        orbit.add(key)
-        A, C = key
-        D = n // A
-        key = _coset_key(ga * A + gb * C, gb * D, gc * A + gd * C, gd * D,
-                         n, Q.p)
-    return frozenset(orbit)
-
-
-class TestDoubleCosetsFromPrimePowers:
-    def test_orbits_match_the_walk(self):
-        # the orbits built from the prime powers are those of the walk
-        # over every coset, one rep each, on every +r and -r RM point
-        cases = 0
-        for D, p in ((6, 5), (7, 3), (3, 11), (3, 13), (15, 7)):
-            F = build_field(D)
-            G = narrow_class_group(F)
-            for pair in rm_points(F, G, p, choose_r(F, p)):
-                for Q in pair:
-                    for n in range(1, 61):
-                        built = double_cosets(Q, n)
-                        walked = double_cosets_by_walk(Q, n)
-                        assert len(built) == len(walked), (D, p, Q, n)
-                        assert ({_label_orbit(Q, y, n) for y in built}
-                                == {_label_orbit(Q, y, n) for y in walked}
-                                ), (D, p, Q, n)
-                        cases += 1
-        assert cases == 1440
-
     def test_coset_key_calls(self, monkeypatch):
-        # each call walks the labels of the prime powers q^e || n, one key
-        # per label, and keys each double coset it builds once; the walk
-        # over every coset of every n <= 60 takes 2,887
+        # each call walks the labels of n, one key per label: 2,887 over
+        # every n <= 60
         p, N = 5, 60
-        for n in range(1, N + 1):
-            right_cosets(n, p)
+        labels = sum(len(right_cosets(n, p)) for n in range(1, N + 1))
+        assert labels == 2887
         key, calls = rqgeo.hecke._coset_key, []
 
         def counted(*args):
@@ -284,10 +248,7 @@ class TestDoubleCosetsFromPrimePowers:
                 for n in range(1, N + 1):
                     pair_with_twisted_cycle(((1, Q),), n)
                 count = len(calls)
-            assert count == sum(
-                sum(len(right_cosets(q ** e, p)) for q, e in factor(n))
-                + len(double_cosets(Q, n)) for n in range(1, N + 1))
-        assert sum(len(right_cosets(n, p)) for n in range(1, N + 1)) == 2887
+            assert count == labels
 
 
 class TestHeckeTranslate:
