@@ -4,20 +4,18 @@ Subcommands: field, classgroup, chars, rmpoints, intersect, series,
 verify, verify-analytic; each takes only the options it reads.  Exit
 codes: 0 success (including inert primes, which yield a structured zero
 series), 2 verification mismatch (a failed check, or the two
-intersection algorithms disagreeing on a translate or a pairing), 3
-domain errors
-(bad input, a malformed command line included, a character this version
-cannot handle exactly, or verify-analytic without mpmath), 4 internal
-error (a broken invariant: AssertionError or RuntimeError).
+intersection algorithms disagreeing on a translate in intersect), 3
+domain errors (bad input, a malformed command line included, a
+character this version cannot handle exactly, or verify-analytic
+without mpmath), 4 internal error (a broken invariant: AssertionError
+or RuntimeError).
 
 verify builds three pairing tables of h RM points each, h the narrow
-class number.  Two use both algorithms: the table at r of the report
-series, which the pm_halves and psi_inverse checks read back, and the
-table at -r, which pairs the -r points for pm_halves.  Each sums the
-winding numbers of the Hecke translates, checks cycle == enum on every
-translate and checks every sum against the point's Manin row.  The
-third, at r + 2p with the cycle algorithm, reads the Manin rows only,
-and r_plus_2p compares it with the report's table row by row.
+class number, from Manin rows: at r for the report series, which the
+pm_halves and psi_inverse checks read back, at -r, which pairs the -r
+points for pm_halves, and at r + 2p for r_plus_2p.  The dual_algorithm
+check runs check_pairing_table on the first two.  intersect sums
+intersect_both over the translates of the twisted cycle.
 """
 
 from __future__ import annotations
@@ -41,8 +39,9 @@ from .geodesic import InertPrime, choose_r, rm_points, twisted_cycle
 from .hecke import hecke_translate, right_cosets
 from .series import (
     AlgorithmMismatch,
+    check_pairing_table,
     diagonal_restriction,
-    intersection_algorithm,
+    intersect_both,
     modularity_check,
     pairing_table,
 )
@@ -205,28 +204,27 @@ def cmd_intersect(args):
     p = args.p
     G = narrow_class_group(F)
     psi = _character(G, args)
+    n = args.n
+    if n < 1:
+        raise ValueError("n must be positive")
     try:
         r = choose_r(F, p, args.r)
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
-    n = args.n
-    intersect = intersection_algorithm(args.algorithm)
     translates = total = 0
     for coeff, Q in twisted_cycle(F, G, psi, p, r):
         ts = hecke_translate(Q, n)
         translates += len(ts)
-        total += coeff * sum(intersect(t) for t in ts)
+        total += coeff * sum(intersect_both(t) for t in ts)
     return _base_report(args, d_F=F.d_F, p=p, r=r, n=n,
-                        algorithm=args.algorithm,
                         translates=translates,
                         right_cosets=len(right_cosets(n, p)),
                         pairing=total)
 
 
-def _series_report(args, F, G, psi, p, algorithm):
-    S = diagonal_restriction(F, G, psi, p, N=args.N, r=args.r,
-                             algorithm=algorithm)
+def _series_report(args, F, G, psi, p):
+    S = diagonal_restriction(F, G, psi, p, N=args.N, r=args.r)
     rep = _base_report(
         args, d_F=F.d_F, p=p, r=S.metadata["r"], kappa=2,
         convention_sign=S.metadata["pairing_factor"],
@@ -241,7 +239,7 @@ def cmd_series(args):
     F = build_field(args.D)
     G = narrow_class_group(F)
     psi = _character(G, args)
-    rep, _ = _series_report(args, F, G, psi, args.p, args.algorithm)
+    rep, _ = _series_report(args, F, G, psi, args.p)
     return rep
 
 
@@ -255,31 +253,23 @@ def cmd_verify(args):
     def record(name, ok, detail=""):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
-    def series_and_tables(algorithm):
-        rep, S = _series_report(args, F, G, psi, p, algorithm)
-        r = S.metadata["r"]
-        return rep, S, [] if S.inert else [
-            pairing_table(F, G, p, s, args.N, algorithm) for s in (r, -r)]
-
-    # the report series and the table at -r, whose +r side is the -r
-    # points, check cycle == enum on every translate and the Manin row
-    # against the translates' sums; after a mismatch both are computed
-    # again with the cycle algorithm
-    algorithm = "both"
-    try:
-        rep, S, tables = series_and_tables(algorithm)
-        dual = (True, "cycle==enum per translate, manin==double cosets "
-                      "for n=1..%d" % args.N)
-    except AlgorithmMismatch as exc:
-        algorithm = "cycle"
-        rep, S, tables = series_and_tables(algorithm)
-        dual = (False, str(exc))
+    rep, S = _series_report(args, F, G, psi, p)
     if S.inert:
         record("inert", True, "p is inert: zero series")
         rep["checks"] = checks
         rep["passed"] = True
         return rep
-    record("dual_algorithm", *dual)
+    # the report's table and the table at -r, whose +r side is the -r
+    # points, against their Hecke translates
+    r = S.metadata["r"]
+    tables = [pairing_table(F, G, p, s, args.N) for s in (r, -r)]
+    try:
+        for s in (r, -r):
+            check_pairing_table(F, G, p, s, args.N)
+        record("dual_algorithm", True, "cycle==enum per translate, "
+               "manin==double cosets for n=1..%d" % args.N)
+    except AlgorithmMismatch as exc:
+        record("dual_algorithm", False, str(exc))
 
     mod = modularity_check(S)
     record("modularity", mod.passed,
@@ -289,10 +279,9 @@ def cmd_verify(args):
     # forms with b = -r (mod 2p), Gamma0(p)-equivalent to those of r class
     # by class (Gross-Kohnen-Zagier): a third table, equal to the report's
     # row by row.  The constant term needs no check: (p, r + 2p) = (p, r)
-    r = S.metadata["r"]
     shifted = r + 2 * p if r > 0 else r - 2 * p
     record("r_plus_2p",
-           pairing_table(F, G, p, shifted, args.N, "cycle") == tables[0])
+           pairing_table(F, G, p, shifted, args.N) == tables[0])
     # the report table derives its -r rows from the reversed +r points;
     # the table at -r pairs the -r points themselves, class by class
     record("pm_halves",
@@ -301,8 +290,7 @@ def cmd_verify(args):
     # psi^-1 reuses the report's table.  An odd psi enters the series only
     # through psi + conj(psi) (README, "How it is verified"), so psi^-1 =
     # conj(psi) gives the same exact series for every order
-    inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r,
-                               algorithm=algorithm)
+    inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r)
     record("psi_inverse", inv == S)
 
     ok = all(c["passed"] for c in checks)
@@ -381,8 +369,8 @@ COMMANDS = {
     "classgroup": (cmd_classgroup, ()),
     "chars": (cmd_chars, ()),
     "rmpoints": (cmd_rmpoints, ("p", "r")),
-    "intersect": (cmd_intersect, ("p", "r", "char-index", "n", "algorithm")),
-    "series": (cmd_series, ("p", "r", "char-index", "N", "algorithm")),
+    "intersect": (cmd_intersect, ("p", "r", "char-index", "n")),
+    "series": (cmd_series, ("p", "r", "char-index", "N")),
     "verify": (cmd_verify, ("p", "r", "char-index", "N", "no-cache")),
     "verify-analytic": (cmd_verify_analytic, None),
 }
@@ -395,7 +383,6 @@ OPTIONS = {
                        help="index into the totally odd characters"),
     "N": dict(type=int, default=30, help="q-expansion truncation"),
     "n": dict(type=int, default=1, help="Hecke operator index"),
-    "algorithm": dict(choices=("cycle", "enum", "both"), default="cycle"),
     # does nothing; accepted because benchmarks/worker.py passes it
     "no-cache": dict(action="store_true", help=argparse.SUPPRESS),
 }

@@ -3,13 +3,13 @@
 The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
 the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the +r RM points Q with the winding geodesic W (pairing_table), weighted
-by the character.  The cycle algorithm reads each pairing off one Manin
-table of Q (geodesic.manin_table, hecke.manin_counts); the enum
-algorithm sums the Farey-walk winding numbers of Q's Hecke translates,
-and "both" checks the two decompositions against each other.  For
-genus-zero levels the space of such forms is one-dimensional and the
-whole series is pinned by a single proportionality; for p = 11 it is
-two-dimensional and the cusp direction is spanned by an eta product.
+by the character.  Each pairing is read off one Manin table of Q
+(geodesic.manin_table, hecke.manin_counts); check_pairing_table checks
+those rows against the sums over Q's Hecke translates, each translate
+counted by both intersection algorithms.  For genus-zero levels the
+space of such forms is one-dimensional and the whole series is pinned by
+a single proportionality; for p = 11 it is two-dimensional and the cusp
+direction is spanned by an eta product.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ __all__ = [
     "GENUS_ZERO_LEVELS",
     "diagonal_restriction",
     "pairing_table",
-    "intersection_algorithm",
+    "check_pairing_table",
+    "intersect_both",
     "eta_product_coeffs",
     "modularity_check",
 ]
@@ -45,24 +46,10 @@ class AlgorithmMismatch(Exception):
     """The two intersection algorithms disagreed (should never happen)."""
 
 
-def intersection_algorithm(name):
-    """The function of one Hecke translate that gives its winding
-    intersection number by the named algorithm: intersect_winding_cycle
-    for "cycle", intersect_winding_enum for "enum", or for "both" one
-    that runs the two on the translate and raises AlgorithmMismatch,
-    naming its form, when they disagree.  The algorithms are looked up
-    when this is called, and by "both" on every translate, so wrapping
-    the module attributes wraps them."""
-    if name == "cycle":
-        return intersect_winding_cycle
-    if name == "enum":
-        return intersect_winding_enum
-    if name == "both":
-        return _intersect_both
-    raise ValueError("unknown algorithm %r" % (name,))
-
-
-def _intersect_both(t):
+def intersect_both(t):
+    """The winding number of one Hecke translate by both algorithms, or
+    AlgorithmMismatch naming its form; the two are looked up on every
+    call, so wrapping the module attributes wraps them."""
     val, other = intersect_winding_cycle(t), intersect_winding_enum(t)
     if val != other:
         raise AlgorithmMismatch("translate %r: cycle=%r enum=%r"
@@ -112,20 +99,14 @@ def _coefficient(pairing):
 
 
 @lru_cache(maxsize=16)
-def pairing_table(F, G, p, r, N, algorithm):
+def pairing_table(F, G, p, r, N):
     """Raw pairings <T_n Q, W>, n = 1..N, of the RM points of every narrow
     class: one (plus_row, minus_row) per class, the rows of its +r and -r
     points, each a tuple indexed by n - 1.
 
-    With "cycle", a point's row is its Manin table (manin_table) summed
-    against hecke.manin_counts(n, p): no Hecke translate is built.  With
-    "enum", each pairing sums intersection_algorithm("enum") over the
-    Hecke translates.  "both" sums intersection_algorithm("both") over
-    the translates, which checks cycle == enum on each (a translate's
-    cycle number is entry p of its own Manin table), and then checks
-    that row against the Manin row, raising AlgorithmMismatch naming the
-    point and n: right double cosets against left cosets, two
-    independent decompositions of T_n.
+    A point's row is its Manin table (manin_table) summed against
+    hecke.manin_counts(n, p): no Hecke translate is built.
+    check_pairing_table checks the rows against the translates.
 
     Only the +r points are paired.  Reversing the +r point f_c of class c
     gives -f_c, a -r RM form of class sigma(c) = c^-1 s, s the class of
@@ -137,49 +118,51 @@ def pairing_table(F, G, p, r, N, algorithm):
 
     The pairing is linear in the twisted cycle, so the series of every
     character psi is a psi-weighted sum of these rows.  The table is kept
-    for the last few (F, G, p, r, N, algorithm); F and G are keyed by
-    identity, so a freshly built field gets a fresh table, and a run that
-    raises (an AlgorithmMismatch under "both") leaves nothing behind.
+    for the last few (F, G, p, r, N); F and G are keyed by identity, so a
+    freshly built field gets a fresh table.
     """
-    intersect = intersection_algorithm(algorithm)
     s = G.class_of_principal_sqrt_dF
     sigma = [G.compose(G.inverse(c), s) for c in range(G.h)]
     plus = []
     for c, (Q, _) in enumerate(rm_points(F, G, p, choose_r(F, p, r))):
         assert G.classify(Q.reversed().form) == sigma[c], ("-f_c misfiled", c)
-        row = None
-        if algorithm != "enum":
-            table = manin_table(Q)
-            row = tuple(sum(c * table[k] for k, c in manin_counts(n, p))
-                        for n in range(1, N + 1))
-        if algorithm != "cycle":
-            cosets = tuple(pair_with_twisted_cycle(((1, Q),), n, intersect)
-                           for n in range(1, N + 1))
-            if row is not None and row != cosets:
-                n = [a == b for a, b in zip(row, cosets)].index(False) + 1
-                raise AlgorithmMismatch(
-                    "RM point %r at n=%d: manin=%r double cosets=%r"
-                    % (Q.form, n, row[n - 1], cosets[n - 1]))
-            row = cosets
-        plus.append(row)
+        table = manin_table(Q)
+        plus.append(tuple(sum(c * table[k] for k, c in manin_counts(n, p))
+                          for n in range(1, N + 1)))
     # sigma is an involution, so the -r row of c is -(+r row of sigma(c))
     return tuple((row, tuple(-v for v in plus[sigma[c]]))
                  for c, row in enumerate(plus))
+
+
+def check_pairing_table(F, G, p, r, N):
+    """Check pairing_table(F, G, p, r, N) against the Hecke translates:
+    sum intersect_both, which checks cycle == enum, over the translates
+    of each +r point by T_n, n = 1..N, and compare the sums with the
+    point's row, right double cosets against left cosets.  Raises
+    AlgorithmMismatch naming the translate, or the point and n."""
+    for (row, _), (Q, _) in zip(pairing_table(F, G, p, r, N),
+                                rm_points(F, G, p, choose_r(F, p, r))):
+        sums = tuple(pair_with_twisted_cycle(((1, Q),), n, intersect_both)
+                     for n in range(1, N + 1))
+        for n in range(1, N + 1):
+            if row[n - 1] != sums[n - 1]:
+                raise AlgorithmMismatch(
+                    "RM point %r at n=%d: manin=%r double cosets=%r"
+                    % (Q.form, n, row[n - 1], sums[n - 1]))
 
 
 def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     """q-expansion of the diagonal restriction of the p-stabilized
     Eisenstein series attached to psi, truncated at q^N.
 
-    algorithm is "cycle", "enum" or "both"; "both" checks every Hecke
-    translate with both intersection algorithms and every pairing against
-    the Manin row, and raises AlgorithmMismatch on any disagreement.  The
-    pairings come from pairing_table, so characters of one field share
-    them.
+    The pairings come from pairing_table, so characters of one field
+    share them.  algorithm must be "cycle", the Manin-row table; the
+    keyword remains because benchmarks/worker.py passes it.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    intersection_algorithm(algorithm)   # reject an unknown name up front
+    if algorithm != "cycle":
+        raise ValueError("unknown algorithm %r" % (algorithm,))
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
     meta = {"d_F": F.d_F, "p": p, "r": None, "psi": psi.exponents,
@@ -191,7 +174,7 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     meta["r"] = r
     from .lvalue import constant_term
     constant = constant_term(F, G, psi, p, r)
-    table = pairing_table(F, G, p, r, N, algorithm)
+    table = pairing_table(F, G, p, r, N)
     weights = [psi(cls) for cls in range(G.h)]
     coeffs = {}
     for n in range(1, N + 1):

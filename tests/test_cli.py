@@ -74,11 +74,10 @@ class TestVerify:
                          "pm_halves", "psi_inverse"]
 
     def test_three_hecke_passes(self, monkeypatch):
-        # one pass with both algorithms over the +r points for the report
-        # series (which the pm_halves and psi_inverse checks read back),
-        # one with both over the -r points that pm_halves pairs directly,
-        # and one cycle pass over the +r points of r + 2p, which reads
-        # Manin tables and builds no translate
+        # the tables at r, -r and r + 2p read Manin tables and build no
+        # translate; check_pairing_table walks the translates of the +r
+        # points of the report's table and of the -r points of the table
+        # at -r, with both algorithms on each
         calls = {"translate": 0, "enum": 0}
         translate = rqgeo.hecke.hecke_translate
         enum = rqgeo.series.intersect_winding_enum
@@ -122,9 +121,9 @@ class TestVerify:
         seen = []
         table = rqgeo.cli.pairing_table
 
-        def spy(F, G, p, r, N, algorithm):
+        def spy(F, G, p, r, N):
             seen.append(r)
-            return table(F, G, p, r, N, algorithm)
+            return table(F, G, p, r, N)
         monkeypatch.setattr(rqgeo.cli, "pairing_table", spy)
         for r, shifted in ((12, 22), (-12, -22)):
             del seen[:]
@@ -218,11 +217,12 @@ class TestInfoCommands:
     ], ids=["D6-p5-n2", "D6-p5-n12", "D6-p5-n30", "D3-p11-n22",
             "D7-p3-n36"])
     def test_intersect(self, D, p, n, triple):
-        # composite n, p | n among them; `both` checks every translate
-        # cycle against enum
+        # composite n, p | n among them; every translate is checked cycle
+        # against enum
         code, rep, _ = invoke_json("intersect", "--D", str(D), "--p", str(p),
-                                   "--n", str(n), "--algorithm", "both")
+                                   "--n", str(n))
         assert code == EXIT_OK
+        assert "algorithm" not in rep
         assert (rep["pairing"], rep["translates"],
                 rep["right_cosets"]) == triple
 
@@ -274,11 +274,13 @@ class TestExitCodes:
             assert out == ""
 
     def test_nonpositive_n(self):
-        for n in ("0", "-2"):
-            code, out, err = invoke("intersect", "--D", "6", "--p", "5",
-                                    "--n", n)
-            assert code == EXIT_DOMAIN and "n must be positive" in err
-            assert out == ""
+        # checked before the inert shortcut, so (3, 5) is refused too
+        for D in ("6", "3"):
+            for n in ("0", "-2"):
+                code, out, err = invoke("intersect", "--D", D, "--p", "5",
+                                        "--n", n)
+                assert code == EXIT_DOMAIN and "n must be positive" in err
+                assert out == "", (D, n)
 
     def test_composite_p_rejected(self):
         # rejected before the residue test, which would call 28 a square
@@ -312,11 +314,14 @@ class TestExitCodes:
         enum = rqgeo.series.intersect_winding_enum
         monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
                             lambda t: enum(t) + 1)
-        for argv in (("series", "--N", "2"), ("intersect", "--n", "2")):
-            code, out, err = invoke(*argv, "--D", "6", "--p", "5",
-                                    "--algorithm", "both")
-            assert code == EXIT_MISMATCH and "mismatch: translate" in err
-            assert out == ""
+        code, out, err = invoke("intersect", "--n", "2", "--D", "6",
+                                "--p", "5")
+        assert code == EXIT_MISMATCH and "mismatch: translate" in err
+        assert out == ""
+        # the series reads the Manin rows and never the enum walk
+        code, rep, _ = invoke_json("series", "--N", "2", "--D", "6",
+                                   "--p", "5")
+        assert code == EXIT_OK and rep["coeffs"] == {"1": 8, "2": 24}
 
     def test_internal_error(self, monkeypatch):
         for exc in (AssertionError("pairing is odd"), RuntimeError("stuck")):
@@ -348,8 +353,8 @@ class TestExitCodes:
         assert failed == ["pm_halves"]
 
     def test_dual_algorithm_can_fail(self, monkeypatch):
-        # the report series falls back to the cycle algorithm, so the
-        # coefficients and every other check are unchanged
+        # the report series reads the Manin rows, so the coefficients and
+        # every other check are unchanged
         enum = rqgeo.series.intersect_winding_enum
         monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
                             lambda t: enum(t) + 1)
@@ -374,6 +379,21 @@ class TestExitCodes:
         assert "RM point" in dual["detail"] and "at n=2" in dual["detail"]
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
 
+    def test_dual_algorithm_checks_the_minus_points(self, monkeypatch):
+        # drop the last double coset of each n > 1 for the -r points only
+        # (b = r = 8 mod 10 at (6, 5)): only the check of the table at -r
+        # walks their translates
+        double_cosets = rqgeo.hecke.double_cosets
+
+        def dropped(Q, n):
+            reps = double_cosets(Q, n)
+            return reps[:-1] if n > 1 and Q.form.b % 10 == 8 else reps
+        monkeypatch.setattr(rqgeo.hecke, "double_cosets", dropped)
+        failed, rep = self._failed_checks()
+        assert failed == ["dual_algorithm"]
+        assert rep["checks"][0]["detail"].startswith(
+            "RM point QuadForm(-5, 8, -2) at n=2:")
+
     def test_r_plus_2p_can_fail(self, monkeypatch):
         # negate the pairing rows at every r but the default root and its
         # negative, wherever verify reads them: the table at r + 2p then
@@ -383,8 +403,8 @@ class TestExitCodes:
         default_r = choose_r(build_field(6), 5)
         pairing_table = rqgeo.series.pairing_table
 
-        def skewed(F, G, p, r, N, algorithm):
-            table = pairing_table(F, G, p, r, N, algorithm)
+        def skewed(F, G, p, r, N):
+            table = pairing_table(F, G, p, r, N)
             if abs(r) == default_r:
                 return table
             return tuple(tuple(tuple(-v for v in row) for row in pair)
@@ -401,6 +421,9 @@ class TestExitCodes:
                      ("field", "--D", "6", "--p", "4", "--n", "7",
                       "--algorithm", "enum"),
                      ("verify", "--D", "6", "--p", "5", "--algorithm", "both"),
+                     ("series", "--D", "6", "--p", "5", "--algorithm", "enum"),
+                     ("intersect", "--D", "6", "--p", "5",
+                      "--algorithm", "both"),
                      ("series", "--D", "6", "--p", "5", "--n", "2"),
                      ("series", "--D", "6", "--p", "5", "--no-cache"),
                      ("classgroup", "--D", "6", "--cache-dir", "X"),

@@ -12,7 +12,7 @@ from rqgeo.field import build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import choose_r, rm_points
 from rqgeo.hecke import hecke_translate
 from rqgeo.oracles import QuadIrr, plus_root
-from rqgeo.series import diagonal_restriction
+from rqgeo.series import check_pairing_table, diagonal_restriction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -55,7 +55,7 @@ def test_series_run_loads_no_oracle():
     # no command below can build one; only verify-analytic needs mpmath,
     # and without it that is a domain error, not a traceback
     out = _probe("no-mpmath", ["series"] + PAIR,
-                 ["series", "--algorithm", "both"] + PAIR,
+                 ["intersect", "--D", "6", "--p", "5", "--n", "2"],
                  ["field", "--D", "6"], ["verify"] + PAIR,
                  ["verify-analytic"])
     assert out["runs"][:4] == [[0, ""]] * 4
@@ -232,8 +232,9 @@ def test_coefficient_path_builds_no_quadirr(monkeypatch):
         built.append(args)
         init(self, *args)
     monkeypatch.setattr(QuadIrr, "__init__", counted)
-    S = diagonal_restriction(F, G, psi, 5, N=8, algorithm="both")
+    S = diagonal_restriction(F, G, psi, 5, N=8)
     assert any(S.coeffs.values())
+    check_pairing_table(F, G, 5, choose_r(F, 5), 8)
     for Q in rm_points(F, G, 5, choose_r(F, 5))[1]:
         for n in range(1, 9):
             hecke_translate(Q, n)

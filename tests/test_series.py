@@ -11,13 +11,19 @@ from rqgeo.field import (
     odd_characters,
 )
 from rqgeo.exact import Mat2, squarefree_part
-from rqgeo.geodesic import choose_r, rm_points, twisted_cycle
+from rqgeo.geodesic import (
+    choose_r,
+    intersect_winding_enum,
+    rm_points,
+    twisted_cycle,
+)
 import rqgeo.hecke
 import rqgeo.series
 from rqgeo.series import (
     AlgorithmMismatch,
     QSeries,
     _coefficient,
+    check_pairing_table,
     diagonal_restriction,
     eta_product_coeffs,
     modularity_check,
@@ -136,22 +142,28 @@ class TestInvariance:
             assert a == b
 
     def test_algorithms_agree(self):
+        # the series from the Manin rows equals the series from the Farey
+        # walks of the translates, and the rows pass the table's check
         F, G, psi = _setup(6)
-        a = diagonal_restriction(F, G, psi, 5, N=8, algorithm="cycle")
-        b = diagonal_restriction(F, G, psi, 5, N=8, algorithm="enum")
-        c = diagonal_restriction(F, G, psi, 5, N=8, algorithm="both")
-        assert a == b == c
+        r = choose_r(F, 5)
+        S = diagonal_restriction(F, G, psi, 5, N=8)
+        check_pairing_table(F, G, 5, r, 8)
+        cyc = twisted_cycle(F, G, psi, 5, r)
+        assert S.coeffs == {
+            n: _coefficient(pair_with_twisted_cycle(cyc, n,
+                                                    intersect_winding_enum))
+            for n in range(1, 9)}
 
     def test_both_checks_each_translate(self, monkeypatch):
         # an enum that is off by one on every translate: the psi-weighted
         # pairings of the two algorithms still agree at (6, 5), because
         # the +1s cancel, so only a per-translate check sees it
-        F, G, psi = _setup(6)
+        F, G, _ = _setup(6)
         enum = rqgeo.series.intersect_winding_enum
         monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
                             lambda t: enum(t) + 1)
         with pytest.raises(AlgorithmMismatch, match="translate"):
-            diagonal_restriction(F, G, psi, 5, N=2, algorithm="both")
+            check_pairing_table(F, G, 5, choose_r(F, 5), 2)
 
     @pytest.mark.parametrize("wrong, first", [
         (lambda reps, n: reps[:-1] if n > 1 else reps, 2),
@@ -166,15 +178,18 @@ class TestInvariance:
         monkeypatch.setattr(
             rqgeo.hecke, "double_cosets",
             lambda Q, n: wrong(double_cosets(Q, n), n))
-        F, G, psi = _setup(6)
+        F, G, _ = _setup(6)
         with pytest.raises(AlgorithmMismatch,
                            match=r"RM point .* at n=%d:" % first):
-            diagonal_restriction(F, G, psi, 5, N=4, algorithm="both")
+            check_pairing_table(F, G, 5, choose_r(F, 5), 4)
 
     def test_unknown_algorithm(self):
+        # the Manin-row table is the only algorithm; the translate sums
+        # are check_pairing_table's
         F, G, psi = _setup(6)
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            diagonal_restriction(F, G, psi, 5, N=2, algorithm="foo")
+        for name in ("enum", "both", "foo"):
+            with pytest.raises(ValueError, match="unknown algorithm"):
+                diagonal_restriction(F, G, psi, 5, N=2, algorithm=name)
 
 
 class TestPairingTable:
@@ -182,17 +197,6 @@ class TestPairingTable:
     # two and four odd characters of order 2
     CASES = ((6, 5), (7, 3), (91, 3), (174, 5), (95, 7), (115, 11),
              (42, 13), (210, 11), (219, 7))
-
-    @staticmethod
-    def _count_translates(monkeypatch):
-        calls = []
-        translate = rqgeo.hecke.hecke_translate
-
-        def counted(Q, n):
-            calls.append(n)
-            return translate(Q, n)
-        monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted)
-        return calls
 
     @staticmethod
     def _count_manin_tables(monkeypatch):
@@ -225,7 +229,7 @@ class TestPairingTable:
                 for c, (plus, _) in enumerate(points):
                     assert G.classify(plus.reversed().form) == \
                         G.compose(G.inverse(c), s), (D, p, c)
-                table = pairing_table(F, G, p, r, N, "cycle")
+                table = pairing_table(F, G, p, r, N)
                 assert [row for _, row in table] == [
                     tuple(pair_with_twisted_cycle(((1, Q),), n)
                           for n in range(1, N + 1))
@@ -250,8 +254,8 @@ class TestPairingTable:
                 r = choose_r(F, p)
                 for s in (r, -r):
                     shifted = s + 2 * p if s > 0 else s - 2 * p
-                    assert pairing_table(F, G, p, shifted, N, "cycle") == \
-                        pairing_table(F, G, p, s, N, "cycle"), (D, p, s)
+                    assert pairing_table(F, G, p, shifted, N) == \
+                        pairing_table(F, G, p, s, N), (D, p, s)
                     pairs += 1
         assert pairs == 410
 
@@ -264,7 +268,7 @@ class TestPairingTable:
         F, G, _ = _setup(6)
         assert G.h == 2
         with pytest.raises(AssertionError, match="misfiled"):
-            pairing_table(F, G, 5, choose_r(F, 5), 3, "cycle")
+            pairing_table(F, G, 5, choose_r(F, 5), 3)
 
     def test_equals_twisted_cycle_pairing(self):
         N = 4
@@ -306,7 +310,8 @@ class TestPairingTable:
         assert results[0] == results[1]
 
     def test_cycle_builds_no_translate(self, monkeypatch):
-        # the cycle table reads every pairing off the Manin tables
+        # the table reads every pairing off the Manin tables; only its
+        # check builds translates
         def refused(*args, **kwargs):
             raise AssertionError("Hecke translate on the cycle path")
         for name in ("hecke_translate", "double_cosets"):
@@ -316,20 +321,7 @@ class TestPairingTable:
         assert [S.coeffs[n] for n in range(1, 13)] == [
             8 * sigma1(n, 5) for n in range(1, 13)]
         with pytest.raises(AssertionError, match="translate"):
-            pairing_table(F, G, 5, choose_r(F, 5), 12, "both")
-
-    def test_mismatch_is_not_cached(self, monkeypatch):
-        F, G, psi = _setup(6)
-        with monkeypatch.context() as m:
-            enum = rqgeo.series.intersect_winding_enum
-            m.setattr(rqgeo.series, "intersect_winding_enum",
-                      lambda t: enum(t) + 1)
-            with pytest.raises(AlgorithmMismatch):
-                diagonal_restriction(F, G, psi, 5, N=3, algorithm="both")
-        calls = self._count_translates(monkeypatch)
-        S = diagonal_restriction(F, G, psi, 5, N=3, algorithm="both")
-        assert len(calls) == 2 * 3
-        assert S == diagonal_restriction(F, G, psi, 5, N=3)
+            check_pairing_table(F, G, 5, choose_r(F, 5), 12)
 
 
 # every split (D, p), D squarefree below 300 and p <= 23
@@ -341,15 +333,15 @@ SPLIT = tuple((D, p) for D in range(2, 300) if squarefree_part(D)[1] == 1
 @settings(max_examples=8, deadline=None)
 @given(pair=st.sampled_from(SPLIT), N=st.integers(1, 20))
 def test_cycle_table_equals_enum_table(pair, N):
-    # the Manin tables against the Farey walks of the Hecke translates,
-    # at r and -r; eight draws keep it to a few seconds
+    # the Manin rows against the translate sums, each translate counted
+    # by both algorithms, at r and -r; eight draws keep it to a few
+    # seconds
     D, p = pair
     F = build_field(D)
     G = narrow_class_group(F)
     r = choose_r(F, p)
     for s in (r, -r):
-        assert pairing_table(F, G, p, s, N, "cycle") == \
-            pairing_table(F, G, p, s, N, "enum"), (D, p, s, N)
+        check_pairing_table(F, G, p, s, N)
 
 
 class TestModularityCheck:
