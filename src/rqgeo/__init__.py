@@ -25,6 +25,7 @@ from .geodesic import (
     intersect_winding_cycle,
     intersect_winding_enum,
     manin_table,
+    manin_table_enum,
     rm_points,
     twisted_cycle,
 )
@@ -32,6 +33,7 @@ from .hecke import (
     double_cosets,
     hecke_translate,
     manin_counts,
+    merel_counts,
     pair_with_twisted_cycle,
     right_cosets,
     sigma1,
@@ -69,11 +71,13 @@ __all__ = [
     "intersect_winding_cycle",
     "intersect_winding_enum",
     "manin_table",
+    "manin_table_enum",
     "rm_points",
     "twisted_cycle",
     "double_cosets",
     "hecke_translate",
     "manin_counts",
+    "merel_counts",
     "pair_with_twisted_cycle",
     "right_cosets",
     "sigma1",

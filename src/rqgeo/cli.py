@@ -14,8 +14,10 @@ verify builds three pairing tables of h RM points each, h the narrow
 class number, from Manin rows: at r for the report series, which the
 pm_halves and psi_inverse checks read back, at -r, which pairs the -r
 points for pm_halves, and at r + 2p for r_plus_2p.  The dual_algorithm
-check runs check_pairing_table on the first two.  intersect sums
-intersect_both over the translates of the twisted cycle.
+check runs check_pairing_table on all three: each point's Manin table
+against its Farey walk, and its rows against Merel's set; verify builds
+no Hecke translate.  intersect sums intersect_both, both intersection
+algorithms, over the translates of the twisted cycle.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .field import (
     pell_plus,
 )
 from .geodesic import InertPrime, choose_r, rm_points, twisted_cycle
-from .hecke import hecke_translate, right_cosets
+from .hecke import double_cosets, pair_with_twisted_cycle, right_cosets
 from .series import (
     AlgorithmMismatch,
     check_pairing_table,
@@ -212,15 +214,13 @@ def cmd_intersect(args):
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
-    translates = total = 0
-    for coeff, Q in twisted_cycle(F, G, psi, p, r):
-        ts = hecke_translate(Q, n)
-        translates += len(ts)
-        total += coeff * sum(intersect_both(t) for t in ts)
+    cycle = twisted_cycle(F, G, psi, p, r)
     return _base_report(args, d_F=F.d_F, p=p, r=r, n=n,
-                        translates=translates,
+                        translates=sum(len(double_cosets(Q, n))
+                                       for _, Q in cycle),
                         right_cosets=len(right_cosets(n, p)),
-                        pairing=total)
+                        pairing=pair_with_twisted_cycle(cycle, n,
+                                                        intersect_both))
 
 
 def _series_report(args, F, G, psi, p):
@@ -259,15 +259,18 @@ def cmd_verify(args):
         rep["checks"] = checks
         rep["passed"] = True
         return rep
-    # the report's table and the table at -r, whose +r side is the -r
-    # points, against their Hecke translates
+    # the report's table, the table at -r, whose +r side is the -r
+    # points, and the table at r + 2p (away from zero, so that
+    # r^2 > d_F), each point's Manin table against its Farey walk and
+    # its rows against Merel's set
     r = S.metadata["r"]
+    shifted = r + 2 * p if r > 0 else r - 2 * p
     tables = [pairing_table(F, G, p, s, args.N) for s in (r, -r)]
     try:
-        for s in (r, -r):
+        for s in (r, -r, shifted):
             check_pairing_table(F, G, p, s, args.N)
-        record("dual_algorithm", True, "cycle==enum per translate, "
-               "manin==double cosets for n=1..%d" % args.N)
+        record("dual_algorithm", True, "cycle==Farey Manin table per RM "
+               "point, manin==Merel rows for n=1..%d" % args.N)
     except AlgorithmMismatch as exc:
         record("dual_algorithm", False, str(exc))
 
@@ -275,11 +278,10 @@ def cmd_verify(args):
     record("modularity", mod.passed,
            mod.message or ("mode=%s" % mod.mode))
 
-    # the RM points of r + 2p (away from zero, so that r^2 > d_F) are other
-    # forms with b = -r (mod 2p), Gamma0(p)-equivalent to those of r class
-    # by class (Gross-Kohnen-Zagier): a third table, equal to the report's
-    # row by row.  The constant term needs no check: (p, r + 2p) = (p, r)
-    shifted = r + 2 * p if r > 0 else r - 2 * p
+    # the RM points of r + 2p are other forms with b = -r (mod 2p),
+    # Gamma0(p)-equivalent to those of r class by class
+    # (Gross-Kohnen-Zagier): a third table, equal to the report's row by
+    # row.  The constant term needs no check: (p, r + 2p) = (p, r)
     record("r_plus_2p",
            pairing_table(F, G, p, shifted, args.N) == tables[0])
     # the report table derives its -r rows from the reversed +r points;

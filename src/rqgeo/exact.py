@@ -1,6 +1,6 @@
 """Exact arithmetic kernel: integer 2x2 matrices and the integer
 arithmetic of the package: factorization, divisors, squarefree part,
-primality and the extended gcd.
+primality, square roots mod a prime and the extended gcd.
 
 ``factor`` is the package's one trial division; divisors and squarefree
 parts are read off its prime powers.  Primality is a deterministic
@@ -18,6 +18,7 @@ __all__ = [
     "divisors",
     "squarefree_part",
     "is_prime",
+    "sqrt_mod",
     "xgcd",
 ]
 
@@ -83,6 +84,33 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def sqrt_mod(a, p):
+    """A square root of a modulo the odd prime p, a a square mod p, by
+    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1): O(log p) squarings
+    once a nonresidue is found, which is the least one."""
+    a %= p
+    if a == 0:
+        return 0
+    e = ((p - 1) & (1 - p)).bit_length() - 1    # p - 1 = q 2^e, q odd
+    q = (p - 1) >> e
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    y, r = pow(z, q, p), e
+    x = pow(a, (q - 1) // 2, p)
+    b = a * x * x % p           # a^q, of order 2^m < 2^r
+    x = a * x % p               # a^((q + 1)/2), so x^2 = a b
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t, m = t * t % p, m + 1
+        assert m < r, "%d is not a square mod %d" % (a, p)
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
 
 
 def xgcd(a, b):

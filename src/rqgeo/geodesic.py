@@ -9,31 +9,30 @@ class has an RM point for +r and one for -r, found for all classes at
 once by one search per sign (rm_points), and the psi-twisted cycle is
 the tuple of (psi(class), RM point) pairs.
 
-Two independent algorithms compute the intersection number of a closed
-geodesic on Y0(p) with the winding geodesic from 0 to infinity:
+Two independent algorithms compute the Manin table of a closed geodesic
+Q on Y0(p): the signed crossings of one Gamma0(p)-period of Q with the
+Gamma0(p)-orbit of every unimodular edge, one entry per point of
+P^1(F_p), which the edge counts of T_n W (hecke.manin_counts, or Merel's
+set in hecke.merel_counts) turn into <T_n Q, W> for every n without a
+Hecke translate; W is the winding geodesic from 0 to infinity.
 
 * manin_table(Q) walks the reduction cycle of the reduced form of Q,
   a run of |delta| river edges of the Conway topograph per step, once
-  for each turn of one Gamma0(p)-period of Q.  It gives the signed
-  crossings of Q with the Gamma0(p)-orbit of every unimodular edge, one
-  entry per point of P^1(F_p), which the edge counts of
-  hecke.manin_counts turn into <T_n Q, W> for every n without a Hecke
-  translate.  intersect_winding_cycle(Q) is its entry p, the orbit of
-  the edge 0 -> infinity: the sum of sgn(a) over the forms in the
-  proper Gamma0(p)-class of Q whose root geodesic separates 0 from
-  infinity (those with a*c < 0), the edges of the river whose walk
-  matrix has a column in the orbit of infinity in P^1(F_p) under the
-  automorph.  So a translate's cycle number is entry p of its Manin
-  table;
-* intersect_winding_enum walks the Farey tessellation along one period
-  of the closed geodesic, in the original coordinates and without
-  reducing the form, and adds up signed crossings with translates of the
-  imaginary axis; it shares nothing with the cycle side.  A Farey vertex
-  (x, y) lies between the roots exactly when f(x, y) * a < 0, the walk
-  steps to mediants toward one root, the period ends at the
-  stabilizer's image of the first crossed edge, and the sides of a
-  crossed edge's pull-back are signs of numbers x + y sqrt(disc) with
-  integer x, y.
+  for each turn of one Gamma0(p)-period of Q.  intersect_winding_cycle(Q)
+  is its entry p, the orbit of the edge 0 -> infinity: the sum of sgn(a)
+  over the forms in the proper Gamma0(p)-class of Q whose root geodesic
+  separates 0 from infinity (those with a*c < 0), the edges of the river
+  whose walk matrix has a column in the orbit of infinity in P^1(F_p)
+  under the automorph;
+* manin_table_enum(Q) walks the Farey tessellation along one period of
+  the closed geodesic, in the original coordinates and without reducing
+  the form, and keys each crossed edge by its bottom row; it shares
+  nothing with the cycle side.  A Farey vertex (x, y) lies between the
+  roots exactly when f(x, y) * a < 0, the walk steps to mediants toward
+  one root, the period ends at the stabilizer's image of the first
+  crossed edge, and the sides of a crossed edge's pull-back are signs of
+  numbers x + y sqrt(disc) with integer x, y.  intersect_winding_enum(Q)
+  is its entry p.
 
 Everything is integer arithmetic; the roots of f are never built.
 """
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import divisors, is_prime
+from .exact import divisors, is_prime, sqrt_mod
 from .field import QuadForm, automorph, form_cycle, reduce_form
 
 __all__ = [
@@ -55,6 +54,7 @@ __all__ = [
     "intersect_winding_cycle",
     "intersect_winding_enum",
     "manin_table",
+    "manin_table_enum",
     "p1_key",
 ]
 
@@ -104,6 +104,11 @@ def choose_r(F, p, r=None):
     is checked, or else the smallest positive one.  Its sign picks which
     RM point of each class is the plus one (rm_points).
 
+    The roots mod 4p are the r = +-rho (mod p), rho a square root of d_F
+    mod p (exact.sqrt_mod), with r = d_F (mod 2), since d_F is 0 or 1
+    mod 4; so the default is the least r > isqrt(d_F) in one of those two
+    classes mod 2p, found in O(log p) steps.
+
     Raises ValueError when p is not an odd prime unramified in F or r is
     not such a root, and InertPrime when d_F is not a square mod p.
     """
@@ -115,9 +120,9 @@ def choose_r(F, p, r=None):
     if pow(d, (p - 1) // 2, p) != 1:
         raise InertPrime("d_F = %d is a nonresidue mod %d" % (d, p))
     if r is None:
-        r = 1
-        while (r * r - d) % (4 * p) or r * r <= d:
-            r += 1
+        rho, low = sqrt_mod(d, p), math.isqrt(d) + 1
+        lifts = (x + p if (x - d) % 2 else x for x in (rho, p - rho))
+        r = min(low + (x - low) % (2 * p) for x in lifts)
     elif (r * r - d) % (4 * p) or r * r <= d:
         raise ValueError("invalid square root r = %d of d_F mod 4p" % r)
     return r
@@ -285,18 +290,20 @@ def intersect_winding_cycle(Q):
 # ---------------------------------------------------------------------------
 # algorithm 2: Farey tessellation walk along one period of the geodesic
 #
-# Translates of the imaginary axis by Gamma0(p) are exactly the Farey
-# edges (u, v) (|cross(u, v)| = 1) for which exactly one endpoint has
-# denominator divisible by p (infinity = 1/0 counts as divisible).  The
-# geodesic of f = [a, b, c] crosses the Farey edge (u, v) exactly when
-# one end lies between the roots and the other does not, and the point
-# (x, y) lies between the roots exactly when f(x, y) * a < 0.  The
-# crossed edges, in order along the geodesic, form a sequence that the
-# stabilizer gamma shifts by one period; so the walk starts at a crossed
-# edge E0, counts it, and steps from triangle to triangle until the
-# edge it reaches is gamma E0 or gamma^-1 E0, whichever lies ahead.  An
-# edge delta(infinity, 0) counts by the sides of the imaginary axis on
-# which delta^-1 puts the plus and the minus root.
+# Every Farey edge (u, v) (|cross(u, v)| = 1) is h(0 -> infinity) for
+# h = (u | v) in SL2(Z), v negated if need be, and its Gamma0(p)-orbit is
+# the point of its bottom row in P^1(F_p); the translates of the
+# imaginary axis are the edges with exactly one endpoint of denominator
+# divisible by p (infinity = 1/0 counts as divisible).  The geodesic of
+# f = [a, b, c] crosses the Farey edge (u, v) exactly when one end lies
+# between the roots and the other does not, and the point (x, y) lies
+# between the roots exactly when f(x, y) * a < 0.  The crossed edges, in
+# order along the geodesic, form a sequence that the stabilizer gamma
+# shifts by one period; so the walk starts at a crossed edge E0, counts
+# it, and steps from triangle to triangle until the edge it reaches is
+# gamma E0 or gamma^-1 E0, whichever lies ahead.  An edge
+# h(0 -> infinity) counts by the sides of the imaginary axis on which
+# h^-1 puts the plus and the minus root.
 
 
 def _sign(x, y, D):
@@ -310,26 +317,16 @@ def _sign(x, y, D):
     return sx if x * x > D * y * y else sy
 
 
-def _edge_sign(edge, f, D, p):
-    """Intersection of the pull-back of the geodesic of f, of discriminant
-    D, through the edge's coset rep with the winding geodesic from 0 to
-    infinity: +1 if it runs from the positive half line to the negative
-    one, -1 the other way, 0 if it does not cross or the edge is not a
-    Gamma0(p) translate of the imaginary axis."""
-    (un, ud), (vn, vd) = edge
-    up, vp = ud % p == 0, vd % p == 0
-    if up == vp:
-        assert not (up and vp)
-        return 0
-    if vp:
-        (un, ud), (vn, vd) = (vn, vd), (un, ud)
-    if un * vd - vn * ud == -1:
-        vn, vd = -vn, -vd
-    # the coset rep (un, vn; ud, vd) has inverse (vd, -vn; -ud, un), which
-    # takes the root (-b +- sqrt(D))/(2a) to (vd w - vn)/(un - ud w); with
-    # both factors scaled by 2a its sign is that of
-    # (-vd b - 2a vn +- vd sqrt(D)) * (2a un + ud b -+ ud sqrt(D))
-    assert un * vd - vn * ud == 1 and ud % p == 0
+def _edge_sign(h, f, D):
+    """Intersection of the geodesic of f, of discriminant D, with the
+    unimodular edge h(0 -> infinity), h = (un, vn, ud, vd) in SL2(Z):
+    +1 if h^-1 takes the geodesic from the positive half line to the
+    negative one, -1 the other way, 0 if h^-1 of it does not cross the
+    imaginary axis."""
+    un, vn, ud, vd = h
+    # h^-1 = (vd, -vn; -ud, un) takes the root (-b +- sqrt(D))/(2a) to
+    # (vd w - vn)/(un - ud w); with both factors scaled by 2a its sign is
+    # that of (-vd b - 2a vn +- vd sqrt(D)) * (2a un + ud b -+ ud sqrt(D))
     a, b, _ = f
     x0, x1 = -vd * b - 2 * a * vn, 2 * a * un + ud * b
     plus = _sign(x0, vd, D) * _sign(x1, -ud, D)
@@ -366,10 +363,12 @@ def _start_edge(f, D, inside):
     return _norm_pt((h0, k0)), _norm_pt((h1, k1))
 
 
-def intersect_winding_enum(Q):
-    """Winding intersection number by direct enumeration of crossings:
-    the sum of _edge_sign over the Farey edges that one period of the
-    geodesic crosses."""
+def manin_table_enum(Q):
+    """manin_table(Q) by the Farey walk along one Gamma0(p)-period of
+    the geodesic: each crossed edge between u and v is h(0 -> infinity)
+    for h = (u | v) in SL2(Z), v negated if need be, and adds its
+    _edge_sign s at p1_key(vd, ud), its bottom row (ud : vd), and -s at
+    p1_key(-ud, vd), the bottom row of the reversed edge h S."""
     f = Q.form
     a, b, c = f
     D = b * b - 4 * a * c
@@ -388,19 +387,31 @@ def intersect_winding_enum(Q):
     # every edge of the walk is crossed, and a step keeps the side of the
     # edge's first point, so that side is inside(edge[0]) throughout
     uin = inside(edge[0])
-    total = 0
+    table = [0] * (p + 1)
     while edge not in stops:
-        total += _edge_sign(edge, f, D, p)
+        (un, ud), (vn, vd) = u, v = edge
+        if un * vd - vn * ud == -1:
+            vn, vd = -vn, -vd
+        s = _edge_sign((un, vn, ud, vd), f, D)
+        table[p1_key(vd, ud, p)] += s
+        table[p1_key(-ud, vd, p)] -= s
         # step across the edge into the Farey triangle (u, v, u + v).  The
         # geodesic crosses (u, v), so one root lies in the interval that
         # the edge spans and the triangles below it close in on that root:
         # the walk never turns back to u - v.  The mediant of a unimodular
         # pair is primitive, and it has a positive denominator since u and
         # v have nonnegative ones, so it is normalized as it stands
-        u, v = edge
         x, y = t = (u[0] + v[0], u[1] + v[1])
         if ((a * x * x + b * x * y + c * y * y) * a < 0) != uin:
             edge = (u, t)
         else:
             edge = (t, v)
-    return total
+    return table
+
+
+def intersect_winding_enum(Q):
+    """Winding intersection number by the Farey walk: entry p of
+    manin_table_enum(Q), the crossed edges in the Gamma0(p)-orbit of
+    0 -> infinity, those with exactly one end of denominator divisible
+    by p."""
+    return manin_table_enum(Q)[Q.p]

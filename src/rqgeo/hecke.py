@@ -1,19 +1,29 @@
 """Hecke correspondences at prime level.
 
-Two independent decompositions of <T_n Q, W>, W the winding geodesic
-from 0 to infinity.  One moves T_n onto Q: coset representatives for the
+Decompositions of <T_n Q, W>, W the winding geodesic from 0 to infinity.
+Two move T_n onto W and write T_n W as an integer combination of
+unimodular edges, so that <T_n Q, W> is a fixed combination of the
+p + 1 entries of geodesic.manin_table(Q), with no Hecke translate:
+
+* manin_counts: T_n W is the sum of the paths (b/d -> infinity) over
+  the left cosets Gamma0(p)(a, b; 0, d), ad = n, p not dividing a,
+  0 <= b < d, and Manin's continued-fraction trick writes each path as
+  a sum of unimodular edges.  The series reads these counts;
+* merel_counts: the bottom rows of Merel's set X_n, the integer
+  matrices (a, b; c, d) of determinant n with a > b >= 0 and d > c >= 0,
+  for every n <= N in one pass (Merel 1994).  It shares no coset and no
+  continued fraction with manin_counts, and verify checks every row of
+  the series against it.  The two count vectors may differ by Manin
+  relations, which every Manin table satisfies, so their pairings agree.
+
+The third moves T_n onto Q: coset representatives for the
 determinant-n Hecke operator on Gamma0(p), their partition into double
 cosets under the stabilizer of a closed geodesic, and the pairing of the
-Hecke translates against a twisted cycle.  The other moves T_n onto W
-(manin_counts): T_n W is the sum of the paths (b/d -> infinity) over the
-left cosets Gamma0(p)(a, b; 0, d), ad = n, p not dividing a, 0 <= b < d,
-and Manin's continued-fraction trick writes each path as a sum of
-unimodular edges, so <T_n Q, W> is a fixed integer combination of the
-p + 1 entries of geodesic.manin_table(Q).  The two agree when the
-discriminant of Q is fundamental, as an RM point's is: a translate's
-order then has no more units than Q's, so the translate's stabilizer is
-the conjugate of Q's and one period of each translate is its share of
-T_n Q.
+Hecke translates against a twisted cycle, which rqgeo intersect and the
+tests use.  It agrees with the other two when the discriminant of Q is
+fundamental, as an RM point's is: a translate's order then has no more
+units than Q's, so the translate's stabilizer is the conjugate of Q's and
+one period of each translate is its share of T_n Q.
 
 Each coset y Gamma0(p) has one lower-triangular representative
 (A, 0; C, n/A), with A | n prime to p and C = p j, 0 <= j < n/A, and
@@ -38,6 +48,7 @@ from .geodesic import ClosedGeodesic, intersect_winding_cycle, p1_key
 __all__ = [
     "right_cosets",
     "manin_counts",
+    "merel_counts",
     "double_cosets",
     "hecke_translate",
     "pair_with_twisted_cycle",
@@ -129,6 +140,37 @@ def manin_counts(n, p):
             for key, count in _path_counts(n // a, p).items():
                 total[key] = total.get(key, 0) + count
     return tuple(sorted((k, c) for k, c in total.items() if c))
+
+
+@lru_cache(maxsize=4)
+def merel_counts(N, p):
+    """T_n of the winding geodesic by Merel's set X_n, for every n <= N:
+    a tuple whose entry n - 1 holds the (k, count) of the bottom rows
+    (c : d), keyed k = p1_key(d, c), of the matrices (a, b; c, d) with
+    ad - bc = n, a > b >= 0 and d > c >= 0, rows that are (0, 0) mod p
+    left out (Merel 1994, Universal Fourier expansions of modular
+    forms), in increasing k.  So <T_n Q, W> = sum over k of count times
+    geodesic.manin_table(Q)[k].
+
+    One pass over (a, b, c) serves every n: ad - bc >= a + c (a - b),
+    and the d > c with ad - bc <= N form one range, n stepping by a
+    along it.
+    """
+    inv = [pow(c, -1, p) if c % p else 0 for c in range(N + 1)]
+    counts = [{} for _ in range(N + 1)]
+    for a in range(1, N + 1):
+        for b in range(a):
+            c = 0
+            while a + c * (a - b) <= N:
+                n, ic = a * (c + 1) - b * c, inv[c]
+                for d in range(c + 1, (N + b * c) // a + 1):
+                    if ic or d % p:
+                        k = d * ic % p if ic else p         # p1_key(d, c)
+                        row = counts[n]
+                        row[k] = row.get(k, 0) + 1
+                    n += a
+                c += 1
+    return tuple(tuple(sorted(row.items())) for row in counts[1:])
 
 
 def double_cosets(Q, n):

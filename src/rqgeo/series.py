@@ -4,9 +4,10 @@ The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
 the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the +r RM points Q with the winding geodesic W (pairing_table), weighted
 by the character.  Each pairing is read off one Manin table of Q
-(geodesic.manin_table, hecke.manin_counts); check_pairing_table checks
-those rows against the sums over Q's Hecke translates, each translate
-counted by both intersection algorithms.  For genus-zero levels the
+(geodesic.manin_table, hecke.manin_counts); check_pairing_table counts
+each again with no Hecke translate: Q's Manin table by the Farey walk
+(geodesic.manin_table_enum) and T_n W by Merel's set
+(hecke.merel_counts).  For genus-zero levels the
 space of such forms is one-dimensional and the whole series is pinned by
 a single proportionality; for p = 11 it is two-dimensional and the cusp
 direction is spanned by an eta product.
@@ -17,9 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesic import InertPrime, choose_r, manin_table, rm_points
+from .geodesic import InertPrime, choose_r, manin_table, manin_table_enum
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
-from .hecke import manin_counts, pair_with_twisted_cycle, sigma1
+from .geodesic import rm_points
+from .hecke import manin_counts, merel_counts, sigma1
 
 __all__ = [
     "QSeries",
@@ -43,7 +45,7 @@ PAIRING_FACTOR = -4
 
 
 class AlgorithmMismatch(Exception):
-    """The two intersection algorithms disagreed (should never happen)."""
+    """Two independent counts disagreed (should never happen)."""
 
 
 def intersect_both(t):
@@ -106,7 +108,7 @@ def pairing_table(F, G, p, r, N):
 
     A point's row is its Manin table (manin_table) summed against
     hecke.manin_counts(n, p): no Hecke translate is built.
-    check_pairing_table checks the rows against the translates.
+    check_pairing_table checks the rows by a second count of each.
 
     Only the +r points are paired.  Reversing the +r point f_c of class c
     gives -f_c, a -r RM form of class sigma(c) = c^-1 s, s the class of
@@ -135,20 +137,30 @@ def pairing_table(F, G, p, r, N):
 
 
 def check_pairing_table(F, G, p, r, N):
-    """Check pairing_table(F, G, p, r, N) against the Hecke translates:
-    sum intersect_both, which checks cycle == enum, over the translates
-    of each +r point by T_n, n = 1..N, and compare the sums with the
-    point's row, right double cosets against left cosets.  Raises
-    AlgorithmMismatch naming the translate, or the point and n."""
+    """Check pairing_table(F, G, p, r, N) by a second count of each +r
+    point Q, with no Hecke translate: Q's Manin table must equal the one
+    the Farey walk gives (geodesic.manin_table_enum), entry by entry, and
+    for every n the pairing of the table with Merel's set X_n
+    (hecke.merel_counts) must equal Q's row, which pairs it with the left
+    cosets of manin_counts.  The two edge counts of T_n W may differ by
+    Manin relations, which every table satisfies, so the pairings are
+    compared, not the counts.  Raises AlgorithmMismatch naming the point
+    and the P^1 key or n."""
+    merel = merel_counts(N, p)
     for (row, _), (Q, _) in zip(pairing_table(F, G, p, r, N),
                                 rm_points(F, G, p, choose_r(F, p, r))):
-        sums = tuple(pair_with_twisted_cycle(((1, Q),), n, intersect_both)
-                     for n in range(1, N + 1))
-        for n in range(1, N + 1):
-            if row[n - 1] != sums[n - 1]:
+        table, farey = manin_table(Q), manin_table_enum(Q)
+        for k in range(p + 1):
+            if table[k] != farey[k]:
                 raise AlgorithmMismatch(
-                    "RM point %r at n=%d: manin=%r double cosets=%r"
-                    % (Q.form, n, row[n - 1], sums[n - 1]))
+                    "RM point %r at key %d: cycle=%r farey=%r"
+                    % (Q.form, k, table[k], farey[k]))
+        for n in range(1, N + 1):
+            value = sum(c * table[k] for k, c in merel[n - 1])
+            if row[n - 1] != value:
+                raise AlgorithmMismatch(
+                    "RM point %r at n=%d: manin=%r merel=%r"
+                    % (Q.form, n, row[n - 1], value))
 
 
 def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):

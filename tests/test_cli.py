@@ -74,36 +74,37 @@ class TestVerify:
                          "pm_halves", "psi_inverse"]
 
     def test_three_hecke_passes(self, monkeypatch):
-        # the tables at r, -r and r + 2p read Manin tables and build no
-        # translate; check_pairing_table walks the translates of the +r
-        # points of the report's table and of the -r points of the table
-        # at -r, with both algorithms on each
-        calls = {"translate": 0, "enum": 0}
-        translate = rqgeo.hecke.hecke_translate
-        enum = rqgeo.series.intersect_winding_enum
+        # the tables at r, -r and r + 2p read Manin tables, and
+        # check_pairing_table checks each of their +r points by one Farey
+        # walk and Merel's set: verify builds no Hecke translate
+        calls = {"translate": 0, "double_cosets": 0, "farey": []}
+        farey = rqgeo.series.manin_table_enum
 
-        def counted_translate(Q, n):
-            calls["translate"] += 1
-            return translate(Q, n)
+        def refused(name):
+            def counted(*args):
+                calls[name] += 1
+                raise AssertionError("Hecke translate in verify")
+            return counted
 
-        def counted_enum(t):
-            calls["enum"] += 1
-            return enum(t)
-        monkeypatch.setattr(rqgeo.hecke, "hecke_translate", counted_translate)
-        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
-                            counted_enum)
-        N = 6
+        def counted_farey(Q):
+            calls["farey"].append(Q.form)
+            return farey(Q)
+        monkeypatch.setattr(rqgeo.hecke, "hecke_translate",
+                            refused("translate"))
+        monkeypatch.setattr(rqgeo.hecke, "double_cosets",
+                            refused("double_cosets"))
+        monkeypatch.setattr(rqgeo.series, "manin_table_enum", counted_farey)
         code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
-                                   "--N", str(N), "--no-cache")
+                                   "--N", "6", "--no-cache")
         assert code == EXIT_OK and rep["passed"]
+        assert calls["translate"] == calls["double_cosets"] == 0
         F = build_field(6)
         G = narrow_class_group(F)
-        points = [Q for pair in rm_points(F, G, 5, choose_r(F, 5))
-                  for Q in pair]
-        assert len(points) == 2 * G.h
-        assert calls["translate"] == 2 * G.h * N
-        assert calls["enum"] == sum(len(translate(Q, n)) for Q in points
-                                    for n in range(1, N + 1))
+        r = choose_r(F, 5)
+        points = [pair[0].form for s in (r, -r, r + 10)
+                  for pair in rm_points(F, G, 5, s)]
+        assert len(points) == 3 * G.h
+        assert calls["farey"] == points
 
     def test_three_tables(self):
         # the tables at r, -r and r + 2p; pm_halves and psi_inverse read
@@ -206,6 +207,15 @@ class TestInfoCommands:
             assert r in (None, got)
             x = QuadIrr(-got, 1, 2, build_field(D).d_F)
             assert 2 * x.norm() == rep["rmpoints"]["N0"]
+
+    def test_rmpoints_at_a_large_prime(self):
+        # the default r is a Tonelli-Shanks root, not a search over r < 4p
+        p = 2 ** 61 - 1
+        code, rep, _ = invoke_json("rmpoints", "--D", "5", "--p", str(p))
+        assert code == EXIT_OK and not rep["inert"]
+        r = rep["rmpoints"]["r"]
+        assert r == choose_r(build_field(5), p) and (r * r - 5) % (4 * p) == 0
+        assert rep["rmpoints"]["classes"][0]["form_plus"][:2] == [p, -r]
 
     @pytest.mark.parametrize("D, p, n, triple", [
         # a_2 = -2 * pairing = 24 = 8 * sigma1(2)
@@ -353,25 +363,34 @@ class TestExitCodes:
         assert failed == ["pm_halves"]
 
     def test_dual_algorithm_can_fail(self, monkeypatch):
-        # the report series reads the Manin rows, so the coefficients and
-        # every other check are unchanged
-        enum = rqgeo.series.intersect_winding_enum
-        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
-                            lambda t: enum(t) + 1)
+        # one entry of every Farey table off by one: the report series
+        # reads the Manin rows, so the coefficients and every other check
+        # are unchanged
+        farey = rqgeo.series.manin_table_enum
+
+        def corrupted(Q):
+            table = farey(Q)
+            table[1] += 1
+            return table
+        monkeypatch.setattr(rqgeo.series, "manin_table_enum", corrupted)
         failed, rep = self._failed_checks()
         assert failed == ["dual_algorithm"]
+        assert "at key 1:" in rep["checks"][0]["detail"]
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
 
     def test_dual_algorithm_sees_a_dropped_coset(self, monkeypatch):
-        # without the last double coset of each n > 1 every translate
-        # still agrees with itself; the Manin row, from the left cosets,
-        # does not agree with the sum
-        double_cosets = rqgeo.hecke.double_cosets
+        # without one matrix of Merel's set for each n > 1 the Manin
+        # tables still agree with the Farey walks; the Manin rows, from
+        # the left cosets, do not agree with the Merel pairings
+        merel = rqgeo.series.merel_counts
 
-        def dropped(Q, n):
-            reps = double_cosets(Q, n)
-            return reps[:-1] if n > 1 else reps
-        monkeypatch.setattr(rqgeo.hecke, "double_cosets", dropped)
+        def dropped(N, p):
+            # one matrix fewer at the last key of every n > 1, the key p
+            # of (n, 0; 0, 1)
+            rows = merel(N, p)
+            return rows[:1] + tuple(row[:-1] + ((row[-1][0], row[-1][1] - 1),)
+                                    for row in rows[1:])
+        monkeypatch.setattr(rqgeo.series, "merel_counts", dropped)
         failed, rep = self._failed_checks()
         assert failed == ["dual_algorithm"]
         dual = rep["checks"][0]
@@ -380,28 +399,30 @@ class TestExitCodes:
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
 
     def test_dual_algorithm_checks_the_minus_points(self, monkeypatch):
-        # drop the last double coset of each n > 1 for the -r points only
-        # (b = r = 8 mod 10 at (6, 5)): only the check of the table at -r
-        # walks their translates
-        double_cosets = rqgeo.hecke.double_cosets
+        # corrupt the Farey tables of the -r points only (b = r = 8
+        # mod 10 at (6, 5)): only the check of the table at -r reads them
+        farey = rqgeo.series.manin_table_enum
 
-        def dropped(Q, n):
-            reps = double_cosets(Q, n)
-            return reps[:-1] if n > 1 and Q.form.b % 10 == 8 else reps
-        monkeypatch.setattr(rqgeo.hecke, "double_cosets", dropped)
+        def corrupted(Q):
+            table = farey(Q)
+            if Q.form.b % 10 == 8:
+                table[1] += 1
+            return table
+        monkeypatch.setattr(rqgeo.series, "manin_table_enum", corrupted)
         failed, rep = self._failed_checks()
         assert failed == ["dual_algorithm"]
         assert rep["checks"][0]["detail"].startswith(
-            "RM point QuadForm(-5, 8, -2) at n=2:")
+            "RM point QuadForm(-5, 8, -2) at key 1:")
 
     def test_r_plus_2p_can_fail(self, monkeypatch):
         # negate the pairing rows at every r but the default root and its
-        # negative, wherever verify reads them: the table at r + 2p then
+        # negative where the check reads them: the table at r + 2p then
         # comes out negated.  Reversed RM points would trip pairing_table's
         # class assert, and the table at -r, which pm_halves reads, stays
-        # as it is.
+        # as it is.  check_pairing_table reads the rows through
+        # rqgeo.series, so dual_algorithm still sees the true table
         default_r = choose_r(build_field(6), 5)
-        pairing_table = rqgeo.series.pairing_table
+        pairing_table = rqgeo.cli.pairing_table
 
         def skewed(F, G, p, r, N):
             table = pairing_table(F, G, p, r, N)
@@ -409,7 +430,6 @@ class TestExitCodes:
                 return table
             return tuple(tuple(tuple(-v for v in row) for row in pair)
                          for pair in table)
-        monkeypatch.setattr(rqgeo.series, "pairing_table", skewed)
         monkeypatch.setattr(rqgeo.cli, "pairing_table", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["r_plus_2p"]

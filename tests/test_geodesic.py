@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rqgeo.geodesic
-from rqgeo.exact import Mat2, divisors
+from rqgeo.exact import Mat2, divisors, is_prime, squarefree_part
 from rqgeo.field import (
     QuadForm,
     _reduced_forms,
@@ -32,6 +32,7 @@ from rqgeo.geodesic import (
     intersect_winding_cycle,
     intersect_winding_enum,
     manin_table,
+    manin_table_enum,
     p1_key,
     rm_points,
     twisted_cycle,
@@ -122,6 +123,35 @@ class TestChooseR:
         with pytest.raises(InertPrime):
             choose_r(build_field(3), 5, r=8)
 
+    def test_default_is_the_least_root(self):
+        # the Tonelli-Shanks root lifted mod 2p gives the r that stepping
+        # r = 1, 2, ... finds, for every squarefree D < 300 at every split
+        # p <= 97
+        def linear_search(d, p):
+            r = 1
+            while (r * r - d) % (4 * p) or r * r <= d:
+                r += 1
+            return r
+        cases = 0
+        for D in range(2, 300):
+            if squarefree_part(D)[1] != 1:
+                continue
+            F = build_field(D)
+            for p in range(3, 98, 2):
+                if (not is_prime(p) or F.d_F % p == 0
+                        or pow(F.d_F, (p - 1) // 2, p) != 1):
+                    continue
+                assert choose_r(F, p) == linear_search(F.d_F, p), (D, p)
+                cases += 1
+        assert cases == 2022
+
+    def test_large_prime(self):
+        # O(log p): p = 2^61 - 1 splits in Q(sqrt(5))
+        p = 2 ** 61 - 1
+        r = choose_r(build_field(5), p)
+        assert r == 659791110852991619
+        assert (r * r - 5) % (4 * p) == 0 and r < 2 * p
+
     def test_composite_rejected(self):
         # rejected before the residue test (which 28 passes mod 9)
         for p in (9, 25):
@@ -129,18 +159,10 @@ class TestChooseR:
                 choose_r(build_field(7), p)
 
 
-def _oracle_edge_sign(edge, f, p):
+def _oracle_edge_sign(h, f):
     """_edge_sign by the reference route: the straddle of the Moebius
-    images of f's roots, as quadratic irrationals, under the inverse of
-    the edge's coset rep."""
-    (un, ud), (vn, vd) = edge
-    if (ud % p == 0) == (vd % p == 0):
-        return 0
-    if vd % p == 0:
-        (un, ud), (vn, vd) = (vn, vd), (un, ud)
-    if un * vd - vn * ud == -1:
-        vn, vd = -vn, -vd
-    inv = Mat2(un, vn, ud, vd).adjugate()
+    images of f's roots, as quadratic irrationals, under h^-1."""
+    inv = h.adjugate()
     alpha = mobius(inv, plus_root(f)).sign()
     beta = mobius(inv, minus_root(f)).sign()
     assert alpha and beta
@@ -162,12 +184,17 @@ def _pell_near_misses(limit):
     return out
 
 
-def _gamma0_edge(rng, p):
-    """The edge (delta 1/0, delta 0/1) of a random delta in Gamma0(p)."""
-    delta = (Mat2(1, rng.randrange(-4, 5), 0, 1)
-             * Mat2(1, 0, p * rng.randrange(-3, 4), 1)
-             * Mat2(1, rng.randrange(-4, 5), 0, 1))
-    return ((delta.a, delta.c), (delta.b, delta.d))
+def _unimodular(rng, p):
+    """A random element h of SL2(Z): half of them in Gamma0(p), so that
+    h(0 -> infinity) is a translate of the imaginary axis, a quarter
+    times S = (0, -1; 1, 0), which reverses it, and a quarter times
+    (1, 0; 1, 1), whose edge h(0 -> 1) has both denominators prime to p
+    and is no translate of the axis."""
+    h = (Mat2(1, rng.randrange(-4, 5), 0, 1)
+         * Mat2(1, 0, p * rng.randrange(-3, 4), 1)
+         * Mat2(1, rng.randrange(-4, 5), 0, 1))
+    return h * rng.choice((Mat2(1, 0, 0, 1), Mat2(1, 0, 0, 1),
+                           Mat2(0, -1, 1, 0), Mat2(1, 0, 1, 1)))
 
 
 class TestStraddle:
@@ -181,19 +208,22 @@ class TestStraddle:
         assert _sign(2, -1, 5) == -1    # 2 < sqrt(5)
         assert _sign(5, 0, 7) == 1 and _sign(-1, 0, 7) == -1
         assert _sign(0, 0, 7) == 0
-        axis = ((1, 0), (0, 1))         # infinity and 0: the axis itself
+        axis = (1, 0, 0, 1)             # the identity: 0 -> infinity
         f = QuadForm(1, 0, -2)          # from sqrt(2) to -sqrt(2)
-        assert _edge_sign(axis, f, 8, 5) == 1
-        assert _edge_sign(axis, QuadForm(-1, 0, 2), 8, 5) == -1
-        assert _edge_sign(axis, QuadForm(1, -4, 2), 8, 5) == 0   # 2 +- sqrt(2)
-        # both ends prime to p: not a translate of the axis
-        assert _edge_sign(((0, 1), (1, 1)), f, 8, 5) == 0
-        # the axis moved by delta = (1, 0; 5, 1) meets f o delta^-1
-        # exactly as the axis meets f
-        delta = Mat2(1, 0, 5, 1)
-        g = f.apply(delta.adjugate())
-        assert _edge_sign(((1, 5), (0, 1)), g, 8, 5) == 1
-        assert _edge_sign(((0, 1), (1, 5)), g, 8, 5) == 1
+        assert _edge_sign(axis, f, 8) == 1
+        assert _edge_sign(axis, QuadForm(-1, 0, 2), 8) == -1
+        assert _edge_sign(axis, QuadForm(1, -4, 2), 8) == 0   # 2 +- sqrt(2)
+        # the reversed axis, S = (0, -1; 1, 0)
+        assert _edge_sign((0, -1, 1, 0), f, 8) == -1
+        # the edge h(0 -> infinity) = (-1 -> 0), h = (0, -1; 1, 1), not a
+        # translate of the axis for any p, which 1 +- sqrt(2) straddle
+        assert _edge_sign((0, -1, 1, 1), QuadForm(1, -2, -1), 8) == -1
+        # the axis moved by h = (1, 0; 5, 1) meets f o h^-1 exactly as the
+        # axis meets f, and the reversed edge h S the other way
+        h = Mat2(1, 0, 5, 1)
+        g = f.apply(h.adjugate())
+        assert _edge_sign(h.entries(), g, 8) == 1
+        assert _edge_sign((h * Mat2(0, -1, 1, 0)).entries(), g, 8) == -1
 
     def test_sign_against_quadirr(self):
         rng = random.Random(29)
@@ -208,20 +238,24 @@ class TestStraddle:
             assert _sign(x, y, D) == QuadIrr(x, y, 1, D).sign(), (x, y, D)
 
     def test_irrational_endpoints(self):
-        # against the Moebius route on random translates of the axis, and
-        # reversing the geodesic negates the intersection
+        # against the Moebius route on random unimodular edges, Gamma0(p)
+        # translates of the axis and others; reversing the geodesic or
+        # the edge negates the intersection
         rng = random.Random(5)
+        crossed = 0
         for p in (3, 5, 7, 13):
             for _ in range(150):
                 f = _random_form(rng)
                 D = f.disc()
-                edge = _gamma0_edge(rng, p)
-                if rng.random() < 0.5:
-                    edge = edge[::-1]
-                got = _edge_sign(edge, f, D, p)
-                assert got == _oracle_edge_sign(edge, f, p), (edge, f, p)
+                h = _unimodular(rng, p)
+                got = _edge_sign(h.entries(), f, D)
+                assert got == _oracle_edge_sign(h, f), (h, f)
                 R = QuadForm(-f.a, -f.b, -f.c)
-                assert _edge_sign(edge, R, D, p) == -got
+                assert _edge_sign(h.entries(), R, D) == -got
+                hS = h * Mat2(0, -1, 1, 0)
+                assert _edge_sign(hS.entries(), f, D) == -got
+                crossed += got != 0
+        assert crossed > 10
 
 
 def _convergents(w):
@@ -479,22 +513,27 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
     translates = hecke_translate(Q, n)
     t = translates[(pick // len(terms)) % len(translates)]
     t = translate(t, Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
-    # every edge the Farey walk signs is checked against the Moebius route
+    # every edge the Farey walk signs, a translate of the axis or not, is
+    # checked against the Moebius route
     seen = []
     edge_sign = rqgeo.geodesic._edge_sign
 
-    def recorded(edge, f, D, p):
-        seen.append((edge, edge_sign(edge, f, D, p)))
+    def recorded(h, f, D):
+        seen.append((h, edge_sign(h, f, D)))
         return seen[-1][1]
     rqgeo.geodesic._edge_sign = recorded
     try:
-        enum = intersect_winding_enum(t)
+        table = manin_table_enum(t)
     finally:
         rqgeo.geodesic._edge_sign = edge_sign
-    assert intersect_winding_cycle(t) == enum
-    assert seen and sum(v for _, v in seen) == enum
-    for edge, v in seen:
-        assert v == _oracle_edge_sign(edge, t.form, p), (edge, t.form)
+    assert manin_table(t) == table
+    assert intersect_winding_cycle(t) == table[p] == intersect_winding_enum(t)
+    tally = [0] * (p + 1)
+    for h, v in seen:
+        assert v == _oracle_edge_sign(Mat2(*h), t.form), (h, t.form)
+        tally[p1_key(h[3], h[2], p)] += v
+        tally[p1_key(-h[2], h[3], p)] -= v
+    assert seen and tally == table
 
 
 @settings(max_examples=100, deadline=None)
@@ -510,6 +549,7 @@ def test_manin_table_equals_farey_walk(p, a, b, c):
     Q = ClosedGeodesic(f, p)
     table = manin_table(Q)
     assert table == manin_table_farey(Q), (f, p)
+    assert table == manin_table_enum(Q), (f, p)
     assert table[p] == intersect_winding_cycle(Q)
     assert manin_table(Q.reversed()) == [-v for v in table]
     # the edge of bottom row (c : d) reversed has bottom row (d : -c)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rqgeo.hecke
 from rqgeo.exact import Mat2, squarefree_part
@@ -12,6 +14,7 @@ from rqgeo.geodesic import (
     intersect_winding_cycle,
     intersect_winding_enum,
     manin_table,
+    p1_key,
     rm_points,
     twisted_cycle,
 )
@@ -20,6 +23,7 @@ from rqgeo.hecke import (
     double_cosets,
     hecke_translate,
     manin_counts,
+    merel_counts,
     pair_with_twisted_cycle,
     right_cosets,
     sigma1,
@@ -443,3 +447,72 @@ class TestManinCounts:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             manin_counts(0, 5)
+
+
+def _merel_set(n, p):
+    """The bottom-row counts of Merel's X_n, one n at a time: every
+    (a, b; c, d) with a > b >= 0, d > c >= 0 and ad - bc = n, d found by
+    division; rows (0, 0) mod p are left out."""
+    counts = {}
+    for a in range(1, n + 1):
+        for b in range(a):
+            for c in range(n):
+                if n + b * c < a * (c + 1):
+                    break
+                d, rem = divmod(n + b * c, a)
+                if rem == 0 and not (c % p == 0 and d % p == 0):
+                    k = p1_key(d, c, p)
+                    counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+# RM points of every split (D, p), D squarefree below 200 and p <= 23:
+# levels with and without a modularity model
+RM_CASES = tuple((D, p) for D in range(2, 200) if squarefree_part(D)[1] == 1
+                 for p in (3, 5, 7, 11, 13, 17, 19, 23)
+                 if pow(D if D % 4 == 1 else 4 * D, (p - 1) // 2, p) == 1)
+
+
+class TestMerelCounts:
+    def test_equals_the_set_for_each_n(self):
+        for p in (3, 5, 11, 13):
+            rows = merel_counts(60, p)
+            assert len(rows) == 60
+            for n in range(1, 61):
+                assert rows[n - 1] == _merel_set(n, p), (n, p)
+
+    def test_n1_is_the_axis(self):
+        # X_1 = {identity}, the edge of bottom row (0 : 1)
+        for p in (3, 5, 13):
+            assert merel_counts(1, p) == (((p, 1),),)
+
+    def test_pairing_beyond_fundamental_discriminants(self):
+        # Merel's set and the left cosets are two decompositions of T_n W,
+        # so they pair alike with every Manin table, also where the
+        # translate sums fall short (test_translates_need_a_fundamental_
+        # discriminant)
+        Q = ClosedGeodesic(QuadForm(-4, 6, 9), 11)
+        table = manin_table(Q)
+        assert [sum(c * table[k] for k, c in row)
+                for row in merel_counts(5, 11)] == [-16, -52, -68, -116, -100]
+
+    def test_rows_differ_by_manin_relations(self):
+        # the two edge counts of T_n W are not equal as vectors; only
+        # their pairings with Manin tables agree
+        assert merel_counts(2, 5)[1] != manin_counts(2, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(RM_CASES), pick=st.integers(0, 10 ** 6))
+def test_merel_pairing_equals_manin_row(case, pick):
+    # a random RM point, of either sign of r, paired with Merel's set and
+    # with the left cosets for every n <= 30, p | n included
+    D, p = case
+    F = build_field(D)
+    G = narrow_class_group(F)
+    points = [Q for pair in rm_points(F, G, p, choose_r(F, p)) for Q in pair]
+    Q = points[pick % len(points)]
+    table = manin_table(Q)
+    for n, row in enumerate(merel_counts(30, p), 1):
+        assert sum(c * table[k] for k, c in row) == \
+            sum(c * table[k] for k, c in manin_counts(n, p)), (D, p, Q, n)

@@ -256,8 +256,9 @@ if missing:
 recorder = Recorder()
 recorder.install()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = rqgeo.cli.run(["verify", "--D", "6", "--p", "5", "--N", "4",
-                          "--no-cache"])
+    code = max(rqgeo.cli.run(argv) for argv in (
+        ["verify", "--D", "6", "--p", "5", "--N", "4", "--no-cache"],
+        ["intersect", "--D", "6", "--p", "5", "--n", "2"]))
 F = rqgeo.field.build_field(15)
 G = rqgeo.field.narrow_class_group(F)
 rqgeo.series.diagonal_restriction(F, G, rqgeo.field.odd_characters(G)[0], 7,
@@ -319,8 +320,10 @@ def _resolves(dotted):
 
 def test_benchmark_hooks_resolve():
     # the benchmark binds package functions by name (tracing.TARGETS) and
-    # reads lru_cache statistics; a traced verify run and a library series
-    # must reach every layer it reports
+    # reads lru_cache statistics; a traced verify run, a traced intersect
+    # run and a library series must reach every layer it reports.  verify
+    # builds no Hecke translate, so the translate layer and both
+    # intersection algorithms on translates come from intersect
     bench = os.path.join(ROOT, "benchmarks")
     names = set()
     for path in sorted(glob.glob(os.path.join(bench, "*.py"))):

@@ -10,7 +10,7 @@ from rqgeo.field import (
     narrow_class_group,
     odd_characters,
 )
-from rqgeo.exact import Mat2, squarefree_part
+from rqgeo.exact import squarefree_part
 from rqgeo.geodesic import (
     choose_r,
     intersect_winding_enum,
@@ -26,10 +26,11 @@ from rqgeo.series import (
     check_pairing_table,
     diagonal_restriction,
     eta_product_coeffs,
+    intersect_both,
     modularity_check,
     pairing_table,
 )
-from rqgeo.hecke import pair_with_twisted_cycle, sigma1
+from rqgeo.hecke import merel_counts, pair_with_twisted_cycle, sigma1
 
 
 def _setup(D):
@@ -154,30 +155,46 @@ class TestInvariance:
                                                     intersect_winding_enum))
             for n in range(1, 9)}
 
-    def test_both_checks_each_translate(self, monkeypatch):
-        # an enum that is off by one on every translate: the psi-weighted
-        # pairings of the two algorithms still agree at (6, 5), because
-        # the +1s cancel, so only a per-translate check sees it
+    def test_both_checks_each_entry(self, monkeypatch):
+        # a Farey table off by one at key 1 of every point: at (6, 5) no
+        # edge count of T_n W, n <= 4, has key 1, so every pairing of the
+        # wrong table still equals the point's row and only the
+        # entry-by-entry comparison sees it
         F, G, _ = _setup(6)
-        enum = rqgeo.series.intersect_winding_enum
-        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
-                            lambda t: enum(t) + 1)
-        with pytest.raises(AlgorithmMismatch, match="translate"):
-            check_pairing_table(F, G, 5, choose_r(F, 5), 2)
+        farey = rqgeo.series.manin_table_enum
+
+        def corrupted(Q):
+            table = farey(Q)
+            table[1] += 1
+            return table
+        monkeypatch.setattr(rqgeo.series, "manin_table_enum", corrupted)
+        r = choose_r(F, 5)
+        for (row, _), (Q, _) in zip(pairing_table(F, G, 5, r, 4),
+                                    rm_points(F, G, 5, r)):
+            wrong = corrupted(Q)
+            assert [sum(c * wrong[k] for k, c in merel)
+                    for merel in merel_counts(4, 5)] == list(row)
+        with pytest.raises(AlgorithmMismatch, match=r"RM point .* at key 1:"):
+            check_pairing_table(F, G, 5, r, 4)
 
     @pytest.mark.parametrize("wrong, first", [
-        (lambda reps, n: reps[:-1] if n > 1 else reps, 2),
-        (lambda reps, n: tuple(Mat2(m.a, m.c, m.b, m.d) for m in reps), 3)],
+        (lambda rows, p: rows[:1] + tuple(
+            row[:-1] + ((row[-1][0], row[-1][1] - 1),) for row in rows[1:]),
+         2),
+        (lambda rows, p: tuple(
+            tuple(sorted((p if k == 0 else 0 if k == p else pow(k, -1, p), c)
+                         for k, c in row)) for row in rows),
+         1)],
         ids=["dropped", "transposed"])
     def test_both_checks_each_row(self, monkeypatch, wrong, first):
-        # drop the last double coset of every n > 1, or transpose every
-        # rep: each translate still agrees with itself and passes the
-        # translate's root check, so only the row check against the left
-        # cosets of the Manin table sees it
-        double_cosets = rqgeo.hecke.double_cosets
-        monkeypatch.setattr(
-            rqgeo.hecke, "double_cosets",
-            lambda Q, n: wrong(double_cosets(Q, n), n))
+        # drop one matrix of Merel's set for every n > 1 (at the key p of
+        # (n, 0; 0, 1)), or key every matrix by its transposed bottom row
+        # (d : c): each Manin table still agrees with its Farey walk, so
+        # only the row check against the left cosets of manin_counts sees
+        # it
+        merel = rqgeo.series.merel_counts
+        monkeypatch.setattr(rqgeo.series, "merel_counts",
+                            lambda N, p: wrong(merel(N, p), p))
         F, G, _ = _setup(6)
         with pytest.raises(AlgorithmMismatch,
                            match=r"RM point .* at n=%d:" % first):
@@ -310,8 +327,9 @@ class TestPairingTable:
         assert results[0] == results[1]
 
     def test_cycle_builds_no_translate(self, monkeypatch):
-        # the table reads every pairing off the Manin tables; only its
-        # check builds translates
+        # the table reads every pairing off the Manin tables, and its
+        # check compares Manin tables and Merel's set: neither builds a
+        # translate
         def refused(*args, **kwargs):
             raise AssertionError("Hecke translate on the cycle path")
         for name in ("hecke_translate", "double_cosets"):
@@ -320,8 +338,9 @@ class TestPairingTable:
         S = diagonal_restriction(F, G, psi, 5, N=12)
         assert [S.coeffs[n] for n in range(1, 13)] == [
             8 * sigma1(n, 5) for n in range(1, 13)]
-        with pytest.raises(AssertionError, match="translate"):
-            check_pairing_table(F, G, 5, choose_r(F, 5), 12)
+        r = choose_r(F, 5)
+        for s in (r, -r, r + 10):
+            check_pairing_table(F, G, 5, s, 12)
 
 
 # every split (D, p), D squarefree below 300 and p <= 23
@@ -333,15 +352,20 @@ SPLIT = tuple((D, p) for D in range(2, 300) if squarefree_part(D)[1] == 1
 @settings(max_examples=8, deadline=None)
 @given(pair=st.sampled_from(SPLIT), N=st.integers(1, 20))
 def test_cycle_table_equals_enum_table(pair, N):
-    # the Manin rows against the translate sums, each translate counted
-    # by both algorithms, at r and -r; eight draws keep it to a few
-    # seconds
+    # the table's check at r and -r, and the Manin rows against the
+    # translate sums, each translate counted by both algorithms; eight
+    # draws keep it to a few seconds
     D, p = pair
     F = build_field(D)
     G = narrow_class_group(F)
     r = choose_r(F, p)
     for s in (r, -r):
         check_pairing_table(F, G, p, s, N)
+        for (row, _), (Q, _) in zip(pairing_table(F, G, p, s, N),
+                                    rm_points(F, G, p, s)):
+            assert row == tuple(
+                pair_with_twisted_cycle(((1, Q),), n, intersect_both)
+                for n in range(1, N + 1)), (D, p, s, Q)
 
 
 class TestModularityCheck:
