@@ -14,8 +14,10 @@ share nothing but the exact arithmetic layer:
            telling the sides of each vertex by the sign of the form.
 
 The series itself builds no translate: T_n moves onto the winding
-geodesic, whose Hecke images are fixed sums of unimodular edges, so one
-Manin table of p + 1 crossing numbers per point gives every pairing.
+geodesic, whose Hecke images are fixed sums of unimodular edges
+(manin_counts counts them for every n <= N in one pass), so one Manin
+table of p + 1 crossing numbers per point gives every pairing
+(pairing_row).
 """
 
 from rqgeo import (
@@ -28,6 +30,7 @@ from rqgeo import (
     manin_table,
     narrow_class_group,
     odd_characters,
+    pairing_row,
     twisted_cycle,
 )
 
@@ -65,10 +68,10 @@ print("\nManin tables, entry k for the bottom row (1 : k), p for (0 : 1):")
 for coeff, table in tables:
     print("  coeff %+d   %s" % (coeff, table))
 print("the same pairings as sums of R_n[k] * table[k]:")
+counts = manin_counts(4, p)
+rows = [(coeff, pairing_row(table, counts)) for coeff, table in tables]
 for n in (1, 2, 3, 4):
-    counts = manin_counts(n, p)
-    pairing = sum(coeff * sum(c * table[k] for k, c in counts)
-                  for coeff, table in tables)
-    print("  n = %d: R_n = %s, pairing %d" % (n, dict(counts), pairing))
+    pairing = sum(coeff * row[n - 1] for coeff, row in rows)
+    print("  n = %d: R_n = %s, pairing %d" % (n, dict(counts[n - 1]), pairing))
 print("\nevery pairing is even (both square roots trace the same locus)")
 print("and the series coefficient is a_n = -2 * pairing.")

@@ -35,6 +35,7 @@ from .hecke import (
     manin_counts,
     merel_counts,
     pair_with_twisted_cycle,
+    pairing_row,
     right_cosets,
     sigma1,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "manin_counts",
     "merel_counts",
     "pair_with_twisted_cycle",
+    "pairing_row",
     "right_cosets",
     "sigma1",
     "NotApplicable",

@@ -5,10 +5,10 @@ verify, verify-analytic; each takes only the options it reads.  Exit
 codes: 0 success (including inert primes, which yield a structured zero
 series), 2 verification mismatch (a failed check, or the two
 intersection algorithms disagreeing on a translate in intersect), 3
-domain errors (bad input, a malformed command line included, a
-character this version cannot handle exactly, or verify-analytic
-without mpmath), 4 internal error (a broken invariant: AssertionError
-or RuntimeError).
+domain errors (bad input, a malformed command line included, a level
+above MAX_LEVEL for series, verify and intersect, a character this
+version cannot handle exactly, or verify-analytic without mpmath), 4
+internal error (a broken invariant: AssertionError or RuntimeError).
 
 verify builds three pairing tables of h RM points each, h the narrow
 class number, from Manin rows: at r for the report series, which the
@@ -29,6 +29,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .field import (
     all_characters,
@@ -56,6 +57,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
+
+# the largest p of series, verify and intersect; their cost grows like p
+MAX_LEVEL = 10 ** 7
 
 
 class VerificationFailure(Exception):
@@ -126,6 +130,15 @@ def _character(G, args):
             "characters of order %d are not supported yet: their values "
             "are not exact" % odd[idx].order)
     return odd[idx]
+
+
+def _setup(args):
+    """(F, G, psi, p) of intersect, series and verify, p <= MAX_LEVEL."""
+    if args.p > MAX_LEVEL:
+        raise ValueError("p = %d is above the largest supported level %d"
+                         % (args.p, MAX_LEVEL))
+    G = narrow_class_group(build_field(args.D))
+    return G.field, G, _character(G, args), args.p
 
 
 def _base_report(args, **extra):
@@ -202,10 +215,7 @@ def cmd_rmpoints(args):
 
 
 def cmd_intersect(args):
-    F = build_field(args.D)
-    p = args.p
-    G = narrow_class_group(F)
-    psi = _character(G, args)
+    F, G, psi, p = _setup(args)
     n = args.n
     if n < 1:
         raise ValueError("n must be positive")
@@ -236,18 +246,11 @@ def _series_report(args, F, G, psi, p):
 
 
 def cmd_series(args):
-    F = build_field(args.D)
-    G = narrow_class_group(F)
-    psi = _character(G, args)
-    rep, _ = _series_report(args, F, G, psi, args.p)
-    return rep
+    return _series_report(args, *_setup(args))[0]
 
 
 def cmd_verify(args):
-    F = build_field(args.D)
-    p = args.p
-    G = narrow_class_group(F)
-    psi = _character(G, args)
+    F, G, psi, p = _setup(args)
     checks = []
 
     def record(name, ok, detail=""):
@@ -399,6 +402,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_DOMAIN, "%s: error: %s\n" % (self.prog, message))
 
 
+@lru_cache(maxsize=1)       # built on first use, reused by every run
 def build_parser():
     ap = _Parser(
         prog="rqgeo",

@@ -203,16 +203,12 @@ def build_field(D):
 def _reduced_forms(D):
     out = []
     s = math.isqrt(D)
-    for b in range(1, s + 1):
-        if (b - D) % 2:
-            continue
+    # b = D (mod 2) and 0 < b <= s, so m = (b^2 - D)/4 < 0
+    for b in range(2 - D % 2, s + 1, 2):
         m = (b * b - D) // 4
-        if m >= 0:
-            continue
         for a in divisors(-m):
             for aa in (a, -a):
-                c = m // aa
-                f = QuadForm(aa, b, c)
+                f = QuadForm(aa, b, m // aa)
                 if f.content() == 1 and _is_reduced(f, s):
                     out.append(f)
     return out

@@ -12,9 +12,9 @@ the tuple of (psi(class), RM point) pairs.
 Two independent algorithms compute the Manin table of a closed geodesic
 Q on Y0(p): the signed crossings of one Gamma0(p)-period of Q with the
 Gamma0(p)-orbit of every unimodular edge, one entry per point of
-P^1(F_p), which the edge counts of T_n W (hecke.manin_counts, or Merel's
-set in hecke.merel_counts) turn into <T_n Q, W> for every n without a
-Hecke translate; W is the winding geodesic from 0 to infinity.
+P^1(F_p), which the edge counts of T_n W for n = 1..N (hecke.manin_counts,
+or Merel's set in hecke.merel_counts) turn into <T_n Q, W> without a
+Hecke translate (hecke.pairing_row); W is the winding geodesic 0 -> infinity.
 
 * manin_table(Q) walks the reduction cycle of the reduced form of Q,
   a run of |delta| river edges of the Conway topograph per step, once

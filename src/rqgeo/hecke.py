@@ -1,20 +1,20 @@
 """Hecke correspondences at prime level.
 
 Decompositions of <T_n Q, W>, W the winding geodesic from 0 to infinity.
-Two move T_n onto W and write T_n W as an integer combination of
-unimodular edges, so that <T_n Q, W> is a fixed combination of the
-p + 1 entries of geodesic.manin_table(Q), with no Hecke translate:
+Two move T_n onto W and count T_n W in unimodular edges by P^1 key, for
+every n <= N in one pass; pairing_row pairs such a count table with
+geodesic.manin_table(Q), giving <T_n Q, W> for n = 1..N with no Hecke
+translate:
 
 * manin_counts: T_n W is the sum of the paths (b/d -> infinity) over
   the left cosets Gamma0(p)(a, b; 0, d), ad = n, p not dividing a,
-  0 <= b < d, and Manin's continued-fraction trick writes each path as
-  a sum of unimodular edges.  The series reads these counts;
-* merel_counts: the bottom rows of Merel's set X_n, the integer
-  matrices (a, b; c, d) of determinant n with a > b >= 0 and d > c >= 0,
-  for every n <= N in one pass (Merel 1994).  It shares no coset and no
-  continued fraction with manin_counts, and verify checks every row of
-  the series against it.  The two count vectors may differ by Manin
-  relations, which every Manin table satisfies, so their pairings agree.
+  0 <= b < d, cut into edges by Manin's continued-fraction trick.  The
+  series reads these counts;
+* merel_counts: the bottom rows of Merel's set X_n (Merel 1994).  It
+  shares no coset and no continued fraction with manin_counts, and
+  verify checks every row of the series against it.  The two count
+  vectors may differ by Manin relations, which every Manin table
+  satisfies, so their pairings agree.
 
 The third moves T_n onto Q: coset representatives for the
 determinant-n Hecke operator on Gamma0(p), their partition into double
@@ -49,6 +49,7 @@ __all__ = [
     "right_cosets",
     "manin_counts",
     "merel_counts",
+    "pairing_row",
     "double_cosets",
     "hecke_translate",
     "pair_with_twisted_cycle",
@@ -98,48 +99,43 @@ def right_cosets(n, p):
     return reps
 
 
-@lru_cache(maxsize=None)
-def _path_counts(d, p):
-    """Minus the number of unimodular edges, by the p1_key of their
-    bottom row, on the paths (infinity -> b/d), 0 <= b < d, as a dict.
+@lru_cache(maxsize=8)
+def manin_counts(N, p):
+    """T_n of the winding geodesic in unimodular edges, for every n <= N:
+    a tuple whose entry n - 1 holds the nonzero (k, R_n[k]) in increasing
+    k, R_n[k] minus the number of edges of bottom row k = p1_key(d, c) on
+    the paths (infinity -> b/d) over the left cosets (a, b; 0, d) of T_n,
+    so <T_n Q, W> = sum over k of R_n[k] manin_table(Q)[k] (pairing_row).
 
     The path runs through the continued-fraction convergents of b/d from
     1/0.  The edge h0/k0 -> h1/k1 is h(0 -> infinity) for
     h = (h1, e h0; k1, e k0) in SL2(Z), e = h1 k0 - h0 k1, so its bottom
     row is (k1, e k0), and e alternates -1, 1, -1, ... from the edge
     1/0 -> 0/1.  Only the denominators mod p are kept, counted by pair
-    before they are keyed; (b/d -> infinity) is the path reversed.
+    before they are keyed.  The paths of each d <= N are walked once and
+    added to every n = a d <= N with p not dividing a.
     """
-    pairs = {}
-    for b in range(d):
-        x, y, k0, k1, e = b, d, 1, 0, -1
-        while y:
-            a, x, y = x // y, y, x % y
-            k0, k1 = k1, (a * k1 + k0) % p
-            pair = e * k0, k1
-            pairs[pair] = pairs.get(pair, 0) + 1
-            e = -e
-    counts = {}
-    for (x, y), n in pairs.items():
-        key = p1_key(x, y, p)
-        counts[key] = counts.get(key, 0) - n
-    return counts
-
-
-@lru_cache(maxsize=None)
-def manin_counts(n, p):
-    """T_n of the winding geodesic in unimodular edges: the nonzero
-    (k, R_n[k]) in increasing k, where R_n is the sum of the path counts
-    of n/a (_path_counts) over the divisors a of n prime to p, so that
-    <T_n Q, W> = sum over k of R_n[k] manin_table(Q)[k]."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = {}
-    for a in divisors(n):
-        if a % p:
-            for key, count in _path_counts(n // a, p).items():
-                total[key] = total.get(key, 0) + count
-    return tuple(sorted((k, c) for k, c in total.items() if c))
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    rows = [{} for _ in range(N + 1)]
+    for d in range(1, N + 1):
+        pairs = {}
+        for b in range(d):
+            x, y, k0, k1, e = b, d, 1, 0, -1
+            while y:
+                q, x, y = x // y, y, x % y
+                k0, k1 = k1, (q * k1 + k0) % p
+                pair = e * k0, k1
+                pairs[pair] = pairs.get(pair, 0) + 1
+                e = -e
+        path = [(p1_key(x, y, p), c) for (x, y), c in pairs.items()]
+        for a in range(1, N // d + 1):
+            if a % p:
+                row = rows[a * d]
+                for key, c in path:
+                    row[key] = row.get(key, 0) - c
+    return tuple(tuple(sorted((k, c) for k, c in row.items() if c))
+                 for row in rows[1:])
 
 
 @lru_cache(maxsize=4)
@@ -150,12 +146,14 @@ def merel_counts(N, p):
     ad - bc = n, a > b >= 0 and d > c >= 0, rows that are (0, 0) mod p
     left out (Merel 1994, Universal Fourier expansions of modular
     forms), in increasing k.  So <T_n Q, W> = sum over k of count times
-    geodesic.manin_table(Q)[k].
+    geodesic.manin_table(Q)[k] (pairing_row).
 
     One pass over (a, b, c) serves every n: ad - bc >= a + c (a - b),
     and the d > c with ad - bc <= N form one range, n stepping by a
     along it.
     """
+    if N < 1:
+        raise ValueError("N must be at least 1")
     inv = [pow(c, -1, p) if c % p else 0 for c in range(N + 1)]
     counts = [{} for _ in range(N + 1)]
     for a in range(1, N + 1):
@@ -171,6 +169,12 @@ def merel_counts(N, p):
                     n += a
                 c += 1
     return tuple(tuple(sorted(row.items())) for row in counts[1:])
+
+
+def pairing_row(table, counts):
+    """<T_n Q, W> for n = 1..N, indexed by n - 1, from the Manin table of
+    Q and the count table of T_n W of manin_counts or merel_counts."""
+    return tuple(sum(c * table[k] for k, c in row) for row in counts)
 
 
 def double_cosets(Q, n):
@@ -238,10 +242,5 @@ def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle):
     T_n Q.  For Q = [-4, 6, 9], disc 180 = 6^2 * 5, at p = 11 the
     translates give -40 and -60 at n = 2 and 3 where the Manin row gives
     -52 and -68."""
-    total = 0
-    for coeff, Q in cycle:
-        s = 0
-        for t in hecke_translate(Q, n):
-            s += algorithm(t)
-        total += coeff * s
-    return total
+    return sum(coeff * sum(algorithm(t) for t in hecke_translate(Q, n))
+               for coeff, Q in cycle)

@@ -3,14 +3,14 @@
 The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
 the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the +r RM points Q with the winding geodesic W (pairing_table), weighted
-by the character.  Each pairing is read off one Manin table of Q
-(geodesic.manin_table, hecke.manin_counts); check_pairing_table counts
-each again with no Hecke translate: Q's Manin table by the Farey walk
-(geodesic.manin_table_enum) and T_n W by Merel's set
-(hecke.merel_counts).  For genus-zero levels the
-space of such forms is one-dimensional and the whole series is pinned by
-a single proportionality; for p = 11 it is two-dimensional and the cusp
-direction is spanned by an eta product.
+by the character.  A point's row is its Manin table (geodesic.manin_table)
+paired with the counts of T_n W (hecke.manin_counts, hecke.pairing_row);
+check_pairing_table counts both again with no Hecke translate: the table
+by the Farey walk (geodesic.manin_table_enum) and T_n W by Merel's set
+(hecke.merel_counts).  For genus-zero levels the space of such forms is
+one-dimensional and the whole series is pinned by a single
+proportionality; for p = 11 it is two-dimensional and the cusp direction
+is spanned by an eta product.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from .geodesic import InertPrime, choose_r, manin_table, manin_table_enum
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
 from .geodesic import rm_points
-from .hecke import manin_counts, merel_counts, sigma1
+from .hecke import manin_counts, merel_counts, pairing_row, sigma1
 
 __all__ = [
     "QSeries",
@@ -106,8 +106,8 @@ def pairing_table(F, G, p, r, N):
     class: one (plus_row, minus_row) per class, the rows of its +r and -r
     points, each a tuple indexed by n - 1.
 
-    A point's row is its Manin table (manin_table) summed against
-    hecke.manin_counts(n, p): no Hecke translate is built.
+    A point's row is its Manin table paired with hecke.manin_counts(N, p)
+    (hecke.pairing_row): no Hecke translate is built.
     check_pairing_table checks the rows by a second count of each.
 
     Only the +r points are paired.  Reversing the +r point f_c of class c
@@ -125,12 +125,11 @@ def pairing_table(F, G, p, r, N):
     """
     s = G.class_of_principal_sqrt_dF
     sigma = [G.compose(G.inverse(c), s) for c in range(G.h)]
+    counts = manin_counts(N, p)
     plus = []
     for c, (Q, _) in enumerate(rm_points(F, G, p, choose_r(F, p, r))):
         assert G.classify(Q.reversed().form) == sigma[c], ("-f_c misfiled", c)
-        table = manin_table(Q)
-        plus.append(tuple(sum(c * table[k] for k, c in manin_counts(n, p))
-                          for n in range(1, N + 1)))
+        plus.append(pairing_row(manin_table(Q), counts))
     # sigma is an involution, so the -r row of c is -(+r row of sigma(c))
     return tuple((row, tuple(-v for v in plus[sigma[c]]))
                  for c, row in enumerate(plus))
@@ -155,8 +154,7 @@ def check_pairing_table(F, G, p, r, N):
                 raise AlgorithmMismatch(
                     "RM point %r at key %d: cycle=%r farey=%r"
                     % (Q.form, k, table[k], farey[k]))
-        for n in range(1, N + 1):
-            value = sum(c * table[k] for k, c in merel[n - 1])
+        for n, value in enumerate(pairing_row(table, merel), 1):
             if row[n - 1] != value:
                 raise AlgorithmMismatch(
                     "RM point %r at n=%d: manin=%r merel=%r"

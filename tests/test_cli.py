@@ -283,6 +283,20 @@ class TestExitCodes:
             assert code == EXIT_DOMAIN and "ramifies" in err
             assert out == ""
 
+    def test_level_above_the_bound(self):
+        # refused before any table is built: at 10^9 + 7 one Manin table
+        # alone would hold 10^9 entries.  At an inert prime too (d_F = 24
+        # is a nonresidue mod 10^7 + 19), and rmpoints takes every prime
+        for p in (rqgeo.cli.MAX_LEVEL + 19, 10 ** 9 + 7):
+            for argv in (("series", "--N", "4"), ("verify", "--N", "4"),
+                         ("intersect", "--n", "2")):
+                for D in ("6", "3"):
+                    code, out, err = invoke(*argv, "--D", D, "--p", str(p))
+                    assert code == EXIT_DOMAIN, (argv, D, p)
+                    assert out == "" and "largest supported level" in err
+            code, rep, _ = invoke_json("rmpoints", "--D", "6", "--p", str(p))
+            assert code == EXIT_OK and rep["p"] == p
+
     def test_nonpositive_n(self):
         # checked before the inert shortcut, so (3, 5) is refused too
         for D in ("6", "3"):
@@ -458,3 +472,17 @@ class TestExitCodes:
             code, out, err = invoke(*argv)
             assert code == EXIT_OK
             assert out.startswith("usage: rqgeo") and err == ""
+
+    def test_parser_is_built_once(self):
+        # every run parses with the one parser, which still answers
+        # --help with 0 and bad usage with 3
+        rqgeo.cli.build_parser.cache_clear()
+        for _ in range(2):
+            code, _, _ = invoke("series", "--D", "6", "--p", "5", "--N", "2")
+            assert code == EXIT_OK
+            code, out, _ = invoke("series", "--help")
+            assert code == EXIT_OK and out.startswith("usage: rqgeo series")
+            code, _, err = invoke("series", "--D", "6")
+            assert code == EXIT_DOMAIN and "--p" in err
+        info = rqgeo.cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 5)

@@ -25,6 +25,7 @@ from rqgeo.hecke import (
     manin_counts,
     merel_counts,
     pair_with_twisted_cycle,
+    pairing_row,
     right_cosets,
     sigma1,
 )
@@ -381,11 +382,49 @@ class TestPairing:
             assert total == ref
 
 
+def _left_coset_paths(n, p):
+    """The edge counts of T_n W, one n at a time: minus one at the p1_key
+    of the bottom row of each edge on the continued-fraction path
+    (infinity -> b/d), over the left cosets (a, b; 0, d) with ad = n,
+    p not dividing a and 0 <= b < d, the convergents kept whole."""
+    counts = {}
+    for a in range(1, n + 1):
+        if n % a or a % p == 0:
+            continue
+        d = n // a
+        for b in range(d):
+            x, y, k0, k1, e = b, d, 1, 0, -1
+            while y:
+                q, x, y = x // y, y, x % y
+                k0, k1 = k1, q * k1 + k0
+                k = p1_key(e * k0, k1, p)
+                counts[k] = counts.get(k, 0) - 1
+                e = -e
+    return tuple(sorted((k, c) for k, c in counts.items() if c))
+
+
 class TestManinCounts:
+    def test_equals_the_left_cosets_for_each_n(self):
+        # p | n and p^2 | n included, so a coset with p | a counted in
+        # R_n shows
+        for p in (2, 3, 5, 11, 13, 97):
+            rows = manin_counts(60, p)
+            assert len(rows) == 60
+            for n in range(1, 61):
+                assert rows[n - 1] == _left_coset_paths(n, p), (n, p)
+
+    def test_rows_do_not_depend_on_N(self):
+        # the rows of n <= M are the same in every table with N >= M: a
+        # stride over n = a d that stops short of N loses row N
+        for counts in (manin_counts, merel_counts):
+            for p in (3, 5, 13):
+                for M in (1, 2, 7, 12, 29):
+                    assert counts(30, p)[:M] == counts(M, p), (counts, p, M)
+
     def test_n1_is_the_reversed_axis(self):
         # (0 -> infinity) is minus the edge 1/0 -> 0/1 of bottom row (1 : 0)
         for p in (3, 5, 13):
-            assert manin_counts(1, p) == ((0, -1),)
+            assert manin_counts(1, p) == (((0, -1),),)
 
     def test_path_lengths(self):
         # the path to b/d has one edge per partial quotient of b/d; R_n
@@ -396,10 +435,11 @@ class TestManinCounts:
                 b, d, k = d, b % d, k + 1
             return k
         for p in (3, 7):
+            rows = manin_counts(29, p)
             for n in range(1, 30):
                 want = sum(length(b, n // a) for a in range(1, n + 1)
                            if n % a == 0 and a % p for b in range(n // a))
-                assert -sum(c for _, c in manin_counts(n, p)) == want, (n, p)
+                assert -sum(c for _, c in rows[n - 1]) == want, (n, p)
 
     def test_left_cosets_equal_double_cosets(self):
         # sum of R_n against the Manin table of Q is the sum over the
@@ -424,10 +464,10 @@ class TestManinCounts:
                     square == 1 or square == 2 and core % 4 in (2, 3)):
                 points.append(ClosedGeodesic(f, rng.choice((3, 5, 7, 11))))
         for Q in points:
-            table = manin_table(Q)
+            row = pairing_row(manin_table(Q), manin_counts(12, Q.p))
             for n in range(1, 13):
-                assert sum(c * table[k] for k, c in manin_counts(n, Q.p)) == \
-                    pair_with_twisted_cycle(((1, Q),), n), (Q, n)
+                assert row[n - 1] == pair_with_twisted_cycle(((1, Q),), n), \
+                    (Q, n)
 
     def test_translates_need_a_fundamental_discriminant(self):
         # Q = [-4, 6, 9], disc 180 = 6^2 * 5, is no RM point: a translate
@@ -435,9 +475,7 @@ class TestManinCounts:
         # period of it is only part of its share of T_n Q, and the
         # translate sums fall short of the Manin row at n = 2 and 3
         Q = ClosedGeodesic(QuadForm(-4, 6, 9), 11)
-        table = manin_table(Q)
-        manin = [sum(c * table[k] for k, c in manin_counts(n, 11))
-                 for n in range(1, 6)]
+        manin = list(pairing_row(manin_table(Q), manin_counts(5, 11)))
         cycle = [pair_with_twisted_cycle(((1, Q),), n) for n in range(1, 6)]
         enum = [pair_with_twisted_cycle(((1, Q),), n, intersect_winding_enum)
                 for n in range(1, 6)]
@@ -445,8 +483,9 @@ class TestManinCounts:
         assert cycle == enum == [-16, -40, -60, -116, -100]
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            manin_counts(0, 5)
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="N must be at least 1"):
+                manin_counts(N, 5)
 
 
 def _merel_set(n, p):
@@ -486,20 +525,25 @@ class TestMerelCounts:
         for p in (3, 5, 13):
             assert merel_counts(1, p) == (((p, 1),),)
 
+    def test_rejects_nonpositive_N(self):
+        # as manin_counts does, instead of returning no rows
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="N must be at least 1"):
+                merel_counts(N, 5)
+
     def test_pairing_beyond_fundamental_discriminants(self):
         # Merel's set and the left cosets are two decompositions of T_n W,
         # so they pair alike with every Manin table, also where the
         # translate sums fall short (test_translates_need_a_fundamental_
         # discriminant)
         Q = ClosedGeodesic(QuadForm(-4, 6, 9), 11)
-        table = manin_table(Q)
-        assert [sum(c * table[k] for k, c in row)
-                for row in merel_counts(5, 11)] == [-16, -52, -68, -116, -100]
+        assert pairing_row(manin_table(Q), merel_counts(5, 11)) == \
+            (-16, -52, -68, -116, -100)
 
     def test_rows_differ_by_manin_relations(self):
         # the two edge counts of T_n W are not equal as vectors; only
         # their pairings with Manin tables agree
-        assert merel_counts(2, 5)[1] != manin_counts(2, 5)
+        assert merel_counts(2, 5)[1] != manin_counts(2, 5)[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -513,6 +557,5 @@ def test_merel_pairing_equals_manin_row(case, pick):
     points = [Q for pair in rm_points(F, G, p, choose_r(F, p)) for Q in pair]
     Q = points[pick % len(points)]
     table = manin_table(Q)
-    for n, row in enumerate(merel_counts(30, p), 1):
-        assert sum(c * table[k] for k, c in row) == \
-            sum(c * table[k] for k, c in manin_counts(n, p)), (D, p, Q, n)
+    assert pairing_row(table, merel_counts(30, p)) == \
+        pairing_row(table, manin_counts(30, p)), (D, p, Q)
