@@ -23,7 +23,7 @@ for D in (3, 5, 6, 7, 10):
         tag = "totally odd" if ch.totally_odd else (
             "trivial" if ch.is_trivial() else "even")
         print("  character exponents %s  values %s  (%s)" % (
-            list(ch.exponents), ch.values, tag))
+            list(ch.exponents), tuple(ch(i) for i in range(G.h)), tag))
     if not odd:
         # happens exactly when the field has a unit of norm -1
         print("  -> no admissible character: unit norm is -1")

@@ -16,7 +16,6 @@ stands for (x + y sqrt(d_F))/2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
@@ -319,13 +318,17 @@ def class_of_ideal(G, spec):
     return G.classify(QuadForm(a0, b0, (b0 * b0 - d) // (4 * a0)))
 
 
+_TRACES = {1: (2,), 2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0),
+           6: (2, 1, -1, -2, -1, 1)}
+
+
 class ClassCharacter:
     """A character of the narrow class group.
 
-    Internally stored as exact exponents: the value on class i is
-    exp(2 pi i * exponents[i] / order).  Calling the character yields
-    exact integers +-1 when the order divides 2 and complex doubles
-    otherwise.
+    Stored as exact exponents: the value on class i is
+    exp(2 pi i * exponents[i] / order).  The series and the constant term
+    read it only through the integer trace(i); psi(i) itself is +-1
+    where it is real and a ValueError where it is not.
     """
 
     def __init__(self, group, exponents, modulus):
@@ -336,18 +339,20 @@ class ClassCharacter:
         self.exponents = tuple(e // g for e in exponents)
         self.order = modulus // g
 
-    def _value(self, ex):
-        m = self.order
-        if 2 * ex % m == 0:
-            return 1 if ex % m == 0 else -1
-        return cmath.exp(2j * cmath.pi * ex / m)
-
     def __call__(self, i):
-        return self._value(self.exponents[i])
+        e, m = self.exponents[i], self.order
+        if 2 * e % m:
+            raise ValueError("character of order %d is not real on class "
+                             "%d: only psi + conj(psi) is exact" % (m, i))
+        return 1 if e % m == 0 else -1
 
-    @property
-    def values(self):
-        return tuple(self._value(e) for e in self.exponents)
+    def trace(self, i):
+        """psi(i) + conj(psi(i)) = 2 cos(2 pi e / m), an integer for the
+        orders m = 1, 2, 3, 4, 6, where phi(m) <= 2; ValueError for others."""
+        if self.order not in _TRACES:
+            raise ValueError("characters of order %d are not supported: "
+                             "psi + conj(psi) is not an integer" % self.order)
+        return _TRACES[self.order][self.exponents[i]]
 
     @property
     def totally_odd(self):

@@ -165,7 +165,7 @@ def _rm_candidates(d, p, s):
 
 def twisted_cycle(F, G, psi, p, r):
     """The psi-twisted cycle: (psi(cls), Q) for the +r and the -r RM point
-    Q of each narrow class, r a square root from choose_r."""
+    Q of each narrow class, r from choose_r; psi must be real (order <= 2)."""
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
     return tuple((psi(cls), Q) for cls, pair in enumerate(rm_points(F, G, p, r))

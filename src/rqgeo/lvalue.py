@@ -1,24 +1,27 @@
 """The constant term L^(p)(psi, 0), computed by two independent routes.
 
 The main route sums the exact partial zeta values at s = 0 against the
-character: zeta(A, 0) = (1/12) * sum(delta) over the reduced cycle of
-the class A, each reduction step being f.apply((0, -1; 1, delta)).  The
-class group keeps those deltas from the walk that found the cycle, so
-no cycle is walked here.  For
-genus characters the value factors as a product of two Dirichlet
-L-values at 0, which serves as an independent oracle via finite
-generalized-Bernoulli sums.  The tests also check the partial zeta
-values against Zagier's minus continued fraction cycles
+integer trace psi + conj(psi) of the character and halves the sum:
+zeta(A, 0) = (1/12) * sum(delta) over the reduced cycle of the class A,
+each reduction step being f.apply((0, -1; 1, delta)).  The class group
+keeps those deltas from the walk that found the cycle, so no cycle is
+walked here.  For odd characters of order 2, the genus characters, the
+value factors as a product of two Dirichlet L-values at 0, which serves
+as an independent oracle via the class numbers of two imaginary
+quadratic fields.  The tests also check the partial zeta values against
+Zagier's minus continued fraction cycles
 (``rqgeo.oracles.minus_cf_cycle``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import divisors, squarefree_part
+from .exact import divisors, is_prime, squarefree_part
 from .field import class_of_ideal
+from .geodesic import choose_r
 
 __all__ = [
     "NotApplicable",
@@ -46,12 +49,10 @@ def partial_zeta_values(G):
 
 
 def L_value_zagier(G, psi):
-    """L(psi, 0) as the character-weighted sum of partial zeta values.
-
-    Exact rational for order <= 2 characters, complex otherwise.
-    """
-    return sum((psi(c) * z for c, z in enumerate(partial_zeta_values(G))),
-               Fraction(0))
+    """L(psi, 0) = (1/2) sum_c trace(c) zeta(c, 0), an exact rational:
+    zeta(c, 0) = zeta(c^-1, 0) by Galois conjugation."""
+    return Fraction(sum(psi.trace(c) * z
+                        for c, z in enumerate(partial_zeta_values(G))), 2)
 
 
 def _is_fundamental(d):
@@ -95,21 +96,35 @@ def kronecker(a, b):
 def dirichlet_L0(d):
     """L(chi_d, 0) for a fundamental discriminant d, as an exact rational.
 
-    Zero for d > 0 (even character); -B_{1,chi} for d < 0.
+    Zero for d > 0 (even character); for d < 0 it is 2 h(d) / w(d), with
+    w(d) the number of units and h(d) the number of reduced forms
+    [a, b, c] of discriminant d: |b| <= a <= c, and b >= 0 when |b| = a
+    or a = c.  That is about |d|/7 trial divisions; the generalized
+    Bernoulli sum -B_{1,chi}, the tests' reference, takes |d| symbols.
     """
     if not _is_fundamental(d):
         raise ValueError("%d is not a fundamental discriminant" % d)
     if d > 0:
         return Fraction(0)
-    m = abs(d)
-    return Fraction(-sum(kronecker(d, a) * a for a in range(1, m)), m)
+    h, b = 0, d % 2
+    while 3 * b * b <= -d:
+        ac = (b * b - d) // 4
+        for a in range(max(b, 1), math.isqrt(ac) + 1):
+            if ac % a == 0:
+                h += 1 if b in (0, a) or a * a == ac else 2
+        b += 2
+    return Fraction(2 * h, {-3: 6, -4: 4}.get(d, 2))
 
 
 def L_value_genus_oracle(F, psi):
     """Genus-character factorization oracle: L(psi, 0) = L(chi_d1, 0) *
     L(chi_d2, 0) for the splitting d_F = d1 * d2 into two negative
-    fundamental discriminants.  Only valid for odd 2-torsion psi."""
-    if psi.order > 2 or not psi.totally_odd:
+    fundamental discriminants that belongs to psi, the one with
+    psi(l) = chi_d1(ell) at each prime l = (ell, r) over an odd split
+    prime ell, which is classified once per field.  Split primes are
+    tried in turn until one splitting is left.  Only valid for odd psi
+    of order 2, the genus characters."""
+    if psi.order != 2 or not psi.totally_odd:
         raise NotApplicable("not an odd genus character")
     d = F.d_F
     pairs = []
@@ -117,30 +132,32 @@ def L_value_genus_oracle(F, psi):
         d1, d2 = -e, -(d // e)
         if d2 >= d1 and _is_fundamental(d1) and _is_fundamental(d2):
             pairs.append((d1, d2))
-    if len(pairs) != 1:
-        raise NotApplicable("no unique negative fundamental splitting of %d" % d)
+    ell = 1
+    while len(pairs) > 1:
+        ell += 2
+        if kronecker(d, ell) == 1 and is_prime(ell):
+            value = psi(_class_over(psi.group, ell, choose_r(F, ell)))
+            pairs = [s for s in pairs if kronecker(s[0], ell) == value]
+    assert len(pairs) == 1, ("no negative splitting of %d fits" % d, psi)
     d1, d2 = pairs[0]
     return dirichlet_L0(d1) * dirichlet_L0(d2)
 
 
 @lru_cache(maxsize=16)
-def _classes_over(G, p, r):
-    """The narrow classes of P = (p, r) and P^sigma = (p, -r).  P is
-    classified once for every character of G (keyed by the group object
-    itself, like series.pairing_table); P P^sigma = (p) is principal and
-    totally positive, so the class of P^sigma is the inverse of P's."""
-    cls = class_of_ideal(G, (p, r))
-    return cls, G.inverse(cls)
+def _class_over(G, p, r):
+    """The narrow class of the prime (p, r), classified once for every
+    character of G (keyed by the group object itself, like
+    series.pairing_table)."""
+    return class_of_ideal(G, (p, r))
 
 
 def euler_factor(F, G, psi, p, r):
-    """(1 - psi(P)) * (1 - psi(P^sigma)) for the degree-one primes P,
-    P^sigma over the split prime p."""
-    d = F.d_F
-    if (r * r - d) % (4 * p):
+    """(1 - psi(P)) * (1 - psi(P^sigma)) = 2 - trace([P]) for the primes
+    P = (p, r), P^sigma = (p, -r) over the split p: P P^sigma = (p) is
+    principal and totally positive, so psi(P^sigma) = conj(psi(P))."""
+    if (r * r - F.d_F) % (4 * p):
         raise ValueError("r is not a square root of d_F mod 4p")
-    cls_p, cls_ps = _classes_over(G, p, r)
-    return (1 - psi(cls_p)) * (1 - psi(cls_ps))
+    return 2 - psi.trace(_class_over(G, p, r))
 
 
 def constant_term(F, G, psi, p, r):

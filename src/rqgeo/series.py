@@ -3,7 +3,7 @@
 The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
 the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the +r RM points Q with the winding geodesic W (pairing_table), weighted
-by the character.  A point's row is its Manin table (geodesic.manin_table)
+by psi + conj(psi).  A point's row is its Manin table (geodesic.manin_table)
 paired with the counts of T_n W (hecke.manin_counts, hecke.pairing_row);
 check_pairing_table counts both again with no Hecke translate: the table
 by the Farey walk (geodesic.manin_table_enum) and T_n W by Merel's set
@@ -93,8 +93,6 @@ class QSeries:
 
 
 def _coefficient(pairing):
-    if isinstance(pairing, complex):
-        return PAIRING_FACTOR * (pairing / 2)
     half, rem = divmod(pairing, 2)
     assert rem == 0, "pairing is odd: %r" % (pairing,)
     return PAIRING_FACTOR * half
@@ -166,7 +164,10 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     Eisenstein series attached to psi, truncated at q^N.
 
     The pairings come from pairing_table, so characters of one field
-    share them.  algorithm must be "cycle", the Manin-row table; the
+    share them.  The -r row of sigma(c) is the negated +r row of c and
+    psi(sigma(c)) = -conj(psi(c)), so only psi.trace(c) weights c's +r row;
+    its ValueError comes before any table is built, at an inert p too.
+    algorithm must be "cycle", the Manin-row table; the
     keyword remains because benchmarks/worker.py passes it.
     """
     if N < 1:
@@ -177,6 +178,7 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
         raise ValueError("character is not totally odd")
     meta = {"d_F": F.d_F, "p": p, "r": None, "psi": psi.exponents,
             "kappa": 2, "pairing_factor": PAIRING_FACTOR}
+    traces = [psi.trace(cls) for cls in range(G.h)]
     try:
         r = choose_r(F, p, r)
     except InertPrime:
@@ -185,17 +187,9 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     from .lvalue import constant_term
     constant = constant_term(F, G, psi, p, r)
     table = pairing_table(F, G, p, r, N)
-    weights = [psi(cls) for cls in range(G.h)]
-    coeffs = {}
-    for n in range(1, N + 1):
-        # summed in the order of the twisted cycle's terms (+r, then -r
-        # point of each class), so complex character values round as
-        # they did when the cycle was paired whole
-        pairing = 0
-        for coeff, (plus, minus) in zip(weights, table):
-            pairing += coeff * plus[n - 1]
-            pairing += coeff * minus[n - 1]
-        coeffs[n] = _coefficient(pairing)
+    coeffs = {n: _coefficient(sum(t * plus[n - 1]
+                                  for t, (plus, _) in zip(traces, table)))
+              for n in range(1, N + 1)}
     return QSeries(constant, coeffs, meta)
 
 

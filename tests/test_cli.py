@@ -26,6 +26,13 @@ def invoke_json(*argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
+def _refuse(name):
+    """A stand-in that fails the run (exit 4) if it is ever called."""
+    def refuse(*args):
+        raise AssertionError("%s called" % name)
+    return refuse
+
+
 def _strip_ts(text):
     return "\n".join(l for l in text.splitlines() if "generated_at" not in l)
 
@@ -189,6 +196,14 @@ class TestInfoCommands:
         assert rep["odd_count"] == 0
         assert rep["message"] == "no admissible character"
 
+    def test_chars_exact_values(self):
+        # +-1 where real, zeta_m^e where not: no float in the report
+        code, rep, _ = invoke_json("chars", "--D", "34")
+        assert code == EXIT_OK and rep["odd_count"] == 2
+        odd = [ch["values"] for ch in rep["characters"] if ch["totally_odd"]]
+        assert odd == [[1, "zeta_4^1", "zeta_4^3", -1],
+                       [1, "zeta_4^3", "zeta_4^1", -1]]
+
     def test_rmpoints(self):
         code, rep, _ = invoke_json("rmpoints", "--D", "6", "--p", "5")
         assert code == EXIT_OK
@@ -325,14 +340,38 @@ class TestExitCodes:
                               "--char-index", "5")
         assert code == EXIT_DOMAIN
 
-    def test_order_4_character(self):
-        # exact values for characters of order > 2 are not implemented
+    def test_character_orders(self, monkeypatch):
+        # order 4 reads only its integer traces and passes; order 8
+        # (D = 505) has no integer trace and is refused before any table
+        # is built, at the inert p = 11 too
         for cmd in ("series", "verify"):
-            code, out, err = invoke(cmd, "--D", "34", "--p", "3", "--N", "4")
-            assert code == EXIT_DOMAIN
-            assert "characters of order 4 are not supported yet" in err
-            assert "values are not exact" in err
-            assert out == ""
+            code, rep, _ = invoke_json(cmd, "--D", "34", "--p", "3")
+            assert code == EXIT_OK and rep["psi_exponents"] == [0, 1, 3, 2]
+        monkeypatch.setattr(rqgeo.series, "pairing_table",
+                            _refuse("pairing_table"))
+        for cmd in ("series", "verify"):
+            for p in ("3", "11"):
+                code, out, err = invoke(cmd, "--D", "505", "--p", p,
+                                        "--N", "4")
+                assert code == EXIT_DOMAIN and out == "", (cmd, p)
+                assert "characters of order 8 are not supported" in err
+
+    def test_intersect_needs_real_values(self):
+        # intersect pairs the twisted cycle, which reads psi itself
+        code, out, err = invoke("intersect", "--D", "34", "--p", "3",
+                                "--n", "2")
+        assert code == EXIT_DOMAIN and out == ""
+        assert "character of order 4 is not real" in err
+
+    def test_no_model_before_the_tables(self, monkeypatch):
+        # at p = 17 there is no modularity model: verify says so before
+        # it checks any pairing table
+        monkeypatch.setattr(rqgeo.cli, "check_pairing_table",
+                            _refuse("check_pairing_table"))
+        code, out, err = invoke("verify", "--D", "35", "--p", "17",
+                                "--N", "4")
+        assert code == EXIT_DOMAIN and out == ""
+        assert "no modularity model for p = 17" in err
 
     def test_algorithm_mismatch(self, monkeypatch):
         enum = rqgeo.series.intersect_winding_enum

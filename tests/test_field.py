@@ -350,12 +350,7 @@ class TestCharacters:
             for ch in all_characters(G):
                 for i in range(G.h):
                     for j in range(G.h):
-                        lhs = ch(G.compose(i, j))
-                        rhs = ch(i) * ch(j)
-                        if isinstance(lhs, int) and isinstance(rhs, int):
-                            assert lhs == rhs
-                        else:
-                            assert abs(lhs - rhs) < 1e-12
+                        assert ch(G.compose(i, j)) == ch(i) * ch(j)
 
     def test_odd_d12(self):
         G = narrow_class_group(build_field(3))
@@ -385,5 +380,32 @@ class TestCharacters:
         for ch in all_characters(G):
             inv = ch.inverse()
             for i in range(G.h):
-                v = ch(i) * inv(i)
-                assert v == 1 or abs(v - 1) < 1e-12
+                assert ch(i) * inv(i) == 1
+                assert ch.trace(i) == inv.trace(i)
+
+    def test_trace_table(self):
+        # trace(i) = psi(i) + conj(psi(i)) = 2 cos(2 pi e / m), exact for
+        # m in {1, 2, 3, 4, 6}; psi(i) itself is exact only where real.
+        # D = 505 has odd characters of order 8 only
+        orders = set()
+        for D in (*range(2, 300), 505):
+            if squarefree_part(D)[1] != 1:
+                continue
+            G = narrow_class_group(build_field(D))
+            for ch in all_characters(G):
+                m = ch.order
+                orders.add(m)
+                if m not in (1, 2, 3, 4, 6):
+                    with pytest.raises(ValueError, match="order %d are not "
+                                       "supported" % m):
+                        ch.trace(0)
+                    continue
+                for i, e in enumerate(ch.exponents):
+                    want = round(2 * math.cos(2 * math.pi * e / m))
+                    assert ch.trace(i) == want, (D, ch, i)
+                    if 2 * e % m == 0:
+                        assert ch(i) == want // 2
+                    else:
+                        with pytest.raises(ValueError, match="not real"):
+                            ch(i)
+        assert {1, 2, 3, 4, 6, 8} <= orders

@@ -147,6 +147,35 @@ class TestInvariance:
             b = diagonal_restriction(F, G, psi.inverse(), p, N=8)
             assert a == b
 
+    def test_orders_4_and_6(self):
+        # every odd character of order 4 or 6 of squarefree D < 439 at
+        # split p in {3, 5, 7, 13}: integer coefficients (the parity
+        # assert of _coefficient has content where traces are +-1), a
+        # modular series, and psi^-1 giving the same series
+        seen, nonzero = set(), 0
+        for D in range(2, 439):
+            if squarefree_part(D)[1] != 1:
+                continue
+            F = build_field(D)
+            G = narrow_class_group(F)
+            for psi in odd_characters(G):
+                if psi.order == 2:
+                    continue
+                for p in (3, 5, 7, 13):
+                    if F.d_F % p == 0 or pow(F.d_F, (p - 1) // 2, p) != 1:
+                        continue
+                    S = diagonal_restriction(F, G, psi, p, N=10)
+                    assert isinstance(S.constant, (int, Fraction))
+                    assert all(type(v) is int for v in S.coeffs.values())
+                    assert modularity_check(S).passed, (D, p, psi)
+                    assert S == diagonal_restriction(F, G, psi.inverse(),
+                                                     p, N=10), (D, p, psi)
+                    seen.add((D, p, psi.order))
+                    nonzero += not S.is_zero()
+        assert (142, 7, 6) in seen and (34, 3, 4) in seen
+        assert {order for _, _, order in seen} == {4, 6}
+        assert nonzero > len(seen) // 2
+
     def test_algorithms_agree(self):
         # the series from the Manin rows equals the series from the Farey
         # walks of the translates, and the rows pass the table's check
