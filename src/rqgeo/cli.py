@@ -88,7 +88,7 @@ def _flatten(prefix, v, rows):
         for i, x in enumerate(v):
             _flatten("%s[%d]" % (prefix, i), x, rows)
     else:
-        rows.append((prefix, v))
+        rows.append((prefix, json.dumps(v) if isinstance(v, list) else v))
 
 
 def emit(report, fmt):
@@ -102,8 +102,7 @@ def emit(report, fmt):
     if fmt == "csv":
         w = csv.writer(out)
         w.writerow(("key", "value"))
-        for k, v in rows:
-            w.writerow((k, json.dumps(v) if isinstance(v, list) else v))
+        w.writerows(rows)
     else:
         for k, v in rows:
             out.write("%-28s %s\n" % (k, v))
@@ -221,6 +220,10 @@ def cmd_intersect(args):
     n = args.n
     if n < 1:
         raise ValueError("n must be positive")
+    # the twisted cycle pairs psi itself: a psi that is not real is
+    # refused (ValueError) at every p, before choose_r can find p inert
+    for c in range(G.h):
+        psi(c)
     try:
         r = choose_r(F, p, args.r)
     except InertPrime as exc:

@@ -243,7 +243,9 @@ def manin_table(Q):
     sgn(delta) at 0 and -sgn(delta) at p; if x1 = 0, every edge adds
     sgn(delta) at p and -sgn(delta) at 0.  So each of the q laps of
     |delta| = q p + rem edges adds that net, and only the first rem edges
-    are visited.
+    are visited.  An edge's second key is -1/t of its first key t (p for
+    t = 0, 0 for t = p), so the first keys of the whole period are
+    counted and each distinct t is inverted once.
     """
     p = Q.p
     g, m = reduce_form(Q.form)
@@ -258,6 +260,7 @@ def manin_table(Q):
         y0, y1 = y1, (delta * y1 - y0) % p
     a, b, c, d = x0, x1, y0, y1
     table = [0] * (p + 1)
+    firsts = {}                 # the signed count of each first key
     r0, r1 = u, v = m.c % p, m.d % p
     while True:
         for (x0, x1, y0, y1), delta in zip(runs, deltas):
@@ -268,14 +271,20 @@ def manin_table(Q):
                 lap = sign * laps if e1 else -sign * laps * p
                 table[0] += lap
                 table[p] -= lap
-            i1 = pow(e1, -1, p) if e1 else 0
-            for k in range(0, sign * rem, sign):
-                x = (k * e1 - e0) % p
-                table[x * i1 % p if e1 else p] += sign          # p1_key
-                table[-e1 * pow(x, -1, p) % p if x else p] -= sign
+            if e1:              # the first key of edge k is k - e0/e1
+                t0 = e0 * pow(e1, -1, p)
+                for k in range(0, sign * rem, sign):
+                    t = (k - t0) % p
+                    firsts[t] = firsts.get(t, 0) + sign
+            elif rem:
+                firsts[p] = firsts.get(p, 0) + sign * rem
         u, v = (u * a + v * c) % p, (u * b + v * d) % p        # rho P
         if (u * r1 - v * r0) % p == 0:
-            return table
+            break
+    for t, n in firsts.items():
+        table[t] += n
+        table[p if t == 0 else 0 if t == p else -pow(t, -1, p) % p] -= n
+    return table
 
 
 def intersect_winding_cycle(Q):

@@ -8,8 +8,11 @@ translate:
 
 * manin_counts: T_n W is the sum of the paths (b/d -> infinity) over
   the left cosets Gamma0(p)(a, b; 0, d), ad = n, p not dividing a,
-  0 <= b < d, cut into edges by Manin's continued-fraction trick.  The
-  series reads these counts;
+  0 <= b < d, cut into edges by Manin's continued-fraction trick.  A
+  path depends only on the value b/d, so each reduced fraction of
+  denominator at most N is walked once, and one of denominator d | n
+  stands for the tau_p(n / d) cosets with a | n / d, tau_p(m) the number
+  of divisors of m prime to p.  The series reads these counts;
 * merel_counts: the bottom rows of Merel's set X_n (Merel 1994).  It
   shares no coset and no continued fraction with manin_counts, and
   verify checks every row of the series against it.  The two count
@@ -40,10 +43,11 @@ themselves is caught as well.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .exact import Mat2, divisors, xgcd
-from .geodesic import ClosedGeodesic, intersect_winding_cycle, p1_key
+from .geodesic import ClosedGeodesic, intersect_winding_cycle
 
 __all__ = [
     "right_cosets",
@@ -111,29 +115,45 @@ def manin_counts(N, p):
     1/0.  The edge h0/k0 -> h1/k1 is h(0 -> infinity) for
     h = (h1, e h0; k1, e k0) in SL2(Z), e = h1 k0 - h0 k1, so its bottom
     row is (k1, e k0), and e alternates -1, 1, -1, ... from the edge
-    1/0 -> 0/1.  Only the denominators mod p are kept, counted by pair
-    before they are keyed.  The paths of each d <= N are walked once and
-    added to every n = a d <= N with p not dividing a.
+    1/0 -> 0/1.  The convergents depend only on the value b/d, so b/d
+    walks the path of b/g / d/g, g = gcd(b, d): one depth-first walk
+    over the continued fractions [0; q1, ..., qm], qm >= 2, of the
+    reduced fractions in [0, 1) of denominator at most N visits each
+    path once, a child adding one quotient q, one edge and the
+    denominator q k1 + k0.  prim[d] holds the edge keys of those of
+    denominator d, and the left cosets of n with such a b/d are those
+    with a | n / d, so R_n = -sum over d | n of tau_p(n / d) prim[d],
+    tau_p(m) the number of divisors of m prime to p.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    inv = [pow(x, -1, p) if x % p else 0 for x in range(N + 1)]
+    prim = [[] for _ in range(N + 1)]
+    prim[1].append(0)                       # 0/1: the edge 1/0 -> 0/1
+    stack = [(0, 1, 1, (0,))]               # k0, k1, e, the keys so far
+    while stack:
+        k0, k1, e, path = stack.pop()
+        ek, q, d = e * k1, 1, k1 + k0
+        while d <= N:
+            key = ek * inv[d] % p if inv[d] else p      # p1_key(e k1, d)
+            child = path + (key,)
+            if q > 1:
+                prim[d] += child
+            if d + k1 <= N:
+                stack.append((k1, d, -e, child))
+            q, d = q + 1, d + k1
+    tau = [0] * (N + 1)
+    for a in range(1, N + 1):
+        if a % p:
+            for m in range(a, N + 1, a):
+                tau[m] += 1
     rows = [{} for _ in range(N + 1)]
     for d in range(1, N + 1):
-        pairs = {}
-        for b in range(d):
-            x, y, k0, k1, e = b, d, 1, 0, -1
-            while y:
-                q, x, y = x // y, y, x % y
-                k0, k1 = k1, (q * k1 + k0) % p
-                pair = e * k0, k1
-                pairs[pair] = pairs.get(pair, 0) + 1
-                e = -e
-        path = [(p1_key(x, y, p), c) for (x, y), c in pairs.items()]
-        for a in range(1, N // d + 1):
-            if a % p:
-                row = rows[a * d]
-                for key, c in path:
-                    row[key] = row.get(key, 0) - c
+        counts = Counter(prim[d]).items()
+        for m in range(1, N // d + 1):
+            row, t = rows[m * d], tau[m]
+            for key, c in counts:
+                row[key] = row.get(key, 0) - t * c
     return tuple(tuple(sorted((k, c) for k, c in row.items() if c))
                  for row in rows[1:])
 

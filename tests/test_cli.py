@@ -265,6 +265,13 @@ class TestFormats:
         assert code == EXIT_OK
         assert "d_F" in out
 
+    def test_text_lists_are_json(self):
+        # as in csv: a list value is printed as JSON, strings in double
+        # quotes
+        code, out, _ = invoke("chars", "--D", "34", "--format", "text")
+        assert code == EXIT_OK
+        assert '"zeta_4^1"' in out and "'" not in out
+
 
 class TestNoDiskWrites:
     def test_info_commands_write_nothing(self, tmp_path, monkeypatch):
@@ -362,6 +369,21 @@ class TestExitCodes:
                                 "--n", "2")
         assert code == EXIT_DOMAIN and out == ""
         assert "character of order 4 is not real" in err
+
+    @pytest.mark.parametrize("D, p, order", [(34, 7, 4), (505, 11, 8)])
+    def test_intersect_refuses_at_an_inert_p(self, D, p, order):
+        # psi is read before choose_r, so an inert p is no way round the
+        # refusal
+        code, out, err = invoke("intersect", "--D", str(D), "--p", str(p),
+                                "--n", "2")
+        assert code == EXIT_DOMAIN and out == ""
+        assert "character of order %d is not real" % order in err
+
+    def test_intersect_inert_order_2(self):
+        # a real character at an inert p still gets the inert report
+        code, rep, _ = invoke_json("intersect", "--D", "6", "--p", "7",
+                                   "--n", "2")
+        assert code == EXIT_OK and rep["inert"] is True
 
     def test_no_model_before_the_tables(self, monkeypatch):
         # at p = 17 there is no modularity model: verify says so before

@@ -406,8 +406,9 @@ def _left_coset_paths(n, p):
 class TestManinCounts:
     def test_equals_the_left_cosets_for_each_n(self):
         # p | n and p^2 | n included, so a coset with p | a counted in
-        # R_n shows
-        for p in (2, 3, 5, 11, 13, 97):
+        # R_n shows; p = 9,999,991, next to cli.MAX_LEVEL, divides no
+        # denominator, and every key is an inverse mod p
+        for p in (2, 3, 5, 11, 13, 97, 9999991):
             rows = manin_counts(60, p)
             assert len(rows) == 60
             for n in range(1, 61):
@@ -486,6 +487,15 @@ class TestManinCounts:
         for N in (0, -1):
             with pytest.raises(ValueError, match="N must be at least 1"):
                 manin_counts(N, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(1, 80), p=st.sampled_from((2, 3, 5, 7, 13, 97, 9999991)))
+def test_manin_counts_equal_the_left_cosets(N, p):
+    # the tree walk over reduced fractions and the divisor fold against
+    # the cosets of each n walked whole
+    rows = manin_counts(N, p)
+    assert rows == tuple(_left_coset_paths(n, p) for n in range(1, N + 1))
 
 
 def _merel_set(n, p):
