@@ -12,12 +12,12 @@ internal error (a broken invariant: AssertionError or RuntimeError).
 
 verify builds three pairing tables of h RM points each, h the narrow
 class number, from Manin rows: at r for the report series, which the
-pm_halves and psi_inverse checks read back, at -r, which pairs the -r
-points for pm_halves, and at r + 2p for r_plus_2p.  The dual_algorithm
-check runs check_pairing_table on all three: each point's Manin table
-against its Farey walk, and its rows against Merel's set; verify builds
-no Hecke translate.  intersect sums intersect_both, both intersection
-algorithms, over the translates of the twisted cycle.
+checks read back, at r + 2p (r - 2p for r < 0) for r_plus_2p, and at
+-(r + 2p), whose row of class sigma(c) pm_halves compares with the
+negated report row of c.  dual_algorithm runs check_pairing_table on
+all three: each point's Manin table against its Farey walk, and its
+rows against Merel's set; verify builds no Hecke translate.  intersect
+sums both intersection algorithms over the twisted cycle's translates.
 """
 
 from __future__ import annotations
@@ -208,10 +208,11 @@ def cmd_rmpoints(args):
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
     # N0 = 2 N((-r + sqrt(d_F))/2)
+    pairs = zip(rm_points(F, G, p, r), rm_points(F, G, p, -r))
     data = {"r": r, "N0": (r * r - F.d_F) // 2, "classes": [
         {"class_index": cls, "form_plus": list(plus.form),
          "form_minus": list(minus.form)}
-        for cls, (plus, minus) in enumerate(rm_points(F, G, p, r))]}
+        for cls, (plus, minus) in enumerate(pairs)]}
     return _base_report(args, d_F=F.d_F, p=p, inert=False, rmpoints=data)
 
 
@@ -270,15 +271,14 @@ def cmd_verify(args):
     # asked first: a level with no model is a domain error before the
     # tables below are built; the report keeps the checks' order
     mod = modularity_check(S)
-    # the report's table, the table at -r, whose +r side is the -r
-    # points, and the table at r + 2p (away from zero, so that
-    # r^2 > d_F), each point's Manin table against its Farey walk and
-    # its rows against Merel's set
+    # the report's table, the table at r + 2p (away from zero, so that
+    # r^2 > d_F) and the one at its negative, each point's Manin table
+    # against its Farey walk and its rows against Merel's set
     r = S.metadata["r"]
     shifted = r + 2 * p if r > 0 else r - 2 * p
-    tables = [pairing_table(F, G, p, s, args.N) for s in (r, -r)]
+    roots = (r, shifted, -shifted)
     try:
-        for s in (r, -r, shifted):
+        for s in roots:
             check_pairing_table(F, G, p, s, args.N)
         record("dual_algorithm", True, "cycle==Farey Manin table per RM "
                "point, manin==Merel rows for n=1..%d" % args.N)
@@ -287,16 +287,19 @@ def cmd_verify(args):
     record("modularity", mod.passed,
            mod.message or ("mode=%s" % mod.mode))
 
+    table, shifted_table, opposite = (pairing_table(F, G, p, s, args.N)
+                                      for s in roots)
     # the RM points of r + 2p are other forms with b = -r (mod 2p),
     # Gamma0(p)-equivalent to those of r class by class
     # (Gross-Kohnen-Zagier): a third table, equal to the report's row by
     # row.  The constant term needs no check: (p, r + 2p) = (p, r)
-    record("r_plus_2p",
-           pairing_table(F, G, p, shifted, args.N) == tables[0])
-    # the report table derives its -r rows from the reversed +r points;
-    # the table at -r pairs the -r points themselves, class by class
+    record("r_plus_2p", shifted_table == table)
+    # the identity the series reads through psi.trace: the row of sigma(c)
+    # at the opposite root is the negated row of c, here of points other
+    # than -f_c, so their Gamma0(p)-equivalence is checked too
     record("pm_halves",
-           [row for _, row in tables[0]] == [row for row, _ in tables[1]],
+           [opposite[G.sigma(c)] for c in range(G.h)]
+           == [tuple(-v for v in row) for row in table],
            "-r rows equal the paired -r points for n=1..%d" % args.N)
     # psi^-1 reuses the report's table.  The series reads psi only
     # through psi.trace, and psi^-1 = conj(psi) has the same traces, so

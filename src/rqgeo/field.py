@@ -268,6 +268,10 @@ class NarrowClassGroup:
     def inverse(self, i):
         return self.group_table[i].index(0)
 
+    def sigma(self, i):
+        """c^-1 s, s the class of (sqrt(d_F)): the class of -f, f in i."""
+        return self.compose(self.inverse(i), self.class_of_principal_sqrt_dF)
+
     def positive_rep(self, i):
         """A representative form with positive leading coefficient."""
         for f in self.cycles[i][0]:

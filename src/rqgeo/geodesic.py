@@ -5,9 +5,9 @@ taken with its sign: it runs from the plus root of f to the minus root,
 so -f is the reversed geodesic.  Its stabilizer in Gamma0(p) is the
 automorph A of f raised to the length of the orbit of infinity under A
 in P^1(F_p); everything else is derived from f on demand.  Each narrow
-class has an RM point for +r and one for -r, found for all classes at
-once by one search per sign (rm_points), and the psi-twisted cycle is
-the tuple of (psi(class), RM point) pairs.
+class has an RM point for each square root s of d_F mod 4p, found for
+all classes at once by one search (rm_points), and the psi-twisted
+cycle is the tuple of (psi(class), RM point) pairs over s = +r and -r.
 
 Two independent algorithms compute the Manin table of a closed geodesic
 Q on Y0(p): the signed crossings of one Gamma0(p)-period of Q with the
@@ -128,25 +128,22 @@ def choose_r(F, p, r=None):
     return r
 
 
-def rm_points(F, G, p, r):
-    """The RM points of every narrow class: one (plus, minus) pair of
-    ClosedGeodesics per class, for the roots r and -r.  The point for the
-    root s has a primitive form [a, b, c] with p | a and b = -s (mod 2p).
+def rm_points(F, G, p, s):
+    """The RM points of the root s, one ClosedGeodesic per narrow class:
+    a primitive form [a, b, c] of the class with p | a and b = -s
+    (mod 2p).
 
-    For each s, one search meets the candidates b = -s + 2pk for k = 0,
-    1, -1, 2, -2, ..., then p | a by increasing |a|, +a before -a; it
-    classifies each primitive candidate once, keeps the first one of each
-    class, and stops once every class has one.
+    One search meets the candidates b = -s + 2pk for k = 0, 1, -1, 2,
+    -2, ..., then p | a by increasing |a|, +a before -a; it classifies
+    each primitive candidate once, keeps the first one of each class,
+    and stops once every class has one.
     """
-    points = []
-    for s in (r, -r):
-        first = {}
-        for f in _rm_candidates(F.d_F, p, s):
-            first.setdefault(G.classify(f), f)
-            if len(first) == G.h:
-                break
-        points.append([ClosedGeodesic(first[cls], p) for cls in range(G.h)])
-    return tuple(zip(*points))
+    first = {}
+    for f in _rm_candidates(F.d_F, p, s):
+        first.setdefault(G.classify(f), f)
+        if len(first) == G.h:
+            break
+    return tuple(ClosedGeodesic(first[cls], p) for cls in range(G.h))
 
 
 def _rm_candidates(d, p, s):
@@ -168,8 +165,8 @@ def twisted_cycle(F, G, psi, p, r):
     Q of each narrow class, r from choose_r; psi must be real (order <= 2)."""
     if not psi.totally_odd:
         raise ValueError("character is not totally odd")
-    return tuple((psi(cls), Q) for cls, pair in enumerate(rm_points(F, G, p, r))
-                 for Q in pair)
+    pairs = zip(rm_points(F, G, p, r), rm_points(F, G, p, -r))
+    return tuple((psi(cls), Q) for cls, pair in enumerate(pairs) for Q in pair)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
 the lvalue module, higher coefficients from the pairings <T_n Q, W> of
-the +r RM points Q with the winding geodesic W (pairing_table), weighted
-by psi + conj(psi).  A point's row is its Manin table (geodesic.manin_table)
-paired with the counts of T_n W (hecke.manin_counts, hecke.pairing_row);
+the RM points Q of r with the winding geodesic W (pairing_table),
+weighted by psi + conj(psi), which counts the points of -r too.  A
+point's row is its Manin table (geodesic.manin_table) paired with the
+counts of T_n W (hecke.manin_counts, hecke.pairing_row);
 check_pairing_table counts both again with no Hecke translate: the table
 by the Farey walk (geodesic.manin_table_enum) and T_n W by Merel's set
 (hecke.merel_counts).  For genus-zero levels the space of such forms is
@@ -100,41 +101,35 @@ def _coefficient(pairing):
 
 @lru_cache(maxsize=16)
 def pairing_table(F, G, p, r, N):
-    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points of every narrow
-    class: one (plus_row, minus_row) per class, the rows of its +r and -r
-    points, each a tuple indexed by n - 1.
+    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points Q of the root
+    r: one row per narrow class, a tuple indexed by n - 1.
 
     A point's row is its Manin table paired with hecke.manin_counts(N, p)
     (hecke.pairing_row): no Hecke translate is built.
     check_pairing_table checks the rows by a second count of each.
 
-    Only the +r points are paired.  Reversing the +r point f_c of class c
-    gives -f_c, a -r RM form of class sigma(c) = c^-1 s, s the class of
-    (sqrt(d_F)); by the Gross-Kohnen-Zagier bijection between the RM
+    The series needs no table at -r.  Reversing the point f_c of class c
+    gives -f_c, a -r RM form of class G.sigma(c) = c^-1 s, s the class
+    of (sqrt(d_F)); by the Gross-Kohnen-Zagier bijection between the RM
     points of r and of -r it is Gamma0(p)-equivalent to that class's -r
-    point, and reversal negates every winding number.  So the -r row of
-    sigma(c) is the negated +r row of c; the class of every -f_c is
-    asserted to be sigma(c).
+    point, and reversal negates every winding number.  So the row of
+    sigma(c) at -r is the negated row of c at r (verify's pm_halves);
+    the class of every -f_c is asserted to be sigma(c).
 
     The pairing is linear in the twisted cycle, so the series of every
     character psi is a psi-weighted sum of these rows.  The table is kept
     for the last few (F, G, p, r, N); F and G are keyed by identity, so a
     freshly built field gets a fresh table.
     """
-    s = G.class_of_principal_sqrt_dF
-    sigma = [G.compose(G.inverse(c), s) for c in range(G.h)]
     counts = manin_counts(N, p)
-    plus = []
-    for c, (Q, _) in enumerate(rm_points(F, G, p, choose_r(F, p, r))):
-        assert G.classify(Q.reversed().form) == sigma[c], ("-f_c misfiled", c)
-        plus.append(pairing_row(manin_table(Q), counts))
-    # sigma is an involution, so the -r row of c is -(+r row of sigma(c))
-    return tuple((row, tuple(-v for v in plus[sigma[c]]))
-                 for c, row in enumerate(plus))
+    points = rm_points(F, G, p, choose_r(F, p, r))
+    for c, Q in enumerate(points):
+        assert G.classify(Q.reversed().form) == G.sigma(c), ("-f_c misfiled", c)
+    return tuple(pairing_row(manin_table(Q), counts) for Q in points)
 
 
 def check_pairing_table(F, G, p, r, N):
-    """Check pairing_table(F, G, p, r, N) by a second count of each +r
+    """Check pairing_table(F, G, p, r, N) by a second count of each RM
     point Q, with no Hecke translate: Q's Manin table must equal the one
     the Farey walk gives (geodesic.manin_table_enum), entry by entry, and
     for every n the pairing of the table with Merel's set X_n
@@ -142,16 +137,16 @@ def check_pairing_table(F, G, p, r, N):
     cosets of manin_counts.  The two edge counts of T_n W may differ by
     Manin relations, which every table satisfies, so the pairings are
     compared, not the counts.  Raises AlgorithmMismatch naming the point
-    and the P^1 key or n."""
+    and the first P^1 key or n where they differ."""
     merel = merel_counts(N, p)
-    for (row, _), (Q, _) in zip(pairing_table(F, G, p, r, N),
-                                rm_points(F, G, p, choose_r(F, p, r))):
+    for row, Q in zip(pairing_table(F, G, p, r, N),
+                      rm_points(F, G, p, choose_r(F, p, r))):
         table, farey = manin_table(Q), manin_table_enum(Q)
-        for k in range(p + 1):
-            if table[k] != farey[k]:
-                raise AlgorithmMismatch(
-                    "RM point %r at key %d: cycle=%r farey=%r"
-                    % (Q.form, k, table[k], farey[k]))
+        if table != farey:
+            k = next(k for k in range(p + 1) if table[k] != farey[k])
+            raise AlgorithmMismatch(
+                "RM point %r at key %d: cycle=%r farey=%r"
+                % (Q.form, k, table[k], farey[k]))
         for n, value in enumerate(pairing_row(table, merel), 1):
             if row[n - 1] != value:
                 raise AlgorithmMismatch(
@@ -164,10 +159,10 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     Eisenstein series attached to psi, truncated at q^N.
 
     The pairings come from pairing_table, so characters of one field
-    share them.  The -r row of sigma(c) is the negated +r row of c and
-    psi(sigma(c)) = -conj(psi(c)), so only psi.trace(c) weights c's +r row;
-    its ValueError comes before any table is built, at an inert p too.
-    algorithm must be "cycle", the Manin-row table; the
+    share them.  The row of sigma(c) at -r is the negated row of c at r
+    and psi(sigma(c)) = -conj(psi(c)), so only psi.trace(c) weights c's
+    row at r; its ValueError comes before any table is built, at an
+    inert p too.  algorithm must be "cycle", the Manin-row table; the
     keyword remains because benchmarks/worker.py passes it.
     """
     if N < 1:
@@ -187,8 +182,8 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     from .lvalue import constant_term
     constant = constant_term(F, G, psi, p, r)
     table = pairing_table(F, G, p, r, N)
-    coeffs = {n: _coefficient(sum(t * plus[n - 1]
-                                  for t, (plus, _) in zip(traces, table)))
+    coeffs = {n: _coefficient(sum(t * row[n - 1]
+                                  for t, row in zip(traces, table)))
               for n in range(1, N + 1)}
     return QSeries(constant, coeffs, meta)
 

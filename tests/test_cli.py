@@ -5,6 +5,7 @@ import json
 import pytest
 
 import rqgeo.cli
+import rqgeo.geodesic
 import rqgeo.hecke
 import rqgeo.series
 from rqgeo.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, run
@@ -81,8 +82,8 @@ class TestVerify:
                          "pm_halves", "psi_inverse"]
 
     def test_three_hecke_passes(self, monkeypatch):
-        # the tables at r, -r and r + 2p read Manin tables, and
-        # check_pairing_table checks each of their +r points by one Farey
+        # the tables at r, r + 2p and -(r + 2p) read Manin tables, and
+        # check_pairing_table checks each of their points by one Farey
         # walk and Merel's set: verify builds no Hecke translate
         calls = {"translate": 0, "double_cosets": 0, "farey": []}
         farey = rqgeo.series.manin_table_enum
@@ -108,14 +109,14 @@ class TestVerify:
         F = build_field(6)
         G = narrow_class_group(F)
         r = choose_r(F, 5)
-        points = [pair[0].form for s in (r, -r, r + 10)
-                  for pair in rm_points(F, G, 5, s)]
+        points = [Q.form for s in (r, r + 10, -r - 10)
+                  for Q in rm_points(F, G, 5, s)]
         assert len(points) == 3 * G.h
         assert calls["farey"] == points
 
     def test_three_tables(self):
-        # the tables at r, -r and r + 2p; pm_halves and psi_inverse read
-        # the report's table back from the cache
+        # the tables at r, r + 2p and -(r + 2p); the checks read the
+        # report's table back from the cache
         rqgeo.series.pairing_table.cache_clear()
         code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
                                    "--N", "4")
@@ -138,7 +139,55 @@ class TestVerify:
             code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
                                        "--N", "4", "--r", str(r))
             assert code == EXIT_OK and rep["passed"] and rep["r"] == r
-            assert seen == [r, -r, shifted]
+            assert seen == [r, shifted, -shifted]
+
+    def test_one_search_per_table(self, monkeypatch):
+        # every RM-point search is for one root: series searches once,
+        # verify at most twice per table (the table and its check)
+        searches = []
+        candidates = rqgeo.geodesic._rm_candidates
+
+        def counted(d, p, s):
+            searches.append(s)
+            return candidates(d, p, s)
+        monkeypatch.setattr(rqgeo.geodesic, "_rm_candidates", counted)
+        for cmd, most in (("series", 1), ("verify", 6)):
+            rqgeo.series.pairing_table.cache_clear()
+            del searches[:]
+            code, _, _ = invoke(cmd, "--D", "6", "--p", "5", "--N", "4")
+            assert code == EXIT_OK and 0 < len(searches) <= most, cmd
+
+    @pytest.mark.parametrize("D, p", [(6, 5), (7, 3), (3, 11), (3, 13)])
+    def test_pm_halves_reads_other_points(self, monkeypatch, D, p):
+        # the table at the opposite root pairs, at every class sigma(c),
+        # an RM point other than the reversed point -f_c of the report's
+        # table, so pm_halves checks their Gamma0(p)-equivalence and not
+        # only that reversal negates a row
+        seen = []
+        table = rqgeo.cli.pairing_table
+
+        def spy(F, G, p, r, N):
+            seen.append(r)
+            return table(F, G, p, r, N)
+        monkeypatch.setattr(rqgeo.cli, "pairing_table", spy)
+        code, rep, _ = invoke_json("verify", "--D", str(D), "--p", str(p),
+                                   "--N", "4")
+        assert code == EXIT_OK and rep["passed"]
+        opposite, = [s for s in seen if s < 0]
+        F = build_field(D)
+        G = narrow_class_group(F)
+        plus, other = (rm_points(F, G, p, s) for s in (rep["r"], opposite))
+        for c, Q in enumerate(plus):
+            assert other[G.sigma(c)].form != Q.reversed().form, (D, p, c)
+
+    def test_pm_halves_where_sigma_moves_every_class(self):
+        # h+ = 8 at (210, 11) and sigma(c) != c for every class: reading
+        # the opposite table at c instead of sigma(c) fails pm_halves
+        G = narrow_class_group(build_field(210))
+        assert G.h == 8 and all(G.sigma(c) != c for c in range(G.h))
+        code, rep, _ = invoke_json("verify", "--D", "210", "--p", "11",
+                                   "--N", "6")
+        assert code == EXIT_OK and rep["passed"]
 
     def test_level_11_from_two_terms(self):
         # (constant, a_1) pin the 2-dim space, so N = 2 already checks a_2
@@ -425,14 +474,17 @@ class TestExitCodes:
         return [c["name"] for c in rep["checks"] if not c["passed"]], rep
 
     def test_pm_halves_can_fail(self, monkeypatch):
-        # negate the -r rows of the table the check reads: the two halves
-        # then pair to opposite values.  The report series has its own
-        # reference to the table, so only this check sees the skew.
+        # negate the rows of the table at the opposite root -(r + 2p)
+        # where the check reads them: the two halves then pair to
+        # opposite values.  The report series and dual_algorithm read the
+        # tables through rqgeo.series, so only this check sees the skew.
         pairing_table = rqgeo.cli.pairing_table
 
-        def skewed(*args):
-            return tuple((plus, tuple(-v for v in minus))
-                         for plus, minus in pairing_table(*args))
+        def skewed(F, G, p, r, N):
+            table = pairing_table(F, G, p, r, N)
+            if r > 0:
+                return table
+            return tuple(tuple(-v for v in row) for row in table)
         monkeypatch.setattr(rqgeo.cli, "pairing_table", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["pm_halves"]
@@ -474,8 +526,9 @@ class TestExitCodes:
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
 
     def test_dual_algorithm_checks_the_minus_points(self, monkeypatch):
-        # corrupt the Farey tables of the -r points only (b = r = 8
-        # mod 10 at (6, 5)): only the check of the table at -r reads them
+        # corrupt the Farey tables of the points of the negative root
+        # only (b = r = 8 mod 10 at (6, 5)): only the check of the table
+        # at -(r + 2p) reads them
         farey = rqgeo.series.manin_table_enum
 
         def corrupted(Q):
@@ -487,24 +540,22 @@ class TestExitCodes:
         failed, rep = self._failed_checks()
         assert failed == ["dual_algorithm"]
         assert rep["checks"][0]["detail"].startswith(
-            "RM point QuadForm(-5, 8, -2) at key 1:")
+            "RM point QuadForm(-5, 18, -15) at key 1:")
 
     def test_r_plus_2p_can_fail(self, monkeypatch):
-        # negate the pairing rows at every r but the default root and its
-        # negative where the check reads them: the table at r + 2p then
-        # comes out negated.  Reversed RM points would trip pairing_table's
-        # class assert, and the table at -r, which pm_halves reads, stays
-        # as it is.  check_pairing_table reads the rows through
+        # negate the pairing rows at r + 2p only, where the check reads
+        # them.  Reversed RM points would trip pairing_table's class
+        # assert, and the table at -(r + 2p), which pm_halves reads,
+        # stays as it is.  check_pairing_table reads the rows through
         # rqgeo.series, so dual_algorithm still sees the true table
-        default_r = choose_r(build_field(6), 5)
+        shifted = choose_r(build_field(6), 5) + 2 * 5
         pairing_table = rqgeo.cli.pairing_table
 
         def skewed(F, G, p, r, N):
             table = pairing_table(F, G, p, r, N)
-            if abs(r) == default_r:
+            if r != shifted:
                 return table
-            return tuple(tuple(tuple(-v for v in row) for row in pair)
-                         for pair in table)
+            return tuple(tuple(-v for v in row) for row in table)
         monkeypatch.setattr(rqgeo.cli, "pairing_table", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["r_plus_2p"]

@@ -329,18 +329,18 @@ class TestRmPoint:
     def test_rm_point_constraints(self):
         for D, p in CONFIGS:
             F, G, psi, r = _setup(D, p)
-            points = rm_points(F, G, p, r)
-            assert len(points) == G.h
-            for cls, pair in enumerate(points):
-                for sign, Q in zip((1, -1), pair):
+            for sign in (1, -1):
+                points = rm_points(F, G, p, sign * r)
+                assert len(points) == G.h
+                for cls, Q in enumerate(points):
                     assert Q.form.a % p == 0
                     assert (Q.form.b + sign * r) % (2 * p) == 0
                     assert Q.form.disc() == F.d_F
                     assert G.classify(Q.form) == cls
 
     def test_equals_per_class_search(self):
-        # one search per sign gives each class the point that a search
-        # restarted for that class alone finds, at r, -r and r + 2p, on
+        # one search gives each class the point that a search restarted
+        # for that class alone finds, at +-r and +-(r + 2p), on
         # every golden fields pair, the matrix pairs, and fields whose
         # unit has norm -1 (there f and -f share a class, so the order
         # +a before -a decides the point)
@@ -355,13 +355,11 @@ class TestRmPoint:
                 r0 = choose_r(F, p)
             except InertPrime:
                 continue
-            for r in (r0, -r0, r0 + 2 * p):
-                want = [(_first_hit_rm_form(F, G, cls, p, r),
-                         _first_hit_rm_form(F, G, cls, p, -r))
+            for s in (r0, -r0, r0 + 2 * p, -r0 - 2 * p):
+                want = [_first_hit_rm_form(F, G, cls, p, s)
                         for cls in range(G.h)]
-                got = [(plus.form, minus.form)
-                       for plus, minus in rm_points(F, G, p, r)]
-                assert got == want, (D, p, r)
+                got = [Q.form for Q in rm_points(F, G, p, s)]
+                assert got == want, (D, p, s)
 
     def test_explicit_large_r(self):
         # the other square root class mod 2p for d_F = 12, p = 13
@@ -373,16 +371,17 @@ class TestRmPoint:
         assert choose_r(F, 13, r=r) == r
         target = QuadForm(78, -18, 1)
         cls = G.classify(target)
-        Q = rm_points(F, G, 13, r)[cls][0]
+        Q = rm_points(F, G, 13, r)[cls]
         assert gamma0_equivalent(Q.form, target, 13)
 
     def test_pair_signs(self):
         F, G, psi, r = _setup(6, 5)
-        plus, minus = rm_points(F, G, 5, r)[0]
+        plus, minus = (rm_points(F, G, 5, s)[0] for s in (r, -r))
         assert (plus.form.b + r) % (2 * 5) == 0
         assert (minus.form.b - r) % (2 * 5) == 0
-        # at -r the pair is swapped
-        swapped = rm_points(F, G, 5, -r)[0]
+        # the root's sign alone picks the point: swapping the roots swaps
+        # the points
+        swapped = [rm_points(F, G, 5, s)[0] for s in (-r, r)]
         assert [Q.form for Q in swapped] == [minus.form, plus.form]
 
 
@@ -390,7 +389,7 @@ class TestClosedGeodesic:
     def test_stabilizer_fixes_endpoints(self):
         for D, p in CONFIGS:
             F, G, psi, r = _setup(D, p)
-            Q = rm_points(F, G, p, r)[0][0]
+            Q = rm_points(F, G, p, r)[0]
             g = Q.gamma
             assert g.det == 1 and g.c % p == 0
             assert g.a + g.d > 2
@@ -411,7 +410,7 @@ class TestClosedGeodesic:
     def test_orientation_reversal(self):
         for D, p in CONFIGS:
             F, G, psi, r = _setup(D, p)
-            Q = rm_points(F, G, p, r)[0][0]
+            Q = rm_points(F, G, p, r)[0]
             R = Q.reversed()
             assert R.form == QuadForm(*(-e for e in Q.form))
             assert plus_root(R.form) == minus_root(Q.form)
@@ -472,14 +471,14 @@ class TestIntersection:
     def test_orientation_flip_negates(self):
         for D, p in ((6, 5), (7, 3)):
             F, G, psi, r = _setup(D, p)
-            Q = rm_points(F, G, p, r)[0][0]
+            Q = rm_points(F, G, p, r)[0]
             assert intersect_winding_cycle(Q.reversed()) == -intersect_winding_cycle(Q)
             assert intersect_winding_enum(Q.reversed()) == -intersect_winding_enum(Q)
 
     def test_gamma0_translate_invariance(self):
         rng = random.Random(11)
         F, G, psi, r = _setup(6, 5)
-        Q = rm_points(F, G, 5, r)[1][0]
+        Q = rm_points(F, G, 5, r)[1]
         base = intersect_winding_cycle(Q)
         for _ in range(6):
             g = Mat2(1, rng.randrange(-3, 4), 0, 1) * Mat2(1, 0, 5 * rng.randrange(-2, 3), 1)

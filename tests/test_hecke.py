@@ -175,7 +175,7 @@ class TestRightCosets:
 def _base_geodesic(D, p, cls=0):
     F = build_field(D)
     G = narrow_class_group(F)
-    return rm_points(F, G, p, choose_r(F, p))[cls][0]
+    return rm_points(F, G, p, choose_r(F, p))[cls]
 
 
 class TestDoubleCosets:
@@ -246,7 +246,7 @@ class TestDoubleCosets:
             return key(*args)
         F = build_field(6)
         G = narrow_class_group(F)
-        for Q, _ in rm_points(F, G, p, choose_r(F, p)):
+        for Q in rm_points(F, G, p, choose_r(F, p)):
             with monkeypatch.context() as m:
                 m.setattr(rqgeo.hecke, "_coset_key", counted)
                 del calls[:]
@@ -455,8 +455,8 @@ class TestManinCounts:
         for D, p in ((6, 5), (7, 3), (3, 11), (15, 7), (21, 5), (33, 17)):
             F = build_field(D)
             G = narrow_class_group(F)
-            points += [Q for pair in rm_points(F, G, p, choose_r(F, p))
-                       for Q in pair]
+            r = choose_r(F, p)
+            points += [Q for s in (r, -r) for Q in rm_points(F, G, p, s)]
         while len(points) < 40:
             f = QuadForm(*(rng.randrange(-9, 10) for _ in range(3)))
             disc = f.disc()
@@ -564,7 +564,8 @@ def test_merel_pairing_equals_manin_row(case, pick):
     D, p = case
     F = build_field(D)
     G = narrow_class_group(F)
-    points = [Q for pair in rm_points(F, G, p, choose_r(F, p)) for Q in pair]
+    r = choose_r(F, p)
+    points = [Q for s in (r, -r) for Q in rm_points(F, G, p, s)]
     Q = points[pick % len(points)]
     table = manin_table(Q)
     assert pairing_row(table, merel_counts(30, p)) == \

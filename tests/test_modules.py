@@ -234,8 +234,9 @@ def test_coefficient_path_builds_no_quadirr(monkeypatch):
     monkeypatch.setattr(QuadIrr, "__init__", counted)
     S = diagonal_restriction(F, G, psi, 5, N=8)
     assert any(S.coeffs.values())
-    check_pairing_table(F, G, 5, choose_r(F, 5), 8)
-    for Q in rm_points(F, G, 5, choose_r(F, 5))[1]:
+    r = choose_r(F, 5)
+    check_pairing_table(F, G, 5, r, 8)
+    for Q in (rm_points(F, G, 5, s)[1] for s in (r, -r)):
         for n in range(1, 9):
             hecke_translate(Q, n)
     assert built == []

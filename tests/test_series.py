@@ -203,8 +203,7 @@ class TestInvariance:
             return table
         monkeypatch.setattr(rqgeo.series, "manin_table_enum", corrupted)
         r = choose_r(F, 5)
-        for (row, _), (Q, _) in zip(pairing_table(F, G, 5, r, 4),
-                                    rm_points(F, G, 5, r)):
+        for row, Q in zip(pairing_table(F, G, 5, r, 4), rm_points(F, G, 5, r)):
             assert pairing_row(corrupted(Q), merel_counts(4, 5)) == row
         with pytest.raises(AlgorithmMismatch, match=r"RM point .* at key 1:"):
             check_pairing_table(F, G, 5, r, 4)
@@ -259,9 +258,10 @@ class TestPairingTable:
         return calls
 
     def test_minus_rows_are_reversed_plus_rows(self):
-        # the -r row of class c^-1 s is the negated +r row of c, s the
-        # class of (sqrt(d_F)): the table's -r rows equal the rows of the
-        # -r points that rm_points finds, paired directly
+        # the row of class sigma(c) = c^-1 s in the table at -r is the
+        # negated row of c in the table at r, s the class of
+        # (sqrt(d_F)): the two tables pair the points of their own
+        # searches
         N = 6
         tables = 0
         for D in range(2, 100):
@@ -274,15 +274,12 @@ class TestPairingTable:
                 if F.d_F % p == 0 or pow(F.d_F, (p - 1) // 2, p) != 1:
                     continue
                 r = choose_r(F, p)
-                points = rm_points(F, G, p, r)
-                for c, (plus, _) in enumerate(points):
-                    assert G.classify(plus.reversed().form) == \
-                        G.compose(G.inverse(c), s), (D, p, c)
-                table = pairing_table(F, G, p, r, N)
-                assert [row for _, row in table] == [
-                    tuple(pair_with_twisted_cycle(((1, Q),), n)
-                          for n in range(1, N + 1))
-                    for _, Q in points], (D, p)
+                for c, plus in enumerate(rm_points(F, G, p, r)):
+                    assert G.classify(plus.reversed().form) == G.sigma(c) \
+                        == G.compose(G.inverse(c), s), (D, p, c)
+                plus, minus = (pairing_table(F, G, p, t, N) for t in (r, -r))
+                assert [minus[G.sigma(c)] for c in range(G.h)] == [
+                    tuple(-v for v in row) for row in plus], (D, p)
                 tables += 1
         assert tables == 123
 
@@ -393,8 +390,7 @@ def test_cycle_table_equals_enum_table(pair, N):
     r = choose_r(F, p)
     for s in (r, -r):
         check_pairing_table(F, G, p, s, N)
-        for (row, _), (Q, _) in zip(pairing_table(F, G, p, s, N),
-                                    rm_points(F, G, p, s)):
+        for row, Q in zip(pairing_table(F, G, p, s, N), rm_points(F, G, p, s)):
             assert row == tuple(
                 pair_with_twisted_cycle(((1, Q),), n, intersect_both)
                 for n in range(1, N + 1)), (D, p, s, Q)
