@@ -64,9 +64,10 @@ for n in (1, 2, 3, 4):
     print("  n = %d: pairing %d from %d translates %s"
           % (n, total, len(rows), rows if n == 1 else "..."))
 tables = [(coeff, manin_table(Q)) for coeff, Q in cyc]
-print("\nManin tables, entry k for the bottom row (1 : k), p for (0 : 1):")
+print("\nManin tables, the nonzero entries: key k for the bottom row (1 : k),"
+      " p for (0 : 1):")
 for coeff, table in tables:
-    print("  coeff %+d   %s" % (coeff, table))
+    print("  coeff %+d   %s" % (coeff, dict(sorted(table.items()))))
 print("the same pairings as sums of R_n[k] * table[k]:")
 counts = manin_counts(4, p)
 rows = [(coeff, pairing_row(table, counts)) for coeff, table in tables]

@@ -58,7 +58,8 @@ EXIT_MISMATCH = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
-# the largest p of series, verify and intersect; their cost grows like p
+# the largest p of series, verify and intersect: no Manin table grows with
+# p, but the RM-point search and the periods of intersect's translates do
 MAX_LEVEL = 10 ** 7
 
 

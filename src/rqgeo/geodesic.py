@@ -11,19 +11,20 @@ cycle is the tuple of (psi(class), RM point) pairs over s = +r and -r.
 
 Two independent algorithms compute the Manin table of a closed geodesic
 Q on Y0(p): the signed crossings of one Gamma0(p)-period of Q with the
-Gamma0(p)-orbit of every unimodular edge, one entry per point of
-P^1(F_p), which the edge counts of T_n W for n = 1..N (hecke.manin_counts,
-or Merel's set in hecke.merel_counts) turn into <T_n Q, W> without a
-Hecke translate (hecke.pairing_row); W is the winding geodesic 0 -> infinity.
+Gamma0(p)-orbit of every unimodular edge, the dict of the nonzero counts
+keyed by P^1(F_p), like the edge counts of T_n W for n = 1..N
+(hecke.manin_counts, or Merel's set in hecke.merel_counts) that turn it
+into <T_n Q, W> without a Hecke translate (hecke.pairing_row); W is the
+winding geodesic 0 -> infinity.
 
 * manin_table(Q) walks the reduction cycle of the reduced form of Q,
   a run of |delta| river edges of the Conway topograph per step, once
-  for each turn of one Gamma0(p)-period of Q.  intersect_winding_cycle(Q)
-  is its entry p, the orbit of the edge 0 -> infinity: the sum of sgn(a)
-  over the forms in the proper Gamma0(p)-class of Q whose root geodesic
+  for each turn of one Gamma0(p)-period of Q, and carries only the
+  bottom row of the faces mod p.  intersect_winding_cycle(Q) is its
+  entry p, the orbit of the edge 0 -> infinity: the sum of sgn(a) over
+  the forms in the proper Gamma0(p)-class of Q whose root geodesic
   separates 0 from infinity (those with a*c < 0), the edges of the river
-  whose walk matrix has a column in the orbit of infinity in P^1(F_p)
-  under the automorph;
+  with a face in the orbit of infinity in P^1(F_p) under the automorph;
 * manin_table_enum(Q) walks the Farey tessellation along one period of
   the closed geodesic, in the original coordinates and without reducing
   the form, and keys each crossed edge by its bottom row; it shares
@@ -179,19 +180,19 @@ def twisted_cycle(F, G, psi, p, r):
 # S = (0, -1; 1, 0).  The automorph of f shifts the river by one period,
 # so one period meets every such form exactly once.  A form f.apply(m)
 # lies in the Gamma0(p)-class of f exactly when some automorph power
-# times m lies in Gamma0(p), that is when the first column of m lies in
-# the orbit of infinity = (1 : 0) in P^1(F_p) under the automorph.  So
-# the sum of sgn(a) over these forms is the signed number of crossings
-# of one Gamma0(p)-period of Q with the Gamma0(p)-orbit of the edge
+# times m lies in Gamma0(p), that is when the face e1 lies in the orbit
+# of infinity = (1 : 0) in P^1(F_p) under the automorph.  So the sum of
+# sgn(a) over these forms is the signed number of crossings of one
+# Gamma0(p)-period of Q with the Gamma0(p)-orbit of the edge
 # 0 -> infinity: entry p of the Manin table.
 #
 # The reduced forms of the class are river edges too, in the order of
-# the reduction cycle (form_cycle).  The step (0, -1; 1, delta) takes
-# the walk matrix (e0 | e1) of one reduced form to (e1 | delta e1 - e0)
-# and passes the |delta| edges between the face e1 and the faces
-# k e1 - e0, k from 0 toward delta (k = delta is the next step's first
-# edge).  One turn of the cycle is thus one river period, and the
-# product of its steps is the automorph up to sign, unseen in P^1(F_p).
+# the reduction cycle (form_cycle).  The step of delta takes the faces
+# (e0, e1) of one reduced form to (e1, delta e1 - e0) and passes the
+# |delta| edges between the face e1 and the faces k e1 - e0, k from 0
+# toward delta (k = delta is the next step's first edge).  One turn of
+# the cycle is thus one river period, and the faces at its end are the
+# automorph's images of those at its start, up to sign.
 
 
 def p1_key(x, y, p):
@@ -213,13 +214,14 @@ def gamma0_automorph(form, p):
 
 
 def manin_table(Q):
-    """The winding numbers of Q against every unimodular edge, a list of
-    p + 1 integers: entry k is the signed number of crossings of one
-    Gamma0(p)-period of Q with the Gamma0(p)-orbit of the edge
-    h(0 -> infinity), h in SL2(Z) of bottom row (c, d), k = p1_key(d, c).
-    Entry p, the bottom row (0 : 1), is intersect_winding_cycle.  The
-    reversed edge h S has bottom row (d, -c), so the entries of (c : d)
-    and (d : -c) are opposite.
+    """The winding numbers of Q against every unimodular edge, as the
+    dict of the nonzero ones: key k in 0..p holds the signed number of
+    crossings of one Gamma0(p)-period of Q with the Gamma0(p)-orbit of
+    the edge h(0 -> infinity), h in SL2(Z) of bottom row (c, d),
+    k = p1_key(d, c), and a missing key counts 0.  Entry p, the bottom
+    row (0 : 1), is intersect_winding_cycle.  The reversed edge h S has
+    bottom row (d, -c), so the entries of (c : d) and (d : -c) are
+    opposite.
 
     Let m reduce Q.form to g.  The river edges of g are the Farey edges
     that g's geodesic crosses, and m carries them to Q's.  The edge
@@ -228,60 +230,51 @@ def manin_table(Q):
     m h has bottom row (rho F1, rho F2), rho = (m.c, m.d).  A run of the
     reduction cycle (see the comment above) has F1 = e1, of the sign of
     delta, and F2 = k e1 - e0; it adds sgn(delta) at p1_key(rho F2,
-    rho F1) and -sgn(delta) at p1_key(-rho F1, rho F2) per edge.  One
-    turn of the cycle moves the faces by the step product P, and
+    rho F1) and -sgn(delta) at p1_key(-rho F1, rho F2) per edge.  The
+    walk keeps only the row (x0, x1) = (rho e0, rho e1) mod p, which
+    starts at (m.c, m.d) and which a step takes to (x1, delta x1 - x0).
+    After i turns it is rho P^i, P the product of the steps, and
     m P^i m^-1 lies in Gamma0(p) exactly when rho P^i is a multiple of
-    rho mod p, so one Gamma0(p)-period of Q is one turn for each row in
-    the orbit of (m.c : m.d) under P.
+    rho mod p; so one Gamma0(p)-period of Q is the turns up to the first
+    that ends on a multiple of (m.c, m.d).
 
-    A run is taken mod p: its faces k e1 - e0 depend on k only mod p.
-    Write x0, x1 for rho e0, rho e1.  If x1 != 0, p consecutive edges
-    meet the first keys 0..p-1 and the second keys 1..p once each, a net
-    sgn(delta) at 0 and -sgn(delta) at p; if x1 = 0, every edge adds
-    sgn(delta) at p and -sgn(delta) at 0.  So each of the q laps of
-    |delta| = q p + rem edges adds that net, and only the first rem edges
-    are visited.  An edge's second key is -1/t of its first key t (p for
-    t = 0, 0 for t = p), so the first keys of the whole period are
-    counted and each distinct t is inverted once.
+    An edge's second key is -1/t of its first key t (p for t = 0, 0 for
+    t = p), so only the first keys of the period are counted, and each
+    distinct t is inverted once at the end.  A run is taken mod p: its
+    faces k e1 - e0 depend on k only mod p.  If x1 != 0, the first key
+    of edge k is k - x0/x1, so p consecutive edges meet every first key
+    0..p-1 once, and the second keys of those of first key t != 0 are
+    the first keys 1..p-1 again: a lap nets sgn(delta) at first key 0,
+    so each of the q laps of |delta| = q p + rem edges is folded into
+    that count and only the first rem edges are visited.  If x1 = 0,
+    every edge has first key p, and the run adds delta there.
     """
     p = Q.p
     g, m = reduce_form(Q.form)
     deltas = form_cycle(g)[1]
-    # the walk matrix (e0 | e1) mod p, as (x0, x1, y0, y1), at the start
-    # of each step; after the last step it is the step product P
-    runs = []
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    for delta in deltas:
-        runs.append((x0, x1, y0, y1))
-        x0, x1 = x1, (delta * x1 - x0) % p
-        y0, y1 = y1, (delta * y1 - y0) % p
-    a, b, c, d = x0, x1, y0, y1
-    table = [0] * (p + 1)
     firsts = {}                 # the signed count of each first key
-    r0, r1 = u, v = m.c % p, m.d % p
+    r0, r1 = x0, x1 = m.c % p, m.d % p
     while True:
-        for (x0, x1, y0, y1), delta in zip(runs, deltas):
-            e0, e1 = (u * x0 + v * y0) % p, (u * x1 + v * y1) % p
-            sign = 1 if delta > 0 else -1
-            laps, rem = divmod(sign * delta, p)
-            if laps:
-                lap = sign * laps if e1 else -sign * laps * p
-                table[0] += lap
-                table[p] -= lap
-            if e1:              # the first key of edge k is k - e0/e1
-                t0 = e0 * pow(e1, -1, p)
+        for delta in deltas:
+            if x1:              # the first key of edge k is k - x0/x1
+                sign = 1 if delta > 0 else -1
+                laps, rem = divmod(sign * delta, p)
+                firsts[0] = firsts.get(0, 0) + sign * laps
+                t0 = x0 * pow(x1, -1, p)
                 for k in range(0, sign * rem, sign):
                     t = (k - t0) % p
                     firsts[t] = firsts.get(t, 0) + sign
-            elif rem:
-                firsts[p] = firsts.get(p, 0) + sign * rem
-        u, v = (u * a + v * c) % p, (u * b + v * d) % p        # rho P
-        if (u * r1 - v * r0) % p == 0:
+            else:
+                firsts[p] = firsts.get(p, 0) + delta
+            x0, x1 = x1, (delta * x1 - x0) % p
+        if (x0 * r1 - x1 * r0) % p == 0:
             break
+    table = {}
     for t, n in firsts.items():
-        table[t] += n
-        table[p if t == 0 else 0 if t == p else -pow(t, -1, p) % p] -= n
-    return table
+        table[t] = table.get(t, 0) + n
+        k = p if t == 0 else 0 if t == p else -pow(t, -1, p) % p
+        table[k] = table.get(k, 0) - n
+    return {k: n for k, n in table.items() if n}
 
 
 def intersect_winding_cycle(Q):
@@ -290,7 +283,7 @@ def intersect_winding_cycle(Q):
     Gamma0(p)-class of Q.form, which is entry p of manin_table(Q).  The
     class of -f holds the negatives of the forms in the class of f, so
     reversing Q negates the sum."""
-    return manin_table(Q)[Q.p]
+    return manin_table(Q).get(Q.p, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +386,16 @@ def manin_table_enum(Q):
     # every edge of the walk is crossed, and a step keeps the side of the
     # edge's first point, so that side is inside(edge[0]) throughout
     uin = inside(edge[0])
-    table = [0] * (p + 1)
+    table = {}
     while edge not in stops:
         (un, ud), (vn, vd) = u, v = edge
         if un * vd - vn * ud == -1:
             vn, vd = -vn, -vd
         s = _edge_sign((un, vn, ud, vd), f, D)
-        table[p1_key(vd, ud, p)] += s
-        table[p1_key(-ud, vd, p)] -= s
+        k = p1_key(vd, ud, p)
+        table[k] = table.get(k, 0) + s
+        k = p1_key(-ud, vd, p)
+        table[k] = table.get(k, 0) - s
         # step across the edge into the Farey triangle (u, v, u + v).  The
         # geodesic crosses (u, v), so one root lies in the interval that
         # the edge spans and the triangles below it close in on that root:
@@ -412,7 +407,7 @@ def manin_table_enum(Q):
             edge = (u, t)
         else:
             edge = (t, v)
-    return table
+    return {k: n for k, n in table.items() if n}
 
 
 def intersect_winding_enum(Q):
@@ -420,4 +415,4 @@ def intersect_winding_enum(Q):
     manin_table_enum(Q), the crossed edges in the Gamma0(p)-orbit of
     0 -> infinity, those with exactly one end of denominator divisible
     by p."""
-    return manin_table_enum(Q)[Q.p]
+    return manin_table_enum(Q).get(Q.p, 0)

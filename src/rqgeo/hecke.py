@@ -109,7 +109,7 @@ def manin_counts(N, p):
     a tuple whose entry n - 1 holds the nonzero (k, R_n[k]) in increasing
     k, R_n[k] minus the number of edges of bottom row k = p1_key(d, c) on
     the paths (infinity -> b/d) over the left cosets (a, b; 0, d) of T_n,
-    so <T_n Q, W> = sum over k of R_n[k] manin_table(Q)[k] (pairing_row).
+    so <T_n Q, W> = sum over k of R_n[k] manin_table(Q).get(k, 0).
 
     The path runs through the continued-fraction convergents of b/d from
     1/0.  The edge h0/k0 -> h1/k1 is h(0 -> infinity) for
@@ -166,7 +166,7 @@ def merel_counts(N, p):
     ad - bc = n, a > b >= 0 and d > c >= 0, rows that are (0, 0) mod p
     left out (Merel 1994, Universal Fourier expansions of modular
     forms), in increasing k.  So <T_n Q, W> = sum over k of count times
-    geodesic.manin_table(Q)[k] (pairing_row).
+    the entry k of geodesic.manin_table(Q) (pairing_row).
 
     One pass over (a, b, c) serves every n: ad - bc >= a + c (a - b),
     and the d > c with ad - bc <= N form one range, n stepping by a
@@ -193,8 +193,9 @@ def merel_counts(N, p):
 
 def pairing_row(table, counts):
     """<T_n Q, W> for n = 1..N, indexed by n - 1, from the Manin table of
-    Q and the count table of T_n W of manin_counts or merel_counts."""
-    return tuple(sum(c * table[k] for k, c in row) for row in counts)
+    Q (a missing key counts 0) and a count table of T_n W."""
+    return tuple(sum(c * table[k] for k, c in row if k in table)
+                 for row in counts)
 
 
 def double_cosets(Q, n):

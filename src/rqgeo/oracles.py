@@ -412,7 +412,9 @@ def manin_table_farey(Q):
     """The reference for geodesic.manin_table: walk the Farey
     tessellation along one Gamma0(p)-period of Q, as
     intersect_winding_enum does, and add the sign of each crossed edge at
-    the P^1(F_p) point of its bottom row.
+    the P^1(F_p) point of its bottom row.  The result is a list of p + 1
+    entries indexed by key, zeros included; manin_table keeps only the
+    nonzero ones.
 
     The crossed edge between u and v is h(0 -> infinity) for
     h = (u | v) in SL2(Z), v negated if need be, and its sign is +1 when

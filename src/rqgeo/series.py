@@ -131,22 +131,22 @@ def pairing_table(F, G, p, r, N):
 def check_pairing_table(F, G, p, r, N):
     """Check pairing_table(F, G, p, r, N) by a second count of each RM
     point Q, with no Hecke translate: Q's Manin table must equal the one
-    the Farey walk gives (geodesic.manin_table_enum), entry by entry, and
+    the Farey walk gives (geodesic.manin_table_enum), key by key, and
     for every n the pairing of the table with Merel's set X_n
     (hecke.merel_counts) must equal Q's row, which pairs it with the left
     cosets of manin_counts.  The two edge counts of T_n W may differ by
     Manin relations, which every table satisfies, so the pairings are
     compared, not the counts.  Raises AlgorithmMismatch naming the point
-    and the first P^1 key or n where they differ."""
+    and the least P^1 key or the first n where they differ."""
     merel = merel_counts(N, p)
     for row, Q in zip(pairing_table(F, G, p, r, N),
                       rm_points(F, G, p, choose_r(F, p, r))):
         table, farey = manin_table(Q), manin_table_enum(Q)
         if table != farey:
-            k = next(k for k in range(p + 1) if table[k] != farey[k])
+            k = min(table.items() ^ farey.items())[0]
             raise AlgorithmMismatch(
                 "RM point %r at key %d: cycle=%r farey=%r"
-                % (Q.form, k, table[k], farey[k]))
+                % (Q.form, k, table.get(k, 0), farey.get(k, 0)))
         for n, value in enumerate(pairing_row(table, merel), 1):
             if row[n - 1] != value:
                 raise AlgorithmMismatch(

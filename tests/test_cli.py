@@ -497,7 +497,7 @@ class TestExitCodes:
 
         def corrupted(Q):
             table = farey(Q)
-            table[1] += 1
+            table[1] = table.get(1, 0) + 1
             return table
         monkeypatch.setattr(rqgeo.series, "manin_table_enum", corrupted)
         failed, rep = self._failed_checks()
@@ -534,7 +534,7 @@ class TestExitCodes:
         def corrupted(Q):
             table = farey(Q)
             if Q.form.b % 10 == 8:
-                table[1] += 1
+                table[1] = table.get(1, 0) + 1
             return table
         monkeypatch.setattr(rqgeo.series, "manin_table_enum", corrupted)
         failed, rep = self._failed_checks()

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -526,13 +527,14 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
     finally:
         rqgeo.geodesic._edge_sign = edge_sign
     assert manin_table(t) == table
-    assert intersect_winding_cycle(t) == table[p] == intersect_winding_enum(t)
+    assert intersect_winding_cycle(t) == table.get(p, 0) == \
+        intersect_winding_enum(t)
     tally = [0] * (p + 1)
     for h, v in seen:
         assert v == _oracle_edge_sign(Mat2(*h), t.form), (h, t.form)
         tally[p1_key(h[3], h[2], p)] += v
         tally[p1_key(-h[2], h[3], p)] -= v
-    assert seen and tally == table
+    assert seen and _nonzero(tally) == table
 
 
 @settings(max_examples=100, deadline=None)
@@ -547,18 +549,46 @@ def test_manin_table_equals_farey_walk(p, a, b, c):
     assume(disc > 0 and math.isqrt(disc) ** 2 != disc and f.content() == 1)
     Q = ClosedGeodesic(f, p)
     table = manin_table(Q)
-    assert table == manin_table_farey(Q), (f, p)
+    assert table == _nonzero(manin_table_farey(Q)), (f, p)
     assert table == manin_table_enum(Q), (f, p)
-    assert table[p] == intersect_winding_cycle(Q)
-    assert manin_table(Q.reversed()) == [-v for v in table]
+    assert table.get(p, 0) == intersect_winding_cycle(Q)
+    assert manin_table(Q.reversed()) == {k: -v for k, v in table.items()}
     # the edge of bottom row (c : d) reversed has bottom row (d : -c)
     for d in range(p):
-        assert table[p1_key(d, 1, p)] == -table[p1_key(-1, d, p)]
+        assert table.get(p1_key(d, 1, p), 0) == \
+            -table.get(p1_key(-1, d, p), 0)
     # the edges of bottom rows (c : d), (d : -c-d) and (-c-d : c) bound a
     # Farey triangle
     for c, d in [(1, d) for d in range(p)] + [(0, 1)]:
         rows = (c, d), (d, -c - d), (-c - d, c)
-        assert sum(table[p1_key(y, x, p)] for x, y in rows) == 0, (f, p, c, d)
+        assert sum(table.get(p1_key(y, x, p), 0) for x, y in rows) == 0, \
+            (f, p, c, d)
+
+
+@pytest.mark.parametrize("D, p", [(91, 9999973), (174, 9999991)])
+def test_manin_tables_at_large_p_are_sparse(D, p):
+    # an RM point's table has a few dozen nonzero entries out of p + 1,
+    # and both walks hold only those: no memory of the order of p
+    F = build_field(D)
+    G = narrow_class_group(F)
+    r = choose_r(F, p)
+    points = [Q for s in (r, -r) for Q in rm_points(F, G, p, s)]
+    tracemalloc.start()
+    try:
+        for Q in points:
+            table = manin_table(Q)
+            assert table == manin_table_enum(Q), (D, p, Q)
+            assert table and 0 not in table.values(), Q
+            assert all(0 <= k <= p for k in table), Q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def _nonzero(entries):
+    """The nonzero entries of a list indexed by P^1 key, as a dict."""
+    return {k: v for k, v in enumerate(entries) if v}
 
 
 def _key(x, y, p):

@@ -199,7 +199,7 @@ class TestInvariance:
 
         def corrupted(Q):
             table = farey(Q)
-            table[1] += 1
+            table[1] = table.get(1, 0) + 1
             return table
         monkeypatch.setattr(rqgeo.series, "manin_table_enum", corrupted)
         r = choose_r(F, 5)
