@@ -30,10 +30,10 @@ winding geodesic 0 -> infinity.
   the form, and keys each crossed edge by its bottom row; it shares
   nothing with the cycle side.  A Farey vertex (x, y) lies between the
   roots exactly when f(x, y) * a < 0, the walk steps to mediants toward
-  one root, the period ends at the stabilizer's image of the first
-  crossed edge, and the sides of a crossed edge's pull-back are signs of
-  numbers x + y sqrt(disc) with integer x, y.  intersect_winding_enum(Q)
-  is its entry p.
+  one root, and the period ends at the stabilizer's image of the first
+  crossed edge; every crossed edge has the same sign, fixed by the side
+  of the geodesic that the walk keeps its first point on and by the
+  sign of a.  intersect_winding_enum(Q) is its entry p.
 
 Everything is integer arithmetic; the roots of f are never built.
 """
@@ -300,38 +300,23 @@ def intersect_winding_cycle(Q):
 # order along the geodesic, form a sequence that the stabilizer gamma
 # shifts by one period; so the walk starts at a crossed edge E0, counts
 # it, and steps from triangle to triangle until the edge it reaches is
-# gamma E0 or gamma^-1 E0, whichever lies ahead.  An edge
-# h(0 -> infinity) counts by the sides of the imaginary axis on which
-# h^-1 puts the plus and the minus root.
-
-
-def _sign(x, y, D):
-    """The sign of x + y sqrt(D), for D > 0 not a square."""
-    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
-    if sx == sy or not sx:
-        return sy
-    if not sy:
-        return sx
-    # opposite signs: x^2 = D y^2 is impossible
-    return sx if x * x > D * y * y else sy
-
-
-def _edge_sign(h, f, D):
-    """Intersection of the geodesic of f, of discriminant D, with the
-    unimodular edge h(0 -> infinity), h = (un, vn, ud, vd) in SL2(Z):
-    +1 if h^-1 takes the geodesic from the positive half line to the
-    negative one, -1 the other way, 0 if h^-1 of it does not cross the
-    imaginary axis."""
-    un, vn, ud, vd = h
-    # h^-1 = (vd, -vn; -ud, un) takes the root (-b +- sqrt(D))/(2a) to
-    # (vd w - vn)/(un - ud w); with both factors scaled by 2a its sign is
-    # that of (-vd b - 2a vn +- vd sqrt(D)) * (2a un + ud b -+ ud sqrt(D))
-    a, b, _ = f
-    x0, x1 = -vd * b - 2 * a * vn, 2 * a * un + ud * b
-    plus = _sign(x0, vd, D) * _sign(x1, -ud, D)
-    minus = _sign(x0, -vd, D) * _sign(x1, ud, D)
-    assert plus and minus, "pulled-back endpoint at 0 or infinity"
-    return (plus - minus) // 2
+# gamma E0 or gamma^-1 E0, whichever lies ahead.
+#
+# An edge h(0 -> infinity) counts +1 if h^-1 takes the plus root to the
+# positive half line and the minus root to the negative one, and -1 the
+# other way; one sign serves the whole walk.  For the edge (u, v) let
+# e = cross(u, v) = +-1 and h = (u | e v), of det 1.  It sends 0 to v and
+# infinity to u, so h^-1 sends to the positive half line the arc of the
+# boundary that rises from v to u (through infinity if u < v).  The edge
+# is crossed, so that arc holds one root: the lower one if u lies
+# between the roots (the arc enters their interval there), the upper one
+# otherwise (it leaves it there); the plus root is the upper one exactly
+# when a > 0.  Every walked edge is crossed and a step keeps u on the
+# side of the start edge's u, so the sign is fixed by that side and
+# sgn(a).  A step keeps e too, since cross(u, u + v) = cross(u + v, v) =
+# cross(u, v).  gamma has det 1 and fixes both roots, so it keeps each
+# side of the geodesic, and the walk meets gamma E0 as (gamma u, gamma v),
+# never as (gamma v, gamma u).
 
 
 def _norm_pt(t):
@@ -364,10 +349,12 @@ def _start_edge(f, D, inside):
 
 def manin_table_enum(Q):
     """manin_table(Q) by the Farey walk along one Gamma0(p)-period of
-    the geodesic: each crossed edge between u and v is h(0 -> infinity)
-    for h = (u | v) in SL2(Z), v negated if need be, and adds its
-    _edge_sign s at p1_key(vd, ud), its bottom row (ud : vd), and -s at
-    p1_key(-ud, vd), the bottom row of the reversed edge h S."""
+    the geodesic: each crossed edge (u, v) is h(0 -> infinity) for
+    h = (u | e v), e = cross(u, v), and adds the walk's sign s at
+    p1_key(e vd, ud), its bottom row (ud : e vd), and -s at
+    p1_key(-ud, e vd), the bottom row of the reversed edge h S.  The
+    sign, e and the two stop edges hold for the whole walk (see the
+    comment above), so they are fixed before it."""
     f = Q.form
     a, b, c = f
     D = b * b - 4 * a * c
@@ -378,23 +365,19 @@ def manin_table_enum(Q):
         return (a * x * x + b * x * y + c * y * y) * a < 0
 
     edge = _start_edge(f, D, inside)
-    stops = []
-    for m in (gamma, gamma.adjugate()):     # gamma and gamma^-1 (det 1)
-        s, t = (_norm_pt((m.a * x + m.b * y, m.c * x + m.d * y))
-                for x, y in edge)
-        stops += [(s, t), (t, s)]
-    # every edge of the walk is crossed, and a step keeps the side of the
-    # edge's first point, so that side is inside(edge[0]) throughout
+    stops = [tuple(_norm_pt((m.a * x + m.b * y, m.c * x + m.d * y))
+                   for x, y in edge)
+             for m in (gamma, gamma.adjugate())]    # gamma and gamma^-1
+    (un, ud), (vn, vd) = edge
+    e = un * vd - vn * ud
     uin = inside(edge[0])
+    s = 1 if uin == (a < 0) else -1
     table = {}
     while edge not in stops:
-        (un, ud), (vn, vd) = u, v = edge
-        if un * vd - vn * ud == -1:
-            vn, vd = -vn, -vd
-        s = _edge_sign((un, vn, ud, vd), f, D)
-        k = p1_key(vd, ud, p)
+        (_, ud), (_, vd) = u, v = edge
+        k = p1_key(e * vd, ud, p)
         table[k] = table.get(k, 0) + s
-        k = p1_key(-ud, vd, p)
+        k = p1_key(-ud, e * vd, p)
         table[k] = table.get(k, 0) - s
         # step across the edge into the Farey triangle (u, v, u + v).  The
         # geodesic crosses (u, v), so one root lies in the interval that

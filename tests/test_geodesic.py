@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import rqgeo.geodesic
 from rqgeo.exact import Mat2, divisors, is_prime, squarefree_part
 from rqgeo.field import (
     QuadForm,
@@ -22,9 +21,7 @@ from rqgeo.field import (
     odd_characters,
 )
 from rqgeo.geodesic import (
-    _edge_sign,
     _norm_pt,
-    _sign,
     _start_edge,
     ClosedGeodesic,
     InertPrime,
@@ -40,11 +37,9 @@ from rqgeo.geodesic import (
 )
 from rqgeo.hecke import hecke_translate
 from rqgeo.oracles import (
-    QuadIrr,
     gamma0_equivalent,
     manin_table_farey,
     minus_root,
-    mobius,
     plus_root,
     sl2_equivalence,
     translate,
@@ -158,105 +153,6 @@ class TestChooseR:
         for p in (9, 25):
             with pytest.raises(ValueError, match="odd prime"):
                 choose_r(build_field(7), p)
-
-
-def _oracle_edge_sign(h, f):
-    """_edge_sign by the reference route: the straddle of the Moebius
-    images of f's roots, as quadratic irrationals, under h^-1."""
-    inv = h.adjugate()
-    alpha = mobius(inv, plus_root(f)).sign()
-    beta = mobius(inv, minus_root(f)).sign()
-    assert alpha and beta
-    return (alpha - beta) // 2
-
-
-def _pell_near_misses(limit):
-    """(x, y, D) with x^2 - D y^2 in {1, -1, 4, -4}, D not a square, 0 < y
-    <= limit: the pairs x + y sqrt(D) closest to 0 for their size."""
-    out = []
-    for D in range(2, 60):
-        if math.isqrt(D) ** 2 == D:
-            continue
-        for y in range(1, limit + 1):
-            for k in (1, -1, 4, -4):
-                x = math.isqrt(max(D * y * y + k, 0))
-                if x * x == D * y * y + k and x > 0:
-                    out.append((x, y, D))
-    return out
-
-
-def _unimodular(rng, p):
-    """A random element h of SL2(Z): half of them in Gamma0(p), so that
-    h(0 -> infinity) is a translate of the imaginary axis, a quarter
-    times S = (0, -1; 1, 0), which reverses it, and a quarter times
-    (1, 0; 1, 1), whose edge h(0 -> 1) has both denominators prime to p
-    and is no translate of the axis."""
-    h = (Mat2(1, rng.randrange(-4, 5), 0, 1)
-         * Mat2(1, 0, p * rng.randrange(-3, 4), 1)
-         * Mat2(1, rng.randrange(-4, 5), 0, 1))
-    return h * rng.choice((Mat2(1, 0, 0, 1), Mat2(1, 0, 0, 1),
-                           Mat2(0, -1, 1, 0), Mat2(1, 0, 1, 1)))
-
-
-class TestStraddle:
-    # _sign and _edge_sign decide, in integers, on which side of the
-    # imaginary axis the pulled-back roots lie
-
-    def test_table(self):
-        assert _sign(0, 1, 2) == 1
-        assert _sign(3, -2, 2) == 1     # 3 > 2 sqrt(2)
-        assert _sign(-3, 2, 2) == -1
-        assert _sign(2, -1, 5) == -1    # 2 < sqrt(5)
-        assert _sign(5, 0, 7) == 1 and _sign(-1, 0, 7) == -1
-        assert _sign(0, 0, 7) == 0
-        axis = (1, 0, 0, 1)             # the identity: 0 -> infinity
-        f = QuadForm(1, 0, -2)          # from sqrt(2) to -sqrt(2)
-        assert _edge_sign(axis, f, 8) == 1
-        assert _edge_sign(axis, QuadForm(-1, 0, 2), 8) == -1
-        assert _edge_sign(axis, QuadForm(1, -4, 2), 8) == 0   # 2 +- sqrt(2)
-        # the reversed axis, S = (0, -1; 1, 0)
-        assert _edge_sign((0, -1, 1, 0), f, 8) == -1
-        # the edge h(0 -> infinity) = (-1 -> 0), h = (0, -1; 1, 1), not a
-        # translate of the axis for any p, which 1 +- sqrt(2) straddle
-        assert _edge_sign((0, -1, 1, 1), QuadForm(1, -2, -1), 8) == -1
-        # the axis moved by h = (1, 0; 5, 1) meets f o h^-1 exactly as the
-        # axis meets f, and the reversed edge h S the other way
-        h = Mat2(1, 0, 5, 1)
-        g = f.apply(h.adjugate())
-        assert _edge_sign(h.entries(), g, 8) == 1
-        assert _edge_sign((h * Mat2(0, -1, 1, 0)).entries(), g, 8) == -1
-
-    def test_sign_against_quadirr(self):
-        rng = random.Random(29)
-        cases = [(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-999, 1000),
-                  rng.choice((2, 3, 5, 8, 12, 13, 21, 24, 28, 40)))
-                 for _ in range(2000)]
-        near = _pell_near_misses(300)
-        assert len(near) > 100
-        cases += [(sx * x, sy * y, D) for x, y, D in near
-                  for sx in (1, -1) for sy in (1, -1)]
-        for x, y, D in cases:
-            assert _sign(x, y, D) == QuadIrr(x, y, 1, D).sign(), (x, y, D)
-
-    def test_irrational_endpoints(self):
-        # against the Moebius route on random unimodular edges, Gamma0(p)
-        # translates of the axis and others; reversing the geodesic or
-        # the edge negates the intersection
-        rng = random.Random(5)
-        crossed = 0
-        for p in (3, 5, 7, 13):
-            for _ in range(150):
-                f = _random_form(rng)
-                D = f.disc()
-                h = _unimodular(rng, p)
-                got = _edge_sign(h.entries(), f, D)
-                assert got == _oracle_edge_sign(h, f), (h, f)
-                R = QuadForm(-f.a, -f.b, -f.c)
-                assert _edge_sign(h.entries(), R, D) == -got
-                hS = h * Mat2(0, -1, 1, 0)
-                assert _edge_sign(hS.entries(), f, D) == -got
-                crossed += got != 0
-        assert crossed > 10
 
 
 def _convergents(w):
@@ -513,28 +409,12 @@ def test_river_walk_equals_farey_walk(config, n, pick, j, k):
     translates = hecke_translate(Q, n)
     t = translates[(pick // len(terms)) % len(translates)]
     t = translate(t, Mat2(1, j, 0, 1) * Mat2(1, 0, p * k, 1))
-    # every edge the Farey walk signs, a translate of the axis or not, is
-    # checked against the Moebius route
-    seen = []
-    edge_sign = rqgeo.geodesic._edge_sign
-
-    def recorded(h, f, D):
-        seen.append((h, edge_sign(h, f, D)))
-        return seen[-1][1]
-    rqgeo.geodesic._edge_sign = recorded
-    try:
-        table = manin_table_enum(t)
-    finally:
-        rqgeo.geodesic._edge_sign = edge_sign
-    assert manin_table(t) == table
+    # the Farey oracle signs every edge it walks by the Moebius images of
+    # the roots, a translate of the axis or not
+    table = manin_table_enum(t)
+    assert manin_table(t) == table == _nonzero(manin_table_farey(t))
     assert intersect_winding_cycle(t) == table.get(p, 0) == \
         intersect_winding_enum(t)
-    tally = [0] * (p + 1)
-    for h, v in seen:
-        assert v == _oracle_edge_sign(Mat2(*h), t.form), (h, t.form)
-        tally[p1_key(h[3], h[2], p)] += v
-        tally[p1_key(-h[2], h[3], p)] -= v
-    assert seen and _nonzero(tally) == table
 
 
 @settings(max_examples=100, deadline=None)
