@@ -10,20 +10,22 @@ above MAX_LEVEL for series, verify and intersect, a character this
 version cannot handle exactly, or verify-analytic without mpmath), 4
 internal error (a broken invariant: AssertionError or RuntimeError).
 
-verify builds three pairing tables of h RM points each, h the narrow
-class number, from Manin rows: at r for the report series, which the
-checks read back, at r + 2p (r - 2p for r < 0) for r_plus_2p, and at
--(r + 2p), whose row of class sigma(c) pm_halves compares with the
-negated report row of c.  dual_algorithm runs check_pairing_table on
-all three: each point's Manin table against its Farey walk, and its
-rows against Merel's set; verify builds no Hecke translate.  intersect
-sums both intersection algorithms over the twisted cycle's translates.
+verify reads three pairing tables of h RM points each, h the narrow
+class number, each root searched and each point's Manin table walked
+once: at r for the report series, which the checks read back, at
+r + 2p (r - 2p for r < 0) for r_plus_2p, and at -(r + 2p), whose row of
+class sigma(c) pm_halves compares with the negated report row of c.
+dual_algorithm runs check_pairing_table on all three: the same Manin
+tables against their Farey walks, and the rows against Merel's set;
+verify builds no Hecke translate.  intersect sums both intersection
+algorithms over the twisted cycle's translates.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -92,21 +94,26 @@ def _flatten(prefix, v, rows):
         rows.append((prefix, json.dumps(v) if isinstance(v, list) else v))
 
 
-def emit(report, fmt):
-    payload, out = _jsonable(report), sys.stdout
-    if fmt == "json":
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-        return
-    rows = []
-    _flatten("", payload, rows)
-    if fmt == "csv":
-        w = csv.writer(out)
-        w.writerow(("key", "value"))
-        w.writerows(rows)
-    else:
-        for k, v in rows:
-            out.write("%-28s %s\n" % (k, v))
+def render(report, fmt):
+    """The report as text, every integer in full: Python's limit on the
+    digits of int-to-str (3.10.7 and later) is lifted while it renders."""
+    payload, out = _jsonable(report), io.StringIO()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rows = []
+        _flatten("", payload, rows)
+        if fmt == "csv":
+            csv.writer(out).writerows([("key", "value")] + rows)
+        else:
+            out.writelines("%-28s %s\n" % row for row in rows)
+        return out.getvalue()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +445,17 @@ def run(argv=None):
     except SystemExit as exc:   # --help (0) or bad usage (EXIT_DOMAIN)
         return exc.code
     fn = COMMANDS[args.command][0]
+    code = EXIT_OK
     try:
-        report = fn(args)
+        try:
+            report = fn(args)
+        except VerificationFailure as exc:
+            report, code = exc.args[0], EXIT_MISMATCH
+        # all rendered first: a failure writes nothing and exits below
+        text = render(report, args.format)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
-    except VerificationFailure as exc:
-        emit(exc.args[0], args.format)
-        return EXIT_MISMATCH
     except AlgorithmMismatch as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
@@ -453,8 +463,8 @@ def run(argv=None):
         print("internal error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return EXIT_INTERNAL
-    emit(report, args.format)
-    return EXIT_OK
+    sys.stdout.write(text)
+    return code
 
 
 def main():

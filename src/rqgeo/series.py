@@ -3,12 +3,13 @@
 The q-series is weight 2 on Gamma0(p): constant term L^(p)(psi, 0) from
 the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the RM points Q of r with the winding geodesic W (pairing_table),
-weighted by psi + conj(psi), which counts the points of -r too.  A
-point's row is its Manin table (geodesic.manin_table) paired with the
-counts of T_n W (hecke.manin_counts, hecke.pairing_row);
-check_pairing_table counts both again with no Hecke translate: the table
-by the Farey walk (geodesic.manin_table_enum) and T_n W by Merel's set
-(hecke.merel_counts).  For genus-zero levels the space of such forms is
+weighted by psi + conj(psi), which counts the points of -r too.  Each
+root's points and their Manin tables (geodesic.manin_table) are found
+once for every N (_rm_tables); a point's row pairs its table with the
+counts of T_n W (hecke.manin_counts, hecke.pairing_row).
+check_pairing_table counts both again with no Hecke translate: the same
+table by the Farey walk (geodesic.manin_table_enum) and T_n W by Merel's
+set (hecke.merel_counts).  For genus-zero levels the space of such forms is
 one-dimensional and the whole series is pinned by a single
 proportionality; for p = 11 it is two-dimensional and the cusp direction
 is spanned by an eta product.
@@ -23,6 +24,7 @@ from .geodesic import InertPrime, choose_r, manin_table, manin_table_enum
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
 from .geodesic import rm_points
 from .hecke import manin_counts, merel_counts, pairing_row, sigma1
+from .lvalue import constant_term
 
 __all__ = [
     "QSeries",
@@ -100,13 +102,11 @@ def _coefficient(pairing):
 
 
 @lru_cache(maxsize=16)
-def pairing_table(F, G, p, r, N):
-    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points Q of the root
-    r: one row per narrow class, a tuple indexed by n - 1.
-
-    A point's row is its Manin table paired with hecke.manin_counts(N, p)
-    (hecke.pairing_row): no Hecke translate is built.
-    check_pairing_table checks the rows by a second count of each.
+def _rm_tables(F, G, p, r):
+    """(Q, manin_table(Q)) for the RM point Q of each narrow class of the
+    root choose_r(F, p, r): one search and one cycle walk per root,
+    whatever N, kept for the last few (F, G, p, r).  F and G are keyed
+    by identity, so a freshly built field gets fresh tables.
 
     The series needs no table at -r.  Reversing the point f_c of class c
     gives -f_c, a -r RM form of class G.sigma(c) = c^-1 s, s the class
@@ -115,33 +115,40 @@ def pairing_table(F, G, p, r, N):
     point, and reversal negates every winding number.  So the row of
     sigma(c) at -r is the negated row of c at r (verify's pm_halves);
     the class of every -f_c is asserted to be sigma(c).
-
-    The pairing is linear in the twisted cycle, so the series of every
-    character psi is a psi-weighted sum of these rows.  The table is kept
-    for the last few (F, G, p, r, N); F and G are keyed by identity, so a
-    freshly built field gets a fresh table.
     """
-    counts = manin_counts(N, p)
     points = rm_points(F, G, p, choose_r(F, p, r))
     for c, Q in enumerate(points):
         assert G.classify(Q.reversed().form) == G.sigma(c), ("-f_c misfiled", c)
-    return tuple(pairing_row(manin_table(Q), counts) for Q in points)
+    return tuple((Q, manin_table(Q)) for Q in points)
+
+
+def pairing_table(F, G, p, r, N):
+    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points Q of the root
+    r: one row per narrow class, a tuple indexed by n - 1.
+
+    A point's row is its Manin table (_rm_tables) paired with
+    hecke.manin_counts(N, p) (hecke.pairing_row): no Hecke translate is
+    built.  The pairing is linear in the twisted cycle, so the series of
+    every character psi is a psi-weighted sum of these rows.
+    """
+    counts = manin_counts(N, p)
+    return tuple(pairing_row(t, counts) for _, t in _rm_tables(F, G, p, r))
 
 
 def check_pairing_table(F, G, p, r, N):
     """Check pairing_table(F, G, p, r, N) by a second count of each RM
-    point Q, with no Hecke translate: Q's Manin table must equal the one
-    the Farey walk gives (geodesic.manin_table_enum), key by key, and
-    for every n the pairing of the table with Merel's set X_n
-    (hecke.merel_counts) must equal Q's row, which pairs it with the left
-    cosets of manin_counts.  The two edge counts of T_n W may differ by
-    Manin relations, which every table satisfies, so the pairings are
+    point Q, with no Hecke translate: the Manin table that Q's row pairs
+    must equal the one the Farey walk gives (geodesic.manin_table_enum),
+    key by key, and for every n the pairing of the table with Merel's set
+    X_n (hecke.merel_counts) must equal Q's row, which pairs it with the
+    left cosets of manin_counts.  The two edge counts of T_n W may differ
+    by Manin relations, which every table satisfies, so the pairings are
     compared, not the counts.  Raises AlgorithmMismatch naming the point
     and the least P^1 key or the first n where they differ."""
     merel = merel_counts(N, p)
-    for row, Q in zip(pairing_table(F, G, p, r, N),
-                      rm_points(F, G, p, choose_r(F, p, r))):
-        table, farey = manin_table(Q), manin_table_enum(Q)
+    for row, (Q, table) in zip(pairing_table(F, G, p, r, N),
+                               _rm_tables(F, G, p, r)):
+        farey = manin_table_enum(Q)
         if table != farey:
             k = min(table.items() ^ farey.items())[0]
             raise AlgorithmMismatch(
@@ -179,7 +186,6 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     except InertPrime:
         return QSeries(0, {n: 0 for n in range(1, N + 1)}, meta, inert=True)
     meta["r"] = r
-    from .lvalue import constant_term
     constant = constant_term(F, G, psi, p, r)
     table = pairing_table(F, G, p, r, N)
     coeffs = {n: _coefficient(sum(t * row[n - 1]

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -115,13 +117,15 @@ class TestVerify:
         assert calls["farey"] == points
 
     def test_three_tables(self):
-        # the tables at r, r + 2p and -(r + 2p); the checks read the
-        # report's table back from the cache
-        rqgeo.series.pairing_table.cache_clear()
+        # the RM points and Manin tables at r, r + 2p and -(r + 2p); the
+        # series, the checks and the rows read each root's back from the
+        # cache
+        rqgeo.series._rm_tables.cache_clear()
         code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
                                    "--N", "4")
         assert code == EXIT_OK and rep["passed"]
-        assert rqgeo.series.pairing_table.cache_info().misses == 3
+        info = rqgeo.series._rm_tables.cache_info()
+        assert info.misses == 3 and info.hits > 0
 
     def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
         # with --r 12 the shifted table is the one at 12 + 2*5, not the
@@ -142,8 +146,8 @@ class TestVerify:
             assert seen == [r, shifted, -shifted]
 
     def test_one_search_per_table(self, monkeypatch):
-        # every RM-point search is for one root: series searches once,
-        # verify at most twice per table (the table and its check)
+        # every RM-point search is for one root, and each root is
+        # searched once: series searches once, verify once per table
         searches = []
         candidates = rqgeo.geodesic._rm_candidates
 
@@ -151,11 +155,29 @@ class TestVerify:
             searches.append(s)
             return candidates(d, p, s)
         monkeypatch.setattr(rqgeo.geodesic, "_rm_candidates", counted)
-        for cmd, most in (("series", 1), ("verify", 6)):
-            rqgeo.series.pairing_table.cache_clear()
+        for cmd, most in (("series", 1), ("verify", 3)):
             del searches[:]
             code, _, _ = invoke(cmd, "--D", "6", "--p", "5", "--N", "4")
             assert code == EXIT_OK and 0 < len(searches) <= most, cmd
+        assert len(set(searches)) == 3
+
+    @pytest.mark.parametrize("D, p", [(6, 5), (210, 11)])
+    def test_one_cycle_walk_per_point(self, monkeypatch, D, p):
+        # the three tables of verify pair 3h RM points, and the check
+        # reads the Manin table that each row paired: one cycle walk per
+        # point
+        walks = []
+        table = rqgeo.series.manin_table
+
+        def counted(Q):
+            walks.append(Q.form)
+            return table(Q)
+        monkeypatch.setattr(rqgeo.series, "manin_table", counted)
+        code, rep, _ = invoke_json("verify", "--D", str(D), "--p", str(p),
+                                   "--N", "4")
+        assert code == EXIT_OK and rep["passed"]
+        h = narrow_class_group(build_field(D)).h
+        assert len(walks) == len(set(walks)) == 3 * h
 
     @pytest.mark.parametrize("D, p", [(6, 5), (7, 3), (3, 11), (3, 13)])
     def test_pm_halves_reads_other_points(self, monkeypatch, D, p):
@@ -320,6 +342,54 @@ class TestFormats:
         code, out, _ = invoke("chars", "--D", "34", "--format", "text")
         assert code == EXIT_OK
         assert '"zeta_4^1"' in out and "'" not in out
+
+    @staticmethod
+    def _parse(fmt, out):
+        # the report's keys by format; the digits are read with Python's
+        # int-to-str limit lifted
+        if fmt == "json":
+            rep = json.loads(out)
+            return rep["d_F"], rep["pell_plus"]["t"], rep["pell_plus"]["u"]
+        if fmt == "csv":
+            rows = dict(list(csv.reader(io.StringIO(out)))[1:])
+        else:
+            rows = dict(line.split(None, 1) for line in out.splitlines())
+        return tuple(int(rows[k]) for k in ("d_F", "pell_plus.t",
+                                            "pell_plus.u"))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_large_integers_print_in_full(self, fmt):
+        # the Pell unit of d_F = 4000000028 has 6,382 digits, beyond the
+        # 4,300 that Python 3.10.7 and later convert to a string by
+        # default; the report still prints every digit and leaves the
+        # limit as it was
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = invoke("field", "--D", "1000000007", "--format",
+                                fmt)
+        assert code == EXIT_OK and err == ""
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            d, t, u = self._parse(fmt, out)
+            assert len(str(t)) > 6000
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert d == 4000000028 and t * t - d * u * u == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_a_report_that_fails_to_render_writes_nothing(self, monkeypatch,
+                                                          fmt):
+        # with the limit left in place the unit cannot be rendered: the
+        # run is a domain error, and no part of the report is written
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit limit")
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: None)
+        code, out, err = invoke("field", "--D", "1000000007", "--format",
+                                fmt)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: Exceeds the limit")
 
 
 class TestNoDiskWrites:

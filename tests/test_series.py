@@ -17,6 +17,7 @@ from rqgeo.geodesic import (
     rm_points,
     twisted_cycle,
 )
+import rqgeo.geodesic
 import rqgeo.hecke
 import rqgeo.series
 from rqgeo.series import (
@@ -354,6 +355,26 @@ class TestPairingTable:
             results.append(diagonal_restriction(F, G, psi, 5, N=3))
         assert len(calls) == 2 * 2
         assert results[0] == results[1]
+
+    def test_check_reads_the_series_tables(self, monkeypatch):
+        # the check of the series' root at another N searches no RM
+        # point and walks no cycle again: it reads the points and Manin
+        # tables that the series paired
+        searches = []
+        candidates = rqgeo.geodesic._rm_candidates
+
+        def counted(d, p, s):
+            searches.append(s)
+            return candidates(d, p, s)
+        monkeypatch.setattr(rqgeo.geodesic, "_rm_candidates", counted)
+        walks = self._count_manin_tables(monkeypatch)
+        F, G, psi = _setup(6)
+        r = choose_r(F, 5)
+        diagonal_restriction(F, G, psi, 5, N=4)
+        check_pairing_table(F, G, 5, r, 8)
+        assert searches == [r]
+        assert [Q.form for Q in walks] == [Q.form
+                                           for Q in rm_points(F, G, 5, r)]
 
     def test_cycle_builds_no_translate(self, monkeypatch):
         # the table reads every pairing off the Manin tables, and its
