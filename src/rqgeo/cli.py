@@ -1,14 +1,17 @@
 """Command-line interface: JSON/CSV reports and batch verification.
 
 Subcommands: field, classgroup, chars, rmpoints, intersect, series,
-verify, verify-analytic; each takes only the options it reads.  Exit
+verify, verify-analytic; each takes only the options it reads.  parse
+reads the command line from the COMMANDS and OPTIONS tables as argparse
+did, with no argparse import, and builds --help from them too.  Exit
 codes: 0 success (including inert primes, which yield a structured zero
 series), 2 verification mismatch (a failed check, or the two
 intersection algorithms disagreeing on a translate in intersect), 3
-domain errors (bad input, a malformed command line included, a level
-above MAX_LEVEL for series, verify and intersect, a character this
-version cannot handle exactly, or verify-analytic without mpmath), 4
-internal error (a broken invariant: AssertionError or RuntimeError).
+domain errors (bad input, a malformed command line included, D above
+MAX_D, a level above MAX_LEVEL for series, verify and intersect, a
+character this version cannot handle exactly, or verify-analytic without
+mpmath), 4 internal error (a broken invariant: AssertionError or
+RuntimeError).
 
 verify reads three pairing tables of h RM points each, h the narrow
 class number, each root searched and each point's Manin table walked
@@ -23,15 +26,13 @@ algorithms over the twisted cycle's translates.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import math
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
+from types import SimpleNamespace
 
 from .field import (
     all_characters,
@@ -63,6 +64,8 @@ EXIT_INTERNAL = 4
 # the largest p of series, verify and intersect: no Manin table grows with
 # p, but the RM-point search and the periods of intersect's translates do
 MAX_LEVEL = 10 ** 7
+# the largest D of every command, each of which computes a Pell unit
+MAX_D = 10 ** 10
 
 
 class VerificationFailure(Exception):
@@ -107,6 +110,7 @@ def render(report, fmt):
         rows = []
         _flatten("", payload, rows)
         if fmt == "csv":
+            import csv          # loaded by the runs that write csv only
             csv.writer(out).writerows([("key", "value")] + rows)
         else:
             out.writelines("%-28s %s\n" % row for row in rows)
@@ -384,70 +388,126 @@ def cmd_verify_analytic(args):
 # driver
 
 
-# the options of each subcommand beyond --format; None means no field
-# either
+# the options of each subcommand beyond --format and --help
 COMMANDS = {
-    "field": (cmd_field, ()),
-    "classgroup": (cmd_classgroup, ()),
-    "chars": (cmd_chars, ()),
-    "rmpoints": (cmd_rmpoints, ("p", "r")),
-    "intersect": (cmd_intersect, ("p", "r", "char-index", "n")),
-    "series": (cmd_series, ("p", "r", "char-index", "N")),
-    "verify": (cmd_verify, ("p", "r", "char-index", "N", "no-cache")),
-    "verify-analytic": (cmd_verify_analytic, None),
+    "field": (cmd_field, ("D",)),
+    "classgroup": (cmd_classgroup, ("D",)),
+    "chars": (cmd_chars, ("D",)),
+    "rmpoints": (cmd_rmpoints, ("D", "p", "r")),
+    "intersect": (cmd_intersect, ("D", "p", "r", "char-index", "n")),
+    "series": (cmd_series, ("D", "p", "r", "char-index", "N")),
+    "verify": (cmd_verify, ("D", "p", "r", "char-index", "N", "no-cache")),
+    "verify-analytic": (cmd_verify_analytic, ()),
 }
 
+# name: (int, bool for a flag, or a tuple of choices; the default, or ...
+# when the option is required; its line of --help, None to hide it)
 OPTIONS = {
-    "p": dict(type=int, required=True, help="odd prime level"),
-    "r": dict(type=int, default=None,
-              help="override the square root of d_F mod 4p"),
-    "char-index": dict(type=int, default=0,
-                       help="index into the totally odd characters"),
-    "N": dict(type=int, default=30, help="q-expansion truncation"),
-    "n": dict(type=int, default=1, help="Hecke operator index"),
+    "D": (int, ..., "squarefree integer defining F = Q(sqrt(D))"),
+    "p": (int, ..., "odd prime level"),
+    "r": (int, None, "override the square root of d_F mod 4p"),
+    "char-index": (int, 0, "index into the totally odd characters"),
+    "N": (int, 30, "q-expansion truncation"),
+    "n": (int, 1, "Hecke operator index"),
     # does nothing; accepted because benchmarks/worker.py passes it
-    "no-cache": dict(action="store_true", help=argparse.SUPPRESS),
+    "no-cache": (bool, False, None),
+    "format": (("json", "csv", "text"), "json", "json, csv or text"),
+    "help": (bool, False, "show this help and exit (also -h)"),
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    """Bad command-line input is a domain error: usage and message on
-    stderr, exit code 3."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_DOMAIN, "%s: error: %s\n" % (self.prog, message))
+# the options of rqgeo itself (None) and of each command
+_NAMES = {None: ("help",), **{command: names + ("format", "help")
+                              for command, (_, names) in COMMANDS.items()}}
 
 
-@lru_cache(maxsize=1)       # built on first use, reused by every run
-def build_parser():
-    ap = _Parser(
-        prog="rqgeo",
-        description="Diagonal restrictions of p-stabilized Eisenstein "
-                    "series over real quadratic fields, from geodesic "
-                    "intersection numbers.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, options) in COMMANDS.items():
-        sp = sub.add_parser(name)
-        if options is not None:
-            sp.add_argument("--D", type=int, required=True,
-                            help="squarefree integer defining F = Q(sqrt(D))")
-            for opt in options:
-                sp.add_argument("--" + opt, **OPTIONS[opt])
-        sp.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-    return ap
+def _usage(command, full=False):
+    """The usage line of rqgeo or of a command; with full, its --help,
+    which adds a line for each command or for each option shown."""
+    words = [command or "{%s} ..." % ",".join(COMMANDS)]
+    lines = [] if command else [_usage(c)[len("usage: "):] for c in COMMANDS]
+    for name in _NAMES[command]:
+        kind, default, text = OPTIONS[name]
+        if text is not None:
+            word = "--" + name + ("" if kind is bool else " " + name.upper())
+            words.append(word if default is ... else "[%s]" % word)
+            lines.append("%-24s %s" % (word, text))
+    return " ".join(["usage: rqgeo"] + words) + (
+        "".join("\n  " + line for line in lines) if full else "")
+
+
+def _read(token, names):
+    """argparse's reading of a token: None for a value, else the pair (the
+    option it names, None for an unknown one; the value after =, or None)."""
+    spelled, eq, value = token.partition("=")
+    value = value if eq else None
+    if spelled == "-h":
+        return "help", value
+    if spelled[:2] != "--" or spelled == "--":
+        return None                     # a value, a negative number too
+    hits = ([n for n in names if "--" + n == spelled]       # or a prefix
+            or [n for n in names if ("--" + n).startswith(spelled)])
+    return hits[0] if len(hits) == 1 else None, value
+
+
+def parse(argv):
+    """The command line as argparse read it: --opt value or --opt=value,
+    a unique prefix of an option's name, negative values, the last of a
+    repeated option.  --help and -h write the help to stdout and raise
+    SystemExit(0); a usage error raises SystemExit(EXIT_DOMAIN)."""
+    command, values, extras, tokens = None, {}, [], iter(argv)
+    try:
+        for token in tokens:
+            read = _read(token, _NAMES[command])
+            if read is None and command is None:
+                if token not in COMMANDS:
+                    raise ValueError("invalid command %r" % token)
+                command = token
+                continue
+            name, value = read or (None, None)
+            if name is None:            # refused once the line is read
+                extras.append(token)
+                continue
+            kind = OPTIONS[name][0]
+            if kind is bool and value is not None:
+                raise ValueError("--%s takes no value" % name)
+            if name == "help":
+                sys.stdout.write(_usage(command, full=True) + "\n")
+                raise SystemExit(EXIT_OK)
+            if value is None and kind is not bool:
+                value = next(tokens, None)
+                if value is None or _read(value, _NAMES[command]):
+                    raise ValueError("--%s expects a value" % name)
+            if kind is int:
+                value = int(value)      # its ValueError names the value
+            elif kind is not bool and value not in kind:
+                raise ValueError("--%s: invalid choice %r" % (name, value))
+            values[name] = True if kind is bool else value
+        if command is None:
+            raise ValueError("a command is required")
+        missing = ["--" + name for name in _NAMES[command]
+                   if OPTIONS[name][1] is ... and name not in values]
+        if missing or extras:
+            raise ValueError("required: " + ", ".join(missing) if missing
+                             else "unrecognized: " + " ".join(extras))
+    except ValueError as exc:
+        sys.stderr.write("%s\nrqgeo: error: %s\n" % (_usage(command), exc))
+        raise SystemExit(EXIT_DOMAIN)
+    return SimpleNamespace(command=command, **{
+        name.replace("-", "_"): values.get(name, OPTIONS[name][1])
+        for name in _NAMES[command] if name != "help"})
 
 
 def run(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:   # --help (0) or bad usage (EXIT_DOMAIN)
         return exc.code
     fn = COMMANDS[args.command][0]
     code = EXIT_OK
     try:
         try:
+            if getattr(args, "D", 0) > MAX_D:       # before any Pell unit
+                raise ValueError("D %d is above MAX_D = %d" % (args.D, MAX_D))
             report = fn(args)
         except VerificationFailure as exc:
             report, code = exc.args[0], EXIT_MISMATCH

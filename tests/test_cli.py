@@ -655,16 +655,160 @@ class TestExitCodes:
             assert code == EXIT_OK
             assert out.startswith("usage: rqgeo") and err == ""
 
-    def test_parser_is_built_once(self):
-        # every run parses with the one parser, which still answers
-        # --help with 0 and bad usage with 3
-        rqgeo.cli.build_parser.cache_clear()
+    def test_repeated_runs_match(self):
+        # parse keeps no state between runs: the same lines give the same
+        # exit codes and the same output, --help 0 and bad usage 3
+        results = []
         for _ in range(2):
             code, _, _ = invoke("series", "--D", "6", "--p", "5", "--N", "2")
             assert code == EXIT_OK
-            code, out, _ = invoke("series", "--help")
+            code, out, err = invoke("series", "--help")
             assert code == EXIT_OK and out.startswith("usage: rqgeo series")
-            code, _, err = invoke("series", "--D", "6")
-            assert code == EXIT_DOMAIN and "--p" in err
-        info = rqgeo.cli.build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 5)
+            results.append((out, err))
+            code, out, err = invoke("series", "--D", "6")
+            assert code == EXIT_DOMAIN and "--p" in err and out == ""
+            results.append((out, err))
+        assert results[:2] == results[2:]
+
+    def test_d_above_the_bound(self, monkeypatch):
+        # refused before any field is built, so before any Pell unit
+        monkeypatch.setattr(rqgeo.cli, "build_field", _refuse("build_field"))
+        for cmd, (_, names) in rqgeo.cli.COMMANDS.items():
+            if "D" not in names:
+                continue
+            argv = [cmd, "--D", str(rqgeo.cli.MAX_D + 1)]
+            argv += ["--p", "5"] if "p" in names else []
+            code, out, err = invoke(*argv)
+            assert code == EXIT_DOMAIN and out == "", argv
+            assert "above MAX_D" in err, argv
+
+
+def _argparse_reference():
+    """The argparse parser the CLI read its command line with before
+    parse, built from the same tables: the oracle of TestParse."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_DOMAIN, "%s: error: %s\n" % (self.prog, message))
+
+    ap = Parser(prog="rqgeo")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, names) in rqgeo.cli.COMMANDS.items():
+        sp = sub.add_parser(name)
+        for opt in names + ("format",):
+            kind, default, text = rqgeo.cli.OPTIONS[opt]
+            if kind is bool:
+                sp.add_argument("--" + opt, action="store_true",
+                                help=argparse.SUPPRESS)
+            elif default is ...:
+                sp.add_argument("--" + opt, type=kind, required=True)
+            elif kind is int:
+                sp.add_argument("--" + opt, type=int, default=default)
+            else:
+                sp.add_argument("--" + opt, choices=kind, default=default)
+    return ap
+
+
+VERIFY = "verify --D 6 --p 5 --N 4"
+
+# command lines: split on spaces, or a tuple where a token holds a space
+CORPUS = [
+    # from the tests, the README and the CI workflow
+    "series --D 3 --p 13 --N 10", "series --D 6 --p 5 --N 6",
+    "series --D 7 --p 3 --N 8", "series --D 6 --p 5 --N 3 --format csv",
+    "series --D 3 --p 13 --r 7", "series --D 4 --p 5",
+    "series --D 6 --p 5 --char-index 5", "series --D 505 --p 3 --N 4",
+    "series --D 6 --p 1000000007 --N 4", "series --D 6 --p 5 --N 480",
+    "series --D 6 --p 5 --N 10 --format json", "series --N 2 --D 6 --p 5",
+    "verify --D 6 --p 5 --N 8 --no-cache", "verify --D 34 --p 3 --N 8",
+    "verify --D 210 --p 11 --N 20", "verify --D 91 --p 9999973 --N 4",
+    "verify --D 3 --p 11 --N 1", "verify --D 6 --p 5", VERIFY + " --r -8",
+    "verify-analytic", "field --D 3", "field --D 1000000007 --format text",
+    "classgroup --D 6", "chars --D 5", "chars --D 34 --format text",
+    "rmpoints --D 6 --p 5", "rmpoints --D 5 --p 2305843009213693951",
+    "intersect --D 6 --p 7 --n 2", "intersect --D 174 --p 9999991 --n 2",
+    "intersect --n 2 --D 6 --p 5", "intersect --D 6 --p 5 --n 0",
+    # --opt=value, unique prefixes, negative values, repeats
+    "series --D=6 --p=5 --N=3", "series --D 6 --p=5 --format=text",
+    "verify --D 6 --p 5 --char 1", "verify --D 6 --p 5 --form csv",
+    "series --D 6 --p 5 --fo=text --ch=0", "verify --D 6 --p 5 --no",
+    "verify --D 6 --p 5 --no-c", "series --D 6 --p 5 --r -7",
+    "series --D 6 --p 5 --r=-7", "series --D 6 --p 5 --r -0",
+    "intersect --D 6 --p 5 --n -1", "series --D -6 --p 5",
+    "series --D 6 --D 7 --p 5", "series --D 6 --p 5 --N 3 --N 9",
+    "verify --D 6 --p 5 --no-cache --no-cache",
+    "series --D 6 --p 5 --format csv --format text",
+    ("series", "--D", " 6 ", "--p", "5"),
+    # usage errors
+    "series --D 6", "series --p 5", "rmpoints --D 6", "series --D x --p 5",
+    "series --D 6 --p 5.0", "series --D 6 --p 5 --r -7.5",
+    "series --D 6 --p 5 --r", "series --D 6 --p 5 --r --N 3",
+    "series --D --p 5",
+    ("series", "--D", "", "--p", "5"), "series --D= --p 5",
+    VERIFY + " --format xml", VERIFY + " --format=", VERIFY + " --fo JSON",
+    VERIFY + " --algorithm both", "series --D 6 --p 5 --no-cache",
+    "series --D 6 --p 5 --n 2", "classgroup --D 6 --cache-dir X",
+    "field --D 6 --p 5", VERIFY + " --no-cache=1", VERIFY + " --n 4",
+    VERIFY + " --bogus", VERIFY + " -x", VERIFY + " -5", VERIFY + " extra",
+    VERIFY + " -", "series --d 6 --p 5", "series --D 6 --P 5",
+    "", "bogus", "Series --D 6 --p 5", "ser --D 6 --p 5", "--D 6 series",
+    "--bogus series --D 6 --p 5", "-5", ("verify", "--p", "5", "--D 6"),
+    # --help and -h at both levels
+    "--help", "-h", "--he", "--help series", "-h bogus", "series --help",
+    "series -h", "verify --help", "verify-analytic -h", "series --h",
+    "series --D 6 --p 5 --help", "series --D 6 -h --p x", "series --hel",
+    "series --bogus --help", "series extra -h", "--bogus -h",
+    "series --D x --help", "series --help=1", "series --D 6 --r --help",
+]
+
+
+def _argv(line):
+    return line.split() if isinstance(line, str) else list(line)
+
+
+def _line_id(line):
+    """A test id without spaces: the tokens joined by +."""
+    return "+".join(t.replace(" ", "_") for t in _argv(line)) or "empty"
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParse:
+    @pytest.mark.parametrize("line", CORPUS, ids=_line_id)
+    def test_agrees_with_argparse(self, line):
+        argv = _argv(line)
+        ours = _outcome(rqgeo.cli.parse, argv)
+        theirs = _outcome(_argparse_reference().parse_args, argv)
+        assert ours[0] == theirs[0]
+        for result, out, err in (ours, theirs):
+            if result == EXIT_DOMAIN:
+                assert out == "" and err.startswith("usage: rqgeo")
+                assert "error:" in err
+            elif result == EXIT_OK:
+                assert out.startswith("usage: rqgeo") and err == ""
+            else:
+                assert out == err == ""
+
+    def test_help_is_built_from_the_tables(self):
+        code, out, _ = invoke("--help")
+        assert code == EXIT_OK
+        for cmd in rqgeo.cli.COMMANDS:
+            assert "\n  rqgeo %s " % cmd in out
+        for cmd, (_, names) in rqgeo.cli.COMMANDS.items():
+            code, out, _ = invoke(cmd, "--help")
+            assert code == EXIT_OK and out.startswith("usage: rqgeo " + cmd)
+            for name in names + ("format", "help"):
+                text = rqgeo.cli.OPTIONS[name][2]
+                assert (("--" + name) in out) == (text is not None), name
+                assert text is None or text in out
+        assert "--no-cache" not in invoke("verify", "--help")[1]

@@ -20,6 +20,7 @@ PROBE = """
 import contextlib, io, json, sys
 if sys.argv[1] == "no-mpmath":
     sys.modules["mpmath"] = None        # every import of mpmath fails
+before = set(sys.modules)
 import rqgeo, rqgeo.cli
 runs = []
 for argv in json.loads(sys.argv[2]):
@@ -31,7 +32,8 @@ rqgeo_modules = [m for name, m in sys.modules.items()
                  if name.split(".")[0] == "rqgeo"]
 print(json.dumps({"runs": runs, "oracles": "rqgeo.oracles" in sys.modules,
                   "mpmath": sys.modules.get("mpmath") is not None,
-                  "QuadIrr": any(hasattr(m, "QuadIrr") for m in rqgeo_modules)}))
+                  "QuadIrr": any(hasattr(m, "QuadIrr") for m in rqgeo_modules),
+                  "loaded": sorted(set(sys.modules) - before)}))
 """
 
 PAIR = ["--D", "6", "--p", "5", "--N", "4"]
@@ -49,6 +51,7 @@ def _probe(mode, *argvs):
 def test_series_run_loads_no_oracle():
     # the production path imports neither the oracles nor mpmath
     out = _probe("mpmath", ["series"] + PAIR)
+    out.pop("loaded")
     assert out == {"runs": [[0, ""]], "oracles": False, "mpmath": False,
                    "QuadIrr": False}
     # and runs with mpmath absent.  QuadIrr lives only in the oracles, so
@@ -62,6 +65,17 @@ def test_series_run_loads_no_oracle():
     code, err = out["runs"][4]
     assert code == 3 and "'analytic' extra" in err and "mpmath" in err
     assert (out["oracles"], out["mpmath"], out["QuadIrr"]) == (False,) * 3
+
+
+def test_cli_loads_no_parser_or_csv_module():
+    # the command line is read without argparse (and so without gettext
+    # and locale), and csv is imported by a --format csv run alone
+    stdlib = {"argparse", "gettext", "locale", "csv"}
+    out = _probe("mpmath", ["verify"] + PAIR, ["series"] + PAIR)
+    assert out["runs"] == [[0, ""]] * 2
+    assert stdlib.isdisjoint(out["loaded"])
+    out = _probe("mpmath", ["series"] + PAIR + ["--format", "csv"])
+    assert out["runs"] == [[0, ""]] and "csv" in out["loaded"]
 
 
 def test_every_export_resolves():
