@@ -1,17 +1,19 @@
 """Real quadratic field data and the narrow class group.
 
-The class group backend is forms-only: narrow ideal classes are
-represented by proper equivalence classes of primitive integral binary
-quadratic forms of discriminant d_F.  A class is its rho cycle of
-reduced forms, kept with each step's delta (the step from f to the next
-form is f.apply((0, -1; 1, delta))): the sum of the deltas gives the
-partial zeta value, and ``_steps`` turns deltas into the step matrix,
-around the principal cycle the Pell unit.  The group table composes
-forms by the united-form formula (``gauss_compose``); the characters
-are built by extending from one subgroup to the next
-(``all_characters``).  Ideals enter as forms or as
-Z-bases [a0, (-b0 + sqrt(d))/2].  Units are integer pairs: (x, y)
-stands for (x + y sqrt(d_F))/2.
+The class group backend is forms-only: narrow ideal classes are represented
+by proper equivalence classes of primitive integral binary quadratic forms
+of discriminant d_F.  Reduced forms [+-a, b, c] are built only for the
+divisors a of (d_F - b^2)/4 in the reduction window
+(s - b)/2 < a <= (s + b)/2, s = isqrt(d_F).  A class is its rho cycle of
+reduced forms, kept with each step's delta (the step from f to the next form
+is f.apply((0, -1; 1, delta))): the sum of the deltas gives the partial zeta
+value.  Reductions keep deltas only; ``_steps`` turns them into the matrix
+of ``reduce_form`` and, around the principal cycle, the Pell unit.  The
+group table composes each pair once (the group is abelian) by the
+united-form formula (``gauss_compose``); the characters are built by
+extending from one subgroup to the next (``all_characters``).  Ideals enter
+as forms or as Z-bases [a0, (-b0 + sqrt(d))/2].  Units are integer pairs:
+(x, y) stands for (x + y sqrt(d_F))/2.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ class QuadForm(tuple):
 
     def primitive(self):
         g = self.content()
+        if g == 1:
+            return self, 1
         return QuadForm(self[0] // g, self[1] // g, self[2] // g), g
 
     def apply(self, m):
@@ -111,17 +115,24 @@ def _steps(deltas):
     return Mat2(x0, x1, y0, y1)
 
 
-def reduce_form(f):
-    """Reduce an indefinite form; returns (g, m) with f.apply(m) = g reduced."""
+def _reduce(f):
+    """Reduce an indefinite form; returns (g, deltas) with g reduced and
+    f.apply(_steps(deltas)) = g, building no matrix."""
     D = f.disc()
     s = math.isqrt(D)
     g, deltas = f, []
     for _ in range(10000):
         if _is_reduced(g, s):
-            return g, _steps(deltas)
+            return g, deltas
         g, delta = _rho(g, D, s)
         deltas.append(delta)
     raise RuntimeError("reduction did not terminate for %r" % (f,))
+
+
+def reduce_form(f):
+    """_reduce with its steps multiplied out: (g, m), f.apply(m) = g."""
+    g, deltas = _reduce(f)
+    return g, _steps(deltas)
 
 
 def form_cycle(f):
@@ -132,7 +143,7 @@ def form_cycle(f):
     closed by then raises RuntimeError."""
     D = f.disc()
     s = math.isqrt(D)
-    forms, deltas = [reduce_form(f)[0]], []
+    forms, deltas = [_reduce(f)[0]], []
     for _ in range(2 * s * s):
         g, delta = _rho(forms[-1], D, s)
         deltas.append(delta)
@@ -202,14 +213,15 @@ def build_field(D):
 def _reduced_forms(D):
     out = []
     s = math.isqrt(D)
-    # b = D (mod 2) and 0 < b <= s, so m = (b^2 - D)/4 < 0
+    # b = D (mod 2) and 0 < b <= s, so m = (b^2 - D)/4 < 0; forms are built
+    # only for divisors a of -m in _is_reduced's window lo < a <= hi
     for b in range(2 - D % 2, s + 1, 2):
         m = (b * b - D) // 4
+        lo, hi = (s - b) // 2, (s + b) // 2
         for a in divisors(-m):
-            for aa in (a, -a):
-                f = QuadForm(aa, b, m // aa)
-                if f.content() == 1 and _is_reduced(f, s):
-                    out.append(f)
+            if lo < a <= hi and math.gcd(math.gcd(a, b), m // a) == 1:
+                out.append(QuadForm(a, b, m // a))
+                out.append(QuadForm(-a, b, -(m // a)))
     return out
 
 
@@ -260,7 +272,7 @@ class NarrowClassGroup:
         if form.disc() != self.field.d_F:
             raise ValueError("discriminant mismatch")
         fp, _ = form.primitive()
-        return self._class_of[reduce_form(fp)[0]]
+        return self._class_of[_reduce(fp)[0]]
 
     def compose(self, i, j):
         return self.group_table[i][j]
@@ -294,12 +306,14 @@ def narrow_class_group(F):
         cycles.append((forms[k:] + forms[:k], deltas[k:] + deltas[:k]))
     # the principal class first, the others by their least reduced form
     b0 = d % 2
-    principal, _ = reduce_form(QuadForm(1, b0, (b0 * b0 - d) // 4))
+    principal, _ = _reduce(QuadForm(1, b0, (b0 * b0 - d) // 4))
     cycles.sort(key=lambda cyc: (principal not in cyc[0], cyc[0][0]))
     G = NarrowClassGroup(F, cycles)
     positive = [G.positive_rep(i) for i in range(G.h)]
-    G.group_table = [[G.classify(gauss_compose(fi, fj)) for fj in positive]
-                     for fi in positive]
+    G.group_table = t = [[0] * G.h for _ in positive]
+    for i, fi in enumerate(positive):
+        for j in range(i, G.h):     # abelian: one composition, two cells
+            t[i][j] = t[j][i] = G.classify(gauss_compose(fi, positive[j]))
     assert G.group_table[0] == list(range(G.h)), "principal class not first"
     G.class_of_principal_sqrt_dF = _sqrt_class(F, G)
     return G

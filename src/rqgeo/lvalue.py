@@ -3,13 +3,13 @@
 The main route sums the exact partial zeta values at s = 0 against the
 integer trace psi + conj(psi) of the character and halves the sum:
 zeta(A, 0) = (1/12) * sum(delta) over the reduced cycle of the class A,
-each reduction step being f.apply((0, -1; 1, delta)).  The class group
-keeps those deltas from the walk that found the cycle, so no cycle is
-walked here.  For odd characters of order 2, the genus characters, the
-value factors as a product of two Dirichlet L-values at 0, which serves
-as an independent oracle via the class numbers of two imaginary
-quadratic fields.  The tests also check the partial zeta values against
-Zagier's minus continued fraction cycles
+each reduction step being f.apply((0, -1; 1, delta)), so the sum is of
+integers, divided once by 24.  The class group keeps those deltas from the
+walk that found the cycle, so no cycle is walked here.  For odd characters
+of order 2, the genus characters, the value factors as a product of two
+Dirichlet L-values at 0, which serves as an independent oracle via the
+class numbers of two imaginary quadratic fields.  The tests also check the
+partial zeta values against Zagier's minus continued fraction cycles
 (``rqgeo.oracles.minus_cf_cycle``).
 """
 
@@ -50,9 +50,10 @@ def partial_zeta_values(G):
 
 def L_value_zagier(G, psi):
     """L(psi, 0) = (1/2) sum_c trace(c) zeta(c, 0), an exact rational:
-    zeta(c, 0) = zeta(c^-1, 0) by Galois conjugation."""
-    return Fraction(sum(psi.trace(c) * z
-                        for c, z in enumerate(partial_zeta_values(G))), 2)
+    zeta(c, 0) = zeta(c^-1, 0) by Galois conjugation.  It is computed as
+    sum_c trace(c) sum(delta_c) / 24, one integer sum and one division."""
+    return Fraction(sum(psi.trace(c) * sum(deltas)
+                        for c, (_, deltas) in enumerate(G.cycles)), 24)
 
 
 def _is_fundamental(d):

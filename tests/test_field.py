@@ -5,9 +5,11 @@ import pytest
 
 from rqgeo.exact import Mat2, squarefree_part
 import rqgeo.field
+import rqgeo.lvalue
 from rqgeo.field import (
     QuadForm,
     _is_reduced,
+    _reduced_forms,
     all_characters,
     automorph,
     build_field,
@@ -19,6 +21,7 @@ from rqgeo.field import (
     pell_plus,
     reduce_form,
 )
+from rqgeo.lvalue import L_value_zagier
 from rqgeo.oracles import (
     QuadIrr,
     canonical_rep,
@@ -182,6 +185,29 @@ class TestReduction:
             g = f.apply(type(automorph(f))(1, m, 0, 1))
             assert canonical_rep(g) == canonical_rep(f)
 
+    def test_reduced_forms_against_brute_force(self):
+        # _reduced_forms builds a form only for a divisor a inside the
+        # reduction window; the brute force tests every a with
+        # 0 < a <= s against divisibility, content and _is_reduced.  The
+        # orders m^2 d_F with m > 1 have imprimitive forms to refuse
+        def brute(d):
+            s = math.isqrt(d)
+            out = []
+            for b in range(2 - d % 2, s + 1, 2):
+                for a in range(1, s + 1):
+                    if (b * b - d) % (4 * a):
+                        continue
+                    for f in (QuadForm(a, b, (b * b - d) // (4 * a)),
+                              QuadForm(-a, b, (d - b * b) // (4 * a))):
+                        if f.content() == 1 and _is_reduced(f, s):
+                            out.append(f)
+            return out
+
+        ds = [m * m * build_field(D).d_F for D in range(2, 300)
+              if squarefree_part(D)[1] == 1 for m in range(1, 6)]
+        for d in ds + [build_field(1000003).d_F]:
+            assert _reduced_forms(d) == brute(d), d
+
 
 class TestNarrowClassGroup:
     def test_h_plus_12(self):
@@ -232,6 +258,48 @@ class TestNarrowClassGroup:
                                 == G.compose(i, G.compose(j, k)))
             for i in range(h):
                 assert G.compose(i, G.inverse(i)) == 0
+
+    def test_table_against_both_orders(self):
+        # the table composes each pair once; every cell against the
+        # composition in both orders, on the fields with h+ >= 4
+        count = 0
+        for D in range(2, 1000):
+            if squarefree_part(D)[1] != 1:
+                continue
+            G = narrow_class_group(build_field(D))
+            if G.h < 4:
+                continue
+            reps = [G.positive_rep(i) for i in range(G.h)]
+            for i, fi in enumerate(reps):
+                for j, fj in enumerate(reps):
+                    assert G.group_table[i][j] == G.classify(gauss_compose(fi, fj))
+                    assert G.group_table[i][j] == G.classify(gauss_compose(fj, fi))
+            count += 1
+        assert count == 307
+
+    def test_no_step_matrix_or_zeta_tuple(self, monkeypatch):
+        # the class group, classify and form_cycle reduce without
+        # building a step matrix, and L_value_zagier sums the deltas
+        # without the tuple of partial zeta values; reduce_form still
+        # returns the matrix
+        F = build_field(210)
+        calls = []
+        steps = rqgeo.field._steps
+        monkeypatch.setattr(rqgeo.field, "_steps",
+                            lambda deltas: calls.append(1) or steps(deltas))
+
+        def no_zeta(G):
+            raise AssertionError("L_value_zagier built the partial zeta values")
+        monkeypatch.setattr(rqgeo.lvalue, "partial_zeta_values", no_zeta)
+        G = narrow_class_group(F)
+        f = QuadForm(1, 0, -210)
+        assert G.classify(f) == 0 and G.h == 8
+        assert len(form_cycle(f)[0]) > 1
+        assert [L_value_zagier(G, psi) for psi in odd_characters(G)]
+        assert calls == []
+        g, m = reduce_form(f)
+        assert calls == [1]
+        assert f.apply(m) == g and _is_reduced(g, math.isqrt(840)) and f != g
 
     def test_sqrt_class_squares_to_identity(self):
         for D in (3, 5, 6, 7, 10):
