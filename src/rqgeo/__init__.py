@@ -19,6 +19,7 @@ from .field import (
     class_of_ideal,
 )
 from .geodesic import (
+    AlgorithmMismatch,
     ClosedGeodesic,
     InertPrime,
     choose_r,
@@ -48,7 +49,6 @@ from .lvalue import (
     partial_zeta_values,
 )
 from .series import (
-    AlgorithmMismatch,
     QSeries,
     diagonal_restriction,
     eta_product_coeffs,

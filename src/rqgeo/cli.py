@@ -8,10 +8,10 @@ codes: 0 success (including inert primes, which yield a structured zero
 series), 2 verification mismatch (a failed check, or the two
 intersection algorithms disagreeing on a translate in intersect), 3
 domain errors (bad input, a malformed command line included, D above
-MAX_D, a level above MAX_LEVEL for series, verify and intersect, a
-character this version cannot handle exactly, or verify-analytic without
-mpmath), 4 internal error (a broken invariant: AssertionError or
-RuntimeError).
+MAX_D, a level above MAX_LEVEL for series, verify and intersect, --N of
+series and verify or --n of intersect above MAX_N, a character this
+version cannot handle exactly, or verify-analytic without mpmath), 4
+internal error (a broken invariant: AssertionError or RuntimeError).
 
 verify reads three pairing tables of h RM points each, h the narrow
 class number, each root searched and each point's Manin table walked
@@ -41,13 +41,12 @@ from .field import (
     odd_characters,
     pell_plus,
 )
-from .geodesic import InertPrime, choose_r, rm_points, twisted_cycle
+from .geodesic import AlgorithmMismatch, InertPrime, choose_r, rm_points
+from .geodesic import twisted_cycle
 from .hecke import double_cosets, pair_with_twisted_cycle, right_cosets
 from .series import (
-    AlgorithmMismatch,
     check_pairing_table,
     diagonal_restriction,
-    intersect_both,
     modularity_check,
     pairing_table,
 )
@@ -64,6 +63,10 @@ EXIT_INTERNAL = 4
 # the largest p of series, verify and intersect: no Manin table grows with
 # p, but the RM-point search and the periods of intersect's translates do
 MAX_LEVEL = 10 ** 7
+# the largest --N of series and verify and --n of intersect: manin_counts
+# keeps every continued-fraction path, its memory growing like N^2, and
+# merel_counts takes time like N^2.3
+MAX_N = 2000
 # the largest D of every command, each of which computes a Pell unit
 MAX_D = 10 ** 10
 
@@ -138,10 +141,15 @@ def _character(G, args):
 
 
 def _setup(args):
-    """(F, G, psi, p) of intersect, series and verify, p <= MAX_LEVEL."""
+    """(F, G, psi, p) of intersect, series and verify, p <= MAX_LEVEL and
+    --N (or intersect's --n) <= MAX_N."""
     if args.p > MAX_LEVEL:
         raise ValueError("p = %d is above the largest supported level %d"
                          % (args.p, MAX_LEVEL))
+    name = "N" if hasattr(args, "N") else "n"
+    size = getattr(args, name)
+    if size > MAX_N:
+        raise ValueError("--%s %d is above MAX_N = %d" % (name, size, MAX_N))
     G = narrow_class_group(build_field(args.D))
     return G.field, G, _character(G, args), args.p
 
@@ -198,7 +206,7 @@ def cmd_chars(args):
     F = build_field(args.D)
     G = narrow_class_group(F)
     chars = all_characters(G)
-    odd = odd_characters(G)
+    odd = [ch for ch in chars if ch.totally_odd]
     listing = [{"exponents": list(ch.exponents),
                 "values": [_value(ch, i) for i in range(G.h)],
                 "totally_odd": ch.totally_odd,
@@ -247,8 +255,7 @@ def cmd_intersect(args):
                         translates=sum(len(double_cosets(Q, n))
                                        for _, Q in cycle),
                         right_cosets=len(right_cosets(n, p)),
-                        pairing=pair_with_twisted_cycle(cycle, n,
-                                                        intersect_both))
+                        pairing=pair_with_twisted_cycle(cycle, n))
 
 
 def _series_report(args, F, G, psi, p):

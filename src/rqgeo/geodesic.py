@@ -46,6 +46,7 @@ from .exact import divisors, is_prime, sqrt_mod
 from .field import QuadForm, automorph, form_cycle, reduce_form
 
 __all__ = [
+    "AlgorithmMismatch",
     "ClosedGeodesic",
     "InertPrime",
     "choose_r",
@@ -62,6 +63,10 @@ __all__ = [
 
 class InertPrime(Exception):
     """The rational prime is inert in F; the whole series vanishes."""
+
+
+class AlgorithmMismatch(Exception):
+    """Two independent counts disagreed (should never happen)."""
 
 
 class ClosedGeodesic:

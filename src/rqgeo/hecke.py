@@ -23,10 +23,12 @@ The third moves T_n onto Q: coset representatives for the
 determinant-n Hecke operator on Gamma0(p), their partition into double
 cosets under the stabilizer of a closed geodesic, and the pairing of the
 Hecke translates against a twisted cycle, which rqgeo intersect and the
-tests use.  It agrees with the other two when the discriminant of Q is
-fundamental, as an RM point's is: a translate's order then has no more
-units than Q's, so the translate's stabilizer is the conjugate of Q's and
-one period of each translate is its share of T_n Q.
+tests use; it counts every translate by both intersection algorithms,
+looked up at call time.  It agrees with the other two when the
+discriminant of Q is fundamental, as an RM point's is: a translate's
+order then has no more units than Q's, so the translate's stabilizer is
+the conjugate of Q's and one period of each translate is its share of
+T_n Q.
 
 Each coset y Gamma0(p) has one lower-triangular representative
 (A, 0; C, n/A), with A | n prime to p and C = p j, 0 <= j < n/A, and
@@ -47,7 +49,8 @@ from collections import Counter
 from functools import lru_cache
 
 from .exact import Mat2, divisors, xgcd
-from .geodesic import ClosedGeodesic, intersect_winding_cycle
+from .geodesic import AlgorithmMismatch, ClosedGeodesic
+from .geodesic import intersect_winding_cycle, intersect_winding_enum
 
 __all__ = [
     "right_cosets",
@@ -250,10 +253,12 @@ def hecke_translate(Q, n):
     return tuple(out)
 
 
-def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle):
+def pair_with_twisted_cycle(cycle, n):
     """<T_n cycle, winding geodesic> for a cycle given as (coeff, Q)
     pairs: the coeff-weighted sum of winding intersection numbers over
-    the Hecke translates of each closed geodesic Q.
+    the Hecke translates of each closed geodesic Q, each counted by both
+    intersect_winding_cycle and intersect_winding_enum, looked up at call
+    time; a disagreement raises AlgorithmMismatch naming the translate.
 
     The sum over one period of each translate is <T_n Q, W> only when
     the discriminant of Q is fundamental, as an RM point's is (see the
@@ -263,5 +268,12 @@ def pair_with_twisted_cycle(cycle, n, algorithm=intersect_winding_cycle):
     T_n Q.  For Q = [-4, 6, 9], disc 180 = 6^2 * 5, at p = 11 the
     translates give -40 and -60 at n = 2 and 3 where the Manin row gives
     -52 and -68."""
-    return sum(coeff * sum(algorithm(t) for t in hecke_translate(Q, n))
-               for coeff, Q in cycle)
+    total = 0
+    for coeff, Q in cycle:
+        for t in hecke_translate(Q, n):
+            val, other = intersect_winding_cycle(t), intersect_winding_enum(t)
+            if val != other:
+                raise AlgorithmMismatch("translate %r: cycle=%r enum=%r"
+                                        % (t.form, val, other))
+            total += coeff * val
+    return total

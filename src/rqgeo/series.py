@@ -20,9 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesic import InertPrime, choose_r, manin_table, manin_table_enum
-from .geodesic import intersect_winding_cycle, intersect_winding_enum
-from .geodesic import rm_points
+from .geodesic import AlgorithmMismatch, InertPrime, choose_r, manin_table
+from .geodesic import manin_table_enum, rm_points
 from .hecke import manin_counts, merel_counts, pairing_row, sigma1
 from .lvalue import constant_term
 
@@ -33,7 +32,6 @@ __all__ = [
     "diagonal_restriction",
     "pairing_table",
     "check_pairing_table",
-    "intersect_both",
     "eta_product_coeffs",
     "modularity_check",
 ]
@@ -45,21 +43,6 @@ GENUS_ZERO_LEVELS = (2, 3, 5, 7, 13)
 # applies to the halved pairing.  Pinned end to end by the genus-zero
 # proportionality law; see modularity_check.
 PAIRING_FACTOR = -4
-
-
-class AlgorithmMismatch(Exception):
-    """Two independent counts disagreed (should never happen)."""
-
-
-def intersect_both(t):
-    """The winding number of one Hecke translate by both algorithms, or
-    AlgorithmMismatch naming its form; the two are looked up on every
-    call, so wrapping the module attributes wraps them."""
-    val, other = intersect_winding_cycle(t), intersect_winding_enum(t)
-    if val != other:
-        raise AlgorithmMismatch("translate %r: cycle=%r enum=%r"
-                                % (t.form, val, other))
-    return val
 
 
 class QSeries:

@@ -438,6 +438,27 @@ class TestExitCodes:
             code, rep, _ = invoke_json("rmpoints", "--D", "6", "--p", str(p))
             assert code == EXIT_OK and rep["p"] == p
 
+    def test_truncation_above_the_bound(self, monkeypatch):
+        # --N of series and verify and --n of intersect above MAX_N are
+        # refused before the field or any table is built, at the inert
+        # (3, 5) too; at MAX_N itself the run goes on to build the field
+        for name in ("build_field", "right_cosets"):
+            monkeypatch.setattr(rqgeo.cli, name, _refuse(name))
+        for name in ("manin_counts", "merel_counts"):
+            monkeypatch.setattr(rqgeo.series, name, _refuse(name))
+        bound = rqgeo.cli.MAX_N
+        for cmd, opt in (("series", "--N"), ("verify", "--N"),
+                         ("intersect", "--n")):
+            for D in ("6", "3"):
+                for size in (bound + 1, 100000):
+                    code, out, err = invoke(cmd, "--D", D, "--p", "5",
+                                            opt, str(size))
+                    assert code == EXIT_DOMAIN and out == "", (cmd, D, size)
+                    assert "MAX_N = %d" % bound in err
+                code, out, err = invoke(cmd, "--D", D, "--p", "5",
+                                        opt, str(bound))
+                assert code == EXIT_INTERNAL and "build_field called" in err
+
     def test_nonpositive_n(self):
         # checked before the inert shortcut, so (3, 5) is refused too
         for D in ("6", "3"):
@@ -515,8 +536,8 @@ class TestExitCodes:
         assert "no modularity model for p = 17" in err
 
     def test_algorithm_mismatch(self, monkeypatch):
-        enum = rqgeo.series.intersect_winding_enum
-        monkeypatch.setattr(rqgeo.series, "intersect_winding_enum",
+        enum = rqgeo.hecke.intersect_winding_enum
+        monkeypatch.setattr(rqgeo.hecke, "intersect_winding_enum",
                             lambda t: enum(t) + 1)
         code, out, err = invoke("intersect", "--n", "2", "--D", "6",
                                 "--p", "5")

@@ -9,6 +9,7 @@ import rqgeo.hecke
 from rqgeo.exact import Mat2, squarefree_part
 from rqgeo.field import QuadForm, build_field, narrow_class_group, odd_characters
 from rqgeo.geodesic import (
+    AlgorithmMismatch,
     ClosedGeodesic,
     choose_r,
     intersect_winding_cycle,
@@ -178,6 +179,12 @@ def _base_geodesic(D, p, cls=0):
     return rm_points(F, G, p, choose_r(F, p))[cls]
 
 
+def _translate_sum(cycle, n, count):
+    """<T_n cycle, W> by one intersection algorithm alone."""
+    return sum(coeff * sum(count(t) for t in hecke_translate(Q, n))
+               for coeff, Q in cycle)
+
+
 class TestDoubleCosets:
     def test_n1_single_orbit(self):
         Q = _base_geodesic(6, 5)
@@ -340,9 +347,23 @@ class TestPairing:
             T = twisted_cycle(F, G, psi, p, r)
             for n in range(1, 11):
                 a = pair_with_twisted_cycle(T, n)
-                b = pair_with_twisted_cycle(T, n, algorithm=intersect_winding_enum)
-                assert a == b
+                assert a == _translate_sum(T, n, intersect_winding_enum)
+                assert a == _translate_sum(T, n, intersect_winding_cycle)
                 assert isinstance(a, int)
+
+    @pytest.mark.parametrize("name", ["intersect_winding_cycle",
+                                      "intersect_winding_enum"])
+    def test_mismatch_is_raised(self, monkeypatch, name):
+        # each algorithm is looked up at call time: one of them off by
+        # one on every translate is caught at the first translate, as the
+        # one AlgorithmMismatch that the package and the series export
+        assert rqgeo.AlgorithmMismatch is rqgeo.series.AlgorithmMismatch \
+            is AlgorithmMismatch
+        count = getattr(rqgeo.hecke, name)
+        monkeypatch.setattr(rqgeo.hecke, name, lambda t: count(t) + 1)
+        Q = _base_geodesic(6, 5)
+        with pytest.raises(AlgorithmMismatch, match=r"^translate .*: cycle="):
+            pair_with_twisted_cycle(((1, Q),), 2)
 
     def test_known_proportionality(self):
         F = build_field(6)
@@ -477,11 +498,9 @@ class TestManinCounts:
         # translate sums fall short of the Manin row at n = 2 and 3
         Q = ClosedGeodesic(QuadForm(-4, 6, 9), 11)
         manin = list(pairing_row(manin_table(Q), manin_counts(5, 11)))
-        cycle = [pair_with_twisted_cycle(((1, Q),), n) for n in range(1, 6)]
-        enum = [pair_with_twisted_cycle(((1, Q),), n, intersect_winding_enum)
-                for n in range(1, 6)]
+        both = [pair_with_twisted_cycle(((1, Q),), n) for n in range(1, 6)]
         assert manin == [-16, -52, -68, -116, -100]
-        assert cycle == enum == [-16, -40, -60, -116, -100]
+        assert both == [-16, -40, -60, -116, -100]
 
     def test_rejects_nonpositive_n(self):
         for N in (0, -1):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import rqgeo.cli
 import rqgeo.field
 import rqgeo.lvalue
 from rqgeo.exact import Mat2, squarefree_part
@@ -324,3 +325,21 @@ class TestConstantTerm:
         triv = [c for c in all_characters(G) if c.is_trivial()][0]
         with pytest.raises(ValueError):
             constant_term(F, G, triv, 13, 8)
+
+    def test_genus_oracle_disagreement_is_caught(self, monkeypatch, capsys):
+        # at (6, 5) the genus oracle applies: a value off by one fails
+        # the cross-check, and series exits 4 and writes nothing
+        oracle = rqgeo.lvalue.L_value_genus_oracle
+        monkeypatch.setattr(rqgeo.lvalue, "L_value_genus_oracle",
+                            lambda F, psi: oracle(F, psi) + 1)
+        F = build_field(6)
+        G = narrow_class_group(F)
+        psi = odd_characters(G)[0]
+        with pytest.raises(AssertionError) as info:
+            constant_term(F, G, psi, 5, choose_r(F, 5))
+        assert info.value.args == ((Fraction(1, 3), Fraction(4, 3)),)
+        code = rqgeo.cli.run(["series", "--D", "6", "--p", "5", "--N", "4"])
+        out, err = capsys.readouterr()
+        assert code == rqgeo.cli.EXIT_INTERNAL and out == ""
+        assert "internal error: AssertionError: (Fraction(1, 3), " \
+            "Fraction(4, 3))" in err

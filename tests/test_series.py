@@ -13,10 +13,10 @@ from rqgeo.field import (
 from rqgeo.exact import squarefree_part
 from rqgeo.geodesic import (
     choose_r,
-    intersect_winding_enum,
     rm_points,
     twisted_cycle,
 )
+import rqgeo.cli
 import rqgeo.geodesic
 import rqgeo.hecke
 import rqgeo.series
@@ -27,7 +27,6 @@ from rqgeo.series import (
     check_pairing_table,
     diagonal_restriction,
     eta_product_coeffs,
-    intersect_both,
     modularity_check,
     pairing_table,
 )
@@ -106,6 +105,27 @@ class TestDiagonalRestriction:
             for v in S.coeffs.values():
                 assert v % 4 == 0
 
+    def test_odd_pairing_is_caught(self, monkeypatch, capsys):
+        # characters of order 2 and 4 have even traces, so only one of
+        # order 3 or 6 can weight the rows to an odd pairing: at (79, 5)
+        # the order-6 traces are 2, 1, 1, -1, -1, -2, and one more
+        # crossing at n = 1 for class 1 (trace 1) makes -36 into -35
+        F, G, psi = _setup(79)
+        assert psi.order == 6 and psi.trace(1) == 1
+        table = rqgeo.series.pairing_table
+
+        def odd(*args):
+            rows = list(table(*args))
+            rows[1] = (rows[1][0] + 1,) + rows[1][1:]
+            return tuple(rows)
+        monkeypatch.setattr(rqgeo.series, "pairing_table", odd)
+        with pytest.raises(AssertionError, match=r"^pairing is odd: -35$"):
+            diagonal_restriction(F, G, psi, 5, N=2)
+        code = rqgeo.cli.run(["series", "--D", "79", "--p", "5", "--N", "2"])
+        out, err = capsys.readouterr()
+        assert code == rqgeo.cli.EXIT_INTERNAL and out == ""
+        assert "internal error: AssertionError: pairing is odd: -35" in err
+
     def test_metadata(self):
         F, G, psi = _setup(6)
         S = diagonal_restriction(F, G, psi, 5, N=4)
@@ -178,16 +198,16 @@ class TestInvariance:
         assert nonzero > len(seen) // 2
 
     def test_algorithms_agree(self):
-        # the series from the Manin rows equals the series from the Farey
-        # walks of the translates, and the rows pass the table's check
+        # the series from the Manin rows equals the series from the
+        # translate sums, each translate counted by the reduction cycle and
+        # the Farey walk, and the rows pass the table's check
         F, G, psi = _setup(6)
         r = choose_r(F, 5)
         S = diagonal_restriction(F, G, psi, 5, N=8)
         check_pairing_table(F, G, 5, r, 8)
         cyc = twisted_cycle(F, G, psi, 5, r)
         assert S.coeffs == {
-            n: _coefficient(pair_with_twisted_cycle(cyc, n,
-                                                    intersect_winding_enum))
+            n: _coefficient(pair_with_twisted_cycle(cyc, n))
             for n in range(1, 9)}
 
     def test_both_checks_each_entry(self, monkeypatch):
@@ -412,9 +432,8 @@ def test_cycle_table_equals_enum_table(pair, N):
     for s in (r, -r):
         check_pairing_table(F, G, p, s, N)
         for row, Q in zip(pairing_table(F, G, p, s, N), rm_points(F, G, p, s)):
-            assert row == tuple(
-                pair_with_twisted_cycle(((1, Q),), n, intersect_both)
-                for n in range(1, N + 1)), (D, p, s, Q)
+            assert row == tuple(pair_with_twisted_cycle(((1, Q),), n)
+                                for n in range(1, N + 1)), (D, p, s, Q)
 
 
 class TestModularityCheck:
