@@ -14,10 +14,10 @@ share nothing but the exact arithmetic layer:
            telling the sides of each vertex by the sign of the form.
 
 The series itself builds no translate: T_n moves onto the winding
-geodesic, whose Hecke images are fixed sums of unimodular edges
-(manin_counts counts them for every n <= N in one pass), so one Manin
-table of p + 1 crossing numbers per point gives every pairing
-(pairing_row).
+geodesic, whose Hecke images are fixed sums of unimodular edges, so one
+Manin table of p + 1 crossing numbers per point gives every pairing
+(manin_pairings sums the tables along those edges for every n <= N in
+one continued-fraction walk).
 """
 
 from rqgeo import (
@@ -26,11 +26,10 @@ from rqgeo import (
     hecke_translate,
     intersect_winding_cycle,
     intersect_winding_enum,
-    manin_counts,
+    manin_pairings,
     manin_table,
     narrow_class_group,
     odd_characters,
-    pairing_row,
     twisted_cycle,
 )
 
@@ -68,11 +67,11 @@ print("\nManin tables, the nonzero entries: key k for the bottom row (1 : k),"
       " p for (0 : 1):")
 for coeff, table in tables:
     print("  coeff %+d   %s" % (coeff, dict(sorted(table.items()))))
-print("the same pairings as sums of R_n[k] * table[k]:")
-counts = manin_counts(4, p)
-rows = [(coeff, pairing_row(table, counts)) for coeff, table in tables]
+print("the same pairings from the Manin tables alone, one walk for all n:")
+rows = manin_pairings([table for _, table in tables], 4, p)
 for n in (1, 2, 3, 4):
-    pairing = sum(coeff * row[n - 1] for coeff, row in rows)
-    print("  n = %d: R_n = %s, pairing %d" % (n, dict(counts[n - 1]), pairing))
+    pairing = sum(coeff * row[n - 1] for (coeff, _), row in zip(tables, rows))
+    print("  n = %d: rows %s, pairing %d"
+          % (n, [row[n - 1] for row in rows], pairing))
 print("\nevery pairing is even (both square roots trace the same locus)")
 print("and the series coefficient is a_n = -2 * pairing.")

@@ -33,7 +33,7 @@ from .geodesic import (
 from .hecke import (
     double_cosets,
     hecke_translate,
-    manin_counts,
+    manin_pairings,
     merel_counts,
     pair_with_twisted_cycle,
     pairing_row,
@@ -77,7 +77,7 @@ __all__ = [
     "twisted_cycle",
     "double_cosets",
     "hecke_translate",
-    "manin_counts",
+    "manin_pairings",
     "merel_counts",
     "pair_with_twisted_cycle",
     "pairing_row",

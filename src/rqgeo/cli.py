@@ -43,7 +43,7 @@ from .field import (
 )
 from .geodesic import AlgorithmMismatch, InertPrime, choose_r, rm_points
 from .geodesic import twisted_cycle
-from .hecke import double_cosets, pair_with_twisted_cycle, right_cosets
+from .hecke import pair_with_twisted_cycle, right_cosets
 from .series import (
     check_pairing_table,
     diagonal_restriction,
@@ -63,9 +63,9 @@ EXIT_INTERNAL = 4
 # the largest p of series, verify and intersect: no Manin table grows with
 # p, but the RM-point search and the periods of intersect's translates do
 MAX_LEVEL = 10 ** 7
-# the largest --N of series and verify and --n of intersect: manin_counts
-# keeps every continued-fraction path, its memory growing like N^2, and
-# merel_counts takes time like N^2.3
+# the largest --N of series and verify and --n of intersect: merel_counts
+# takes time like N^2.3 and keeps a count row per n, and the series walks
+# every continued fraction of denominator at most N, time like N^2
 MAX_N = 2000
 # the largest D of every command, each of which computes a Pell unit
 MAX_D = 10 ** 10
@@ -250,12 +250,12 @@ def cmd_intersect(args):
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
-    cycle = twisted_cycle(F, G, psi, p, r)
+    pairing, translates = pair_with_twisted_cycle(
+        twisted_cycle(F, G, psi, p, r), n)
     return _base_report(args, d_F=F.d_F, p=p, r=r, n=n,
-                        translates=sum(len(double_cosets(Q, n))
-                                       for _, Q in cycle),
+                        translates=translates,
                         right_cosets=len(right_cosets(n, p)),
-                        pairing=pair_with_twisted_cycle(cycle, n))
+                        pairing=pairing)
 
 
 def _series_report(args, F, G, psi, p):

@@ -1,6 +1,6 @@
 """Exact arithmetic kernel: integer 2x2 matrices and the integer
-arithmetic of the package: factorization, divisors, squarefree part,
-primality, square roots mod a prime and the extended gcd.
+arithmetic of the package: factorization, divisors and their sums,
+squarefree part, primality, square roots mod a prime and the extended gcd.
 
 ``factor`` is the package's one trial division; divisors and squarefree
 parts are read off its prime powers.  Primality is a deterministic
@@ -16,6 +16,7 @@ __all__ = [
     "Mat2",
     "factor",
     "divisors",
+    "divisor_sums",
     "squarefree_part",
     "is_prime",
     "sqrt_mod",
@@ -47,6 +48,17 @@ def divisors(n):
     for q, e in factor(n):
         ds = [d * q ** i for d in ds for i in range(e + 1)]
     return sorted(ds)
+
+
+def divisor_sums(N, k, p=None):
+    """[0, s(1), ..., s(N)], s(n) the sum of d^k over the divisors d of n
+    prime to p (all when p is None): tau_p for k = 0, sigma1 for k = 1."""
+    s = [0] * (N + 1)
+    for d in range(1, N + 1):
+        if p is None or d % p:
+            for m in range(d, N + 1, d):
+                s[m] += d ** k
+    return s
 
 
 def squarefree_part(n):

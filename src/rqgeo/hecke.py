@@ -1,23 +1,19 @@
 """Hecke correspondences at prime level.
 
 Decompositions of <T_n Q, W>, W the winding geodesic from 0 to infinity.
-Two move T_n onto W and count T_n W in unimodular edges by P^1 key, for
-every n <= N in one pass; pairing_row pairs such a count table with
-geodesic.manin_table(Q), giving <T_n Q, W> for n = 1..N with no Hecke
-translate:
+Two move T_n onto W, whose images are fixed sums of unimodular edges, and
+pair them with geodesic.manin_table(Q), giving <T_n Q, W> for n = 1..N
+with no Hecke translate:
 
-* manin_counts: T_n W is the sum of the paths (b/d -> infinity) over
-  the left cosets Gamma0(p)(a, b; 0, d), ad = n, p not dividing a,
-  0 <= b < d, cut into edges by Manin's continued-fraction trick.  A
-  path depends only on the value b/d, so each reduced fraction of
-  denominator at most N is walked once, and one of denominator d | n
-  stands for the tau_p(n / d) cosets with a | n / d, tau_p(m) the number
-  of divisors of m prime to p.  The series reads these counts;
-* merel_counts: the bottom rows of Merel's set X_n (Merel 1994).  It
-  shares no coset and no continued fraction with manin_counts, and
-  verify checks every row of the series against it.  The two count
-  vectors may differ by Manin relations, which every Manin table
-  satisfies, so their pairings agree.
+* manin_pairings: T_n W is the sum of the paths (b/d -> infinity) over
+  the left cosets of T_n, cut into edges by Manin's continued-fraction
+  trick; one walk sums the tables along every path, no edge count kept.
+  The series reads these rows;
+* merel_counts: the bottom rows of Merel's set X_n (Merel 1994), which
+  pairing_row pairs with a table.  It shares no coset and no continued
+  fraction with manin_pairings, and verify checks every row of the
+  series against it.  The two decompositions may differ by Manin
+  relations, which every Manin table satisfies, so their pairings agree.
 
 The third moves T_n onto Q: coset representatives for the
 determinant-n Hecke operator on Gamma0(p), their partition into double
@@ -45,16 +41,15 @@ themselves is caught as well.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 
-from .exact import Mat2, divisors, xgcd
+from .exact import Mat2, divisor_sums, divisors, xgcd
 from .geodesic import AlgorithmMismatch, ClosedGeodesic
 from .geodesic import intersect_winding_cycle, intersect_winding_enum
 
 __all__ = [
     "right_cosets",
-    "manin_counts",
+    "manin_pairings",
     "merel_counts",
     "pairing_row",
     "double_cosets",
@@ -69,7 +64,7 @@ def sigma1(n, p=None):
     (only divisors coprime to p are counted)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(d for d in divisors(n) if p is None or d % p)
+    return divisor_sums(n, 1, p)[n]
 
 
 def _coset_key(a, b, c, d, n, p):
@@ -106,59 +101,59 @@ def right_cosets(n, p):
     return reps
 
 
-@lru_cache(maxsize=8)
-def manin_counts(N, p):
-    """T_n of the winding geodesic in unimodular edges, for every n <= N:
-    a tuple whose entry n - 1 holds the nonzero (k, R_n[k]) in increasing
-    k, R_n[k] minus the number of edges of bottom row k = p1_key(d, c) on
-    the paths (infinity -> b/d) over the left cosets (a, b; 0, d) of T_n,
-    so <T_n Q, W> = sum over k of R_n[k] manin_table(Q).get(k, 0).
+def manin_pairings(tables, N, p):
+    """<T_n Q, W>, n = 1..N, for the points Q of the given Manin tables:
+    one tuple per table, indexed by n - 1.
 
-    The path runs through the continued-fraction convergents of b/d from
-    1/0.  The edge h0/k0 -> h1/k1 is h(0 -> infinity) for
-    h = (h1, e h0; k1, e k0) in SL2(Z), e = h1 k0 - h0 k1, so its bottom
-    row is (k1, e k0), and e alternates -1, 1, -1, ... from the edge
-    1/0 -> 0/1.  The convergents depend only on the value b/d, so b/d
-    walks the path of b/g / d/g, g = gcd(b, d): one depth-first walk
-    over the continued fractions [0; q1, ..., qm], qm >= 2, of the
-    reduced fractions in [0, 1) of denominator at most N visits each
-    path once, a child adding one quotient q, one edge and the
-    denominator q k1 + k0.  prim[d] holds the edge keys of those of
-    denominator d, and the left cosets of n with such a b/d are those
-    with a | n / d, so R_n = -sum over d | n of tau_p(n / d) prim[d],
-    tau_p(m) the number of divisors of m prime to p.
+    T_n W is minus the paths (infinity -> b/d) over the left cosets
+    Gamma0(p)(a, b; 0, d), ad = n, p not dividing a, 0 <= b < d, through
+    the convergents of b/d from 1/0: the edge h0/k0 -> h1/k1 has key
+    p1_key(e k0, k1), e = h1 k0 - h0 k1 = -1, 1, -1, ...  A path depends
+    only on b/d, so one depth-first walk over the continued fractions
+    [0; q1, ..., qm], qm >= 2, of the reduced fractions of denominator at
+    most N visits each once, carrying the path's table sums; v[d] adds
+    them up over denominator d, and row n is -sum over d | n of
+    tau_p(n / d) v[d], over the cosets with a | n / d.
+
+    The h sums travel packed in one integer, table c in bits
+    [c w, c w + w).  Packing is linear, so a row's lanes are exact while
+    its entries stay below 2^(w - 1) in size: the cosets of n <= N have
+    at most 2 N^3 edges, each weighing at most the largest table entry.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    top = max((abs(x) for t in tables for x in t.values()), default=0)
+    w = (2 * N ** 3 * top).bit_length() + 1
+    get = {k: sum(t.get(k, 0) << w * c for c, t in enumerate(tables))
+           for k in set().union(*tables)}.get
     inv = [pow(x, -1, p) if x % p else 0 for x in range(N + 1)]
-    prim = [[] for _ in range(N + 1)]
-    prim[1].append(0)                       # 0/1: the edge 1/0 -> 0/1
-    stack = [(0, 1, 1, (0,))]               # k0, k1, e, the keys so far
+    v = [0] * (N + 1)
+    v[1] = get(0, 0)                        # 0/1: the edge 1/0 -> 0/1
+    stack = [(0, 1, 1, v[1])]               # k0, k1, e, the path's sums
     while stack:
-        k0, k1, e, path = stack.pop()
+        k0, k1, e, s = stack.pop()
         ek, q, d = e * k1, 1, k1 + k0
         while d <= N:
-            key = ek * inv[d] % p if inv[d] else p      # p1_key(e k1, d)
-            child = path + (key,)
+            i = inv[d]
+            child = s + get(ek * i % p if i else p, 0)  # p1_key(e k1, d)
             if q > 1:
-                prim[d] += child
+                v[d] += child
             if d + k1 <= N:
                 stack.append((k1, d, -e, child))
             q, d = q + 1, d + k1
-    tau = [0] * (N + 1)
-    for a in range(1, N + 1):
-        if a % p:
-            for m in range(a, N + 1, a):
-                tau[m] += 1
-    rows = [{} for _ in range(N + 1)]
-    for d in range(1, N + 1):
-        counts = Counter(prim[d]).items()
-        for m in range(1, N // d + 1):
-            row, t = rows[m * d], tau[m]
-            for key, c in counts:
-                row[key] = row.get(key, 0) - t * c
-    return tuple(tuple(sorted((k, c) for k, c in row.items() if c))
-                 for row in rows[1:])
+    tau = divisor_sums(N, 0, p)
+    rows = [0] * (N + 1)
+    for d, x in enumerate(v):
+        if x:
+            for m in range(1, N // d + 1):
+                rows[m * d] -= tau[m] * x
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = [[] for _ in tables]
+    for x in rows[1:]:
+        for row in out:
+            row.append(((x & mask) ^ half) - half)
+            x = (x - row[-1]) >> w
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=4)
@@ -254,9 +249,10 @@ def hecke_translate(Q, n):
 
 
 def pair_with_twisted_cycle(cycle, n):
-    """<T_n cycle, winding geodesic> for a cycle given as (coeff, Q)
-    pairs: the coeff-weighted sum of winding intersection numbers over
-    the Hecke translates of each closed geodesic Q, each counted by both
+    """(<T_n cycle, winding geodesic>, number of translates) for a cycle
+    given as (coeff, Q) pairs: the coeff-weighted sum of winding
+    intersection numbers over the Hecke translates of each closed
+    geodesic Q, its double cosets walked once, each translate counted by
     intersect_winding_cycle and intersect_winding_enum, looked up at call
     time; a disagreement raises AlgorithmMismatch naming the translate.
 
@@ -268,7 +264,7 @@ def pair_with_twisted_cycle(cycle, n):
     T_n Q.  For Q = [-4, 6, 9], disc 180 = 6^2 * 5, at p = 11 the
     translates give -40 and -60 at n = 2 and 3 where the Manin row gives
     -52 and -68."""
-    total = 0
+    total = count = 0
     for coeff, Q in cycle:
         for t in hecke_translate(Q, n):
             val, other = intersect_winding_cycle(t), intersect_winding_enum(t)
@@ -276,4 +272,5 @@ def pair_with_twisted_cycle(cycle, n):
                 raise AlgorithmMismatch("translate %r: cycle=%r enum=%r"
                                         % (t.form, val, other))
             total += coeff * val
-    return total
+            count += 1
+    return total, count

@@ -10,9 +10,10 @@ reference type for roots, ideal bases and units.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-from .exact import Mat2, squarefree_part
+from .exact import Mat2, divisor_sums, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
 from .lvalue import kronecker
 
@@ -29,6 +30,7 @@ __all__ = [
     "gamma0_equivalent",
     "translate",
     "manin_table_farey",
+    "manin_counts",
     "zeta_F_0_numeric",
 ]
 
@@ -470,6 +472,49 @@ def manin_table_farey(Q):
         t = (u[0] + v[0], u[1] + v[1])
         edge = (u, t) if inside(*t) != uin else (t, v)
     return table
+
+
+def manin_counts(N, p):
+    """The reference for hecke.manin_pairings: T_n of the winding geodesic
+    in unimodular edges, for every n <= N, as a tuple whose entry n - 1
+    holds the nonzero (k, R_n[k]) in increasing k, R_n[k] minus the
+    number of edges of bottom row k = p1_key(d, c) on the paths
+    (infinity -> b/d) over the left cosets (a, b; 0, d) of T_n, so
+    <T_n Q, W> = sum over k of R_n[k] manin_table(Q).get(k, 0)
+    (hecke.pairing_row).
+
+    It walks the tree of manin_pairings, keeping each path's keys instead
+    of its table sums: prim[d] holds the edge keys of the reduced
+    fractions of denominator d, and R_n = -sum over d | n of
+    tau_p(n / d) prim[d], a count row per n.
+    """
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    inv = [pow(x, -1, p) if x % p else 0 for x in range(N + 1)]
+    prim = [[] for _ in range(N + 1)]
+    prim[1].append(0)                       # 0/1: the edge 1/0 -> 0/1
+    stack = [(0, 1, 1, (0,))]               # k0, k1, e, the keys so far
+    while stack:
+        k0, k1, e, path = stack.pop()
+        ek, q, d = e * k1, 1, k1 + k0
+        while d <= N:
+            key = ek * inv[d] % p if inv[d] else p      # p1_key(e k1, d)
+            child = path + (key,)
+            if q > 1:
+                prim[d] += child
+            if d + k1 <= N:
+                stack.append((k1, d, -e, child))
+            q, d = q + 1, d + k1
+    tau = divisor_sums(N, 0, p)
+    rows = [{} for _ in range(N + 1)]
+    for d in range(1, N + 1):
+        counts = Counter(prim[d]).items()
+        for m in range(1, N // d + 1):
+            row, t = rows[m * d], tau[m]
+            for key, c in counts:
+                row[key] = row.get(key, 0) - t * c
+    return tuple(tuple(sorted((k, c) for k, c in row.items() if c))
+                 for row in rows[1:])
 
 
 def zeta_F_0_numeric(d):

@@ -5,11 +5,11 @@ the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the RM points Q of r with the winding geodesic W (pairing_table),
 weighted by psi + conj(psi), which counts the points of -r too.  Each
 root's points and their Manin tables (geodesic.manin_table) are found
-once for every N (_rm_tables); a point's row pairs its table with the
-counts of T_n W (hecke.manin_counts, hecke.pairing_row).
-check_pairing_table counts both again with no Hecke translate: the same
-table by the Farey walk (geodesic.manin_table_enum) and T_n W by Merel's
-set (hecke.merel_counts).  For genus-zero levels the space of such forms is
+once for every N (_rm_tables), and one walk pairs them with T_n W for
+every n <= N (hecke.manin_pairings).  check_pairing_table counts both
+again with no Hecke translate: the same table by the Farey walk
+(geodesic.manin_table_enum) and T_n W by Merel's set
+(hecke.merel_counts).  For genus-zero levels the space of such forms is
 one-dimensional and the whole series is pinned by a single
 proportionality; for p = 11 it is two-dimensional and the cusp direction
 is spanned by an eta product.
@@ -22,7 +22,8 @@ from functools import lru_cache
 
 from .geodesic import AlgorithmMismatch, InertPrime, choose_r, manin_table
 from .geodesic import manin_table_enum, rm_points
-from .hecke import manin_counts, merel_counts, pairing_row, sigma1
+from .exact import divisor_sums
+from .hecke import manin_pairings, merel_counts, pairing_row
 from .lvalue import constant_term
 
 __all__ = [
@@ -105,17 +106,16 @@ def _rm_tables(F, G, p, r):
     return tuple((Q, manin_table(Q)) for Q in points)
 
 
+@lru_cache(maxsize=16)
 def pairing_table(F, G, p, r, N):
     """Raw pairings <T_n Q, W>, n = 1..N, of the RM points Q of the root
-    r: one row per narrow class, a tuple indexed by n - 1.
-
-    A point's row is its Manin table (_rm_tables) paired with
-    hecke.manin_counts(N, p) (hecke.pairing_row): no Hecke translate is
-    built.  The pairing is linear in the twisted cycle, so the series of
-    every character psi is a psi-weighted sum of these rows.
+    r: one row per narrow class, a tuple indexed by n - 1, kept for the
+    last few (F, G, p, r, N).  The rows pair the points' Manin tables
+    (_rm_tables) with T_n W in one walk (hecke.manin_pairings): no Hecke
+    translate is built.  The pairing is linear in the twisted cycle, so
+    the series of every character psi is a psi-weighted sum of the rows.
     """
-    counts = manin_counts(N, p)
-    return tuple(pairing_row(t, counts) for _, t in _rm_tables(F, G, p, r))
+    return manin_pairings([t for _, t in _rm_tables(F, G, p, r)], N, p)
 
 
 def check_pairing_table(F, G, p, r, N):
@@ -124,10 +124,11 @@ def check_pairing_table(F, G, p, r, N):
     must equal the one the Farey walk gives (geodesic.manin_table_enum),
     key by key, and for every n the pairing of the table with Merel's set
     X_n (hecke.merel_counts) must equal Q's row, which pairs it with the
-    left cosets of manin_counts.  The two edge counts of T_n W may differ
-    by Manin relations, which every table satisfies, so the pairings are
-    compared, not the counts.  Raises AlgorithmMismatch naming the point
-    and the least P^1 key or the first n where they differ."""
+    left cosets (hecke.manin_pairings).  The two decompositions of T_n W
+    may differ by Manin relations, which every table satisfies, so the
+    pairings are compared, not edge counts.  Raises AlgorithmMismatch
+    naming the point and the least P^1 key or the first n where they
+    differ."""
     merel = merel_counts(N, p)
     for row, (Q, table) in zip(pairing_table(F, G, p, r, N),
                                _rm_tables(F, G, p, r)):
@@ -219,13 +220,14 @@ def modularity_check(S):
     N = S.N
     if S.is_zero():
         return ModularityReport(True, "zero")
+    sigma = divisor_sums(N, 1, p)
     if p in GENUS_ZERO_LEVELS:
         a1 = S.coeffs[1]
         if S.constant * Fraction(24, p - 1) != a1:
             return ModularityReport(False, "genus0", 0,
                                     "constant term out of proportion")
         for n in range(1, N + 1):
-            if S.coeffs[n] != a1 * sigma1(n, p):
+            if S.coeffs[n] != a1 * sigma[n]:
                 return ModularityReport(False, "genus0", n,
                                         "coefficient %d out of proportion" % n)
         return ModularityReport(True, "genus0")
@@ -236,7 +238,7 @@ def modularity_check(S):
         alpha = S.constant * Fraction(24, 10)
         beta = S.coeffs[1] - alpha
         for n in range(2, N + 1):
-            if S.coeffs[n] != alpha * sigma1(n, 11) + beta * eta[n]:
+            if S.coeffs[n] != alpha * sigma[n] + beta * eta[n]:
                 return ModularityReport(False, "dim2", n,
                                         "coefficient %d off the 2-dim space" % n)
         return ModularityReport(True, "dim2")

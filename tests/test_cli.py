@@ -12,7 +12,12 @@ import rqgeo.hecke
 import rqgeo.series
 from rqgeo.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, run
 from rqgeo.exact import squarefree_part
-from rqgeo.field import build_field, narrow_class_group, pell_plus
+from rqgeo.field import (
+    build_field,
+    narrow_class_group,
+    odd_characters,
+    pell_plus,
+)
 from rqgeo.geodesic import choose_r, rm_points
 from rqgeo.oracles import QuadIrr
 
@@ -126,6 +131,22 @@ class TestVerify:
         assert code == EXIT_OK and rep["passed"]
         info = rqgeo.series._rm_tables.cache_info()
         assert info.misses == 3 and info.hits > 0
+
+    def test_one_walk_per_root(self, monkeypatch):
+        # the series, the three checks and the three tables read eight
+        # pairing tables over three roots: one continued-fraction walk
+        # per root, each pairing all of its h tables
+        walk = rqgeo.series.manin_pairings
+        calls = []
+
+        def counted(tables, N, p):
+            calls.append((len(tables), N, p))
+            return walk(tables, N, p)
+        monkeypatch.setattr(rqgeo.series, "manin_pairings", counted)
+        code, rep, _ = invoke_json("verify", "--D", "210", "--p", "11",
+                                   "--N", "6")
+        assert code == EXIT_OK and rep["passed"]
+        assert calls == [(8, 6, 11)] * 3
 
     def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
         # with --r 12 the shifted table is the one at 12 + 2*5, not the
@@ -323,6 +344,26 @@ class TestInfoCommands:
                 rep["right_cosets"]) == triple
 
 
+    def test_intersect_walks_each_orbit_once(self, monkeypatch):
+        # one double_cosets walk per point of the twisted cycle serves
+        # both the translate count and the pairing
+        cosets = rqgeo.hecke.double_cosets
+        calls = []
+
+        def counted(Q, n):
+            calls.append(Q.form)
+            return cosets(Q, n)
+        monkeypatch.setattr(rqgeo.hecke, "double_cosets", counted)
+        code, rep, _ = invoke_json("intersect", "--D", "6", "--p", "5",
+                                   "--n", "12")
+        assert code == EXIT_OK and rep["translates"] == 40
+        F = build_field(6)
+        G = narrow_class_group(F)
+        cycle = rqgeo.geodesic.twisted_cycle(F, G, odd_characters(G)[0], 5,
+                                             choose_r(F, 5))
+        assert calls == [Q.form for _, Q in cycle]
+
+
 class TestFormats:
     def test_csv(self):
         code, out, _ = invoke("series", "--D", "6", "--p", "5", "--N", "3",
@@ -444,7 +485,7 @@ class TestExitCodes:
         # (3, 5) too; at MAX_N itself the run goes on to build the field
         for name in ("build_field", "right_cosets"):
             monkeypatch.setattr(rqgeo.cli, name, _refuse(name))
-        for name in ("manin_counts", "merel_counts"):
+        for name in ("manin_pairings", "merel_counts"):
             monkeypatch.setattr(rqgeo.series, name, _refuse(name))
         bound = rqgeo.cli.MAX_N
         for cmd, opt in (("series", "--N"), ("verify", "--N"),
@@ -595,6 +636,21 @@ class TestExitCodes:
         assert failed == ["dual_algorithm"]
         assert "at key 1:" in rep["checks"][0]["detail"]
         assert rep["coeffs"] == {"1": 8, "2": 24, "3": 32, "4": 56}
+
+    def test_dual_algorithm_sees_a_wrong_walk(self, monkeypatch):
+        # a walk off by 2 at n = 3 in every row (so every pairing stays
+        # even): Merel's set disagrees with the rows at n = 3 first
+        walk = rqgeo.series.manin_pairings
+
+        def skewed(tables, N, p):
+            return tuple(row[:2] + (row[2] + 2,) + row[3:]
+                         for row in walk(tables, N, p))
+        monkeypatch.setattr(rqgeo.series, "manin_pairings", skewed)
+        code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
+                                   "--N", "4")
+        assert code == EXIT_MISMATCH and not rep["passed"]
+        (dual,) = [c for c in rep["checks"] if c["name"] == "dual_algorithm"]
+        assert not dual["passed"] and "at n=3: manin=" in dual["detail"]
 
     def test_dual_algorithm_sees_a_dropped_coset(self, monkeypatch):
         # without one matrix of Merel's set for each n > 1 the Manin

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqgeo.exact import Mat2, divisors, factor, is_prime, squarefree_part
+from rqgeo.exact import (
+    Mat2,
+    divisor_sums,
+    divisors,
+    factor,
+    is_prime,
+    squarefree_part,
+)
 from rqgeo.field import QuadForm, build_field, narrow_class_group
 from rqgeo.oracles import QuadIrr, mobius
 
@@ -295,3 +302,13 @@ class TestIntegerKernel:
                 assert f.a % p == 0 and (f.b + s) % (2 * p) == 0
                 assert f.disc() == F.d_F
                 assert G.classify(f) == c["class_index"]
+
+
+def test_divisor_sums_against_divisors():
+    for p in (None, 2, 3, 5, 11):
+        for k in (0, 1, 2):
+            sums = divisor_sums(60, k, p)
+            assert sums[0] == 0 and len(sums) == 61
+            for n in range(1, 61):
+                assert sums[n] == sum(d ** k for d in divisors(n)
+                                      if p is None or d % p), (p, k, n)

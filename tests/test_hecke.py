@@ -23,7 +23,7 @@ from rqgeo.hecke import (
     _coset_key,
     double_cosets,
     hecke_translate,
-    manin_counts,
+    manin_pairings,
     merel_counts,
     pair_with_twisted_cycle,
     pairing_row,
@@ -32,6 +32,7 @@ from rqgeo.hecke import (
 )
 from rqgeo.oracles import (
     _dual_stabilizer,
+    manin_counts,
     minus_root,
     mobius,
     plus_root,
@@ -346,7 +347,7 @@ class TestPairing:
             r = choose_r(F, p)
             T = twisted_cycle(F, G, psi, p, r)
             for n in range(1, 11):
-                a = pair_with_twisted_cycle(T, n)
+                a, _ = pair_with_twisted_cycle(T, n)
                 assert a == _translate_sum(T, n, intersect_winding_enum)
                 assert a == _translate_sum(T, n, intersect_winding_cycle)
                 assert isinstance(a, int)
@@ -372,7 +373,7 @@ class TestPairing:
         r = choose_r(F, 5)
         T = twisted_cycle(F, G, psi, 5, r)
         for n in range(1, 9):
-            assert pair_with_twisted_cycle(T, n) == -4 * sigma1(n, 5)
+            assert pair_with_twisted_cycle(T, n)[0] == -4 * sigma1(n, 5)
 
     def test_coset_reshuffle_invariance(self):
         # pairing must not depend on which representative of each coset
@@ -386,7 +387,7 @@ class TestPairing:
         T = twisted_cycle(F, G, psi, 3, r)
         from rqgeo.geodesic import ClosedGeodesic
         for n in (2, 4, 5):
-            ref = pair_with_twisted_cycle(T, n)
+            ref, _ = pair_with_twisted_cycle(T, n)
             total = 0
             for coeff, Q in T:
                 s = 0
@@ -486,10 +487,10 @@ class TestManinCounts:
                     square == 1 or square == 2 and core % 4 in (2, 3)):
                 points.append(ClosedGeodesic(f, rng.choice((3, 5, 7, 11))))
         for Q in points:
-            row = pairing_row(manin_table(Q), manin_counts(12, Q.p))
+            (row,) = manin_pairings([manin_table(Q)], 12, Q.p)
             for n in range(1, 13):
-                assert row[n - 1] == pair_with_twisted_cycle(((1, Q),), n), \
-                    (Q, n)
+                pairing, _ = pair_with_twisted_cycle(((1, Q),), n)
+                assert row[n - 1] == pairing, (Q, n)
 
     def test_translates_need_a_fundamental_discriminant(self):
         # Q = [-4, 6, 9], disc 180 = 6^2 * 5, is no RM point: a translate
@@ -497,9 +498,9 @@ class TestManinCounts:
         # period of it is only part of its share of T_n Q, and the
         # translate sums fall short of the Manin row at n = 2 and 3
         Q = ClosedGeodesic(QuadForm(-4, 6, 9), 11)
-        manin = list(pairing_row(manin_table(Q), manin_counts(5, 11)))
-        both = [pair_with_twisted_cycle(((1, Q),), n) for n in range(1, 6)]
-        assert manin == [-16, -52, -68, -116, -100]
+        (manin,) = manin_pairings([manin_table(Q)], 5, 11)
+        both = [pair_with_twisted_cycle(((1, Q),), n)[0] for n in range(1, 6)]
+        assert manin == (-16, -52, -68, -116, -100)
         assert both == [-16, -40, -60, -116, -100]
 
     def test_rejects_nonpositive_n(self):
@@ -589,3 +590,62 @@ def test_merel_pairing_equals_manin_row(case, pick):
     table = manin_table(Q)
     assert pairing_row(table, merel_counts(30, p)) == \
         pairing_row(table, manin_counts(30, p)), (D, p, Q)
+
+
+# RM points of every split (D, p), D squarefree below 100 and p <= 50
+WALK_CASES = tuple(
+    (D, p) for D in range(2, 100) if squarefree_part(D)[1] == 1
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    if pow(D if D % 4 == 1 else 4 * D, (p - 1) // 2, p) == 1)
+
+
+def _oracle_pairings(tables, N, p):
+    counts = manin_counts(N, p)
+    return tuple(pairing_row(t, counts) for t in tables)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(WALK_CASES), N=st.integers(1, 60),
+       sign=st.sampled_from((1, -1)))
+def test_walk_equals_the_count_rows(case, N, sign):
+    # one walk pairs every table of a root at once, as the count rows of
+    # the left cosets pair each table alone
+    D, p = case
+    F = build_field(D)
+    G = narrow_class_group(F)
+    tables = [manin_table(Q)
+              for Q in rm_points(F, G, p, sign * choose_r(F, p))]
+    assert manin_pairings(tables, N, p) == _oracle_pairings(tables, N, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 13, 9999991)), N=st.integers(1, 40),
+       data=st.data())
+def test_walk_packs_large_entries_exactly(p, N, data):
+    # any tables, entries of either sign up to 10^9 and up to eight of
+    # them: every lane of every row comes out exact
+    keys = st.sampled_from(tuple(range(min(p, 40) + 1)) + (p,))
+    table = st.dictionaries(keys, st.integers(-10 ** 9, 10 ** 9),
+                            max_size=12)
+    tables = data.draw(st.lists(table, max_size=8))
+    assert manin_pairings(tables, N, p) == _oracle_pairings(tables, N, p)
+
+
+class TestManinPairings:
+    def test_at_a_large_level(self):
+        # next to cli.MAX_LEVEL every key is an inverse mod p and the
+        # tables are sparse
+        F = build_field(91)
+        G = narrow_class_group(F)
+        p = 9999973
+        tables = [manin_table(Q) for Q in rm_points(F, G, p, choose_r(F, p))]
+        assert manin_pairings(tables, 60, p) == _oracle_pairings(tables, 60, p)
+
+    def test_edge_cases(self):
+        assert manin_pairings([], 5, 7) == ()
+        assert manin_pairings([{}], 3, 7) == ((0, 0, 0),)
+        # n = 1 is minus the edge 1/0 -> 0/1, key 0
+        assert manin_pairings([{0: 5, 7: 1}], 1, 7) == ((-5,),)
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="N must be at least 1"):
+                manin_pairings([{0: 1}], N, 5)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -207,7 +208,7 @@ class TestInvariance:
         check_pairing_table(F, G, 5, r, 8)
         cyc = twisted_cycle(F, G, psi, 5, r)
         assert S.coeffs == {
-            n: _coefficient(pair_with_twisted_cycle(cyc, n))
+            n: _coefficient(pair_with_twisted_cycle(cyc, n)[0])
             for n in range(1, 9)}
 
     def test_both_checks_each_entry(self, monkeypatch):
@@ -242,7 +243,7 @@ class TestInvariance:
         # drop one matrix of Merel's set for every n > 1 (at the key p of
         # (n, 0; 0, 1)), or key every matrix by its transposed bottom row
         # (d : c): each Manin table still agrees with its Farey walk, so
-        # only the row check against the left cosets of manin_counts sees
+        # only the row check against the left cosets of manin_pairings sees
         # it
         merel = rqgeo.series.merel_counts
         monkeypatch.setattr(rqgeo.series, "merel_counts",
@@ -349,7 +350,7 @@ class TestPairingTable:
                 S = diagonal_restriction(F, G, psi, p, N=N)
                 cyc = twisted_cycle(F, G, psi, p, r)
                 assert S.coeffs == {
-                    n: _coefficient(pair_with_twisted_cycle(cyc, n))
+                    n: _coefficient(pair_with_twisted_cycle(cyc, n)[0])
                     for n in range(1, N + 1)}, (D, p, psi.exponents)
 
     def test_characters_share_the_table(self, monkeypatch):
@@ -366,6 +367,20 @@ class TestPairingTable:
             diagonal_restriction(F, G, psi, 11, N=3)
             diagonal_restriction(F, G, psi.inverse(), 11, N=3)
         assert calls == []
+
+    def test_walk_keeps_to_its_bound(self):
+        # one walk at N = 240 holds a sum per denominator and one path per
+        # level of the tree, not the paths or the count rows
+        F, G, _ = _setup(6)
+        r = choose_r(F, 5)
+        rqgeo.series._rm_tables(F, G, 5, r)
+        tracemalloc.start()
+        try:
+            pairing_table(F, G, 5, r, 240)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2 ** 20, peak
 
     def test_fresh_field_recomputes(self, monkeypatch):
         calls = self._count_manin_tables(monkeypatch)
@@ -432,7 +447,7 @@ def test_cycle_table_equals_enum_table(pair, N):
     for s in (r, -r):
         check_pairing_table(F, G, p, s, N)
         for row, Q in zip(pairing_table(F, G, p, s, N), rm_points(F, G, p, s)):
-            assert row == tuple(pair_with_twisted_cycle(((1, Q),), n)
+            assert row == tuple(pair_with_twisted_cycle(((1, Q),), n)[0]
                                 for n in range(1, N + 1)), (D, p, s, Q)
 
 
