@@ -34,9 +34,8 @@ from .hecke import (
     double_cosets,
     hecke_translate,
     manin_pairings,
-    merel_counts,
+    merel_pairings,
     pair_with_twisted_cycle,
-    pairing_row,
     right_cosets,
     sigma1,
 )
@@ -78,9 +77,8 @@ __all__ = [
     "double_cosets",
     "hecke_translate",
     "manin_pairings",
-    "merel_counts",
+    "merel_pairings",
     "pair_with_twisted_cycle",
-    "pairing_row",
     "right_cosets",
     "sigma1",
     "NotApplicable",

@@ -8,6 +8,8 @@ mpmath's tanh-sinh integration; the closed forms act as oracles.
 
 from __future__ import annotations
 
+import random
+
 import mpmath as mp
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "lambda_fn",
     "Z_inf",
     "Z_inf_quadrature",
+    "identity_checks",
 ]
 
 
@@ -215,3 +218,50 @@ def Z_inf_quadrature(taus, m, n, s, dps=25):
                 [0, hi])
             val *= 2 * (-mp.mpc(0, 1) * z) * integral
         return complex(val)
+
+
+def identity_checks():
+    """The checks of rqgeo verify-analytic: per identity a dict of its
+    name, the largest error over fixed and seeded inputs, the tolerance
+    and whether the error is below it."""
+    checks = []
+
+    def record(name, err, tol):
+        checks.append({"name": name, "max_error": float(err),
+                       "tolerance": tol, "passed": bool(err < tol)})
+
+    err = max(abs(bessel_K(0.5, a) - bessel_K_half_closed(a))
+              / bessel_K_half_closed(a)
+              for a in (0.1, 0.5, 1, 2, 5, 10, 20, 50))
+    record("bessel_half", err, 1e-10)
+
+    rng = random.Random(5)
+
+    def nz():
+        v = 0
+        while abs(v) < 0.2:
+            v = rng.uniform(-3, 3)
+        return v
+
+    worst = 0.0
+    for N in (1, 2, 3):
+        cases = [tuple((nz(), 0) for _ in range(N)),
+                 tuple((0, nz()) for _ in range(N)),
+                 tuple((nz(), nz()) for _ in range(N))]
+        for x, s in zip(cases, (0.3, 0.3, 0.7)):
+            a, b = J_closed(x, s), J_quadrature(x, s)
+            worst = max(worst, abs(a - b) / max(1, abs(a)))
+    record("J_closed_forms", worst, 1e-8)
+
+    record("J_negative_norm", abs(J_quadrature(((1, 1), (1, -3)), 0)), 1e-8)
+
+    worst = 0.0
+    for x in (((1, 1), (1, 1)), ((-1, -1), (-1, -1)), ((1, -1), (1, 1))):
+        worst = max(worst, abs(phi0_integral(x) - phi0_expected(x)))
+    record("phi0_signs", worst, 1e-6)
+
+    taus = (0.3 + 1.2j, -0.7 + 0.8j)
+    worst = max(abs(Z_inf(taus, 3, 2, s) - Z_inf_quadrature(taus, 3, 2, s))
+                for s in (0, 0.35, -0.5))
+    record("Z_inf", worst, 1e-8)
+    return checks

@@ -13,14 +13,14 @@ series and verify or --n of intersect above MAX_N, a character this
 version cannot handle exactly, or verify-analytic without mpmath), 4
 internal error (a broken invariant: AssertionError or RuntimeError).
 
-verify reads three pairing tables of h RM points each, h the narrow
-class number, each root searched and each point's Manin table walked
-once: at r for the report series, which the checks read back, at
-r + 2p (r - 2p for r < 0) for r_plus_2p, and at -(r + 2p), whose row of
-class sigma(c) pm_halves compares with the negated report row of c.
-dual_algorithm runs check_pairing_table on all three: the same Manin
-tables against their Farey walks, and the rows against Merel's set;
-verify builds no Hecke translate.  intersect sums both intersection
+verify pairs the h RM points of each of three roots, h the narrow class
+number, in one continued-fraction walk before it builds its series: r,
+whose rows the series reads back, r + 2p (r - 2p for r < 0) for
+r_plus_2p, and -(r + 2p), whose row of class sigma(c) pm_halves
+compares with the negated report row of c.  dual_algorithm runs
+check_pairing_table on the three at once: the 3h Manin tables against
+their Farey walks, the 3h rows against one pass over Merel's set; verify
+builds no Hecke translate.  intersect sums both intersection
 algorithms over the twisted cycle's translates.
 """
 
@@ -41,14 +41,15 @@ from .field import (
     odd_characters,
     pell_plus,
 )
-from .geodesic import AlgorithmMismatch, InertPrime, choose_r, rm_points
-from .geodesic import twisted_cycle
+from .geodesic import AlgorithmMismatch, InertPrime, check_level, choose_r
+from .geodesic import rm_points, twisted_cycle
 from .hecke import pair_with_twisted_cycle, right_cosets
 from .series import (
     check_pairing_table,
     diagonal_restriction,
     modularity_check,
     pairing_table,
+    pairing_tables,
 )
 
 __all__ = ["main", "run"]
@@ -63,9 +64,9 @@ EXIT_INTERNAL = 4
 # the largest p of series, verify and intersect: no Manin table grows with
 # p, but the RM-point search and the periods of intersect's translates do
 MAX_LEVEL = 10 ** 7
-# the largest --N of series and verify and --n of intersect: merel_counts
-# takes time like N^2.3 and keeps a count row per n, and the series walks
-# every continued fraction of denominator at most N, time like N^2
+# the largest --N of series and verify and --n of intersect: verify's pass
+# over Merel's set takes time like N^2 log N, and the series walks every
+# continued fraction of denominator at most N, time like N^2
 MAX_N = 2000
 # the largest D of every command, each of which computes a Pell unit
 MAX_D = 10 ** 10
@@ -127,19 +128,6 @@ def render(report, fmt):
 # shared setup
 
 
-def _character(G, args):
-    odd = odd_characters(G)
-    if not odd:
-        raise ValueError(
-            "no admissible character: every totally odd character requires "
-            "unit norm +1 (d_F = %d has a unit of norm -1)" % G.field.d_F)
-    idx = args.char_index
-    if not 0 <= idx < len(odd):
-        raise ValueError("char-index %d out of range (have %d odd "
-                         "characters)" % (idx, len(odd)))
-    return odd[idx]
-
-
 def _setup(args):
     """(F, G, psi, p) of intersect, series and verify, p <= MAX_LEVEL and
     --N (or intersect's --n) <= MAX_N."""
@@ -150,8 +138,20 @@ def _setup(args):
     size = getattr(args, name)
     if size > MAX_N:
         raise ValueError("--%s %d is above MAX_N = %d" % (name, size, MAX_N))
-    G = narrow_class_group(build_field(args.D))
-    return G.field, G, _character(G, args), args.p
+    F = build_field(args.D)
+    # refused before the class group, which takes seconds at large D: a
+    # unit of norm -1 leaves no totally odd character
+    if F.unit_norm < 0:
+        raise ValueError(
+            "no admissible character: every totally odd character requires "
+            "unit norm +1 (d_F = %d has a unit of norm -1)" % F.d_F)
+    check_level(F, args.p)
+    G = narrow_class_group(F)
+    odd, idx = odd_characters(G), args.char_index
+    if not 0 <= idx < len(odd):
+        raise ValueError("char-index %d out of range (have %d odd "
+                         "characters)" % (idx, len(odd)))
+    return F, G, odd[idx], args.p
 
 
 def _base_report(args, **extra):
@@ -221,12 +221,12 @@ def cmd_chars(args):
 def cmd_rmpoints(args):
     F = build_field(args.D)
     p = args.p
-    G = narrow_class_group(F)
-    try:
+    try:        # before the class group, which a refused p does not need
         r = choose_r(F, p, args.r)
     except InertPrime as exc:
         return _base_report(args, d_F=F.d_F, p=p, inert=True,
                             message=str(exc))
+    G = narrow_class_group(F)
     # N0 = 2 N((-r + sqrt(d_F))/2)
     pairs = zip(rm_points(F, G, p, r), rm_points(F, G, p, -r))
     data = {"r": r, "N0": (r * r - F.d_F) // 2, "classes": [
@@ -281,24 +281,28 @@ def cmd_verify(args):
     def record(name, ok, detail=""):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
+    # one walk pairs the points of r, r + 2p (away from zero, so that
+    # r^2 > d_F) and -(r + 2p), after the series' refusals of psi and --r
+    for c in range(G.h):
+        psi.trace(c)
+    try:
+        r = choose_r(F, p, args.r)
+        shifted = r + 2 * p if r > 0 else r - 2 * p
+        roots = (r, shifted, -shifted)
+        pairing_tables(F, G, p, roots, args.N)
+    except InertPrime:
+        pass
     rep, S = _series_report(args, F, G, psi, p)
     if S.inert:
         record("inert", True, "p is inert: zero series")
         rep["checks"] = checks
         rep["passed"] = True
         return rep
-    # asked first: a level with no model is a domain error before the
-    # tables below are built; the report keeps the checks' order
+    # asked first: a level with no model is a domain error before any
+    # table is checked; the report keeps the checks' order
     mod = modularity_check(S)
-    # the report's table, the table at r + 2p (away from zero, so that
-    # r^2 > d_F) and the one at its negative, each point's Manin table
-    # against its Farey walk and its rows against Merel's set
-    r = S.metadata["r"]
-    shifted = r + 2 * p if r > 0 else r - 2 * p
-    roots = (r, shifted, -shifted)
     try:
-        for s in roots:
-            check_pairing_table(F, G, p, s, args.N)
+        check_pairing_table(F, G, p, roots, args.N)
         record("dual_algorithm", True, "cycle==Farey Manin table per RM "
                "point, manin==Merel rows for n=1..%d" % args.N)
     except AlgorithmMismatch as exc:
@@ -336,53 +340,10 @@ def cmd_verify(args):
 
 def cmd_verify_analytic(args):
     try:
-        from . import analytic as an
+        from .analytic import identity_checks
     except ModuleNotFoundError as exc:
         raise ValueError("verify-analytic needs the 'analytic' extra: %s" % exc)
-    checks = []
-
-    def record(name, err, tol):
-        checks.append({"name": name, "max_error": float(err),
-                       "tolerance": tol, "passed": bool(err < tol)})
-
-    err = max(abs(an.bessel_K(0.5, a) - an.bessel_K_half_closed(a))
-              / an.bessel_K_half_closed(a)
-              for a in (0.1, 0.5, 1, 2, 5, 10, 20, 50))
-    record("bessel_half", err, 1e-10)
-
-    import random
-    rng = random.Random(5)
-
-    def nz():
-        v = 0
-        while abs(v) < 0.2:
-            v = rng.uniform(-3, 3)
-        return v
-
-    worst = 0.0
-    for N in (1, 2, 3):
-        cases = [tuple((nz(), 0) for _ in range(N)),
-                 tuple((0, nz()) for _ in range(N)),
-                 tuple((nz(), nz()) for _ in range(N))]
-        for x, s in zip(cases, (0.3, 0.3, 0.7)):
-            a, b = an.J_closed(x, s), an.J_quadrature(x, s)
-            worst = max(worst, abs(a - b) / max(1, abs(a)))
-    record("J_closed_forms", worst, 1e-8)
-
-    record("J_negative_norm",
-           abs(an.J_quadrature(((1, 1), (1, -3)), 0)), 1e-8)
-
-    worst = 0.0
-    for x in (((1, 1), (1, 1)), ((-1, -1), (-1, -1)), ((1, -1), (1, 1))):
-        worst = max(worst,
-                    abs(an.phi0_integral(x) - an.phi0_expected(x)))
-    record("phi0_signs", worst, 1e-6)
-
-    taus = (0.3 + 1.2j, -0.7 + 0.8j)
-    worst = max(abs(an.Z_inf(taus, 3, 2, s) - an.Z_inf_quadrature(taus, 3, 2, s))
-                for s in (0, 0.35, -0.5))
-    record("Z_inf", worst, 1e-8)
-
+    checks = identity_checks()
     rep = _base_report(args, checks=checks,
                        passed=all(c["passed"] for c in checks))
     rep.pop("D", None)

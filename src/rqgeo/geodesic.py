@@ -48,6 +48,7 @@ __all__ = [
     "AlgorithmMismatch",
     "ClosedGeodesic",
     "InertPrime",
+    "check_level",
     "choose_r",
     "rm_points",
     "twisted_cycle",
@@ -104,6 +105,14 @@ class ClosedGeodesic:
         return "ClosedGeodesic(form=%r, p=%d)" % (self.form, self.p)
 
 
+def check_level(F, p):
+    """Raise ValueError unless p is an odd prime unramified in F."""
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if F.d_F % p == 0:
+        raise ValueError("p ramifies in F")
+
+
 def choose_r(F, p, r=None):
     """A square root r of d_F mod 4p with r^2 > d_F: the given one, which
     is checked, or else the smallest positive one.  Its sign picks which
@@ -117,11 +126,8 @@ def choose_r(F, p, r=None):
     Raises ValueError when p is not an odd prime unramified in F or r is
     not such a root, and InertPrime when d_F is not a square mod p.
     """
+    check_level(F, p)
     d = F.d_F
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if d % p == 0:
-        raise ValueError("p ramifies in F")
     if pow(d, (p - 1) // 2, p) != 1:
         raise InertPrime("d_F = %d is a nonresidue mod %d" % (d, p))
     if r is None:

@@ -9,11 +9,12 @@ with no Hecke translate:
   the left cosets of T_n, cut into edges by Manin's continued-fraction
   trick; one walk sums the tables along every path, no edge count kept.
   The series reads these rows;
-* merel_counts: the bottom rows of Merel's set X_n (Merel 1994), which
-  pairing_row pairs with a table.  It shares no coset and no continued
-  fraction with manin_pairings, and verify checks every row of the
-  series against it.  The two decompositions may differ by Manin
-  relations, which every Manin table satisfies, so their pairings agree.
+* merel_pairings: Merel's set X_n (Merel 1994), one pass over it for
+  all the tables, adding each matrix's table entry at its bottom row.
+  It shares no coset, continued fraction or packing code with
+  manin_pairings, and verify checks every row of the series against
+  it.  The two decompositions may differ by Manin relations, which
+  every Manin table satisfies, so their pairings agree.
 
 The third moves T_n onto Q: coset representatives for the
 determinant-n Hecke operator on Gamma0(p), their partition into double
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add
 
 from .exact import Mat2, divisor_sums, divisors, xgcd
 from .geodesic import AlgorithmMismatch, ClosedGeodesic
@@ -50,8 +52,7 @@ from .geodesic import intersect_winding_cycle, intersect_winding_enum
 __all__ = [
     "right_cosets",
     "manin_pairings",
-    "merel_counts",
-    "pairing_row",
+    "merel_pairings",
     "double_cosets",
     "hecke_translate",
     "pair_with_twisted_cycle",
@@ -156,44 +157,54 @@ def manin_pairings(tables, N, p):
     return tuple(map(tuple, out))
 
 
-@lru_cache(maxsize=4)
-def merel_counts(N, p):
-    """T_n of the winding geodesic by Merel's set X_n, for every n <= N:
-    a tuple whose entry n - 1 holds the (k, count) of the bottom rows
-    (c : d), keyed k = p1_key(d, c), of the matrices (a, b; c, d) with
-    ad - bc = n, a > b >= 0 and d > c >= 0, rows that are (0, 0) mod p
-    left out (Merel 1994, Universal Fourier expansions of modular
-    forms), in increasing k.  So <T_n Q, W> = sum over k of count times
-    the entry k of geodesic.manin_table(Q) (pairing_row).
+def merel_pairings(tables, N, p):
+    """<T_n Q, W>, n = 1..N, for the points Q of the given Manin tables, by
+    Merel's set X_n (Merel 1994, Universal Fourier expansions of modular
+    forms): one tuple per table, indexed by n - 1.
 
-    One pass over (a, b, c) serves every n: ad - bc >= a + c (a - b),
-    and the d > c with ad - bc <= N form one range, n stepping by a
-    along it.
+    X_n holds the (a, b; c, d) with ad - bc = n, a > b >= 0 and
+    d > c >= 0; each adds the entry of its bottom row (c : d), key
+    p1_key(d, c), rows (0, 0) mod p left out.  The rows (0 : d), p not
+    dividing d, come in closed form: a copies of key p at n = a d.  For
+    0 < c < d and a >= 1 the a matrices (a, b; c, d) give the n from
+    a (d - c) + c to a d in steps of c: diff marks such a run where it
+    starts and one step past its end (a run cut at N needs no end), and
+    a prefix sum of stride c adds the runs of c up, so the pass visits
+    each bottom row and each run once, not each matrix.  The tables
+    travel packed, table i in bits [i w, i w + w), exact since X_n has
+    at most n^3 matrices.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    top = max((abs(x) for t in tables for x in t.values()), default=0)
+    w = (N ** 3 * top).bit_length() + 1
+    packed = {}
+    for i, t in enumerate(tables):
+        for k, x in t.items():
+            packed[k] = packed.get(k, 0) + (x << w * i)
+    get, vp = packed.get, packed.get(p, 0)
     inv = [pow(c, -1, p) if c % p else 0 for c in range(N + 1)]
-    counts = [{} for _ in range(N + 1)]
-    for a in range(1, N + 1):
-        for b in range(a):
-            c = 0
-            while a + c * (a - b) <= N:
-                n, ic = a * (c + 1) - b * c, inv[c]
-                for d in range(c + 1, (N + b * c) // a + 1):
-                    if ic or d % p:
-                        k = d * ic % p if ic else p         # p1_key(d, c)
-                        row = counts[n]
-                        row[k] = row.get(k, 0) + 1
-                    n += a
-                c += 1
-    return tuple(tuple(sorted(row.items())) for row in counts[1:])
-
-
-def pairing_row(table, counts):
-    """<T_n Q, W> for n = 1..N, indexed by n - 1, from the Manin table of
-    Q (a missing key counts 0) and a count table of T_n W."""
-    return tuple(sum(c * table[k] for k, c in row if k in table)
-                 for row in counts)
+    rows = [0] * (N + 1)
+    for d in range(1, N + 1):
+        if d % p:
+            for n in range(d, N + 1, d):
+                rows[n] += n // d * vp
+    for c in range(1, N):
+        ic, diff = inv[c], [0] * (N + 1)
+        for d in range(c + 1, N + 1):
+            v = get(d * ic % p, 0) if ic else vp if d % p else 0
+            if v:
+                for n in range(d, N + 1, d - c):    # starts a (d - c) + c
+                    diff[n] += v
+                for n in range(d + c, N + 1, d):    # ends a d + c
+                    diff[n] -= v
+        for n in range(2 * c + 1, N + 1):
+            diff[n] += diff[n - c]
+        rows = list(map(add, rows, diff))
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum(half << w * i for i in range(len(tables)))   # lanes >= 0
+    return tuple(tuple(((x + bias) >> w * i & mask) - half for x in rows[1:])
+                 for i in range(len(tables)))
 
 
 def double_cosets(Q, n):

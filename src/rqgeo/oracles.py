@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import Mat2, divisor_sums, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
@@ -31,6 +32,8 @@ __all__ = [
     "translate",
     "manin_table_farey",
     "manin_counts",
+    "merel_counts",
+    "pairing_row",
     "zeta_F_0_numeric",
 ]
 
@@ -481,7 +484,7 @@ def manin_counts(N, p):
     number of edges of bottom row k = p1_key(d, c) on the paths
     (infinity -> b/d) over the left cosets (a, b; 0, d) of T_n, so
     <T_n Q, W> = sum over k of R_n[k] manin_table(Q).get(k, 0)
-    (hecke.pairing_row).
+    (pairing_row).
 
     It walks the tree of manin_pairings, keeping each path's keys instead
     of its table sums: prim[d] holds the edge keys of the reduced
@@ -515,6 +518,47 @@ def manin_counts(N, p):
                 row[key] = row.get(key, 0) - t * c
     return tuple(tuple(sorted((k, c) for k, c in row.items() if c))
                  for row in rows[1:])
+
+
+@lru_cache(maxsize=4)
+def merel_counts(N, p):
+    """The reference for hecke.merel_pairings: T_n of the winding geodesic
+    by Merel's set X_n, for every n <= N, as a tuple whose entry n - 1
+    holds the (k, count) of the bottom rows (c : d), keyed
+    k = p1_key(d, c), of the matrices (a, b; c, d) with ad - bc = n,
+    a > b >= 0 and d > c >= 0, rows that are (0, 0) mod p left out
+    (Merel 1994, Universal Fourier expansions of modular forms), in
+    increasing k.  So <T_n Q, W> = sum over k of count times
+    the entry k of geodesic.manin_table(Q) (pairing_row).
+
+    One pass over (a, b, c) serves every n: ad - bc >= a + c (a - b),
+    and the d > c with ad - bc <= N form one range, n stepping by a
+    along it.
+    """
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    inv = [pow(c, -1, p) if c % p else 0 for c in range(N + 1)]
+    counts = [{} for _ in range(N + 1)]
+    for a in range(1, N + 1):
+        for b in range(a):
+            c = 0
+            while a + c * (a - b) <= N:
+                n, ic = a * (c + 1) - b * c, inv[c]
+                for d in range(c + 1, (N + b * c) // a + 1):
+                    if ic or d % p:
+                        k = d * ic % p if ic else p         # p1_key(d, c)
+                        row = counts[n]
+                        row[k] = row.get(k, 0) + 1
+                    n += a
+                c += 1
+    return tuple(tuple(sorted(row.items())) for row in counts[1:])
+
+
+def pairing_row(table, counts):
+    """<T_n Q, W> for n = 1..N, indexed by n - 1, from the Manin table of
+    Q (a missing key counts 0) and a count table of T_n W."""
+    return tuple(sum(c * table[k] for k, c in row if k in table)
+                 for row in counts)
 
 
 def zeta_F_0_numeric(d):

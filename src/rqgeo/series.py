@@ -5,25 +5,26 @@ the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the RM points Q of r with the winding geodesic W (pairing_table),
 weighted by psi + conj(psi), which counts the points of -r too.  Each
 root's points and their Manin tables (geodesic.manin_table) are found
-once for every N (_rm_tables), and one walk pairs them with T_n W for
-every n <= N (hecke.manin_pairings).  check_pairing_table counts both
-again with no Hecke translate: the same table by the Farey walk
-(geodesic.manin_table_enum) and T_n W by Merel's set
-(hecke.merel_counts).  For genus-zero levels the space of such forms is
-one-dimensional and the whole series is pinned by a single
-proportionality; for p = 11 it is two-dimensional and the cusp direction
-is spanned by an eta product.
+once for every N (_rm_tables), and one walk pairs the points of the
+roots asked for with T_n W for every n <= N (pairing_tables,
+hecke.manin_pairings).  check_pairing_table counts both again with no
+Hecke translate: the tables by the Farey walk (geodesic.manin_table_enum)
+and T_n W by one pass over Merel's set (hecke.merel_pairings).  For
+genus-zero levels the space of such forms is one-dimensional and the
+whole series is pinned by a single proportionality; for p = 11 it is
+two-dimensional and the cusp direction is spanned by an eta product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .geodesic import AlgorithmMismatch, InertPrime, choose_r, manin_table
 from .geodesic import manin_table_enum, rm_points
 from .exact import divisor_sums
-from .hecke import manin_pairings, merel_counts, pairing_row
+from .hecke import manin_pairings, merel_pairings
 from .lvalue import constant_term
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "GENUS_ZERO_LEVELS",
     "diagonal_restriction",
     "pairing_table",
+    "pairing_tables",
     "check_pairing_table",
     "eta_product_coeffs",
     "modularity_check",
@@ -106,43 +108,63 @@ def _rm_tables(F, G, p, r):
     return tuple((Q, manin_table(Q)) for Q in points)
 
 
-@lru_cache(maxsize=16)
+# the rows of the last _KEPT (F, G, p, r, N) walked, oldest first
+_ROWS = {}
+_KEPT = 16
+
+
+def pairing_tables(F, G, p, roots, N):
+    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points Q of each root:
+    per root one row per narrow class, a tuple indexed by n - 1.  The
+    roots not kept in _ROWS pair their points' Manin tables (_rm_tables)
+    with T_n W in one walk (hecke.manin_pairings), sliced back per root;
+    no Hecke translate is built.  The pairing is linear in the twisted
+    cycle, so the series of every character psi is a psi-weighted sum of
+    a root's rows."""
+    missing = {r: _rm_tables(F, G, p, r) for r in roots
+               if (F, G, p, r, N) not in _ROWS}
+    if missing:
+        rows = manin_pairings([t for pts in missing.values() for _, t in pts],
+                              N, p)
+        for r, pts in missing.items():
+            _ROWS[F, G, p, r, N], rows = rows[:len(pts)], rows[len(pts):]
+    out = tuple([_ROWS[F, G, p, r, N] for r in roots])
+    while len(_ROWS) > _KEPT:
+        del _ROWS[next(iter(_ROWS))]
+    return out
+
+
 def pairing_table(F, G, p, r, N):
-    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points Q of the root
-    r: one row per narrow class, a tuple indexed by n - 1, kept for the
-    last few (F, G, p, r, N).  The rows pair the points' Manin tables
-    (_rm_tables) with T_n W in one walk (hecke.manin_pairings): no Hecke
-    translate is built.  The pairing is linear in the twisted cycle, so
-    the series of every character psi is a psi-weighted sum of the rows.
-    """
-    return manin_pairings([t for _, t in _rm_tables(F, G, p, r)], N, p)
+    """The rows of the one root r (pairing_tables)."""
+    return _ROWS.get((F, G, p, r, N)) or pairing_tables(F, G, p, (r,), N)[0]
 
 
-def check_pairing_table(F, G, p, r, N):
-    """Check pairing_table(F, G, p, r, N) by a second count of each RM
-    point Q, with no Hecke translate: the Manin table that Q's row pairs
-    must equal the one the Farey walk gives (geodesic.manin_table_enum),
-    key by key, and for every n the pairing of the table with Merel's set
-    X_n (hecke.merel_counts) must equal Q's row, which pairs it with the
-    left cosets (hecke.manin_pairings).  The two decompositions of T_n W
-    may differ by Manin relations, which every table satisfies, so the
-    pairings are compared, not edge counts.  Raises AlgorithmMismatch
-    naming the point and the least P^1 key or the first n where they
-    differ."""
-    merel = merel_counts(N, p)
-    for row, (Q, table) in zip(pairing_table(F, G, p, r, N),
-                               _rm_tables(F, G, p, r)):
+def check_pairing_table(F, G, p, roots, N):
+    """Check pairing_tables(F, G, p, roots, N) by a second count of each
+    RM point Q, with no Hecke translate: the Manin table that Q's row
+    pairs must equal the one the Farey walk gives
+    (geodesic.manin_table_enum), key by key, and for every n the pairing
+    of the table with Merel's set X_n (hecke.merel_pairings, one pass for
+    every point) must equal Q's row, which pairs it with the left cosets
+    (hecke.manin_pairings).  The two decompositions of T_n W may differ
+    by Manin relations, which every table satisfies, so the pairings are
+    compared, not edge counts.  Raises AlgorithmMismatch naming the first
+    such point and the least P^1 key or the first n where they differ."""
+    points = [point for r in roots for point in _rm_tables(F, G, p, r)]
+    rows = sum(pairing_tables(F, G, p, roots, N), ())
+    merel = merel_pairings([t for _, t in points], N, p)
+    for row, other, (Q, table) in zip(rows, merel, points):
         farey = manin_table_enum(Q)
         if table != farey:
             k = min(table.items() ^ farey.items())[0]
             raise AlgorithmMismatch(
                 "RM point %r at key %d: cycle=%r farey=%r"
                 % (Q.form, k, table.get(k, 0), farey.get(k, 0)))
-        for n, value in enumerate(pairing_row(table, merel), 1):
-            if row[n - 1] != value:
-                raise AlgorithmMismatch(
-                    "RM point %r at n=%d: manin=%r merel=%r"
-                    % (Q.form, n, row[n - 1], value))
+        if row != other:
+            n = 1 + next(i for i, x in enumerate(row) if x != other[i])
+            raise AlgorithmMismatch(
+                "RM point %r at n=%d: manin=%r merel=%r"
+                % (Q.form, n, row[n - 1], other[n - 1]))
 
 
 def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
@@ -172,9 +194,8 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     meta["r"] = r
     constant = constant_term(F, G, psi, p, r)
     table = pairing_table(F, G, p, r, N)
-    coeffs = {n: _coefficient(sum(t * row[n - 1]
-                                  for t, row in zip(traces, table)))
-              for n in range(1, N + 1)}
+    coeffs = {n: _coefficient(sum(map(mul, traces, column)))
+              for n, column in enumerate(zip(*table), 1)}
     return QSeries(constant, coeffs, meta)
 
 

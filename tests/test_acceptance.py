@@ -123,7 +123,7 @@ def test_criterion_5_invariance_and_fault_injection():
         assert diagonal_restriction(F, G, psi, p, N=10, r=r + 2 * p) == base
         assert diagonal_restriction(F, G, psi, p, N=10, r=-r) == base
         assert diagonal_restriction(F, G, psi.inverse(), p, N=10) == base
-        check_pairing_table(F, G, p, r, 10)
+        check_pairing_table(F, G, p, (r,), 10)
 
         # representative changes inside the cycle: replace every RM point
         # by a Gamma0(p)-translate (ideal representative and base point)

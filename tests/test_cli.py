@@ -133,20 +133,25 @@ class TestVerify:
         assert info.misses == 3 and info.hits > 0
 
     def test_one_walk_per_root(self, monkeypatch):
-        # the series, the three checks and the three tables read eight
-        # pairing tables over three roots: one continued-fraction walk
-        # per root, each pairing all of its h tables
-        walk = rqgeo.series.manin_pairings
+        # the series, the check and the three tables read the rows of
+        # three roots: one continued-fraction walk and one pass over
+        # Merel's set, each pairing all 3h tables at once
         calls = []
 
-        def counted(tables, N, p):
-            calls.append((len(tables), N, p))
-            return walk(tables, N, p)
-        monkeypatch.setattr(rqgeo.series, "manin_pairings", counted)
+        def counted(name):
+            pairings = getattr(rqgeo.series, name)
+
+            def count(tables, N, p):
+                calls.append((name, len(tables), N, p))
+                return pairings(tables, N, p)
+            return count
+        for name in ("manin_pairings", "merel_pairings"):
+            monkeypatch.setattr(rqgeo.series, name, counted(name))
         code, rep, _ = invoke_json("verify", "--D", "210", "--p", "11",
                                    "--N", "6")
         assert code == EXIT_OK and rep["passed"]
-        assert calls == [(8, 6, 11)] * 3
+        assert calls == [("manin_pairings", 24, 6, 11),
+                         ("merel_pairings", 24, 6, 11)]
 
     def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
         # with --r 12 the shifted table is the one at 12 + 2*5, not the
@@ -485,7 +490,7 @@ class TestExitCodes:
         # (3, 5) too; at MAX_N itself the run goes on to build the field
         for name in ("build_field", "right_cosets"):
             monkeypatch.setattr(rqgeo.cli, name, _refuse(name))
-        for name in ("manin_pairings", "merel_counts"):
+        for name in ("manin_pairings", "merel_pairings"):
             monkeypatch.setattr(rqgeo.series, name, _refuse(name))
         bound = rqgeo.cli.MAX_N
         for cmd, opt in (("series", "--N"), ("verify", "--N"),
@@ -523,6 +528,24 @@ class TestExitCodes:
         code, _, err = invoke("series", "--D", "5", "--p", "11")
         assert code == EXIT_DOMAIN and "no admissible character" in err
 
+    def test_refused_before_the_class_group(self, monkeypatch):
+        # a unit of norm -1 leaves no totally odd character and a ramified
+        # p no RM point: both are refused from the field alone, at large
+        # D too, where the class group takes seconds
+        monkeypatch.setattr(rqgeo.cli, "narrow_class_group",
+                            _refuse("narrow_class_group"))
+        for argv, message in (
+                (("series", "--D", "5", "--p", "11"), "no admissible"),
+                (("series", "--D", "9999999997", "--p", "9999973"),
+                 "no admissible character"),
+                (("intersect", "--D", "5", "--p", "3"), "no admissible"),
+                (("series", "--D", "99999998", "--p", "7"), "p ramifies"),
+                (("verify", "--D", "3", "--p", "3"), "p ramifies in F"),
+                (("rmpoints", "--D", "3", "--p", "3"), "p ramifies in F")):
+            code, out, err = invoke(*argv)
+            assert code == EXIT_DOMAIN and out == "", argv
+            assert message in err, (argv, err)
+
     def test_char_index_out_of_range(self):
         code, _, err = invoke("series", "--D", "6", "--p", "5",
                               "--char-index", "5")
@@ -535,8 +558,8 @@ class TestExitCodes:
         for cmd in ("series", "verify"):
             code, rep, _ = invoke_json(cmd, "--D", "34", "--p", "3")
             assert code == EXIT_OK and rep["psi_exponents"] == [0, 1, 3, 2]
-        monkeypatch.setattr(rqgeo.series, "pairing_table",
-                            _refuse("pairing_table"))
+        for name in ("pairing_table", "manin_pairings"):
+            monkeypatch.setattr(rqgeo.series, name, _refuse(name))
         for cmd in ("series", "verify"):
             for p in ("3", "11"):
                 code, out, err = invoke(cmd, "--D", "505", "--p", p,
@@ -656,15 +679,14 @@ class TestExitCodes:
         # without one matrix of Merel's set for each n > 1 the Manin
         # tables still agree with the Farey walks; the Manin rows, from
         # the left cosets, do not agree with the Merel pairings
-        merel = rqgeo.series.merel_counts
+        merel = rqgeo.series.merel_pairings
 
-        def dropped(N, p):
-            # one matrix fewer at the last key of every n > 1, the key p
-            # of (n, 0; 0, 1)
-            rows = merel(N, p)
-            return rows[:1] + tuple(row[:-1] + ((row[-1][0], row[-1][1] - 1),)
-                                    for row in rows[1:])
-        monkeypatch.setattr(rqgeo.series, "merel_counts", dropped)
+        def dropped(tables, N, p):
+            # one matrix fewer for every n > 1: the (n, 0; 0, 1) of key p,
+            # among the closed-form rows (0 : d)
+            return tuple(row[:1] + tuple(x - t.get(p, 0) for x in row[1:])
+                         for row, t in zip(merel(tables, N, p), tables))
+        monkeypatch.setattr(rqgeo.series, "merel_pairings", dropped)
         failed, rep = self._failed_checks()
         assert failed == ["dual_algorithm"]
         dual = rep["checks"][0]
@@ -688,6 +710,20 @@ class TestExitCodes:
         assert failed == ["dual_algorithm"]
         assert rep["checks"][0]["detail"].startswith(
             "RM point QuadForm(-5, 18, -15) at key 1:")
+
+    def test_dual_algorithm_sees_rows_of_another_point(self, monkeypatch):
+        # the 3h rows of the one walk sliced back one table late, as a
+        # wrong offset would slice them: each point's row is then another
+        # point's, and its Merel pairing disagrees at n = 1
+        walk = rqgeo.series.manin_pairings
+
+        def late(tables, N, p):
+            rows = walk(tables, N, p)
+            return rows[1:] + rows[:1]
+        monkeypatch.setattr(rqgeo.series, "manin_pairings", late)
+        failed, rep = self._failed_checks()
+        assert failed[0] == "dual_algorithm"
+        assert "at n=1: manin=" in rep["checks"][0]["detail"]
 
     def test_r_plus_2p_can_fail(self, monkeypatch):
         # negate the pairing rows at r + 2p only, where the check reads

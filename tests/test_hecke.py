@@ -24,17 +24,18 @@ from rqgeo.hecke import (
     double_cosets,
     hecke_translate,
     manin_pairings,
-    merel_counts,
+    merel_pairings,
     pair_with_twisted_cycle,
-    pairing_row,
     right_cosets,
     sigma1,
 )
 from rqgeo.oracles import (
     _dual_stabilizer,
     manin_counts,
+    merel_counts,
     minus_root,
     mobius,
+    pairing_row,
     plus_root,
 )
 
@@ -590,6 +591,53 @@ def test_merel_pairing_equals_manin_row(case, pick):
     table = manin_table(Q)
     assert pairing_row(table, merel_counts(30, p)) == \
         pairing_row(table, manin_counts(30, p)), (D, p, Q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 40),
+       p=st.sampled_from((2, 3, 5, 7, 13, 37, 97, 9999991)), data=st.data())
+def test_merel_pairings_equal_the_count_rows(N, p, data):
+    # one pass over Merel's set pairs up to 24 tables, empty ones and
+    # entries of either sign up to 10^9 among them, at p <= N and p > N:
+    # every lane of every row is the table paired alone with the count
+    # rows of X_n
+    keys = st.sampled_from(tuple(range(min(p, 40) + 1)) + (p,))
+    table = st.dictionaries(keys, st.integers(-10 ** 9, 10 ** 9),
+                            max_size=12)
+    tables = data.draw(st.lists(table, max_size=24))
+    counts = merel_counts(N, p)
+    assert merel_pairings(tables, N, p) == tuple(pairing_row(t, counts)
+                                                  for t in tables)
+
+
+class TestMerelPairings:
+    def test_at_a_large_level(self):
+        # next to cli.MAX_LEVEL every key but p is an inverse mod p and
+        # the tables are sparse
+        F = build_field(91)
+        G = narrow_class_group(F)
+        p = 9999973
+        r = choose_r(F, p)
+        tables = [manin_table(Q)
+                  for s in (r, -r) for Q in rm_points(F, G, p, s)]
+        counts = merel_counts(60, p)
+        assert merel_pairings(tables, 60, p) == tuple(
+            pairing_row(t, counts) for t in tables)
+
+    def test_edge_cases(self):
+        assert merel_pairings([], 5, 7) == ()
+        assert merel_pairings([{}], 3, 7) == ((0, 0, 0),)
+        # X_1 is the identity, bottom row (0 : 1) of key p
+        assert merel_pairings([{0: 5, 7: 1}], 1, 7) == ((1,),)
+        # at n < p key p is the rows (0 : d) alone, sigma1(n) matrices:
+        # lanes at the largest entry of either sign beside a zero lane
+        top = 10 ** 12
+        assert merel_pairings([{7: top}, {}, {7: -top}], 4, 7) == (
+            (top, 3 * top, 4 * top, 7 * top), (0,) * 4,
+            (-top, -3 * top, -4 * top, -7 * top))
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="N must be at least 1"):
+                merel_pairings([{0: 1}], N, 5)
 
 
 # RM points of every split (D, p), D squarefree below 100 and p <= 50

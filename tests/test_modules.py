@@ -249,7 +249,7 @@ def test_coefficient_path_builds_no_quadirr(monkeypatch):
     S = diagonal_restriction(F, G, psi, 5, N=8)
     assert any(S.coeffs.values())
     r = choose_r(F, 5)
-    check_pairing_table(F, G, 5, r, 8)
+    check_pairing_table(F, G, 5, (r,), 8)
     for Q in (rm_points(F, G, 5, s)[1] for s in (r, -r)):
         for n in range(1, 9):
             hecke_translate(Q, n)

@@ -30,13 +30,10 @@ from rqgeo.series import (
     eta_product_coeffs,
     modularity_check,
     pairing_table,
+    pairing_tables,
 )
-from rqgeo.hecke import (
-    merel_counts,
-    pair_with_twisted_cycle,
-    pairing_row,
-    sigma1,
-)
+from rqgeo.hecke import pair_with_twisted_cycle, sigma1
+from rqgeo.oracles import merel_counts, pairing_row
 
 
 def _setup(D):
@@ -205,7 +202,7 @@ class TestInvariance:
         F, G, psi = _setup(6)
         r = choose_r(F, 5)
         S = diagonal_restriction(F, G, psi, 5, N=8)
-        check_pairing_table(F, G, 5, r, 8)
+        check_pairing_table(F, G, 5, (r,), 8)
         cyc = twisted_cycle(F, G, psi, 5, r)
         assert S.coeffs == {
             n: _coefficient(pair_with_twisted_cycle(cyc, n)[0])
@@ -228,30 +225,33 @@ class TestInvariance:
         for row, Q in zip(pairing_table(F, G, 5, r, 4), rm_points(F, G, 5, r)):
             assert pairing_row(corrupted(Q), merel_counts(4, 5)) == row
         with pytest.raises(AlgorithmMismatch, match=r"RM point .* at key 1:"):
-            check_pairing_table(F, G, 5, r, 4)
+            check_pairing_table(F, G, 5, (r,), 4)
 
     @pytest.mark.parametrize("wrong, first", [
-        (lambda rows, p: rows[:1] + tuple(
-            row[:-1] + ((row[-1][0], row[-1][1] - 1),) for row in rows[1:]),
+        (lambda merel, tables, N, p: tuple(
+            row[:1] + tuple(x - t.get(p, 0) for x in row[1:])
+            for row, t in zip(merel(tables, N, p), tables)),
          2),
-        (lambda rows, p: tuple(
-            tuple(sorted((p if k == 0 else 0 if k == p else pow(k, -1, p), c)
-                         for k, c in row)) for row in rows),
+        (lambda merel, tables, N, p: merel(
+            [{p if k == 0 else 0 if k == p else pow(k, -1, p): x
+              for k, x in t.items()} for t in tables], N, p),
          1)],
         ids=["dropped", "transposed"])
     def test_both_checks_each_row(self, monkeypatch, wrong, first):
-        # drop one matrix of Merel's set for every n > 1 (at the key p of
-        # (n, 0; 0, 1)), or key every matrix by its transposed bottom row
-        # (d : c): each Manin table still agrees with its Farey walk, so
-        # only the row check against the left cosets of manin_pairings sees
-        # it
-        merel = rqgeo.series.merel_counts
-        monkeypatch.setattr(rqgeo.series, "merel_counts",
-                            lambda N, p: wrong(merel(N, p), p))
+        # drop one matrix of Merel's set for every n > 1 (the
+        # (n, 0; 0, 1) of key p, among the closed-form rows (0 : d)), or
+        # key every matrix by its transposed bottom row (d : c), which
+        # pairs each table with its entries moved from key k to the key
+        # of the transposed row: each Manin table still agrees with its
+        # Farey walk, so only the row check against the left cosets of
+        # manin_pairings sees it
+        merel = rqgeo.series.merel_pairings
+        monkeypatch.setattr(rqgeo.series, "merel_pairings",
+                            lambda tables, N, p: wrong(merel, tables, N, p))
         F, G, _ = _setup(6)
         with pytest.raises(AlgorithmMismatch,
                            match=r"RM point .* at n=%d:" % first):
-            check_pairing_table(F, G, 5, choose_r(F, 5), 4)
+            check_pairing_table(F, G, 5, (choose_r(F, 5),), 4)
 
     def test_unknown_algorithm(self):
         # the Manin-row table is the only algorithm; the translate sums
@@ -368,6 +368,33 @@ class TestPairingTable:
             diagonal_restriction(F, G, psi.inverse(), 11, N=3)
         assert calls == []
 
+    def test_one_walk_for_the_missing_roots(self, monkeypatch):
+        # the roots asked for together share one walk, whose rows each
+        # root gets back as its own walk gives them; of the last _KEPT
+        # (F, G, p, r, N) read, none is walked again
+        F, G, _ = _setup(210)
+        r = choose_r(F, 11)
+        roots = (r, r + 22, -r - 22)
+        alone = [rqgeo.series.manin_pairings(
+            [t for _, t in rqgeo.series._rm_tables(F, G, 11, s)], 6, 11)
+            for s in roots]
+        walks = []
+        walk = rqgeo.series.manin_pairings
+
+        def counted(tables, N, p):
+            walks.append((len(tables), N))
+            return walk(tables, N, p)
+        monkeypatch.setattr(rqgeo.series, "manin_pairings", counted)
+        assert pairing_table(F, G, 11, r, 6) == alone[0]
+        assert pairing_tables(F, G, 11, roots + (r,), 6) == tuple(
+            alone) + (alone[0],)
+        assert walks == [(8, 6), (16, 6)]
+        for N in range(1, rqgeo.series._KEPT - 1):    # pushes out r + 22
+            pairing_table(F, G, 11, -r, N)
+        del walks[:]
+        assert pairing_tables(F, G, 11, roots, 6) == tuple(alone)
+        assert walks == [(8, 6)]
+
     def test_walk_keeps_to_its_bound(self):
         # one walk at N = 240 holds a sum per denominator and one path per
         # level of the tree, not the paths or the count rows
@@ -406,7 +433,7 @@ class TestPairingTable:
         F, G, psi = _setup(6)
         r = choose_r(F, 5)
         diagonal_restriction(F, G, psi, 5, N=4)
-        check_pairing_table(F, G, 5, r, 8)
+        check_pairing_table(F, G, 5, (r,), 8)
         assert searches == [r]
         assert [Q.form for Q in walks] == [Q.form
                                            for Q in rm_points(F, G, 5, r)]
@@ -424,8 +451,7 @@ class TestPairingTable:
         assert [S.coeffs[n] for n in range(1, 13)] == [
             8 * sigma1(n, 5) for n in range(1, 13)]
         r = choose_r(F, 5)
-        for s in (r, -r, r + 10):
-            check_pairing_table(F, G, 5, s, 12)
+        check_pairing_table(F, G, 5, (r, -r, r + 10), 12)
 
 
 # every split (D, p), D squarefree below 300 and p <= 23
@@ -444,8 +470,8 @@ def test_cycle_table_equals_enum_table(pair, N):
     F = build_field(D)
     G = narrow_class_group(F)
     r = choose_r(F, p)
+    check_pairing_table(F, G, p, (r, -r), N)
     for s in (r, -r):
-        check_pairing_table(F, G, p, s, N)
         for row, Q in zip(pairing_table(F, G, p, s, N), rm_points(F, G, p, s)):
             assert row == tuple(pair_with_twisted_cycle(((1, Q),), n)[0]
                                 for n in range(1, N + 1)), (D, p, s, Q)
