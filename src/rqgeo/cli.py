@@ -13,15 +13,14 @@ series and verify or --n of intersect above MAX_N, a character this
 version cannot handle exactly, or verify-analytic without mpmath), 4
 internal error (a broken invariant: AssertionError or RuntimeError).
 
-verify pairs the h RM points of each of three roots, h the narrow class
-number, in one continued-fraction walk before it builds its series: r,
-whose rows the series reads back, r + 2p (r - 2p for r < 0) for
-r_plus_2p, and -(r + 2p), whose row of class sigma(c) pm_halves
-compares with the negated report row of c.  dual_algorithm runs
-check_pairing_table on the three at once: the 3h Manin tables against
-their Farey walks, the 3h rows against one pass over Merel's set; verify
-builds no Hecke translate.  intersect sums both intersection
-algorithms over the twisted cycle's translates.
+verify builds its series at r, then compares the Manin tables of the h
+RM points (h the narrow class number) of r + 2p (r - 2p for r < 0) with
+r's class by class (r_plus_2p), and those of -(r + 2p) at sigma(c) with
+r's at c negated (pm_halves).  dual_algorithm runs check_pairing_table
+on the three roots: the 3h Manin tables against their Farey walks, r's
+h rows against one pass over Merel's set; verify builds no Hecke
+translate.  intersect sums both intersection algorithms over the
+twisted cycle's translates.
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ from .hecke import pair_with_twisted_cycle, right_cosets
 from .series import (
     check_pairing_table,
     diagonal_restriction,
+    manin_tables,
     modularity_check,
-    pairing_table,
-    pairing_tables,
 )
 
 __all__ = ["main", "run"]
@@ -281,17 +279,6 @@ def cmd_verify(args):
     def record(name, ok, detail=""):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
-    # one walk pairs the points of r, r + 2p (away from zero, so that
-    # r^2 > d_F) and -(r + 2p), after the series' refusals of psi and --r
-    for c in range(G.h):
-        psi.trace(c)
-    try:
-        r = choose_r(F, p, args.r)
-        shifted = r + 2 * p if r > 0 else r - 2 * p
-        roots = (r, shifted, -shifted)
-        pairing_tables(F, G, p, roots, args.N)
-    except InertPrime:
-        pass
     rep, S = _series_report(args, F, G, psi, p)
     if S.inert:
         record("inert", True, "p is inert: zero series")
@@ -301,6 +288,10 @@ def cmd_verify(args):
     # asked first: a level with no model is a domain error before any
     # table is checked; the report keeps the checks' order
     mod = modularity_check(S)
+    # r + 2p away from zero, so that (r + 2p)^2 > d_F, and its opposite
+    r = S.metadata["r"]
+    shifted = r + 2 * p if r > 0 else r - 2 * p
+    roots = (r, shifted, -shifted)
     try:
         check_pairing_table(F, G, p, roots, args.N)
         record("dual_algorithm", True, "cycle==Farey Manin table per RM "
@@ -310,19 +301,22 @@ def cmd_verify(args):
     record("modularity", mod.passed,
            mod.message or ("mode=%s" % mod.mode))
 
-    table, shifted_table, opposite = (pairing_table(F, G, p, s, args.N)
-                                      for s in roots)
-    # the RM points of r + 2p are other forms with b = -r (mod 2p),
-    # Gamma0(p)-equivalent to those of r class by class
-    # (Gross-Kohnen-Zagier): a third table, equal to the report's row by
-    # row.  The constant term needs no check: (p, r + 2p) = (p, r)
+    # A row of the series (hecke.manin_pairings) and its pairing with
+    # Merel's set are linear maps of the point's Manin table, a
+    # Gamma0(p)-invariant: equal tables give equal rows for every N, and
+    # opposite tables opposite rows.  The RM points of r + 2p have
+    # b = -r (mod 2p) and are Gamma0(p)-equivalent to those of r class by
+    # class (Gross-Kohnen-Zagier); the constant term needs no check, as
+    # (p, r + 2p) = (p, r)
+    table, shifted_table, opposite = (
+        [t for _, t in manin_tables(F, G, p, s)] for s in roots)
     record("r_plus_2p", shifted_table == table)
-    # the identity the series reads through psi.trace: the row of sigma(c)
-    # at the opposite root is the negated row of c, here of points other
-    # than -f_c, so their Gamma0(p)-equivalence is checked too
+    # the identity the series reads through psi.trace: the table of
+    # sigma(c) at the opposite root is the negated table of c, here of
+    # points other than -f_c, so their Gamma0(p)-equivalence is checked
     record("pm_halves",
            [opposite[G.sigma(c)] for c in range(G.h)]
-           == [tuple(-v for v in row) for row in table],
+           == [{k: -v for k, v in t.items()} for t in table],
            "-r rows equal the paired -r points for n=1..%d" % args.N)
     # psi^-1 reuses the report's table.  The series reads psi only
     # through psi.trace, and psi^-1 = conj(psi) has the same traces, so

@@ -14,7 +14,7 @@ Q on Y0(p): the signed crossings of one Gamma0(p)-period of Q with the
 Gamma0(p)-orbit of every unimodular edge, the dict of the nonzero counts
 keyed by P^1(F_p).  Summed over the edges of T_n W, W the winding
 geodesic 0 -> infinity, it gives <T_n Q, W> for n = 1..N with no Hecke
-translate (hecke.manin_pairings, or Merel's set in hecke.merel_counts).
+translate (hecke.manin_pairings, or Merel's set in hecke.merel_pairings).
 
 * manin_table(Q) walks the reduction cycle of the reduced form of Q,
   a run of |delta| river edges of the Conway topograph per step, once

@@ -5,11 +5,11 @@ the lvalue module, higher coefficients from the pairings <T_n Q, W> of
 the RM points Q of r with the winding geodesic W (pairing_table),
 weighted by psi + conj(psi), which counts the points of -r too.  Each
 root's points and their Manin tables (geodesic.manin_table) are found
-once for every N (_rm_tables), and one walk pairs the points of the
-roots asked for with T_n W for every n <= N (pairing_tables,
-hecke.manin_pairings).  check_pairing_table counts both again with no
-Hecke translate: the tables by the Farey walk (geodesic.manin_table_enum)
-and T_n W by one pass over Merel's set (hecke.merel_pairings).  For
+once for every N (manin_tables), and one walk pairs r's tables with
+T_n W for every n <= N (hecke.manin_pairings).  check_pairing_table
+counts both again with no Hecke translate: the tables of every root it
+is given by the Farey walk (geodesic.manin_table_enum), and T_n W by one
+pass over Merel's set for r's tables (hecke.merel_pairings).  For
 genus-zero levels the space of such forms is one-dimensional and the
 whole series is pinned by a single proportionality; for p = 11 it is
 two-dimensional and the cusp direction is spanned by an eta product.
@@ -32,8 +32,8 @@ __all__ = [
     "AlgorithmMismatch",
     "GENUS_ZERO_LEVELS",
     "diagonal_restriction",
+    "manin_tables",
     "pairing_table",
-    "pairing_tables",
     "check_pairing_table",
     "eta_product_coeffs",
     "modularity_check",
@@ -88,7 +88,7 @@ def _coefficient(pairing):
 
 
 @lru_cache(maxsize=16)
-def _rm_tables(F, G, p, r):
+def manin_tables(F, G, p, r):
     """(Q, manin_table(Q)) for the RM point Q of each narrow class of the
     root choose_r(F, p, r): one search and one cycle walk per root,
     whatever N, kept for the last few (F, G, p, r).  F and G are keyed
@@ -98,8 +98,8 @@ def _rm_tables(F, G, p, r):
     gives -f_c, a -r RM form of class G.sigma(c) = c^-1 s, s the class
     of (sqrt(d_F)); by the Gross-Kohnen-Zagier bijection between the RM
     points of r and of -r it is Gamma0(p)-equivalent to that class's -r
-    point, and reversal negates every winding number.  So the row of
-    sigma(c) at -r is the negated row of c at r (verify's pm_halves);
+    point, and reversal negates every winding number.  So the table of
+    sigma(c) at -r is the negated table of c at r (verify's pm_halves);
     the class of every -f_c is asserted to be sigma(c).
     """
     points = rm_points(F, G, p, choose_r(F, p, r))
@@ -108,60 +108,41 @@ def _rm_tables(F, G, p, r):
     return tuple((Q, manin_table(Q)) for Q in points)
 
 
-# the rows of the last _KEPT (F, G, p, r, N) walked, oldest first
-_ROWS = {}
-_KEPT = 16
-
-
-def pairing_tables(F, G, p, roots, N):
-    """Raw pairings <T_n Q, W>, n = 1..N, of the RM points Q of each root:
-    per root one row per narrow class, a tuple indexed by n - 1.  The
-    roots not kept in _ROWS pair their points' Manin tables (_rm_tables)
-    with T_n W in one walk (hecke.manin_pairings), sliced back per root;
-    no Hecke translate is built.  The pairing is linear in the twisted
-    cycle, so the series of every character psi is a psi-weighted sum of
-    a root's rows."""
-    missing = {r: _rm_tables(F, G, p, r) for r in roots
-               if (F, G, p, r, N) not in _ROWS}
-    if missing:
-        rows = manin_pairings([t for pts in missing.values() for _, t in pts],
-                              N, p)
-        for r, pts in missing.items():
-            _ROWS[F, G, p, r, N], rows = rows[:len(pts)], rows[len(pts):]
-    out = tuple([_ROWS[F, G, p, r, N] for r in roots])
-    while len(_ROWS) > _KEPT:
-        del _ROWS[next(iter(_ROWS))]
-    return out
-
-
+@lru_cache(maxsize=16)
 def pairing_table(F, G, p, r, N):
-    """The rows of the one root r (pairing_tables)."""
-    return _ROWS.get((F, G, p, r, N)) or pairing_tables(F, G, p, (r,), N)[0]
+    """Raw pairings <T_n Q, W>, n = 1..N, of the RM point Q of each class
+    at the root r: one row per class, indexed by n - 1, from one walk over
+    their Manin tables (hecke.manin_pairings), no Hecke translate.  The
+    pairing is linear in the twisted cycle, so the series of every
+    character psi is a psi-weighted sum of these rows."""
+    return manin_pairings([t for _, t in manin_tables(F, G, p, r)], N, p)
 
 
 def check_pairing_table(F, G, p, roots, N):
-    """Check pairing_tables(F, G, p, roots, N) by a second count of each
-    RM point Q, with no Hecke translate: the Manin table that Q's row
-    pairs must equal the one the Farey walk gives
-    (geodesic.manin_table_enum), key by key, and for every n the pairing
-    of the table with Merel's set X_n (hecke.merel_pairings, one pass for
-    every point) must equal Q's row, which pairs it with the left cosets
-    (hecke.manin_pairings).  The two decompositions of T_n W may differ
-    by Manin relations, which every table satisfies, so the pairings are
-    compared, not edge counts.  Raises AlgorithmMismatch naming the first
-    such point and the least P^1 key or the first n where they differ."""
-    points = [point for r in roots for point in _rm_tables(F, G, p, r)]
-    rows = sum(pairing_tables(F, G, p, roots, N), ())
-    merel = merel_pairings([t for _, t in points], N, p)
-    for row, other, (Q, table) in zip(rows, merel, points):
+    """Check the Manin tables of the RM points of every root, and
+    pairing_table at the first root r, with no Hecke translate: each
+    table must equal the Farey walk's (geodesic.manin_table_enum), key
+    by key, and for every n each of r's rows, which pairs the table with
+    the left cosets (hecke.manin_pairings), must equal its pairing with
+    Merel's set X_n (hecke.merel_pairings, one pass for r's h tables).
+    The two decompositions of T_n W may differ by Manin relations, which
+    every table satisfies, so the pairings are compared, not edge counts.
+    Raises AlgorithmMismatch naming the first such point and the least
+    P^1 key or the first n where they differ."""
+    rows = pairing_table(F, G, p, roots[0], N)
+    merel = merel_pairings([t for _, t in manin_tables(F, G, p, roots[0])],
+                           N, p)
+    points = [point for r in roots for point in manin_tables(F, G, p, r)]
+    for i, (Q, table) in enumerate(points):
         farey = manin_table_enum(Q)
         if table != farey:
             k = min(table.items() ^ farey.items())[0]
             raise AlgorithmMismatch(
                 "RM point %r at key %d: cycle=%r farey=%r"
                 % (Q.form, k, table.get(k, 0), farey.get(k, 0)))
-        if row != other:
-            n = 1 + next(i for i, x in enumerate(row) if x != other[i])
+        if i < len(rows) and rows[i] != merel[i]:
+            row, other = rows[i], merel[i]
+            n = 1 + next(j for j, x in enumerate(row) if x != other[j])
             raise AlgorithmMismatch(
                 "RM point %r at n=%d: manin=%r merel=%r"
                 % (Q.form, n, row[n - 1], other[n - 1]))

@@ -122,27 +122,28 @@ class TestVerify:
         assert calls["farey"] == points
 
     def test_three_tables(self):
-        # the RM points and Manin tables at r, r + 2p and -(r + 2p); the
-        # series, the checks and the rows read each root's back from the
-        # cache
-        rqgeo.series._rm_tables.cache_clear()
+        # the RM points and Manin tables at r, r + 2p and -(r + 2p), each
+        # found once: the series, dual_algorithm and the two table checks
+        # read each root's back from the cache
+        rqgeo.series.manin_tables.cache_clear()
         code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
                                    "--N", "4")
         assert code == EXIT_OK and rep["passed"]
-        info = rqgeo.series._rm_tables.cache_info()
+        info = rqgeo.series.manin_tables.cache_info()
         assert info.misses == 3 and info.hits > 0
 
     def test_one_walk_per_root(self, monkeypatch):
-        # the series, the check and the three tables read the rows of
-        # three roots: one continued-fraction walk and one pass over
-        # Merel's set, each pairing all 3h tables at once
-        calls = []
+        # only the series' root r has rows: one continued-fraction walk
+        # and one pass over Merel's set, each pairing r's h tables; the
+        # check and psi_inverse read the series' rows back
+        calls, paired = [], []
 
         def counted(name):
             pairings = getattr(rqgeo.series, name)
 
             def count(tables, N, p):
                 calls.append((name, len(tables), N, p))
+                paired.append(list(tables))
                 return pairings(tables, N, p)
             return count
         for name in ("manin_pairings", "merel_pairings"):
@@ -150,20 +151,21 @@ class TestVerify:
         code, rep, _ = invoke_json("verify", "--D", "210", "--p", "11",
                                    "--N", "6")
         assert code == EXIT_OK and rep["passed"]
-        assert calls == [("manin_pairings", 24, 6, 11),
-                         ("merel_pairings", 24, 6, 11)]
+        assert calls == [("manin_pairings", 8, 6, 11),
+                         ("merel_pairings", 8, 6, 11)]
+        assert paired[0] == paired[1]
 
     def test_r_plus_2p_shifts_the_reported_r(self, monkeypatch):
-        # with --r 12 the shifted table is the one at 12 + 2*5, not the
-        # one at the default r = 8 shifted; a negative r shifts away from
+        # with --r 12 the shifted tables are the ones at 12 + 2*5, not the
+        # ones at the default r = 8 shifted; a negative r shifts away from
         # zero, since -12 + 2*5 = -2 has r^2 < d_F
         seen = []
-        table = rqgeo.cli.pairing_table
+        tables = rqgeo.cli.manin_tables
 
-        def spy(F, G, p, r, N):
+        def spy(F, G, p, r):
             seen.append(r)
-            return table(F, G, p, r, N)
-        monkeypatch.setattr(rqgeo.cli, "pairing_table", spy)
+            return tables(F, G, p, r)
+        monkeypatch.setattr(rqgeo.cli, "manin_tables", spy)
         for r, shifted in ((12, 22), (-12, -22)):
             del seen[:]
             code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
@@ -189,9 +191,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("D, p", [(6, 5), (210, 11)])
     def test_one_cycle_walk_per_point(self, monkeypatch, D, p):
-        # the three tables of verify pair 3h RM points, and the check
-        # reads the Manin table that each row paired: one cycle walk per
-        # point
+        # the three roots of verify have 3h RM points, and the check and
+        # the table comparisons read the Manin table that the series or
+        # the search made: one cycle walk per point
         walks = []
         table = rqgeo.series.manin_table
 
@@ -207,24 +209,23 @@ class TestVerify:
 
     @pytest.mark.parametrize("D, p", [(6, 5), (7, 3), (3, 11), (3, 13)])
     def test_pm_halves_reads_other_points(self, monkeypatch, D, p):
-        # the table at the opposite root pairs, at every class sigma(c),
-        # an RM point other than the reversed point -f_c of the report's
-        # table, so pm_halves checks their Gamma0(p)-equivalence and not
-        # only that reversal negates a row
-        seen = []
-        table = rqgeo.cli.pairing_table
+        # the Manin table that pm_halves reads at the opposite root, at
+        # every class sigma(c), is that of an RM point other than the
+        # reversed point -f_c of the report's root, so pm_halves checks
+        # their Gamma0(p)-equivalence and not only that reversal negates
+        # a table
+        seen = {}
+        tables = rqgeo.cli.manin_tables
 
-        def spy(F, G, p, r, N):
-            seen.append(r)
-            return table(F, G, p, r, N)
-        monkeypatch.setattr(rqgeo.cli, "pairing_table", spy)
+        def spy(F, G, p, r):
+            seen[r] = [Q for Q, _ in tables(F, G, p, r)], G
+            return tables(F, G, p, r)
+        monkeypatch.setattr(rqgeo.cli, "manin_tables", spy)
         code, rep, _ = invoke_json("verify", "--D", str(D), "--p", str(p),
                                    "--N", "4")
         assert code == EXIT_OK and rep["passed"]
         opposite, = [s for s in seen if s < 0]
-        F = build_field(D)
-        G = narrow_class_group(F)
-        plus, other = (rm_points(F, G, p, s) for s in (rep["r"], opposite))
+        (plus, G), (other, _) = seen[rep["r"]], seen[opposite]
         for c, Q in enumerate(plus):
             assert other[G.sigma(c)].form != Q.reversed().form, (D, p, c)
 
@@ -629,18 +630,20 @@ class TestExitCodes:
         return [c["name"] for c in rep["checks"] if not c["passed"]], rep
 
     def test_pm_halves_can_fail(self, monkeypatch):
-        # negate the rows of the table at the opposite root -(r + 2p)
-        # where the check reads them: the two halves then pair to
-        # opposite values.  The report series and dual_algorithm read the
-        # tables through rqgeo.series, so only this check sees the skew.
-        pairing_table = rqgeo.cli.pairing_table
+        # negate the Manin tables at the opposite root -(r + 2p) where the
+        # check reads them: they then equal the report's tables at
+        # sigma(c) instead of their negations.  The report series and
+        # dual_algorithm read the tables through rqgeo.series, so only
+        # this check sees the skew.
+        manin_tables = rqgeo.cli.manin_tables
 
-        def skewed(F, G, p, r, N):
-            table = pairing_table(F, G, p, r, N)
+        def skewed(F, G, p, r):
+            tables = manin_tables(F, G, p, r)
             if r > 0:
-                return table
-            return tuple(tuple(-v for v in row) for row in table)
-        monkeypatch.setattr(rqgeo.cli, "pairing_table", skewed)
+                return tables
+            return tuple((Q, {k: -v for k, v in t.items()})
+                         for Q, t in tables)
+        monkeypatch.setattr(rqgeo.cli, "manin_tables", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["pm_halves"]
 
@@ -712,8 +715,8 @@ class TestExitCodes:
             "RM point QuadForm(-5, 18, -15) at key 1:")
 
     def test_dual_algorithm_sees_rows_of_another_point(self, monkeypatch):
-        # the 3h rows of the one walk sliced back one table late, as a
-        # wrong offset would slice them: each point's row is then another
+        # the h rows of the walk returned one table late, as a wrong
+        # offset would slice them: each point's row is then another
         # point's, and its Merel pairing disagrees at n = 1
         walk = rqgeo.series.manin_pairings
 
@@ -726,20 +729,20 @@ class TestExitCodes:
         assert "at n=1: manin=" in rep["checks"][0]["detail"]
 
     def test_r_plus_2p_can_fail(self, monkeypatch):
-        # negate the pairing rows at r + 2p only, where the check reads
-        # them.  Reversed RM points would trip pairing_table's class
-        # assert, and the table at -(r + 2p), which pm_halves reads,
-        # stays as it is.  check_pairing_table reads the rows through
-        # rqgeo.series, so dual_algorithm still sees the true table
+        # one entry of one Manin table at r + 2p off by one, where the
+        # check reads it; the tables at -(r + 2p), which pm_halves reads,
+        # stay as they are.  check_pairing_table reads the tables through
+        # rqgeo.series, so dual_algorithm still sees the true ones
         shifted = choose_r(build_field(6), 5) + 2 * 5
-        pairing_table = rqgeo.cli.pairing_table
+        manin_tables = rqgeo.cli.manin_tables
 
-        def skewed(F, G, p, r, N):
-            table = pairing_table(F, G, p, r, N)
+        def skewed(F, G, p, r):
+            tables = manin_tables(F, G, p, r)
             if r != shifted:
-                return table
-            return tuple(tuple(-v for v in row) for row in table)
-        monkeypatch.setattr(rqgeo.cli, "pairing_table", skewed)
+                return tables
+            (Q, t), *rest = tables
+            return ((Q, {**t, 1: t.get(1, 0) + 1}), *rest)
+        monkeypatch.setattr(rqgeo.cli, "manin_tables", skewed)
         failed, _ = self._failed_checks()
         assert failed == ["r_plus_2p"]
 

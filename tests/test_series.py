@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -28,9 +29,9 @@ from rqgeo.series import (
     check_pairing_table,
     diagonal_restriction,
     eta_product_coeffs,
+    manin_tables,
     modularity_check,
     pairing_table,
-    pairing_tables,
 )
 from rqgeo.hecke import pair_with_twisted_cycle, sigma1
 from rqgeo.oracles import merel_counts, pairing_row
@@ -305,6 +306,35 @@ class TestPairingTable:
                 tables += 1
         assert tables == 123
 
+    def test_tables_of_the_shifted_roots(self):
+        # what verify's r_plus_2p and pm_halves rest on, at every
+        # squarefree D < 600 whose unit has norm +1 and every split
+        # p < 30: the Manin tables at r + 2p equal those at r class by
+        # class, and the table of sigma(c) at -(r + 2p) is the negated
+        # table of c at r
+        start = time.perf_counter()
+        levels = 0
+        for D in range(2, 600):
+            if squarefree_part(D)[1] != 1:
+                continue
+            F = build_field(D)
+            if F.unit_norm < 0:
+                continue
+            G = narrow_class_group(F)
+            for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+                if F.d_F % p == 0 or pow(F.d_F, (p - 1) // 2, p) != 1:
+                    continue
+                r = choose_r(F, p)
+                plus, shifted, opposite = (
+                    [t for _, t in manin_tables(F, G, p, s)]
+                    for s in (r, r + 2 * p, -r - 2 * p))
+                assert shifted == plus, (D, p)
+                assert [opposite[G.sigma(c)] for c in range(G.h)] == [
+                    {k: -v for k, v in t.items()} for t in plus], (D, p)
+                levels += 1
+        assert levels == 1106
+        assert time.perf_counter() - start < 20
+
     def test_shift_by_2p_keeps_every_row(self):
         # the RM points of r and of r +- 2p (away from zero) share
         # b = -r (mod 2p), so each class's points are Gamma0(p)-equivalent
@@ -368,39 +398,12 @@ class TestPairingTable:
             diagonal_restriction(F, G, psi.inverse(), 11, N=3)
         assert calls == []
 
-    def test_one_walk_for_the_missing_roots(self, monkeypatch):
-        # the roots asked for together share one walk, whose rows each
-        # root gets back as its own walk gives them; of the last _KEPT
-        # (F, G, p, r, N) read, none is walked again
-        F, G, _ = _setup(210)
-        r = choose_r(F, 11)
-        roots = (r, r + 22, -r - 22)
-        alone = [rqgeo.series.manin_pairings(
-            [t for _, t in rqgeo.series._rm_tables(F, G, 11, s)], 6, 11)
-            for s in roots]
-        walks = []
-        walk = rqgeo.series.manin_pairings
-
-        def counted(tables, N, p):
-            walks.append((len(tables), N))
-            return walk(tables, N, p)
-        monkeypatch.setattr(rqgeo.series, "manin_pairings", counted)
-        assert pairing_table(F, G, 11, r, 6) == alone[0]
-        assert pairing_tables(F, G, 11, roots + (r,), 6) == tuple(
-            alone) + (alone[0],)
-        assert walks == [(8, 6), (16, 6)]
-        for N in range(1, rqgeo.series._KEPT - 1):    # pushes out r + 22
-            pairing_table(F, G, 11, -r, N)
-        del walks[:]
-        assert pairing_tables(F, G, 11, roots, 6) == tuple(alone)
-        assert walks == [(8, 6)]
-
     def test_walk_keeps_to_its_bound(self):
         # one walk at N = 240 holds a sum per denominator and one path per
         # level of the tree, not the paths or the count rows
         F, G, _ = _setup(6)
         r = choose_r(F, 5)
-        rqgeo.series._rm_tables(F, G, 5, r)
+        manin_tables(F, G, 5, r)
         tracemalloc.start()
         try:
             pairing_table(F, G, 5, r, 240)
