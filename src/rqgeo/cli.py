@@ -183,9 +183,11 @@ def cmd_classgroup(args):
     F = build_field(args.D)
     G = narrow_class_group(F)
     t, u = pell_plus(F.d_F)
+    # the group is abelian: each unordered pair is composed once
+    upper = [[G.compose(i, j) for j in range(i, G.h)] for i in range(G.h)]
     data = {"h": G.h,
             "reps": [list(G.positive_rep(i)) for i in range(G.h)],
-            "table": [[G.compose(i, j) for j in range(G.h)]
+            "table": [[upper[min(i, j)][abs(i - j)] for j in range(G.h)]
                       for i in range(G.h)],
             "sqrt_class": G.class_of_principal_sqrt_dF,
             "pell_plus": {"t": t, "u": u}}
@@ -317,7 +319,8 @@ def cmd_verify(args):
     record("pm_halves",
            [opposite[G.sigma(c)] for c in range(G.h)]
            == [{k: -v for k, v in t.items()} for t in table],
-           "-r rows equal the paired -r points for n=1..%d" % args.N)
+           "Manin tables of sigma(c) at -(r + 2p) equal the negated "
+           "tables of c at r")
     # psi^-1 reuses the report's table.  The series reads psi only
     # through psi.trace, and psi^-1 = conj(psi) has the same traces, so
     # this holds by construction (README, "How it is verified")

@@ -8,12 +8,12 @@ divisors a of (d_F - b^2)/4 in the reduction window
 reduced forms, kept with each step's delta (the step from f to the next form
 is f.apply((0, -1; 1, delta))): the sum of the deltas gives the partial zeta
 value.  Reductions keep deltas only; ``_steps`` turns them into the matrix
-of ``reduce_form`` and, around the principal cycle, the Pell unit.  The
-group table composes each pair once (the group is abelian) by the
-united-form formula (``gauss_compose``); the characters are built by
-extending from one subgroup to the next (``all_characters``).  Ideals enter
-as forms or as Z-bases [a0, (-b0 + sqrt(d))/2].  Units are integer pairs:
-(x, y) stands for (x + y sqrt(d_F))/2.
+of ``reduce_form`` and, around the principal cycle, the Pell unit.  Two
+classes compose on demand, with no table, by the united-form formula
+(``gauss_compose``); the characters are built by extending from one
+subgroup to the next (``all_characters``).  Ideals enter as forms or as
+Z-bases [a0, (-b0 + sqrt(d))/2].  Units are integer pairs: (x, y) stands
+for (x + y sqrt(d_F))/2.
 """
 
 from __future__ import annotations
@@ -252,17 +252,26 @@ class NarrowClassGroup:
     """Cl(F)^+ as proper classes of primitive forms of discriminant d_F.
 
     Each class is its rho cycle, kept as the (forms, deltas) of
-    form_cycle from its least reduced form; narrow_class_group fills in
-    the group table and the class of (sqrt(d_F)).
+    form_cycle from its least reduced form.  Classes compose and invert
+    on demand; the group keeps its positive reps, sigma and the class of
+    (sqrt(d_F)), computed when it is built.
     """
 
     def __init__(self, field, cycles):
         self.field = field
         self.cycles = cycles
-        self.group_table = None
-        self.class_of_principal_sqrt_dF = None
         self._class_of = {g: i for i, (forms, _) in enumerate(cycles)
                           for g in forms}
+        # the signs of a alternate around a cycle: each has a positive form
+        self._positive = [next(f for f in forms if f.a > 0)
+                          for forms, _ in cycles]
+        # (sqrt(d)) has Z-basis [d, (d + sqrt(d))/2] for odd d; for even d,
+        # (sqrt(d)/2) = [d/4, sqrt(d)/2] is in its class, since 2 >> 0
+        d = field.d_F
+        f = QuadForm(d, -d, (d - 1) // 4) if d % 2 else QuadForm(d // 4, 0, -1)
+        self.class_of_principal_sqrt_dF = s = self.classify(f)
+        self._sigma = [self.compose(self.inverse(i), s)
+                       for i in range(self.h)]
 
     @property
     def h(self):
@@ -275,21 +284,22 @@ class NarrowClassGroup:
         return self._class_of[_reduce(fp)[0]]
 
     def compose(self, i, j):
-        return self.group_table[i][j]
+        """The class of the united form of the positive reps of i and j."""
+        f = gauss_compose(self._positive[i], self._positive[j])
+        return self._class_of[_reduce(f)[0]]
 
     def inverse(self, i):
-        return self.group_table[i].index(0)
+        """The class of the opposite form [a, -b, c] of a rep of i."""
+        a, b, c = self._positive[i]
+        return self.classify(QuadForm(a, -b, c))
 
     def sigma(self, i):
         """c^-1 s, s the class of (sqrt(d_F)): the class of -f, f in i."""
-        return self.compose(self.inverse(i), self.class_of_principal_sqrt_dF)
+        return self._sigma[i]
 
     def positive_rep(self, i):
-        """A representative form with positive leading coefficient."""
-        for f in self.cycles[i][0]:
-            if f.a > 0:
-                return f
-        raise RuntimeError("cycle has no positive form")
+        """The first form of the cycle with positive leading coefficient."""
+        return self._positive[i]
 
 
 def narrow_class_group(F):
@@ -301,7 +311,7 @@ def narrow_class_group(F):
             continue
         forms, deltas = form_cycle(f)
         seen.update(forms)
-        # from its least form, which positive_rep starts its search at
+        # from its least form, where the search for its positive rep starts
         k = forms.index(min(forms))
         cycles.append((forms[k:] + forms[:k], deltas[k:] + deltas[:k]))
     # the principal class first, the others by their least reduced form
@@ -309,22 +319,8 @@ def narrow_class_group(F):
     principal, _ = _reduce(QuadForm(1, b0, (b0 * b0 - d) // 4))
     cycles.sort(key=lambda cyc: (principal not in cyc[0], cyc[0][0]))
     G = NarrowClassGroup(F, cycles)
-    positive = [G.positive_rep(i) for i in range(G.h)]
-    G.group_table = t = [[0] * G.h for _ in positive]
-    for i, fi in enumerate(positive):
-        for j in range(i, G.h):     # abelian: one composition, two cells
-            t[i][j] = t[j][i] = G.classify(gauss_compose(fi, positive[j]))
-    assert G.group_table[0] == list(range(G.h)), "principal class not first"
-    G.class_of_principal_sqrt_dF = _sqrt_class(F, G)
+    assert G.classify(principal) == 0, "principal class not first"
     return G
-
-
-def _sqrt_class(F, G):
-    # (sqrt(d)) has Z-basis [d, (d + sqrt(d))/2] for odd d; for even d,
-    # (sqrt(d)/2) = [d/4, sqrt(d)/2] is in its class, since 2 >> 0
-    d = F.d_F
-    f = QuadForm(d, -d, (d - 1) // 4) if d % 2 else QuadForm(d // 4, 0, -1)
-    return G.classify(f)
 
 
 def class_of_ideal(G, spec):
@@ -398,44 +394,45 @@ class ClassCharacter:
 
 
 def _first_power_in(G, x, H):
-    """(t, x^t) for the least t >= 1 with x^t in the set of classes H."""
-    t, y = 1, x
-    while y not in H:
-        y, t = G.compose(y, x), t + 1
-    return t, y
+    """(t, x^t) for the least t >= 1 with x^t in the set of classes H;
+    t <= h, so a longer walk raises RuntimeError instead of hanging."""
+    y = x
+    for t in range(1, G.h + 1):
+        if y in H:
+            return t, y
+        y = G.compose(y, x)
+    raise RuntimeError("no power of class %d is in the subgroup" % x)
 
 
 def all_characters(G):
-    """All h characters, as exponent vectors over the group exponent m.
+    """All h characters, as exponent vectors over m = h, a multiple of
+    every order, to which ClassCharacter reduces them.
 
     Built one subgroup at a time: when x has order t modulo H, each
     character chi of H extends to <H, x> in t ways,
-    chi(x) = chi(x^t)/t + k m/t for 0 <= k < t.  Sorted by exponents.
+    chi(x) = chi(x^t)/t + k m/t for 0 <= k < t, on the cosets y x^j of
+    H, composed once for all characters.  Sorted by exponents.
     """
-    m = 1
+    m = G.h
+    # H = {0} as a list, the place of each class in it, and the one
+    # character of H, as its exponents mod m on that list
+    H, place, chars = [0], {0: 0}, [[0]]
     for x in range(G.h):
-        m = math.lcm(m, _first_power_in(G, x, {0})[0])
-    # the characters of H = {0}, the principal class, each a map
-    # class -> exponent mod m whose keys are the classes of H
-    chars = [{0: 0}]
-    for x in range(G.h):
-        if x in chars[0]:
+        if x in place:
             continue
-        t, xt = _first_power_in(G, x, chars[0])
-        grown = []
-        for chi in chars:
-            assert chi[xt] % t == 0
-            for k in range(t):
-                ex = chi[xt] // t + k * m // t
-                ext = {}
-                for y, ey in chi.items():
-                    for _ in range(t):      # y x^j gets chi(y) + j ex
-                        ext[y] = ey
-                        y, ey = G.compose(y, x), (ey + ex) % m
-                grown.append(ext)
-        chars = grown
-    assert len(chars) == G.h, "character count mismatch"
-    exps = sorted(tuple(chi[i] for i in range(G.h)) for chi in chars)
+        t, xt = _first_power_in(G, x, place)
+        cosets = []
+        for y in H:                 # y, y x, ..., y x^(t-1)
+            cosets.append(y)
+            for _ in range(t - 1):
+                cosets.append(G.compose(cosets[-1], x))
+        k = place[xt]
+        assert all(chi[k] % t == 0 for chi in chars)
+        chars = [[(ey + j * ex) % m for ey in chi for j in range(t)]
+                 for chi in chars for ex in range(chi[k] // t, m, m // t)]
+        H, place = cosets, {y: i for i, y in enumerate(cosets)}
+    assert len(place) == len(chars) == G.h, "character count mismatch"
+    exps = sorted(tuple(chi[place[i]] for i in range(G.h)) for chi in chars)
     return [ClassCharacter(G, ex, m) for ex in exps]
 
 

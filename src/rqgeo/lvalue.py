@@ -31,7 +31,6 @@ __all__ = [
     "dirichlet_L0",
     "euler_factor",
     "constant_term",
-    "kronecker",
 ]
 
 
@@ -65,33 +64,6 @@ def _is_fundamental(d):
         m = d // 4
         return m % 4 in (2, 3) and squarefree_part(abs(m))[1] == 1
     return False
-
-
-def kronecker(a, b):
-    """The Kronecker symbol (a/b) (Cohen, GTM 138, Algorithm 1.4.10)."""
-    if b == 0:
-        return 1 if abs(a) == 1 else 0
-    if a % 2 == 0 and b % 2 == 0:
-        return 0
-    k = 1
-    while b % 2 == 0:
-        b //= 2
-        if a % 8 in (3, 5):
-            k = -k
-    if b < 0:
-        b = -b
-        if a < 0:
-            k = -k
-    # b is odd and positive: reciprocity until a vanishes
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if b % 8 in (3, 5):
-                k = -k
-        if a % 4 == 3 and b % 4 == 3:
-            k = -k
-        a, b = b % abs(a), abs(a)
-    return k if b == 1 else 0
 
 
 def dirichlet_L0(d):
@@ -136,9 +108,11 @@ def L_value_genus_oracle(F, psi):
     ell = 1
     while len(pairs) > 1:
         ell += 2
-        if kronecker(d, ell) == 1 and is_prime(ell):
+        # Euler's criterion: (a/ell) = a^((ell - 1)/2) mod ell, ell odd prime
+        if is_prime(ell) and pow(d, (ell - 1) // 2, ell) == 1:
             value = psi(_class_over(psi.group, ell, choose_r(F, ell)))
-            pairs = [s for s in pairs if kronecker(s[0], ell) == value]
+            pairs = [s for s in pairs
+                     if pow(s[0], (ell - 1) // 2, ell) == value % ell]
     assert len(pairs) == 1, ("no negative splitting of %d fits" % d, psi)
     d1, d2 = pairs[0]
     return dirichlet_L0(d1) * dirichlet_L0(d2)

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from .exact import Mat2, divisor_sums, squarefree_part
 from .field import QuadForm, _steps, automorph, form_cycle, reduce_form
-from .lvalue import kronecker
 
 __all__ = [
     "QuadIrr",
@@ -34,6 +33,7 @@ __all__ = [
     "manin_counts",
     "merel_counts",
     "pairing_row",
+    "kronecker",
     "zeta_F_0_numeric",
 ]
 
@@ -559,6 +559,33 @@ def pairing_row(table, counts):
     Q (a missing key counts 0) and a count table of T_n W."""
     return tuple(sum(c * table[k] for k, c in row if k in table)
                  for row in counts)
+
+
+def kronecker(a, b):
+    """The Kronecker symbol (a/b) (Cohen, GTM 138, Algorithm 1.4.10)."""
+    if b == 0:
+        return 1 if abs(a) == 1 else 0
+    if a % 2 == 0 and b % 2 == 0:
+        return 0
+    k = 1
+    while b % 2 == 0:
+        b //= 2
+        if a % 8 in (3, 5):
+            k = -k
+    if b < 0:
+        b = -b
+        if a < 0:
+            k = -k
+    # b is odd and positive: reciprocity until a vanishes
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if b % 8 in (3, 5):
+                k = -k
+        if a % 4 == 3 and b % 4 == 3:
+            k = -k
+        a, b = b % abs(a), abs(a)
+    return k if b == 1 else 0
 
 
 def zeta_F_0_numeric(d):

@@ -288,6 +288,17 @@ class TestInfoCommands:
         assert rep["classgroup"]["h"] == 2
         assert rep["classgroup"]["table"] == [[0, 1], [1, 0]]
 
+    def test_classgroup_table_is_compose(self):
+        # the report composes each unordered pair once; every cell, in
+        # both orders, against G.compose.  226 and 16899 have classes of
+        # order 8 and 5, whose products differ from their quotients
+        for D in (226, 505, 16899):
+            code, rep, _ = invoke_json("classgroup", "--D", str(D))
+            G = narrow_class_group(build_field(D))
+            assert code == EXIT_OK and rep["classgroup"]["h"] == G.h >= 8
+            assert rep["classgroup"]["table"] == [
+                [G.compose(i, j) for j in range(G.h)] for i in range(G.h)]
+
     def test_chars_d5_no_admissible(self):
         code, rep, _ = invoke_json("chars", "--D", "5")
         assert code == EXIT_OK

@@ -247,7 +247,8 @@ class TestNarrowClassGroup:
                 assert G.compose(0, j) == j
 
     def test_abelian_group_axioms(self):
-        for D in (3, 6, 10, 15):
+        # 34 and 226 have classes of order 4 and 8, not their own inverses
+        for D in (3, 6, 10, 15, 34, 226):
             G = narrow_class_group(build_field(D))
             h = G.h
             for i in range(h):
@@ -260,8 +261,8 @@ class TestNarrowClassGroup:
                 assert G.compose(i, G.inverse(i)) == 0
 
     def test_table_against_both_orders(self):
-        # the table composes each pair once; every cell against the
-        # composition in both orders, on the fields with h+ >= 4
+        # compose reads the positive reps in one order; every pair against
+        # the composition in both orders, on the fields with h+ >= 4
         count = 0
         for D in range(2, 1000):
             if squarefree_part(D)[1] != 1:
@@ -272,10 +273,24 @@ class TestNarrowClassGroup:
             reps = [G.positive_rep(i) for i in range(G.h)]
             for i, fi in enumerate(reps):
                 for j, fj in enumerate(reps):
-                    assert G.group_table[i][j] == G.classify(gauss_compose(fi, fj))
-                    assert G.group_table[i][j] == G.classify(gauss_compose(fj, fi))
+                    assert G.compose(i, j) == G.classify(gauss_compose(fi, fj))
+                    assert G.compose(i, j) == G.classify(gauss_compose(fj, fi))
             count += 1
         assert count == 307
+
+    @pytest.mark.parametrize("D", (16899, 99999998))
+    def test_no_table(self, monkeypatch, D):
+        # the group and its odd characters make at most 4 h+ compositions:
+        # sigma one per class, and each extension step its cosets once
+        # for all characters.  A table would take h+(h+ + 1)/2
+        calls = []
+        compose = rqgeo.field.gauss_compose
+        monkeypatch.setattr(rqgeo.field, "gauss_compose",
+                            lambda f, g: calls.append(1) or compose(f, g))
+        G = narrow_class_group(build_field(D))
+        assert G.h >= 64 and odd_characters(G)
+        assert len(calls) <= 4 * G.h
+        assert not hasattr(G, "group_table")
 
     def test_no_step_matrix_or_zeta_tuple(self, monkeypatch):
         # the class group, classify and form_cycle reduce without
@@ -306,6 +321,15 @@ class TestNarrowClassGroup:
             G = narrow_class_group(build_field(D))
             s = G.class_of_principal_sqrt_dF
             assert G.compose(s, s) == 0
+
+    def test_sigma_is_the_class_of_minus_f(self):
+        # sigma(c) = c^-1 s, from compose and inverse, is the class of -f
+        # for f in c; 34, 79 and 226 have classes of order 4, 3 and 8
+        for D in (3, 6, 34, 79, 210, 226, 16899):
+            G = narrow_class_group(build_field(D))
+            for c in range(G.h):
+                a, b, cc = G.positive_rep(c)
+                assert G.sigma(c) == G.classify(QuadForm(-a, -b, -cc)), (D, c)
 
     def test_sqrt_class_nontrivial_iff_unit_norm_plus(self):
         for D in (2, 3, 5, 6, 7, 10, 13):

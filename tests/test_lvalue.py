@@ -21,10 +21,15 @@ from rqgeo.lvalue import (
     constant_term,
     dirichlet_L0,
     euler_factor,
-    kronecker,
     partial_zeta_values,
 )
-from rqgeo.oracles import QuadIrr, minus_cf_cycle, plus_root, zeta_F_0_numeric
+from rqgeo.oracles import (
+    QuadIrr,
+    kronecker,
+    minus_cf_cycle,
+    plus_root,
+    zeta_F_0_numeric,
+)
 
 FIELDS = (3, 6, 7)
 
