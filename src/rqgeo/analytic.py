@@ -12,6 +12,8 @@ import random
 
 import mpmath as mp
 
+from .exact import DomainError
+
 __all__ = [
     "DomainError",
     "bessel_K",
@@ -25,10 +27,6 @@ __all__ = [
     "Z_inf_quadrature",
     "identity_checks",
 ]
-
-
-class DomainError(Exception):
-    """Inputs outside the stated convergence or case domain."""
 
 
 def bessel_K(s, alpha, dps=30):

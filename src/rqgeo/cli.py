@@ -5,13 +5,14 @@ verify, verify-analytic; each takes only the options it reads.  parse
 reads the command line from the COMMANDS and OPTIONS tables as argparse
 did, with no argparse import, and builds --help from them too.  Exit
 codes: 0 success (including inert primes, which yield a structured zero
-series), 2 verification mismatch (a failed check, or the two
+series), 2 verification mismatch (a report with passed false, or the two
 intersection algorithms disagreeing on a translate in intersect), 3
-domain errors (bad input, a malformed command line included, D above
-MAX_D, a level above MAX_LEVEL for series, verify and intersect, --N of
-series and verify or --n of intersect above MAX_N, a character this
-version cannot handle exactly, or verify-analytic without mpmath), 4
-internal error (a broken invariant: AssertionError or RuntimeError).
+domain error (a malformed command line, or a DomainError: bad input, D
+above MAX_D, a level above MAX_LEVEL for series, verify and intersect,
+--N of series and verify or --n of intersect above MAX_N, a character
+this version cannot handle exactly, or verify-analytic without mpmath),
+4 internal error (any other exception, printed with its type and no
+traceback).
 
 verify builds its series at r, then compares the Manin tables of the h
 RM points (h the narrow class number) of r + 2p (r - 2p for r < 0) with
@@ -33,6 +34,7 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+from .exact import DomainError
 from .field import (
     all_characters,
     build_field,
@@ -70,10 +72,6 @@ MAX_N = 2000
 MAX_D = 10 ** 10
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -101,7 +99,8 @@ def _flatten(prefix, v, rows):
 
 def render(report, fmt):
     """The report as text, every integer in full: Python's limit on the
-    digits of int-to-str (3.10.7 and later) is lifted while it renders."""
+    digits of int-to-str (3.10.7 and later) is lifted while it renders,
+    and an integer past a limit left in place is a DomainError."""
     payload, out = _jsonable(report), io.StringIO()
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
@@ -117,6 +116,8 @@ def render(report, fmt):
         else:
             out.writelines("%-28s %s\n" % row for row in rows)
         return out.getvalue()
+    except ValueError as exc:
+        raise DomainError(exc) from None
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -130,25 +131,25 @@ def _setup(args):
     """(F, G, psi, p) of intersect, series and verify, p <= MAX_LEVEL and
     --N (or intersect's --n) <= MAX_N."""
     if args.p > MAX_LEVEL:
-        raise ValueError("p = %d is above the largest supported level %d"
-                         % (args.p, MAX_LEVEL))
+        raise DomainError("p = %d is above the largest supported level %d"
+                          % (args.p, MAX_LEVEL))
     name = "N" if hasattr(args, "N") else "n"
     size = getattr(args, name)
     if size > MAX_N:
-        raise ValueError("--%s %d is above MAX_N = %d" % (name, size, MAX_N))
+        raise DomainError("--%s %d is above MAX_N = %d" % (name, size, MAX_N))
     F = build_field(args.D)
     # refused before the class group, which takes seconds at large D: a
     # unit of norm -1 leaves no totally odd character
     if F.unit_norm < 0:
-        raise ValueError(
+        raise DomainError(
             "no admissible character: every totally odd character requires "
             "unit norm +1 (d_F = %d has a unit of norm -1)" % F.d_F)
     check_level(F, args.p)
     G = narrow_class_group(F)
     odd, idx = odd_characters(G), args.char_index
     if not 0 <= idx < len(odd):
-        raise ValueError("char-index %d out of range (have %d odd "
-                         "characters)" % (idx, len(odd)))
+        raise DomainError("char-index %d out of range (have %d odd "
+                          "characters)" % (idx, len(odd)))
     return F, G, odd[idx], args.p
 
 
@@ -198,7 +199,7 @@ def _value(ch, i):
     """ch(i) where it is real (+-1), else the string zeta_m^e."""
     try:
         return ch(i)
-    except ValueError:
+    except DomainError:
         return "zeta_%d^%d" % (ch.order, ch.exponents[i])
 
 
@@ -240,9 +241,9 @@ def cmd_intersect(args):
     F, G, psi, p = _setup(args)
     n = args.n
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     # the twisted cycle pairs psi itself: a psi that is not real is
-    # refused (ValueError) at every p, before choose_r can find p inert
+    # refused (DomainError) at every p, before choose_r can find p inert
     for c in range(G.h):
         psi(c)
     try:
@@ -282,9 +283,9 @@ def cmd_verify(args):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
     rep, S = _series_report(args, F, G, psi, p)
+    rep["checks"] = checks      # filled in by record
     if S.inert:
         record("inert", True, "p is inert: zero series")
-        rep["checks"] = checks
         rep["passed"] = True
         return rep
     # asked first: a level with no model is a domain error before any
@@ -327,11 +328,7 @@ def cmd_verify(args):
     inv = diagonal_restriction(F, G, psi.inverse(), p, N=args.N, r=args.r)
     record("psi_inverse", inv == S)
 
-    ok = all(c["passed"] for c in checks)
-    rep["checks"] = checks
-    rep["passed"] = ok
-    if not ok:
-        raise VerificationFailure(rep)
+    rep["passed"] = all(c["passed"] for c in checks)
     return rep
 
 
@@ -339,13 +336,12 @@ def cmd_verify_analytic(args):
     try:
         from .analytic import identity_checks
     except ModuleNotFoundError as exc:
-        raise ValueError("verify-analytic needs the 'analytic' extra: %s" % exc)
+        raise DomainError("verify-analytic needs the 'analytic' extra: %s"
+                          % exc)
     checks = identity_checks()
     rep = _base_report(args, checks=checks,
                        passed=all(c["passed"] for c in checks))
     rep.pop("D", None)
-    if not rep["passed"]:
-        raise VerificationFailure(rep)
     return rep
 
 
@@ -467,29 +463,24 @@ def run(argv=None):
         args = parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:   # --help (0) or bad usage (EXIT_DOMAIN)
         return exc.code
-    fn = COMMANDS[args.command][0]
-    code = EXIT_OK
     try:
-        try:
-            if getattr(args, "D", 0) > MAX_D:       # before any Pell unit
-                raise ValueError("D %d is above MAX_D = %d" % (args.D, MAX_D))
-            report = fn(args)
-        except VerificationFailure as exc:
-            report, code = exc.args[0], EXIT_MISMATCH
+        if getattr(args, "D", 0) > MAX_D:       # before any Pell unit
+            raise DomainError("D %d is above MAX_D = %d" % (args.D, MAX_D))
+        report = COMMANDS[args.command][0](args)
         # all rendered first: a failure writes nothing and exits below
         text = render(report, args.format)
-    except ValueError as exc:
+    except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
     except AlgorithmMismatch as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
-    except (AssertionError, RuntimeError) as exc:
+    except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return EXIT_INTERNAL
     sys.stdout.write(text)
-    return code
+    return EXIT_MISMATCH if report.get("passed") is False else EXIT_OK
 
 
 def main():

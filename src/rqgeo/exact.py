@@ -7,12 +7,14 @@ parts are read off its prime powers.  Primality is a deterministic
 Miller-Rabin test, exact below 3.3e24.  The production path
 builds no quadratic irrational: units, forms and matrices are integers.
 ``QuadIrr``, the reference type of the root and ideal oracles, lives in
-``rqgeo.oracles``.
+``rqgeo.oracles``.  ``DomainError`` refuses input from outside the
+program, the one exception that the CLI reports as bad input (exit 3).
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "DomainError",
     "Mat2",
     "factor",
     "divisors",
@@ -22,6 +24,10 @@ __all__ = [
     "sqrt_mod",
     "xgcd",
 ]
+
+
+class DomainError(ValueError):
+    """Input outside what the package accepts: a refusal, not a fault."""
 
 
 def factor(n):
@@ -77,11 +83,11 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Primality by deterministic Miller-Rabin; raises ValueError for
+    """Primality by deterministic Miller-Rabin; raises DomainError for
     n >= _MR_BOUND, where these bases no longer decide it."""
     if n >= _MR_BOUND:
-        raise ValueError("primality of %d is not decided at or above %d"
-                         % (n, _MR_BOUND))
+        raise DomainError("primality of %d is not decided at or above %d"
+                          % (n, _MR_BOUND))
     if n < 2 or any(n % q == 0 for q in _MR_BASES):
         return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d 2^s, d odd

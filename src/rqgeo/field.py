@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import Mat2, divisors, squarefree_part, xgcd
+from .exact import DomainError, Mat2, divisors, squarefree_part, xgcd
 
 __all__ = [
     "FieldData",
@@ -196,10 +196,10 @@ class FieldData:
 
 def build_field(D):
     if D <= 1:
-        raise ValueError("D must exceed 1")
+        raise DomainError("D must exceed 1")
     s, f = squarefree_part(D)
     if f != 1:
-        raise ValueError("D must be squarefree")
+        raise DomainError("D must be squarefree")
     d_F = D if D % 4 == 1 else 4 * D
     # pell_plus (t + u sqrt(d_F))/2 is eps**2 when the fundamental unit
     # eps = (s + v sqrt(d_F))/2 has norm -1, and then t = s^2 + 2, u = s v
@@ -342,7 +342,7 @@ class ClassCharacter:
     Stored as exact exponents: the value on class i is
     exp(2 pi i * exponents[i] / order).  The series and the constant term
     read it only through the integer trace(i); psi(i) itself is +-1
-    where it is real and a ValueError where it is not.
+    where it is real and a DomainError where it is not.
     """
 
     def __init__(self, group, exponents, modulus):
@@ -356,16 +356,16 @@ class ClassCharacter:
     def __call__(self, i):
         e, m = self.exponents[i], self.order
         if 2 * e % m:
-            raise ValueError("character of order %d is not real on class "
-                             "%d: only psi + conj(psi) is exact" % (m, i))
+            raise DomainError("character of order %d is not real on class "
+                              "%d: only psi + conj(psi) is exact" % (m, i))
         return 1 if e % m == 0 else -1
 
     def trace(self, i):
         """psi(i) + conj(psi(i)) = 2 cos(2 pi e / m), an integer for the
-        orders m = 1, 2, 3, 4, 6, where phi(m) <= 2; ValueError for others."""
+        orders m = 1, 2, 3, 4, 6, where phi(m) <= 2; DomainError for others."""
         if self.order not in _TRACES:
-            raise ValueError("characters of order %d are not supported: "
-                             "psi + conj(psi) is not an integer" % self.order)
+            raise DomainError("characters of order %d are not supported: "
+                              "psi + conj(psi) is not an integer" % self.order)
         return _TRACES[self.order][self.exponents[i]]
 
     @property
@@ -380,14 +380,6 @@ class ClassCharacter:
 
     def is_trivial(self):
         return all(e % self.order == 0 for e in self.exponents)
-
-    def __eq__(self, o):
-        return (isinstance(o, ClassCharacter)
-                and self.exponents == o.exponents
-                and self.order == o.order)
-
-    def __hash__(self):
-        return hash((self.exponents, self.order))
 
     def __repr__(self):
         return "ClassCharacter(order=%d, exponents=%r)" % (self.order, self.exponents)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import divisors, is_prime, sqrt_mod
+from .exact import DomainError, divisors, is_prime, sqrt_mod
 from .field import QuadForm, automorph, form_cycle, reduce_form
 
 __all__ = [
@@ -106,11 +106,11 @@ class ClosedGeodesic:
 
 
 def check_level(F, p):
-    """Raise ValueError unless p is an odd prime unramified in F."""
+    """Raise DomainError unless p is an odd prime unramified in F."""
     if p % 2 == 0 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+        raise DomainError("p must be an odd prime")
     if F.d_F % p == 0:
-        raise ValueError("p ramifies in F")
+        raise DomainError("p ramifies in F")
 
 
 def choose_r(F, p, r=None):
@@ -123,7 +123,7 @@ def choose_r(F, p, r=None):
     mod 4; so the default is the least r > isqrt(d_F) in one of those two
     classes mod 2p, found in O(log p) steps.
 
-    Raises ValueError when p is not an odd prime unramified in F or r is
+    Raises DomainError when p is not an odd prime unramified in F or r is
     not such a root, and InertPrime when d_F is not a square mod p.
     """
     check_level(F, p)
@@ -135,7 +135,7 @@ def choose_r(F, p, r=None):
         lifts = (x + p if (x - d) % 2 else x for x in (rho, p - rho))
         r = min(low + (x - low) % (2 * p) for x in lifts)
     elif (r * r - d) % (4 * p) or r * r <= d:
-        raise ValueError("invalid square root r = %d of d_F mod 4p" % r)
+        raise DomainError("invalid square root r = %d of d_F mod 4p" % r)
     return r
 
 

@@ -23,7 +23,7 @@ from operator import mul
 
 from .geodesic import AlgorithmMismatch, InertPrime, choose_r, manin_table
 from .geodesic import manin_table_enum, rm_points
-from .exact import divisor_sums
+from .exact import DomainError, divisor_sums
 from .hecke import manin_pairings, merel_pairings
 from .lvalue import constant_term
 
@@ -155,12 +155,12 @@ def diagonal_restriction(F, G, psi, p, N=30, r=None, algorithm="cycle"):
     The pairings come from pairing_table, so characters of one field
     share them.  The row of sigma(c) at -r is the negated row of c at r
     and psi(sigma(c)) = -conj(psi(c)), so only psi.trace(c) weights c's
-    row at r; its ValueError comes before any table is built, at an
+    row at r; its DomainError comes before any table is built, at an
     inert p too.  algorithm must be "cycle", the Manin-row table; the
     keyword remains because benchmarks/worker.py passes it.
     """
     if N < 1:
-        raise ValueError("N must be at least 1")
+        raise DomainError("N must be at least 1")
     if algorithm != "cycle":
         raise ValueError("unknown algorithm %r" % (algorithm,))
     if not psi.totally_odd:
@@ -235,7 +235,7 @@ def modularity_check(S):
         return ModularityReport(True, "genus0")
     if p == 11:
         if N < 2:
-            raise ValueError("p = 11 check needs N >= 2")
+            raise DomainError("p = 11 check needs N >= 2")
         eta = eta_product_coeffs(N)
         alpha = S.constant * Fraction(24, 10)
         beta = S.coeffs[1] - alpha
@@ -244,4 +244,4 @@ def modularity_check(S):
                 return ModularityReport(False, "dim2", n,
                                         "coefficient %d off the 2-dim space" % n)
         return ModularityReport(True, "dim2")
-    raise ValueError("no modularity model for p = %d" % p)
+    raise DomainError("no modularity model for p = %d" % p)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import rqgeo.cli
+import rqgeo.field
 import rqgeo.geodesic
 import rqgeo.hecke
 import rqgeo.series
@@ -625,7 +626,11 @@ class TestExitCodes:
         assert code == EXIT_OK and rep["coeffs"] == {"1": 8, "2": 24}
 
     def test_internal_error(self, monkeypatch):
-        for exc in (AssertionError("pairing is odd"), RuntimeError("stuck")):
+        # every exception but a DomainError or a mismatch is an internal
+        # fault, a plain ValueError too: exit 4 with its type, no traceback
+        for exc in (AssertionError("pairing is odd"), RuntimeError("stuck"),
+                    ValueError("range() arg 3 must not be zero"),
+                    KeyError((1, 2)), IndexError("list index out of range")):
             def broken(*args, **kwargs):
                 raise exc
             monkeypatch.setattr(rqgeo.cli, "diagonal_restriction", broken)
@@ -633,6 +638,35 @@ class TestExitCodes:
                                     "--N", "2")
             assert code == EXIT_INTERNAL and "internal error" in err
             assert out == ""
+            assert "internal error: %s" % type(exc).__name__ in err
+            assert "Traceback" not in err
+
+    def test_a_character_that_fails_is_internal(self, monkeypatch):
+        # chars prints zeta_m^e only where psi refuses a value that is not
+        # real (DomainError); any other ValueError is a fault, not a value
+        def broken(self, i):
+            raise ValueError("broken character")
+        monkeypatch.setattr(rqgeo.field.ClassCharacter, "__call__", broken)
+        code, out, err = invoke("chars", "--D", "6")
+        assert code == EXIT_INTERNAL and out == ""
+        assert "internal error: ValueError: broken character" in err
+
+    def test_refusals_deep_in_the_library(self, monkeypatch):
+        # refusals raised past cli's own checks are domain errors too
+        for argv, message in (
+                (("rmpoints", "--D", "5", "--p", "3317044064679887385961981"),
+                 "not decided"),
+                (("series", "--D", "6", "--p", "5", "--N", "0"),
+                 "N must be at least 1")):
+            code, out, err = invoke(*argv)
+            assert code == EXIT_DOMAIN and out == "", argv
+            assert message in err, (argv, err)
+        # verify-analytic with mpmath hidden, and rqgeo.analytic unloaded
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        monkeypatch.delitem(sys.modules, "rqgeo.analytic", raising=False)
+        code, out, err = invoke("verify-analytic")
+        assert code == EXIT_DOMAIN and out == ""
+        assert "needs the 'analytic' extra" in err
 
     def _failed_checks(self):
         code, rep, _ = invoke_json("verify", "--D", "6", "--p", "5",
