@@ -28,17 +28,20 @@ __all__ = [
     "identity_checks",
 ]
 
+BESSEL_DPS = 30
+QUADRATURE_DPS = 25
 
-def bessel_K(s, alpha, dps=30):
+
+def bessel_K(s, alpha):
     """K_s(alpha) = int_0^inf exp(-alpha(b + 1/b)/2) b^s db/b by direct
     quadrature (twice the standard modified Bessel function)."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    with mp.workdps(dps):
+    with mp.workdps(BESSEL_DPS):
         a, sc = mp.mpf(alpha), mp.mpmathify(s)
         # substitute b = e^u; truncate where the cosh factor is below
         # target precision (the integrand decays doubly exponentially)
-        P = mp.ln(10) * (dps + 15)
+        P = mp.ln(10) * (BESSEL_DPS + 15)
         U = mp.acosh(mp.mpf(2) + P / a)
         while a * mp.cosh(U) - abs(mp.re(sc)) * U < P:
             U += 1
@@ -128,10 +131,10 @@ def _J_place(a, b, s):
     return 2 * mp.quad(f, [lo, mid, hi])
 
 
-def J_quadrature(x, s, dps=25):
+def J_quadrature(x, s):
     """J_inf(x, s) as a product of numeric one-dimensional integrals
     over the archimedean places, independent of the closed forms."""
-    with mp.workdps(dps):
+    with mp.workdps(QUADRATURE_DPS):
         val = mp.mpf(1)
         for a, b in x:
             if a == 0 and b == 0:
@@ -140,7 +143,7 @@ def J_quadrature(x, s, dps=25):
         return complex(val) if mp.im(val) else float(mp.re(val))
 
 
-def phi0_integral(x, dps=25):
+def phi0_integral(x):
     """Integral of the normalized local theta kernel over the base
     cycle: 2^{-N} e^{pi Q(x,x)} J_inf(x, 0) with Q(x,x) = 2 sum x x'.
 
@@ -150,9 +153,9 @@ def phi0_integral(x, dps=25):
     if any(a == 0 or b == 0 for a, b in x):
         raise DomainError("phi0 needs nonzero coordinates at every place")
     N = len(x)
-    with mp.workdps(dps):
+    with mp.workdps(QUADRATURE_DPS):
         Q = 2 * mp.fsum(mp.mpf(a) * b for a, b in x)
-        val = mp.mpf(2) ** (-N) * mp.exp(mp.pi * Q) * J_quadrature(x, 0, dps=dps)
+        val = mp.mpf(2) ** (-N) * mp.exp(mp.pi * Q) * J_quadrature(x, 0)
         return float(val)
 
 
@@ -197,11 +200,11 @@ def Z_inf(taus, m, n, s):
     return complex(num * vprod / (Nm * abs(Nm) ** sc))
 
 
-def Z_inf_quadrature(taus, m, n, s, dps=25):
+def Z_inf_quadrature(taus, m, n, s):
     """The same factor from the defining one-dimensional integrals:
     per place, 2(-i z) int_0^inf e^{-pi t^2 |z|^2} t^{1+s} dt with
     z = conj(m - n tau)/sqrt(v)."""
-    with mp.workdps(dps):
+    with mp.workdps(QUADRATURE_DPS):
         sc = mp.mpmathify(s)
         val = mp.mpf(1)
         for t in taus:
@@ -210,7 +213,7 @@ def Z_inf_quadrature(taus, m, n, s, dps=25):
             z = mp.conj(m - n * t) / mp.sqrt(v)
             if z == 0:
                 raise DomainError("pole: m - n tau vanishes at a place")
-            hi = mp.sqrt(mp.ln(10) * (dps + 25) / mp.pi) / abs(z)
+            hi = mp.sqrt(mp.ln(10) * (QUADRATURE_DPS + 25) / mp.pi) / abs(z)
             integral = mp.quad(
                 lambda u: mp.exp(-mp.pi * u ** 2 * abs(z) ** 2) * u ** (1 + sc),
                 [0, hi])

@@ -1,6 +1,8 @@
 """Exact arithmetic kernel: integer 2x2 matrices and the integer
 arithmetic of the package: factorization, divisors and their sums,
 squarefree part, primality, square roots mod a prime and the extended gcd.
+A ``Mat2`` (a, b; c, d) is the tuple (a, b, c, d) with those fields: like
+``QuadForm`` and ``ClosedGeodesic``, it is immutable and equal by value.
 
 ``factor`` is the package's one trial division; divisors and squarefree
 parts are read off its prime powers.  Primality is a deterministic
@@ -12,6 +14,8 @@ program, the one exception that the CLI reports as bad input (exit 3).
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 __all__ = [
     "DomainError",
@@ -146,32 +150,34 @@ def xgcd(a, b):
     return old_r, old_s, old_t
 
 
-class Mat2:
-    """Integer 2x2 matrix with nonzero determinant."""
+class Mat2(tuple):
+    """Integer 2x2 matrix (a, b; c, d), det != 0: the tuple (a, b, c, d)."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ()
 
-    def __init__(self, a, b, c, d):
+    def __new__(cls, a, b, c, d):
         if a * d - b * c == 0:
             raise ValueError("singular matrix")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        return tuple.__new__(cls, (a, b, c, d))
 
-    def __setattr__(self, *args):
-        raise AttributeError("Mat2 is immutable")
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+    d = property(itemgetter(3))
 
     @property
     def det(self):
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self
+        return a * d - b * c
 
     def adjugate(self):
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return Mat2(d, -b, -c, a)
 
     def __mul__(self, o):
-        return Mat2(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
-                    self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
+        a, b, c, d = self
+        p, q, r, s = o
+        return Mat2(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
 
     def __pow__(self, n):
         assert n >= 0, "negative power"
@@ -184,19 +190,9 @@ class Mat2:
             n >>= 1
         return r
 
-    def __eq__(self, o):
-        if not isinstance(o, Mat2):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
     def mod(self, p):
-        return (self.a % p, self.b % p, self.c % p, self.d % p)
+        a, b, c, d = self
+        return (a % p, b % p, c % p, d % p)
 
     def __repr__(self):
-        return "Mat2(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
+        return "Mat2(%d, %d, %d, %d)" % self

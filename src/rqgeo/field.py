@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .exact import DomainError, Mat2, divisors, squarefree_part, xgcd
 
@@ -43,20 +44,14 @@ __all__ = [
 class QuadForm(tuple):
     """Integral binary quadratic form a x^2 + b xy + c y^2."""
 
+    __slots__ = ()
+
     def __new__(cls, a, b, c):
         return tuple.__new__(cls, (a, b, c))
 
-    @property
-    def a(self):
-        return self[0]
-
-    @property
-    def b(self):
-        return self[1]
-
-    @property
-    def c(self):
-        return self[2]
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
 
     def disc(self):
         return self[1] * self[1] - 4 * self[0] * self[2]
@@ -73,7 +68,7 @@ class QuadForm(tuple):
     def apply(self, m):
         """Right action: (f.apply(m))(x, y) = f(m11 x + m12 y, m21 x + m22 y)."""
         a, b, c = self
-        p, q, r, s = m.a, m.b, m.c, m.d
+        p, q, r, s = m
         return QuadForm(a * p * p + b * p * r + c * r * r,
                         2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
                         a * q * q + b * q * s + c * s * s)

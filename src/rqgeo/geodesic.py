@@ -40,6 +40,7 @@ Everything is integer arithmetic; the roots of f are never built.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .exact import DomainError, divisors, is_prime, sqrt_mod
 from .field import QuadForm, automorph, form_cycle, reduce_form
@@ -69,23 +70,22 @@ class AlgorithmMismatch(Exception):
     """Two independent counts disagreed (should never happen)."""
 
 
-class ClosedGeodesic:
-    """Oriented closed geodesic on Y0(p): a primitive form whose sign is
-    the orientation, which runs from the plus root (-b + sqrt(disc))/(2a)
-    to the minus root.  Negating the form reverses the geodesic."""
+class ClosedGeodesic(tuple):
+    """Oriented closed geodesic on Y0(p): the tuple (form, p) of a primitive
+    form, whose sign orients it from the plus root (-b + sqrt(disc))/(2a)
+    to the minus one, so that -form reverses it, and of the level p."""
 
-    __slots__ = ("form", "p")
+    __slots__ = ()
 
-    def __init__(self, form, p):
+    def __new__(cls, form, p):
         form, _ = form.primitive()
         d = form.disc()
         if d <= 0 or math.isqrt(d) ** 2 == d:
             raise ValueError("form must have positive nonsquare discriminant")
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "p", p)
+        return tuple.__new__(cls, (form, p))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+    form = property(itemgetter(0))
+    p = property(itemgetter(1))
 
     @property
     def gamma(self):

@@ -97,7 +97,7 @@ def right_cosets(n, p):
     reps = tuple(Mat2(A, 0, p * j, n // A)
                  for A in divisors(n) if A % p
                  for j in range(n // A))
-    assert all(_coset_key(*y.entries(), n, p) == (y.a, y.c) for y in reps), \
+    assert all(_coset_key(*y, n, p) == (y.a, y.c) for y in reps), \
         "coset rep is not its own key"
     return reps
 
@@ -214,7 +214,7 @@ def double_cosets(Q, n):
     if n < 1:
         raise ValueError("n must be positive")
     p = Q.p
-    ga, gb, gc, gd = Q.gamma.entries()
+    ga, gb, gc, gd = Q.gamma
     reps = right_cosets(n, p)
     free = {(y.a, y.c) for y in reps}
     out = []

@@ -56,10 +56,8 @@ def L_value_zagier(G, psi):
 
 
 def _is_fundamental(d):
-    if d == 1:
-        return True
     if d % 4 == 1:
-        return squarefree_part(abs(d))[1] == 1
+        return d != 1 and squarefree_part(abs(d))[1] == 1
     if d % 4 == 0:
         m = d // 4
         return m % 4 in (2, 3) and squarefree_part(abs(m))[1] == 1

@@ -392,7 +392,7 @@ def _dual_stabilizer(Q, delta, n):
     M = gamma
     for _ in range(10 ** 6):
         B = adj * M * delta
-        if not any(e % n for e in B.entries()):
+        if not any(e % n for e in B):
             cand = Mat2(B.a // n, B.b // n, B.c // n, B.d // n)
             if cand.c % Q.p == 0:
                 return cand

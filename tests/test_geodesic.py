@@ -316,9 +316,22 @@ class TestClosedGeodesic:
             assert R.reversed().form == Q.form
 
     def test_slots(self):
-        assert ClosedGeodesic.__slots__ == ("form", "p")
         Q = ClosedGeodesic(QuadForm(20, -16, 2), 5)
+        assert tuple(Q) == (QuadForm(10, -8, 1), 5)
+        assert not hasattr(Q, "__dict__")
         assert Q.form == QuadForm(10, -8, 1)
+
+    def test_values_are_immutable_and_equal_by_value(self):
+        f = QuadForm(20, -16, 2)
+        for value, field in ((Mat2(2, 1, 1, 1), "a"), (f, "a"),
+                             (ClosedGeodesic(f, 5), "form")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1)
+            with pytest.raises(AttributeError):
+                value.x = 5
+        Q, R = ClosedGeodesic(f, 5), ClosedGeodesic(QuadForm(10, -8, 1), 5)
+        assert Q is not R and Q == R and hash(Q) == hash(R)
+        assert Q != ClosedGeodesic(f, 7) and Q != Q.reversed()
 
     def test_square_disc_rejected(self):
         with pytest.raises(ValueError):
@@ -536,8 +549,7 @@ def test_reduction_cycle_is_one_river_period():
                 forms, deltas = form_cycle(g)
                 seen.update(forms)
                 A = automorph(g)
-                assert _steps(deltas).entries() in (
-                    A.entries(), tuple(-e for e in A.entries())), g
+                assert _steps(deltas) in (A, tuple(-e for e in A)), g
                 period, tally = _topograph_river(g, p)
                 assert sum(abs(delta) for delta in deltas) == period, g
                 sums = _orbit_sums(A, tally, p)

@@ -46,7 +46,7 @@ def _in_delta0(m, p):
 
 def _same_coset(y, z, n, p):
     m = y.adjugate() * z
-    return not any(e % n for e in m.entries()) and (m.c // n) % p == 0
+    return not any(e % n for e in m) and (m.c // n) % p == 0
 
 
 def _brute_right_cosets(n, p):
@@ -151,7 +151,7 @@ class TestRightCosets:
             for n in range(1, 41):
                 for y in right_cosets(n, p):
                     assert y.b == 0 and y.a * y.d == n
-                    assert _coset_key(*y.entries(), n, p) == (y.a, y.c)
+                    assert _coset_key(*y, n, p) == (y.a, y.c)
 
     def test_key_equality_is_coset_equality(self):
         rng = random.Random(23)
@@ -162,8 +162,8 @@ class TestRightCosets:
                 z = rng.choice(reps) * _random_gamma0(rng, p)
                 if rng.random() < 0.3:
                     z = y * _random_gamma0(rng, p)
-                assert ((_coset_key(*y.entries(), n, p)
-                         == _coset_key(*z.entries(), n, p))
+                assert ((_coset_key(*y, n, p)
+                         == _coset_key(*z, n, p))
                         == _same_coset(y, z, n, p))
 
     def test_delta0_right_gamma0_invariant(self):

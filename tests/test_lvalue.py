@@ -188,6 +188,8 @@ class TestDirichletL0:
             dirichlet_L0(-12)
         with pytest.raises(ValueError):
             dirichlet_L0(3)
+        with pytest.raises(ValueError):
+            dirichlet_L0(1)
 
 
 class TestGenusOracle:

@@ -456,6 +456,16 @@ class TestPairingTable:
         r = choose_r(F, 5)
         check_pairing_table(F, G, 5, (r, -r, r + 10), 12)
 
+    @pytest.mark.parametrize("D", (34, 79))
+    def test_verify_roots(self, D):
+        # verify's roots r > 0, r + 2p and -(r + 2p), where some class
+        # has P+[sigma(c)] != -P+[c], so that Merel's pass tells r's
+        # tables from those of -(r + 2p)
+        F = build_field(D)
+        G = narrow_class_group(F)
+        r = choose_r(F, 3)
+        check_pairing_table(F, G, 3, (r, r + 6, -r - 6), 30)
+
 
 # every split (D, p), D squarefree below 300 and p <= 23
 SPLIT = tuple((D, p) for D in range(2, 300) if squarefree_part(D)[1] == 1
